@@ -3,7 +3,7 @@ with gradient feedback, shaped storage functions, dissipation and
 absolute-stability certification, the linear certificate pipeline, and
 deterministic simulation of the built-in scenarios."""
 
-from .sysmodel import (LinearSystem, NonlinearSystem, ScalarField,
+from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
                        StaticNonlinearity, HamiltonianSystem,
                        GradientCheckReport, gradient_check,
                        hamiltonian_to_nonlinear, make_closed_loop,
@@ -15,12 +15,12 @@ from .sim import (InputSignal, IntegratorConfig, Trajectory,
                   write_trajectory_csv)
 from .certify import (DefinitenessReport, DissipationReport,
                       DecayIdentityReport, HiddenMotionReport,
-                      NonvanishingReport, UniquenessReport,
+                      NonvanishingReport, RateTable, UniquenessReport,
                       check_equilibrium_uniqueness, check_gradient_nonvanishing,
                       check_positive_definite, estimate_max_epsilon,
                       flag_hidden_motion, halton_box_samples,
                       hamiltonian_decay_identity, ni_residuals, osni_residuals,
-                      report_line, write_reports_csv)
+                      rate_table, report_line, write_reports_csv)
 from .linear import (SsniCertificate, SlopeBounds, SsniReport, DeyReport,
                      SchurReport, HurwitzReport, MinimalityReport,
                      adaptive_simpson, check_minimal, check_ssni,

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .linear import sym_eigenvalues
 from .sim import Trajectory
-from .sysmodel import (NonlinearSystem, ScalarField, StaticNonlinearity,
+from .sysmodel import (NonlinearSystem, Report, ScalarField, StaticNonlinearity,
                        HamiltonianSystem, TAU_PD, TAU_ZERO, central_jacobian)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
@@ -124,11 +124,48 @@ def _newton_polish(func, jac, x0, tol, max_iter=POLISH_ITERS):
 
 
 # ---------------------------------------------------------------------------
-# Dissipation residuals
+# Per-knot rates and the dissipation checks derived from them
 
 
 @dataclass(frozen=True, eq=False)
-class DissipationReport:
+class RateTable:
+    """Per-knot scalars along ``traj``, with ``fx = f(x, u)`` and
+    ``ydot = Dh(x) fx``: ``vdot = grad V(x) . fx`` (None without a storage),
+    ``supply = u . ydot``, ``ydot_sq = |ydot|^2`` and ``f_sq = |fx|^2``."""
+
+    traj: Trajectory
+    vdot: Optional[np.ndarray]
+    supply: np.ndarray
+    ydot_sq: np.ndarray
+    f_sq: np.ndarray
+
+
+def rate_table(sys: NonlinearSystem, V: Optional[ScalarField], traj: Trajectory) -> RateTable:
+    """One sweep over the knots of ``traj``; every rate check derives from it."""
+    if V is not None and V.dim != sys.n_states:
+        raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
+    if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
+        raise ValueError("trajectory dimensions do not match the system")
+    n = traj.n_samples
+    vdot = None if V is None else np.empty(n)
+    supply = np.empty(n)
+    ydot_sq = np.empty(n)
+    f_sq = np.empty(n)
+    for k in range(n):
+        x = traj.states[k]
+        u = traj.inputs[k]
+        fx = np.asarray(sys.f(x, u), dtype=float)
+        if vdot is not None:
+            vdot[k] = V.gradient(x) @ fx
+        ydot = sys.output_jacobian(x) @ fx
+        supply[k] = u @ ydot
+        ydot_sq[k] = ydot @ ydot
+        f_sq[k] = fx @ fx
+    return RateTable(traj, vdot, supply, ydot_sq, f_sq)
+
+
+@dataclass(frozen=True, eq=False)
+class DissipationReport(Report):
     max_violation: float          # largest residual found (positive = violation)
     worst_time: float
     worst_state: np.ndarray
@@ -139,17 +176,23 @@ class DissipationReport:
     verdict: str
     residuals: np.ndarray
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
+    worst_fields = ("max_violation",)
+    witness_fields = ("worst_time", "worst_state")
 
-    @property
-    def worst_value(self):
-        return self.max_violation
 
-    @property
-    def witness(self):
-        return (self.worst_time, *self.worst_state)
+def dissipation_from_rates(rates: RateTable, epsilon: float) -> DissipationReport:
+    """The residuals of :func:`osni_residuals` from a rate table."""
+    if epsilon < 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    residuals = rates.vdot - rates.supply + epsilon * rates.ydot_sq
+    tolerance = 1e-6 * (1.0 + float(np.fmax.reduce(np.abs(rates.supply), initial=0.0)))
+    worst = int(np.argmax(residuals))
+    n_violations = int(np.sum(residuals > tolerance))
+    verdict = "pass" if residuals[worst] <= tolerance else "fail"
+    traj = rates.traj
+    return DissipationReport(float(residuals[worst]), float(traj.times[worst]),
+                             traj.states[worst].copy(), traj.n_samples, n_violations,
+                             float(epsilon), tolerance, verdict, residuals)
 
 
 def osni_residuals(sys: NonlinearSystem, V: ScalarField, traj: Trajectory,
@@ -160,37 +203,25 @@ def osni_residuals(sys: NonlinearSystem, V: ScalarField, traj: Trajectory,
     ``Vdot = grad V(x) . f(x, u)`` and ``ydot = Dh(x) f(x, u)``.  The pass
     tolerance scales with the largest sampled supply term.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if V.dim != sys.n_states:
-        raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
-    if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
-        raise ValueError("trajectory dimensions do not match the system")
-    n = traj.n_samples
-    residuals = np.empty(n)
-    max_supply = 0.0
-    for k in range(n):
-        x = traj.states[k]
-        u = traj.inputs[k]
-        fx = np.asarray(sys.f(x, u), dtype=float)
-        vdot = float(V.gradient(x) @ fx)
-        ydot = sys.output_jacobian(x) @ fx
-        supply = float(u @ ydot)
-        residuals[k] = vdot - supply + epsilon * float(ydot @ ydot)
-        if abs(supply) > max_supply:
-            max_supply = abs(supply)
-    tolerance = 1e-6 * (1.0 + max_supply)
-    worst = int(np.argmax(residuals))
-    n_violations = int(np.sum(residuals > tolerance))
-    verdict = "pass" if residuals[worst] <= tolerance else "fail"
-    return DissipationReport(float(residuals[worst]), float(traj.times[worst]),
-                             traj.states[worst].copy(), n, n_violations,
-                             float(epsilon), tolerance, verdict, residuals)
+    return dissipation_from_rates(rate_table(sys, V, traj), epsilon)
 
 
 def ni_residuals(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> DissipationReport:
     """Residuals of ``Vdot <= u . ydot`` (the epsilon = 0 case, bit for bit)."""
     return osni_residuals(sys, V, traj, 0.0)
+
+
+def epsilon_from_rates(tables) -> float:
+    """Empirical infimum of ``(u . ydot - Vdot) / |ydot|^2`` over all knots of
+    the rate tables with ``|ydot|`` above TAU_ZERO, floored at zero."""
+    best = math.inf
+    for rates in tables:
+        keep = rates.ydot_sq > TAU_ZERO * TAU_ZERO
+        ratios = (rates.supply[keep] - rates.vdot[keep]) / rates.ydot_sq[keep]
+        best = min(best, float(np.fmin.reduce(ratios, initial=math.inf)))
+    if math.isinf(best):
+        return 0.0
+    return max(0.0, best)
 
 
 def estimate_max_epsilon(sys: NonlinearSystem, V: ScalarField,
@@ -200,23 +231,7 @@ def estimate_max_epsilon(sys: NonlinearSystem, V: ScalarField,
     trajs = list(trajs)
     if not trajs:
         raise ValueError("at least one trajectory is required")
-    best = math.inf
-    for traj in trajs:
-        for k in range(traj.n_samples):
-            x = traj.states[k]
-            u = traj.inputs[k]
-            fx = np.asarray(sys.f(x, u), dtype=float)
-            ydot = sys.output_jacobian(x) @ fx
-            ydot_sq = float(ydot @ ydot)
-            if ydot_sq <= TAU_ZERO * TAU_ZERO:
-                continue
-            vdot = float(V.gradient(x) @ fx)
-            ratio = (float(u @ ydot) - vdot) / ydot_sq
-            if ratio < best:
-                best = ratio
-    if math.isinf(best):
-        return 0.0
-    return max(0.0, best)
+    return epsilon_from_rates(rate_table(sys, V, traj) for traj in trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +239,7 @@ def estimate_max_epsilon(sys: NonlinearSystem, V: ScalarField,
 
 
 @dataclass(frozen=True, eq=False)
-class DefinitenessReport:
+class DefinitenessReport(Report):
     min_sampled_value: float
     min_hessian_eig_origin: float
     argmin: np.ndarray
@@ -232,17 +247,8 @@ class DefinitenessReport:
     verdict: str
     caveat: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.min_sampled_value
-
-    @property
-    def witness(self):
-        return tuple(self.argmin)
+    worst_fields = ("min_sampled_value",)
+    witness_fields = ("argmin",)
 
 
 def _origin_hessian(field: ScalarField) -> np.ndarray:
@@ -302,7 +308,7 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
 
 
 @dataclass(frozen=True, eq=False)
-class NonvanishingReport:
+class NonvanishingReport(Report):
     min_grad_norm: float
     argmin: np.ndarray
     floor: float
@@ -311,13 +317,7 @@ class NonvanishingReport:
     verdict: str
     note: str = ""
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.min_grad_norm
+    worst_fields = ("min_grad_norm",)
 
     @property
     def witness(self):
@@ -372,7 +372,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
 
 
 @dataclass(frozen=True, eq=False)
-class UniquenessReport:
+class UniquenessReport(Report):
     min_residual_norm: float
     argmin: np.ndarray
     root: Optional[np.ndarray]
@@ -380,13 +380,7 @@ class UniquenessReport:
     r_excl: float
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.min_residual_norm
+    worst_fields = ("min_residual_norm",)
 
     @property
     def witness(self):
@@ -433,23 +427,15 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
 
 
 @dataclass(frozen=True, eq=False)
-class DecayIdentityReport:
+class DecayIdentityReport(Report):
     max_discrepancy: float
     time_of_max: float
     n_samples: int
     step: float
 
-    @property
-    def verdict(self):
-        return "info"
-
-    @property
-    def worst_value(self):
-        return self.max_discrepancy
-
-    @property
-    def witness(self):
-        return (self.time_of_max,)
+    verdict: ClassVar[str] = "info"
+    worst_fields = ("max_discrepancy",)
+    witness_fields = ("time_of_max",)
 
 
 def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
@@ -492,22 +478,27 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
 
 
 @dataclass(frozen=True, eq=False)
-class HiddenMotionReport:
+class HiddenMotionReport(Report):
     intervals: tuple
     n_flagged: int
     verdict: str  # "pass" | "flagged"
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return float(self.n_flagged)
+    worst_fields = ("n_flagged",)
 
     @property
     def witness(self):
         return self.intervals[0] if self.intervals else ()
+
+
+def hidden_motion_from_rates(rates: RateTable) -> HiddenMotionReport:
+    """Intervals of knots where ``|ydot| < TAU_ZERO`` but ``|xdot| > 100 TAU_ZERO``."""
+    times = rates.traj.times
+    flagged = (np.sqrt(rates.ydot_sq) < TAU_ZERO) & (np.sqrt(rates.f_sq) > 100.0 * TAU_ZERO)
+    edges = np.flatnonzero(np.diff(flagged, prepend=False, append=False))  # run starts, ends
+    intervals = tuple((float(times[a]), float(times[b - 1]))
+                      for a, b in zip(edges[::2], edges[1::2]))
+    n_flagged = int(flagged.sum())
+    return HiddenMotionReport(intervals, n_flagged, "pass" if n_flagged == 0 else "flagged")
 
 
 def flag_hidden_motion(sys: NonlinearSystem, traj: Trajectory) -> HiddenMotionReport:
@@ -518,41 +509,22 @@ def flag_hidden_motion(sys: NonlinearSystem, traj: Trajectory) -> HiddenMotionRe
     intervals.  This is a heuristic stand-in for an observability-type
     hypothesis that is not algorithmically checkable in general.
     """
-    flagged = np.zeros(traj.n_samples, dtype=bool)
-    for k in range(traj.n_samples):
-        x = traj.states[k]
-        fx = np.asarray(sys.f(x, traj.inputs[k]), dtype=float)
-        ydot = sys.output_jacobian(x) @ fx
-        if np.linalg.norm(ydot) < TAU_ZERO and np.linalg.norm(fx) > 100.0 * TAU_ZERO:
-            flagged[k] = True
-    intervals = []
-    start = None
-    for k, is_flagged in enumerate(flagged):
-        if is_flagged and start is None:
-            start = k
-        elif not is_flagged and start is not None:
-            intervals.append((float(traj.times[start]), float(traj.times[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(traj.times[start]), float(traj.times[-1])))
-    n_flagged = int(flagged.sum())
-    return HiddenMotionReport(tuple(intervals), n_flagged,
-                              "pass" if n_flagged == 0 else "flagged")
+    return hidden_motion_from_rates(rate_table(sys, None, traj))
 
 
 # ---------------------------------------------------------------------------
 # Report serialization
 
 
-def report_line(name: str, report) -> str:
+def report_line(name: str, report: Report) -> str:
     """One line per report: name, verdict, worst value, witness."""
-    witness = getattr(report, "witness", ())
+    witness = report.witness
     if witness:
         witness_text = "(" + ", ".join(format(float(v), ".17g") for v in witness) + ")"
     else:
         witness_text = "-"
-    worst = float(getattr(report, "worst_value", math.nan))
-    return f"{name}: {report.verdict}  worst={format(worst, '.17g')}  witness={witness_text}"
+    worst = format(report.worst_value, ".17g")
+    return f"{name}: {report.verdict}  worst={worst}  witness={witness_text}"
 
 
 def write_reports_csv(path, named_reports) -> None:
@@ -561,10 +533,9 @@ def write_reports_csv(path, named_reports) -> None:
         writer = csv.writer(fh)
         writer.writerow(["check", "verdict", "worst_value", "witness"])
         for name, report in named_reports:
-            witness = getattr(report, "witness", ())
             writer.writerow([
                 name,
                 report.verdict,
-                format(float(getattr(report, "worst_value", math.nan)), ".17g"),
-                " ".join(format(float(v), ".17g") for v in witness),
+                format(report.worst_value, ".17g"),
+                " ".join(format(float(v), ".17g") for v in report.witness),
             ])

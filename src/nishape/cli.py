@@ -64,7 +64,7 @@ def _cmd_certify_linear(args) -> int:
     try:
         gain = dc_gain(system, cert)
         print(f"dc gain max |entry| = {_fmt(np.max(np.abs(gain)))}")
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:  # mismatch, or a singular A
         print(f"dc-gain cross-check: fail ({exc})")
         return 1
     if slopes is not None:
@@ -73,7 +73,7 @@ def _cmd_certify_linear(args) -> int:
     ok = True
     for name, report in checks:
         print(report_line(name, report))
-        ok = ok and report.verdict == "pass"
+        ok = ok and report.passed
     print(f"overall: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sysmodel import (LinearSystem, NonlinearSystem, ScalarField,
+from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
                        StaticNonlinearity, TAU_PD, TAU_ZERO)
 
 
@@ -116,98 +116,57 @@ class SlopeBounds:
 
 
 @dataclass(frozen=True, eq=False)
-class SsniReport:
+class SsniReport(Report):
     max_lyapunov_eig: float
     structure_residual: float
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.max_lyapunov_eig
-
-    @property
-    def witness(self):
-        return (self.structure_residual,)
+    worst_fields = ("max_lyapunov_eig",)
+    witness_fields = ("structure_residual",)
 
 
 @dataclass(frozen=True, eq=False)
-class DeyReport:
+class DeyReport(Report):
     margin: float
     asymmetry: float
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.margin
-
-    @property
-    def witness(self):
-        return ()
+    worst_fields = ("margin",)
 
 
 @dataclass(frozen=True, eq=False)
-class SchurReport:
+class SchurReport(Report):
     primal_margin: float   # min eig(M^-1 - C Y C^T)
     dual_margin: float     # min eig(Y^-1 - C^T M C)
     primal_holds: bool
     dual_holds: bool
     verdict: str           # "pass" when the two predicates agree
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
+    worst_fields = witness_fields = ("primal_margin", "dual_margin")
 
     @property
     def agree(self):
         return self.primal_holds == self.dual_holds
 
-    @property
-    def worst_value(self):
-        return min(self.primal_margin, self.dual_margin)
-
-    @property
-    def witness(self):
-        return (self.primal_margin, self.dual_margin)
-
 
 @dataclass(frozen=True, eq=False)
-class HurwitzReport:
+class HurwitzReport(Report):
     min_p_eig: float
     residual: float
     verdict: str  # "pass" | "fail" | "indeterminate"
     note: str = ""
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.min_p_eig
-
-    @property
-    def witness(self):
-        return ()
+    worst_fields = ("min_p_eig",)
 
 
 @dataclass(frozen=True, eq=False)
-class MinimalityReport:
+class MinimalityReport(Report):
     rank_controllability: int
     rank_observability: int
     n: int
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
+    worst_fields = witness_fields = ("rank_controllability", "rank_observability")
 
     @property
     def controllable(self):
@@ -216,14 +175,6 @@ class MinimalityReport:
     @property
     def observable(self):
         return self.rank_observability == self.n
-
-    @property
-    def worst_value(self):
-        return float(min(self.rank_controllability, self.rank_observability))
-
-    @property
-    def witness(self):
-        return (float(self.rank_controllability), float(self.rank_observability))
 
 
 # ---------------------------------------------------------------------------
@@ -476,4 +427,6 @@ def load_certificate(path):
     sys = LinearSystem(payload["A"], payload["B"], payload["C"])
     cert = SsniCertificate(sys, payload["Y"])
     slopes = SlopeBounds(payload["mu"]) if payload.get("mu") is not None else None
+    if slopes is not None and slopes.p != sys.p:
+        raise ValueError(f"mu has {slopes.p} entries, system has {sys.p} channels")
     return sys, cert, slopes

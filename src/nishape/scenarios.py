@@ -20,13 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certify import (check_equilibrium_uniqueness, check_positive_definite,
-                      estimate_max_epsilon, flag_hidden_motion,
-                      halton_box_samples, ni_residuals, osni_residuals,
+                      dissipation_from_rates, epsilon_from_rates,
+                      halton_box_samples, hidden_motion_from_rates, rate_table,
                       report_line, write_reports_csv)
 from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonlinear
 from .sim import (InputSignal, IntegratorConfig, Trajectory, monitor_decay,
                   simulate, write_trajectory_csv)
-from .sysmodel import (LinearSystem, NonlinearSystem, ScalarField,
+from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
                        StaticNonlinearity, gradient_check, make_closed_loop,
                        make_shaped_storage)
 
@@ -355,13 +355,15 @@ def scenario_config(name: str) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceReport:
+class SurfaceReport(Report):
     axis: np.ndarray
     values: np.ndarray
     minima: tuple          # (theta1, theta2) grid locations of strict minima
     n_plateau: int
     degenerate: bool
     path: Optional[str]
+
+    worst_fields = ("n_minima",)
 
     @property
     def n_minima(self):
@@ -370,10 +372,6 @@ class SurfaceReport:
     @property
     def verdict(self):
         return "degenerate" if self.degenerate else "ok"
-
-    @property
-    def worst_value(self):
-        return float(self.n_minima)
 
     @property
     def witness(self):
@@ -440,44 +438,26 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
 
 
 @dataclass(frozen=True, eq=False)
-class SyncReport:
+class SyncReport(Report):
     mean_original: float
     mean_shaped: float
     ratio: float
     window: tuple
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.ratio
-
-    @property
-    def witness(self):
-        return (self.mean_original, self.mean_shaped)
+    worst_fields = ("ratio",)
+    witness_fields = ("mean_original", "mean_shaped")
 
 
 @dataclass(frozen=True, eq=False)
-class ConvergenceReport:
+class ConvergenceReport(Report):
     final_norm: float
     final_state: np.ndarray
     tolerance: float
     verdict: str
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.final_norm
-
-    @property
-    def witness(self):
-        return tuple(self.final_state)
+    worst_fields = ("final_norm",)
+    witness_fields = ("final_state",)
 
 
 def synchronization_statistic(traj: Trajectory, t_start: float, t_end: float) -> float:
@@ -505,7 +485,7 @@ class ScenarioResult:
 
     @property
     def passed(self) -> bool:
-        return all(getattr(rep, "verdict", "pass") in ("pass", "skipped", "info", "flagged")
+        return all(rep.verdict in ("pass", "skipped", "info", "flagged")
                    for _, rep in self.checks)
 
     def lines(self):
@@ -556,21 +536,25 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         gain = dc_gain(sc.certificate.sys, sc.certificate)  # raises on mismatch
         extras["dc_gain_max_abs"] = float(np.max(np.abs(gain)))
 
+    # one rate table per (system, storage, trajectory), dropped once its checks exist
     traj_plant = simulate(plant, start, sc.signal, cfg, monitor=V)
-    checks.append(("plant NI residuals", ni_residuals(plant, V, traj_plant)))
-    eps_hat = estimate_max_epsilon(plant, V, [traj_plant])
+    rates = rate_table(plant, V, traj_plant)
+    checks.append(("plant NI residuals", dissipation_from_rates(rates, 0.0)))
+    eps_hat = epsilon_from_rates([rates])
     extras["epsilon_estimate"] = eps_hat
     if eps_hat > 0.0:
-        checks.append(("plant OSNI residuals",
-                       osni_residuals(plant, V, traj_plant, 0.5 * eps_hat)))
+        checks.append(("plant OSNI residuals", dissipation_from_rates(rates, 0.5 * eps_hat)))
+    del rates
 
     closed = make_closed_loop(plant, nl)
     traj_free = simulate(closed, start, InputSignal.zero(plant.n_io), cfg, monitor=W)
     checks.append(("closed-loop storage decay", monitor_decay(traj_free)))
+    rates = rate_table(closed, W, traj_free)
     checks.append(("closed-loop NI residuals (shaped storage)",
-                   ni_residuals(closed, W, traj_free)))
+                   dissipation_from_rates(rates, 0.0)))
     if sc.assumes_output_observability:
-        checks.append(("hidden-motion heuristic", flag_hidden_motion(closed, traj_free)))
+        checks.append(("hidden-motion heuristic", hidden_motion_from_rates(rates)))
+    del rates
 
     traj_forced = None
     traj_original = None

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import NonlinearSystem, ScalarField
+from .sysmodel import NonlinearSystem, Report, ScalarField
 
 
 @dataclass(frozen=True)
@@ -225,23 +225,13 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
 
 
 @dataclass(frozen=True, eq=False)
-class MonitorDecayReport:
+class MonitorDecayReport(Report):
     max_increase: float
     tolerance: float
     verdict: str  # "pass" | "fail" | "skipped"
     note: str = ""
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self):
-        return self.max_increase
-
-    @property
-    def witness(self):
-        return ()
+    worst_fields = ("max_increase",)
 
 
 def monitor_decay(traj: Trajectory) -> MonitorDecayReport:
@@ -265,23 +255,18 @@ def monitor_decay(traj: Trajectory) -> MonitorDecayReport:
 
 
 @dataclass(frozen=True, eq=False)
-class RefineReport:
+class RefineReport(Report):
     err_coarse: float          # |x_h(T) - x_{h/2}(T)|
     err_fine: float            # |x_{h/2}(T) - x_{h/4}(T)|
     order: Optional[float]     # log2(err_coarse / err_fine)
     flags: tuple
 
-    @property
-    def verdict(self):
-        return "info"
+    verdict: ClassVar[str] = "info"
+    witness_fields = ("err_coarse", "err_fine")
 
     @property
     def worst_value(self):
         return math.nan if self.order is None else self.order
-
-    @property
-    def witness(self):
-        return (self.err_coarse, self.err_fine)
 
 
 def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,

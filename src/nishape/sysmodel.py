@@ -11,7 +11,7 @@ so instances are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -22,20 +22,41 @@ TAU_GRAD_FLOOR = 1e-8  # absolute floor under TAU_GRAD
 TAU_PD = 1e-9          # strict positive-definiteness margin
 
 
+@dataclass(frozen=True, eq=False)
+class Report:
+    """Base of every check report: a ``verdict``, a worst value and a witness.
+
+    Subclasses declare ``verdict`` (a field, or a class constant for purely
+    informational reports) and name their fields: the worst value is the
+    smallest of ``worst_fields``, and the witness is the concatenation of
+    ``witness_fields`` (scalars or vectors; a field holding None adds nothing).
+    """
+
+    worst_fields: ClassVar[tuple] = ()
+    witness_fields: ClassVar[tuple] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    @property
+    def worst_value(self) -> float:
+        return float(min(getattr(self, name) for name in self.worst_fields))
+
+    @property
+    def witness(self) -> tuple:
+        parts = (getattr(self, name) for name in self.witness_fields)
+        return tuple(float(v) for part in parts if part is not None
+                     for v in np.atleast_1d(part))
+
+
 def fd_step(x) -> float:
     """Central-difference step, 1e-6 scaled by the probe point's size."""
     return 1e-6 * max(1.0, float(np.linalg.norm(x)))
 
 
 def central_gradient(func, x, step: Optional[float] = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = fd_step(x) if step is None else float(step)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        grad[i] = (float(func(x + e)) - float(func(x - e))) / (2.0 * h)
-    return grad
+    return central_jacobian(func, x, 1, step)[0]
 
 
 def central_jacobian(func, x, n_out: int, step: Optional[float] = None) -> np.ndarray:
@@ -306,14 +327,8 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
 
 
 def hamiltonian_to_nonlinear(hs: HamiltonianSystem) -> NonlinearSystem:
-    """Realize the Hamiltonian dynamics as a plain state-space system."""
-    z = np.zeros(hs.n)
-    J0 = np.asarray(hs.J(z), dtype=float)
-    R0 = np.asarray(hs.R(z), dtype=float)
-    if np.max(np.abs(J0 + J0.T)) > TAU_ZERO:
-        raise ValueError("J is not skew-symmetric at the origin")
-    if np.max(np.abs(R0 - R0.T)) > TAU_ZERO:
-        raise ValueError("R is not symmetric at the origin")
+    """Realize the Hamiltonian dynamics as a plain state-space system (J and R
+    were probed when ``hs`` was built)."""
     J, R, H, C, grad_C = hs.J, hs.R, hs.H, hs.C, hs.grad_C
 
     def f(x, u):
@@ -331,23 +346,14 @@ def hamiltonian_to_nonlinear(hs: HamiltonianSystem) -> NonlinearSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class GradientCheckReport:
+class GradientCheckReport(Report):
     max_deviation: float
     worst_point: Optional[np.ndarray]
     n_points: int
     verdict: str  # "pass" | "fail" | "nothing to check"
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    @property
-    def worst_value(self) -> float:
-        return self.max_deviation
-
-    @property
-    def witness(self) -> tuple:
-        return () if self.worst_point is None else tuple(self.worst_point)
+    worst_fields = ("max_deviation",)
+    witness_fields = ("worst_point",)
 
 
 def gradient_check(field: ScalarField, points) -> GradientCheckReport:

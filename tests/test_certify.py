@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField,
-                     StaticNonlinearity, build_pendulum, PendulumParams,
+import nishape
+from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, Report, ScalarField,
+                     StaticNonlinearity, build_pendulum, PendulumParams, TAU_ZERO,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
                      check_positive_definite, estimate_max_epsilon,
                      flag_hidden_motion, halton_box_samples,
                      hamiltonian_decay_identity, hamiltonian_to_nonlinear,
                      make_closed_loop, ni_residuals, osni_residuals, report_line,
                      simulate, write_reports_csv, zero_field)
+from nishape.scenarios import ConvergenceReport, SyncReport
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
 
@@ -126,6 +128,66 @@ def test_osni_passes_just_below_the_estimate():
     for traj in trajs:
         report = osni_residuals(plant, V, traj, eps_hat * (1.0 - 1e-6))
         assert report.verdict == "pass"
+
+
+def _knot_loop_oracle(sys, V, traj, epsilon):
+    """The per-knot loops the rate table replaced, written out one knot at a
+    time: (residuals, max |supply|, epsilon estimate, hidden-motion intervals)."""
+    residuals = np.empty(traj.n_samples)
+    max_supply = 0.0
+    best = math.inf
+    flagged = []
+    for k in range(traj.n_samples):
+        x, u = traj.states[k], traj.inputs[k]
+        fx = np.asarray(sys.f(x, u), dtype=float)
+        vdot = float(V.gradient(x) @ fx)
+        ydot = sys.output_jacobian(x) @ fx
+        supply = float(u @ ydot)
+        ydot_sq = float(ydot @ ydot)
+        residuals[k] = vdot - supply + epsilon * ydot_sq
+        max_supply = max(max_supply, abs(supply))
+        if ydot_sq > TAU_ZERO * TAU_ZERO:
+            best = min(best, (supply - vdot) / ydot_sq)
+        flagged.append(bool(np.linalg.norm(ydot) < TAU_ZERO
+                            and np.linalg.norm(fx) > 100.0 * TAU_ZERO))
+    eps_hat = 0.0 if math.isinf(best) else max(0.0, best)
+    intervals = []
+    start = None
+    for k, is_flagged in enumerate(flagged):
+        if is_flagged and start is None:
+            start = k
+        elif not is_flagged and start is not None:
+            intervals.append((float(traj.times[start]), float(traj.times[k - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(traj.times[start]), float(traj.times[-1])))
+    return residuals, max_supply, eps_hat, tuple(intervals)
+
+
+def test_rate_checks_match_the_per_knot_loops_bitwise():
+    plant, V, traj = _pendulum_square_wave_run(t_end=2.0)
+    _, max_supply, eps_hat, intervals = _knot_loop_oracle(plant, V, traj, 0.0)
+    assert eps_hat > 0.0 and intervals
+    assert estimate_max_epsilon(plant, V, [traj]) == eps_hat
+    assert flag_hidden_motion(plant, traj).intervals == intervals
+    for epsilon, report in ((0.0, ni_residuals(plant, V, traj)),
+                            (0.5 * eps_hat, osni_residuals(plant, V, traj, 0.5 * eps_hat))):
+        residuals = _knot_loop_oracle(plant, V, traj, epsilon)[0]
+        assert np.array_equal(report.residuals, residuals)
+        assert report.tolerance == 1e-6 * (1.0 + max_supply)
+    # several trajectories: one infimum over all of their knots
+    _, _, trajs = _random_pendulum_batch(n_traj=2, t_end=0.5)
+    oracle = min(_knot_loop_oracle(plant, V, t, 0.0)[2] for t in trajs)
+    assert estimate_max_epsilon(plant, V, trajs) == oracle
+
+    # hidden motion in runs of several knots, the last one reaching the end
+    sys = NonlinearSystem(2, 1, lambda x, u: np.array([max(u[0], 0.0), -x[1]]),
+                          lambda x: x[:1].copy(), h_jacobian=lambda x: np.array([[1.0, 0.0]]))
+    traj = simulate(sys, [0.0, 1.0], InputSignal.square_wave(1, 0, 1.0, 0.5),
+                    IntegratorConfig(step=1e-2, t_end=0.9))
+    intervals = _knot_loop_oracle(sys, zero_field(2), traj, 0.0)[3]
+    assert len(intervals) == 2 and intervals[-1][1] == traj.times[-1]
+    assert flag_hidden_motion(sys, traj).intervals == intervals
 
 
 def test_osni_rejects_negative_epsilon():
@@ -396,6 +458,86 @@ def test_hidden_motion_clean_on_observed_decay():
 
 # ---------------------------------------------------------------------------
 # Report serialization
+
+
+def _report_of_each_kind():
+    """(name, report, report_line text, checks.csv row), one per report class
+    plus the witness special cases."""
+    v = np.array
+    return [
+        ("grad", nishape.GradientCheckReport(2.5e-9, v([0.5, -1.25]), 10, "pass"),
+         "pass  worst=2.5000000000000001e-09  witness=(0.5, -1.25)",
+         "pass,2.5000000000000001e-09,0.5 -1.25"),
+        ("grad-none", nishape.GradientCheckReport(0.0, None, 0, "nothing to check"),
+         "nothing to check  worst=0  witness=-", "nothing to check,0,"),
+        ("dissipation", nishape.DissipationReport(1e-3, 0.25, v([1.0, -2.0]), 5, 1, 0.1,
+                                                  1e-6, "fail", v([0.0, 1e-3])),
+         "fail  worst=0.001  witness=(0.25, 1, -2)", "fail,0.001,0.25 1 -2"),
+        ("definiteness", nishape.DefinitenessReport(0.125, 0.8, v([0.1, 0.2]), 7, "pass", ""),
+         "pass  worst=0.125  witness=(0.10000000000000001, 0.20000000000000001)",
+         "pass,0.125,0.10000000000000001 0.20000000000000001"),
+        ("nonvanishing", nishape.NonvanishingReport(0.3, v([0.5, 0.5]), 1e-9, None, 9, "pass"),
+         "pass  worst=0.29999999999999999  witness=(0.5, 0.5)",
+         "pass,0.29999999999999999,0.5 0.5"),
+        ("critical", nishape.NonvanishingReport(0.3, v([0.5, 0.5]), 1e-9, v([1.0, 0.0]), 9,
+                                                "fail"),
+         "fail  worst=0.29999999999999999  witness=(1, 0)", "fail,0.29999999999999999,1 0"),
+        ("uniqueness", nishape.UniquenessReport(0.7, v([3.0, -1.0]), None, 11, 1e-3, "pass"),
+         "pass  worst=0.69999999999999996  witness=(3, -1)", "pass,0.69999999999999996,3 -1"),
+        ("root", nishape.UniquenessReport(0.7, v([3.0, -1.0]), v([2.0, 2.0]), 11, 1e-3, "fail"),
+         "fail  worst=0.69999999999999996  witness=(2, 2)", "fail,0.69999999999999996,2 2"),
+        ("decay", nishape.DecayIdentityReport(1e-7, 1.5, 100, 1e-3),
+         "info  worst=9.9999999999999995e-08  witness=(1.5)", "info,9.9999999999999995e-08,1.5"),
+        ("hidden", nishape.HiddenMotionReport(((0.0, 0.5), (2.0, 3.0)), 3, "flagged"),
+         "flagged  worst=3  witness=(0, 0.5)", "flagged,3,0 0.5"),
+        ("hidden-none", nishape.HiddenMotionReport((), 0, "pass"),
+         "pass  worst=0  witness=-", "pass,0,"),
+        ("ssni", nishape.SsniReport(-2.0, 1e-12, "pass"),
+         "pass  worst=-2  witness=(9.9999999999999998e-13)", "pass,-2,9.9999999999999998e-13"),
+        ("dey", nishape.DeyReport(0.25, 0.0, "pass"), "pass  worst=0.25  witness=-", "pass,0.25,"),
+        ("schur", nishape.SchurReport(0.5, -0.125, True, False, "fail"),
+         "fail  worst=-0.125  witness=(0.5, -0.125)", "fail,-0.125,0.5 -0.125"),
+        ("hurwitz", nishape.HurwitzReport(math.nan, 1.0, "indeterminate", "note"),
+         "indeterminate  worst=nan  witness=-", "indeterminate,nan,"),
+        ("minimality", nishape.MinimalityReport(2, 1, 2, "fail"),
+         "fail  worst=1  witness=(2, 1)", "fail,1,2 1"),
+        ("monitor", nishape.MonitorDecayReport(-1e-11, 1e-8, "pass"),
+         "pass  worst=-9.9999999999999994e-12  witness=-", "pass,-9.9999999999999994e-12,"),
+        ("refine", nishape.RefineReport(1e-5, 6.25e-7, 4.0, ()),
+         "info  worst=4  witness=(1.0000000000000001e-05, 6.2500000000000005e-07)",
+         "info,4,1.0000000000000001e-05 6.2500000000000005e-07"),
+        ("refine-none", nishape.RefineReport(0.0, 0.0, None, ()),
+         "info  worst=nan  witness=(0, 0)", "info,nan,0 0"),
+        ("surface", nishape.SurfaceReport(v([0.0]), v([[0.0]]), ((0.0, 0.1), (1.0, 1.0)), 0,
+                                          False, None),
+         "ok  worst=2  witness=(0, 0.10000000000000001)", "ok,2,0 0.10000000000000001"),
+        ("surface-flat", nishape.SurfaceReport(v([0.0]), v([[0.0]]), (), 4, True, None),
+         "degenerate  worst=0  witness=-", "degenerate,0,"),
+        ("sync", SyncReport(0.2, 0.03, 0.15, (20.0, 30.0), "pass"),
+         "pass  worst=0.14999999999999999  witness=(0.20000000000000001, 0.029999999999999999)",
+         "pass,0.14999999999999999,0.20000000000000001 0.029999999999999999"),
+        ("convergence", ConvergenceReport(1e-3, v([1e-3, 0.0]), 1e-2, "pass"),
+         "pass  worst=0.001  witness=(0.001, 0)", "pass,0.001,0.001 0"),
+    ]
+
+
+def test_every_report_class_shares_the_report_base():
+    classes = {obj for module in (nishape, nishape.scenarios) for name, obj in vars(module).items()
+               if isinstance(obj, type) and name.endswith("Report") and obj is not Report}
+    assert len(classes) == 17
+    assert all(issubclass(cls, Report) for cls in classes)
+    assert classes == {type(report) for _, report, _, _ in _report_of_each_kind()}
+
+
+def test_report_line_and_csv_golden_text(tmp_path):
+    cases = _report_of_each_kind()
+    for name, report, line, _ in cases:
+        assert report_line(name, report) == f"{name}: {line}"
+    path = tmp_path / "checks.csv"
+    write_reports_csv(path, [(name, report) for name, report, _, _ in cases])
+    expected = ["check,verdict,worst_value,witness"] + [f"{name},{row}"
+                                                        for name, _, _, row in cases]
+    assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()
 
 
 def test_report_serialization(tmp_path):

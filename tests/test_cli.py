@@ -33,16 +33,20 @@ def test_certify_linear_pass_and_fail(tmp_path, capsys):
     good = {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 2.0]],
             "C": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, 1.0]],
             "mu": [0.5, 0.5]}
-    good_path = tmp_path / "good.json"
-    good_path.write_text(json.dumps(good))
-    assert main(["certify-linear", str(good_path)]) == 0
-    assert "overall: pass" in capsys.readouterr().out
-
-    bad = dict(good)
-    bad["B"] = [[1.0, 0.0], [0.0, 1.0]]
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    assert main(["certify-linear", str(bad_path)]) == 1
+    cases = [  # (label, fields replaced in the good certificate, exit code, output)
+        ("good", {}, 0, "overall: pass"),
+        ("bad", {"B": [[1.0, 0.0], [0.0, 1.0]]}, 1, "dc-gain cross-check: fail"),
+        ("singular", {"A": [[0.0, 0.0], [0.0, -2.0]], "B": [[0.0, 0.0], [0.0, 2.0]]}, 1,
+         "dc-gain cross-check: fail (A is singular"),
+        ("short-mu", {"mu": [0.5]}, 2, "error: mu has 1 entries, system has 2 channels"),
+    ]
+    for label, changes, code, text in cases:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(good | changes))
+        assert main(["certify-linear", str(path)]) == code, label
+        captured = capsys.readouterr()
+        assert text in (captured.err if code == 2 else captured.out), label
+        assert "Traceback" not in captured.err
 
     assert main(["certify-linear", str(tmp_path / "missing.json")]) == 2
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nishape import scenarios, simulate
 from nishape import (PendulumParams, ScalarField, ShapingParams,
                      build_full_shaping, build_linear_example,
                      build_sync_shaping, export_potential_surface, get_scenario,
@@ -263,6 +264,22 @@ def test_run_scenario_pendulum_stabilize_bundle(tmp_path):
     assert "equilibrium uniqueness" in names
     endpoint = dict(result.checks)["convergence endpoint"]
     assert endpoint.final_norm < 1e-2
+
+
+@pytest.mark.parametrize("name, n_runs", [
+    ("pendulum-stabilize", 2),  # plant, unforced closed loop
+    ("pendulum-sync", 4),       # plus forced closed loop, unshaped run (repeats the plant run)
+])
+def test_run_scenario_simulation_count(monkeypatch, name, n_runs):
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "simulate", counting_simulate)
+    run_scenario(name, t_end=0.05)
+    assert len(calls) == n_runs
 
 
 def test_run_scenario_unknown_name():
