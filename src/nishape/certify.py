@@ -20,7 +20,8 @@ import numpy as np
 from .linear import sym_eigenvalues
 from .sim import Trajectory
 from .sysmodel import (NonlinearSystem, Report, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, central_jacobian)
+                       HamiltonianSystem, TAU_PD, TAU_ZERO, central_jacobian,
+                       make_shaped_storage)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -121,6 +122,17 @@ def _newton_polish(func, jac, x0, tol, max_iter=POLISH_ITERS):
         else:
             break
     return x, float(np.linalg.norm(fx)) <= tol
+
+
+def _polished_root(func, dim, points, norms, tol, accept):
+    """Newton-polish the N_POLISH samples of smallest ``norms`` toward a root of
+    ``func``; the first converged root that ``accept`` admits, or None."""
+    for idx in np.argsort(norms)[:N_POLISH]:
+        root, ok = _newton_polish(func, lambda x: central_jacobian(func, x, dim),
+                                  points[idx], tol)
+        if ok and accept(root):
+            return root
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +271,10 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
     (truncation/round-off balance for second differences).
     """
     n = field.dim
-    H = np.empty((n, n))
     if field.has_analytic_gradient:
-        h = 1e-6
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            H[:, j] = (field.gradient(e) - field.gradient(-e)) / (2.0 * h)
+        H = central_jacobian(field.gradient, np.zeros(n), n, 1e-6)
     else:
+        H = np.empty((n, n))
         h = 1e-4
         for i in range(n):
             for j in range(i, n):
@@ -336,8 +344,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     """
     box = _as_box(box, field.dim)
     points = halton_box_samples(box, n_samples, seed)
-    keep = np.linalg.norm(points, axis=1) > 0.0
-    points = points[keep]
+    points = points[np.linalg.norm(points, axis=1) > 0.0]
     grads = np.array([field.gradient(x) for x in points])
     grad_norms = np.linalg.norm(grads, axis=1)
     i_min = int(np.argmin(grad_norms))
@@ -345,19 +352,10 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     slack = 0.05 * (box[:, 1] - box[:, 0])
     tol_root = 1e-10 * (1.0 + float(np.max(grad_norms)))
-
-    critical = None
-    order = np.argsort(grad_norms)
-    for idx in order[:N_POLISH]:
-        candidate, ok = _newton_polish(
-            field.gradient,
-            lambda x: central_jacobian(field.gradient, x, field.dim),
-            points[idx], tol_root)
-        if (ok and float(np.linalg.norm(candidate)) > r_excl
-                and np.all(candidate >= box[:, 0] - slack)
-                and np.all(candidate <= box[:, 1] + slack)):
-            critical = candidate
-            break
+    critical = _polished_root(field.gradient, field.dim, points, grad_norms, tol_root,
+                              lambda x: (float(np.linalg.norm(x)) > r_excl
+                                         and np.all(x >= box[:, 0] - slack)
+                                         and np.all(x <= box[:, 1] + slack)))
 
     note = ""
     if grad_norms[i_min] < 1e-3 * float(np.median(grad_norms)):
@@ -409,13 +407,8 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     scale = 1.0 + float(np.max(norms))
     tol_root = 1e-9 * scale
 
-    root = None
-    for idx in np.argsort(norms)[:N_POLISH]:
-        candidate, ok = _newton_polish(
-            f0, lambda x: central_jacobian(f0, x, sys_cl.n_states), points[idx], tol_root)
-        if ok and float(np.linalg.norm(candidate)) > r_excl:
-            root = candidate
-            break
+    root = _polished_root(f0, sys_cl.n_states, points, norms, tol_root,
+                          lambda x: float(np.linalg.norm(x)) > r_excl)
 
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
     return UniquenessReport(float(norms[i_min]), points[i_min].copy(), root,
@@ -455,15 +448,12 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     n_knots = traj.n_samples
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
-    F = nl.potential
-    H = hs.H
+    W = make_shaped_storage(hs.H, nl.potential, hs.C, hs.n, h_jacobian=hs.grad_C)
     w = np.empty(n_knots)
     rhs = np.empty(n_knots)
-    for k in range(n_knots):
-        x = traj.states[k]
-        y = np.asarray(hs.C(x), dtype=float)
-        w[k] = H.value(x) - F.value(y)
-        g = H.gradient(x) - hs.grad_C(x).T @ F.gradient(y)
+    for k, x in enumerate(traj.states):
+        w[k] = W.value(x)
+        g = W.gradient(x)
         rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
     step = traj.step
     lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * step)

@@ -31,18 +31,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        get_scenario(args.scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    x0 = None
-    if args.x0 is not None:
-        try:
-            x0 = [float(s) for s in args.x0.split(",")]
-        except ValueError:
-            print(f"error: cannot parse --x0 {args.x0!r}", file=sys.stderr)
-            return 2
+    x0 = None if args.x0 is None else [float(s) for s in args.x0.split(",")]
     result = run_scenario(args.scenario, step=args.step, t_end=args.t_end,
                           x0=x0, seed=args.seed, out_dir=args.out)
     for line in result.lines():
@@ -54,11 +43,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify_linear(args) -> int:
-    try:
-        system, cert, slopes = load_certificate(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    system, cert, slopes = load_certificate(args.file)
     checks = [("ssni-certificate", check_ssni(cert)),
               ("minimal-realization", check_minimal(system))]
     try:
@@ -79,11 +64,7 @@ def _cmd_certify_linear(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    try:
-        sc = get_scenario(args.scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sc = get_scenario(args.scenario)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     plant = sc.build_plant()
@@ -134,7 +115,11 @@ def main(argv=None) -> int:
         return 2
     handler = {"run": _cmd_run, "certify-linear": _cmd_certify_linear,
                "surface": _cmd_surface, "list": _cmd_list}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError) as exc:  # the one place usage errors become exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

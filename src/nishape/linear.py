@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
-                       StaticNonlinearity, TAU_PD, TAU_ZERO)
+                       StaticNonlinearity, TAU_PD, TAU_ZERO, make_shaped_storage)
 
 
 # ---------------------------------------------------------------------------
@@ -26,15 +26,15 @@ def sym_eigenvalues(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Cyclic Jacobi rotations, iterated until the off-diagonal Frobenius norm
-    drops below 1e-12 times the matrix norm.  Rejects inputs whose asymmetry
-    exceeds TAU_ZERO relative to their norm.
+    drops below 1e-12 times the matrix norm.  Rejects inputs whose norm is not
+    finite or whose asymmetry exceeds TAU_ZERO relative to their norm.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"need a square matrix, got shape {S.shape}")
     fro = float(np.linalg.norm(S))
-    if float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
-        raise ValueError("matrix is not symmetric within tolerance")
+    if not math.isfinite(fro) or float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
+        raise ValueError("matrix must be finite and symmetric within tolerance")
     n = S.shape[0]
     if n == 1:
         return np.array([S[0, 0]])
@@ -81,6 +81,8 @@ class SsniCertificate:
         Y = np.array(Y, dtype=float)
         if Y.shape != (sys.n, sys.n):
             raise ValueError(f"Y must be {sys.n} x {sys.n}, got shape {Y.shape}")
+        if not np.isfinite(Y).all():
+            raise ValueError("Y contains non-finite entries")
         if np.max(np.abs(Y - Y.T)) > TAU_ZERO * (1.0 + np.max(np.abs(Y))):
             raise ValueError("Y must be symmetric")
         if sym_eigenvalues(0.5 * (Y + Y.T))[0] <= TAU_PD:
@@ -294,9 +296,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
 def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> ScalarField:
     """Shaped storage ``W(x) = x^T Y^-1 x / 2 - sum_i int_0^{(Cx)_i} phi_i``.
 
-    Requires a diagonal nonlinearity (per-channel callables on
-    ``phi.channels``); the channel integrals are evaluated by adaptive
-    Simpson quadrature.
+    This is :func:`make_shaped_storage` along ``y = Cx``.  Requires a diagonal
+    nonlinearity (per-channel callables on ``phi.channels``); the channel
+    integrals are evaluated by adaptive Simpson quadrature, with ``phi`` as
+    their gradient.
     """
     if phi.channels is None:
         raise ValueError("nonlinearity must declare per-channel (diagonal) entries")
@@ -305,21 +308,11 @@ def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> Scalar
     C = cert.sys.C
     Yinv = np.linalg.solve(cert.Y, np.eye(cert.Y.shape[0]))
     Yinv = 0.5 * (Yinv + Yinv.T)
-    channels = phi.channels
-    phi_fn = phi.phi
-
-    def F_value(y):
-        return sum(adaptive_simpson(c, 0.0, float(s)) for c, s in zip(channels, y))
-
-    def w_value(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ Yinv @ x) - F_value(C @ x)
-
-    def w_gradient(x):
-        x = np.asarray(x, dtype=float)
-        return Yinv @ x - C.T @ np.asarray(phi_fn(C @ x), dtype=float)
-
-    return ScalarField(cert.sys.n, w_value, w_gradient, name="W (slope-bound shaped)")
+    V_Y = ScalarField(cert.sys.n, lambda x: 0.5 * float(x @ Yinv @ x), lambda x: Yinv @ x)
+    F = ScalarField(phi.p, lambda y: sum(adaptive_simpson(c, 0.0, float(s))
+                                         for c, s in zip(phi.channels, y)), phi.phi)
+    return make_shaped_storage(V_Y, F, lambda x: C @ x, cert.sys.n,
+                               h_jacobian=lambda x: C, name="W (slope-bound shaped)")
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +410,22 @@ def to_nonlinear(sys: LinearSystem) -> NonlinearSystem:
 def load_certificate(path):
     """Read a JSON certificate {A, B, C, Y, mu?} (row-major nested arrays).
 
-    Returns ``(system, certificate, slope_bounds_or_None)``.
+    Returns ``(system, certificate, slope_bounds_or_None)``; malformed input
+    raises ``ValueError`` (or ``OSError`` from reading the file).
     """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"certificate must be a JSON object, got {type(payload).__name__}")
     for key in ("A", "B", "C", "Y"):
         if key not in payload:
             raise ValueError(f"certificate file is missing field {key!r}")
-    sys = LinearSystem(payload["A"], payload["B"], payload["C"])
-    cert = SsniCertificate(sys, payload["Y"])
-    slopes = SlopeBounds(payload["mu"]) if payload.get("mu") is not None else None
+    try:
+        sys = LinearSystem(payload["A"], payload["B"], payload["C"])
+        cert = SsniCertificate(sys, payload["Y"])
+        slopes = SlopeBounds(payload["mu"]) if payload.get("mu") is not None else None
+    except (TypeError, OverflowError) as exc:  # an object, or an integer beyond float range
+        raise ValueError(f"certificate fields must be arrays of numbers ({exc})") from exc
     if slopes is not None and slopes.p != sys.p:
         raise ValueError(f"mu has {slopes.p} entries, system has {sys.p} channels")
     return sys, cert, slopes

@@ -392,8 +392,8 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     """
     if points < 3:
         raise ValueError(f"grid needs at least 3 points per axis, got {points}")
-    if half_range <= 0.0:
-        raise ValueError(f"half_range must be positive, got {half_range}")
+    if not (0.0 < half_range < math.inf):
+        raise ValueError(f"half_range must be positive and finite, got {half_range}")
     if field.dim == 2:
         def restricted(t1, t2):
             return field.value((t1, t2))
@@ -581,37 +581,23 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         checks.append(("equilibrium uniqueness",
                        check_equilibrium_uniqueness(closed, box, n_samples=512, seed=seed)))
 
-    artifacts = {}
+    result = ScenarioResult(sc.name, checks, {}, extras)
     if out_dir is not None:
         run_dir = os.path.join(str(out_dir), sc.name)
         os.makedirs(run_dir, exist_ok=True)
-
-        def _save(label, filename, writer):
-            path = os.path.join(run_dir, filename)
-            writer(path)
-            artifacts[label] = path
-
-        principal = traj_forced if traj_forced is not None else traj_free
-        _save("trajectory", "trajectory.csv", lambda p: write_trajectory_csv(principal, p))
-        if traj_forced is not None:
-            _save("trajectory_unforced", "trajectory_unforced.csv",
-                  lambda p: write_trajectory_csv(traj_free, p))
+        trajs = {"trajectory": traj_free} if traj_forced is None else {
+            "trajectory": traj_forced, "trajectory_unforced": traj_free}
         if traj_original is not None:
-            _save("trajectory_original", "trajectory_original.csv",
-                  lambda p: write_trajectory_csv(traj_original, p))
-        _save("checks_csv", "checks.csv", lambda p: write_reports_csv(p, checks))
-
-        def _write_text(path):
-            result = ScenarioResult(sc.name, checks, {}, extras)
-            with open(path, "w") as fh:
-                fh.write("\n".join(result.lines()) + "\n")
-
-        _save("checks_txt", "checks.txt", _write_text)
-
-        def _write_config(path):
-            with open(path, "w") as fh:
-                json.dump(scenario_config(sc.name), fh, indent=2)
-
-        _save("scenario_json", "scenario.json", _write_config)
-
-    return ScenarioResult(sc.name, checks, artifacts, extras)
+            trajs["trajectory_original"] = traj_original
+        for label, traj in trajs.items():
+            path = result.artifacts[label] = os.path.join(run_dir, f"{label}.csv")
+            write_trajectory_csv(traj, path)
+        path = result.artifacts["checks_csv"] = os.path.join(run_dir, "checks.csv")
+        write_reports_csv(path, checks)
+        path = result.artifacts["checks_txt"] = os.path.join(run_dir, "checks.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(result.lines()) + "\n")
+        path = result.artifacts["scenario_json"] = os.path.join(run_dir, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scenario_config(sc.name), fh, indent=2)
+    return result

@@ -25,10 +25,10 @@ class IntegratorConfig:
     method: str = "RK4"
 
     def __post_init__(self):
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.step > self.t_end:
-            raise ValueError(f"step {self.step} exceeds t_end {self.t_end}")
+        if not (0.0 < self.step < math.inf):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not (self.step <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be finite and at least the step, got {self.t_end}")
         if self.method not in ("RK4", "Euler"):
             raise ValueError(f"unknown integration method {self.method!r}")
 
@@ -157,8 +157,8 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     the trajectory and attaches a diagnostic instead of propagating NaNs.
     """
     x0 = np.array(x0, dtype=float)
-    if x0.shape != (sys.n_states,):
-        raise ValueError(f"x0 must have length {sys.n_states}, got shape {x0.shape}")
+    if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be a finite vector of length {sys.n_states}, got {x0}")
     if signal.p != sys.n_io:
         raise ValueError(f"signal dimension {signal.p} != system input dimension {sys.n_io}")
     if monitor is not None and monitor.dim != sys.n_states:

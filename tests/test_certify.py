@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import nishape
-from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, Report, ScalarField,
-                     StaticNonlinearity, build_pendulum, PendulumParams, TAU_ZERO,
+from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, NonlinearSystem,
+                     Report, ScalarField, StaticNonlinearity, build_pendulum,
+                     PendulumParams, TAU_ZERO,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
                      check_positive_definite, estimate_max_epsilon,
                      flag_hidden_motion, halton_box_samples,
                      hamiltonian_decay_identity, hamiltonian_to_nonlinear,
-                     make_closed_loop, ni_residuals, osni_residuals, report_line,
+                     make_closed_loop, make_shaped_storage, ni_residuals,
+                     osni_residuals, report_line,
                      simulate, write_reports_csv, zero_field)
 from nishape.scenarios import ConvergenceReport, SyncReport
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -398,6 +400,53 @@ def test_decay_identity_lossless_conserves_storage():
     assert report.max_discrepancy <= 1e-7
     w_values = np.array([W(x) for x in traj.states])
     assert np.max(w_values) - np.min(w_values) <= 1e-8
+
+
+def _nonlinear_hamiltonian():
+    """State-dependent J and R, a non-quadratic H, a nonlinear output C and a
+    sine feedback, every gradient analytic."""
+    def J(x):
+        a = 1.0 + 0.2 * x[0] ** 2
+        return np.array([[0.0, a], [-a, 0.0]])
+
+    H = ScalarField(2, lambda x: 1.0 - math.cos(x[0]) + 0.25 * x[0] ** 4 + 0.5 * x[1] ** 2,
+                    lambda x: np.array([math.sin(x[0]) + x[0] ** 3, x[1]]))
+    hs = HamiltonianSystem(2, 1, J, lambda x: np.diag([0.1, 0.5 + 0.1 * x[1] ** 2]), H,
+                           lambda x: np.array([x[0] + 0.1 * x[0] ** 3]),
+                           grad_C_fn=lambda x: np.array([[1.0 + 0.3 * x[0] ** 2, 0.0]]))
+    F = ScalarField(1, lambda y: 0.3 * (math.cos(y[0]) - 1.0),
+                    lambda y: np.array([-0.3 * math.sin(y[0])]))
+    return hs, StaticNonlinearity(1, F.gradient, potential=F)
+
+
+def test_decay_identity_matches_the_hand_derived_loop():
+    # oracle: the per-knot w = H(x) - F(C(x)) and rhs = -g^T R g with
+    # g = grad H - grad C^T grad F(C(x)), written out by hand; the identity
+    # reads w and grad W from make_shaped_storage with the same float operations
+    hs, nl = _nonlinear_hamiltonian()
+    H, F = hs.H, nl.potential
+    W = make_shaped_storage(H, F, hs.C, hs.n, h_jacobian=hs.grad_C)
+    closed = make_closed_loop(hamiltonian_to_nonlinear(hs), nl)
+    rng = np.random.default_rng(37)
+    for x0 in rng.uniform(-1.5, 1.5, size=(2, 2)):
+        traj = simulate(closed, x0, InputSignal.zero(1), IntegratorConfig(step=1e-3, t_end=1.0))
+        states = np.vstack([traj.states, rng.uniform(-3.0, 3.0, size=(20, 2))])
+        w = np.empty(len(states))
+        rhs = np.empty(len(states))
+        for k, x in enumerate(states):
+            y = np.asarray(hs.C(x), dtype=float)
+            w[k] = H.value(x) - F.value(y)
+            g = H.gradient(x) - hs.grad_C(x).T @ F.gradient(y)
+            rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
+        assert np.array_equal([W.value(x) for x in states], w)
+        assert np.array_equal([-float(W.gradient(x) @ hs.R(x) @ W.gradient(x))
+                               for x in states], rhs)
+        n = traj.n_samples
+        lhs = (-w[4:n] + 8.0 * w[3:n - 1] - 8.0 * w[1:n - 3] + w[:n - 4]) / (12.0 * traj.step)
+        discrepancy = np.abs(lhs - rhs[2:n - 2])
+        report = hamiltonian_decay_identity(hs, nl, traj)
+        assert report.max_discrepancy == float(np.max(discrepancy)) > 0.0
+        assert report.time_of_max == float(traj.times[int(np.argmax(discrepancy)) + 2])
 
 
 def test_decay_identity_requires_potential_and_autonomy():

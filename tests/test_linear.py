@@ -66,6 +66,11 @@ def test_sym_eigenvalues_match_lapack_on_random_matrices():
 def test_sym_eigenvalues_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         sym_eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    # non-finite entries, or a norm that overflows (Jacobi would stop at once)
+    for bad in (math.nan, math.inf, 1e200):
+        for S in (np.array([[bad]]), np.array([[bad, 0.0], [0.0, 1.0]])):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                sym_eigenvalues(S)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +104,9 @@ def test_certificate_rejects_bad_Y():
         SsniCertificate(sys, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         SsniCertificate(sys, np.diag([1.0, -1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SsniCertificate(sys, np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +238,27 @@ def test_dey_shaped_storage_tanh_matches_log_cosh():
         assert W.value(x) == pytest.approx(0.5 * float(x @ x) - F_exact, abs=1e-9)
 
 
+def test_dey_shaped_storage_matches_the_hand_derived_formulas():
+    # oracle: W = x^T Y^-1 x / 2 - sum_i int_0^{(Cx)_i} phi_i and its gradient
+    # Y^-1 x - C^T phi(Cx), written out by hand; the float operations agree
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        sys, cert = _random_certified_instance(rng)
+        channels = tuple((lambda s, g=g: g * math.tanh(s))
+                         for g in rng.uniform(0.2, 2.0, size=sys.p))
+        phi = StaticNonlinearity(sys.p, channels=channels)
+        W = dey_shaped_storage(cert, phi)
+        assert W.has_analytic_gradient
+        C = sys.C
+        Yinv = np.linalg.solve(cert.Y, np.eye(sys.n))
+        Yinv = 0.5 * (Yinv + Yinv.T)
+        for x in rng.uniform(-3.0, 3.0, size=(8, sys.n)):
+            F = sum(adaptive_simpson(c, 0.0, float(s)) for c, s in zip(channels, C @ x))
+            assert W.value(x) == 0.5 * float(x @ Yinv @ x) - F
+            assert np.array_equal(W.gradient(x),
+                                  Yinv @ x - C.T @ np.asarray(phi.phi(C @ x), dtype=float))
+
+
 def test_dey_shaped_storage_requires_diagonal():
     _, cert = _example_cert()
     coupled = StaticNonlinearity(2, lambda y: np.array([y[1], y[0]]) * 0.0)
@@ -338,6 +367,14 @@ def test_load_certificate_roundtrip(tmp_path):
     path.write_text(json.dumps({k: v for k, v in payload.items() if k != "Y"}))
     with pytest.raises(ValueError, match="Y"):
         load_certificate(path)
+    for top in ([1, 2], [payload], "A", 3, None):
+        path.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_certificate(path)
+    for field, bad in (("A", {"x": 1.0}), ("mu", [{}]), ("Y", [[10 ** 400, 0], [0, 1]])):
+        path.write_text(json.dumps(payload | {field: bad}))
+        with pytest.raises(ValueError, match="arrays of numbers"):
+            load_certificate(path)
 
 
 def test_to_nonlinear_wraps_dynamics():

@@ -212,8 +212,9 @@ def test_surface_grid_validation(pendulum):
     _, V = pendulum
     with pytest.raises(ValueError):
         export_potential_surface(V, points=2)
-    with pytest.raises(ValueError):
-        export_potential_surface(V, half_range=0.0)
+    for half_range in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half_range"):
+            export_potential_surface(V, half_range=half_range)
     with pytest.raises(ValueError, match="dimension"):
         export_potential_surface(ScalarField(3, lambda x: float(x @ x)))
 

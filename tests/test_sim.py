@@ -111,6 +111,14 @@ def test_integrator_config_validation():
         IntegratorConfig(step=2.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.1, t_end=1.0, method="RK45")
+    for step, t_end in ((0.0, 1.0), (math.nan, 1.0), (math.inf, math.inf),
+                        (1e-3, math.inf), (1e-3, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(step=step, t_end=t_end)
+    for x0 in ([math.nan], [math.inf], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="x0 must be a finite vector of length 1"):
+            simulate(_scalar_decay(), x0, InputSignal.zero(1),
+                     IntegratorConfig(step=0.1, t_end=1.0))
 
 
 # ---------------------------------------------------------------------------
