@@ -15,9 +15,8 @@ import numpy as np
 from .certify import report_line
 from .linear import (check_minimal, check_ssni, dc_gain, dey_condition,
                      load_certificate, schur_equivalence)
-from .scenarios import (export_potential_surface, get_scenario, run_scenario,
-                        scenario_names)
-from .sysmodel import make_shaped_storage
+from .scenarios import (_build_parts, export_potential_surface, get_scenario,
+                        run_scenario, scenario_names)
 
 
 def _fmt(x) -> str:
@@ -67,11 +66,7 @@ def _cmd_surface(args) -> int:
     sc = get_scenario(args.scenario)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    plant = sc.build_plant()
-    V = sc.build_storage()
-    nl = sc.build_nonlinearity()
-    W = make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
-                            h_jacobian=plant.h_jacobian, name="W")
+    _, V, _, W = _build_parts(sc)
     ok = True
     for label, field in (("original", V), ("shaped", W)):
         path = os.path.join(out, f"surface_{sc.name}_{label}.csv")

@@ -414,7 +414,10 @@ def load_certificate(path):
     raises ``ValueError`` (or ``OSError`` from reading the file).
     """
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("certificate JSON is nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"certificate must be a JSON object, got {type(payload).__name__}")
     for key in ("A", "B", "C", "Y"):

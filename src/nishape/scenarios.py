@@ -495,6 +495,14 @@ class ScenarioResult:
         return out
 
 
+def _build_parts(sc: Scenario):
+    """The scenario's plant, storage V, nonlinearity and shaped storage W."""
+    plant, V, nl = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity()
+    W = make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
+                            h_jacobian=plant.h_jacobian, name="W")
+    return plant, V, nl, W
+
+
 def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float] = None,
                  x0=None, seed: int = 0, out_dir=None) -> ScenarioResult:
     """Build, certify, simulate and export a named scenario.
@@ -512,9 +520,7 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
                            method=sc.config.method)
     start = np.array(sc.x0 if x0 is None else x0, dtype=float)
 
-    plant = sc.build_plant()
-    V = sc.build_storage()
-    nl = sc.build_nonlinearity()
+    plant, V, nl, W = _build_parts(sc)
     box = np.asarray(sc.box, dtype=float)
     out_box = box[:plant.n_io]
     checks = []
@@ -525,8 +531,6 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     probes_x = halton_box_samples(box, 100, seed + 1)
     checks.append(("gradient-consistency V", gradient_check(V, probes_x)))
 
-    W = make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
-                            h_jacobian=plant.h_jacobian, name="W")
     checks.append(("shaped-storage positive-definite",
                    check_positive_definite(W, box, n_samples=256, seed=seed)))
 

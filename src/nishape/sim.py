@@ -151,10 +151,12 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
              monitor: Optional[ScalarField] = None) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
-    RK4 holds the input at its stage-time values (the signal is evaluated at
-    t, t + step/2 and t + step).  ``monitor`` is sampled at the knots into
-    the storage channel.  A non-finite stage derivative or state truncates
-    the trajectory and attaches a diagnostic instead of propagating NaNs.
+    RK4 holds the input at its stage-time values (a square wave is evaluated
+    at t, t + step/2 and t + step; a zero or constant input is evaluated once
+    and its read-only vector reused).  ``monitor`` is sampled at the knots
+    into the storage channel.  A non-finite stage derivative or state
+    truncates the trajectory and attaches a diagnostic instead of propagating
+    NaNs; one finiteness check on the new state per step detects both.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -175,12 +177,18 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     storage = np.empty(n_steps + 1) if monitor is not None else None
 
     f, h = sys.f, sys.h
+    rk4 = cfg.method == "RK4"
+    value = signal.value
+    if signal.kind != "square_wave":  # time-invariant: one shared read-only vector
+        v_fixed = signal.value(0.0)
+        v_fixed.setflags(write=False)
+        value = lambda _t: v_fixed
     x = x0
     diagnostic = None
     last = n_steps
     for k in range(n_steps + 1):
-        t = times[k]
-        v = signal.value(t)
+        t = k * step  # bitwise times[k], as a Python float
+        v = value(t)
         states[k] = x
         inputs[k] = v
         outputs[k] = h(x)
@@ -188,30 +196,32 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             storage[k] = monitor.value(x)
         if k == n_steps:
             break
-        if cfg.method == "RK4":
-            v_half = signal.value(t + 0.5 * step)
-            v_full = signal.value(t + step)
+        if rk4:
+            v_half = value(t + 0.5 * step)
+            v_full = value(t + step)
             k1 = np.asarray(f(x, v), dtype=float)
             k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
             k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
             k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
-            if not (np.isfinite(k1).all() and np.isfinite(k2).all()
-                    and np.isfinite(k3).all() and np.isfinite(k4).all()):
-                diagnostic = f"non-finite stage derivative at t = {t:.6g}"
-                last = k
-                break
-            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stages = (k1, k2, k3, k4)
+            x_new = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            k1 = np.asarray(f(x, v), dtype=float)
-            if not np.isfinite(k1).all():
-                diagnostic = f"non-finite derivative at t = {t:.6g}"
-                last = k
-                break
-            x = x + step * k1
-        if not np.isfinite(x).all():
-            diagnostic = f"non-finite state after the step from t = {t:.6g}"
+            stages = (np.asarray(f(x, v), dtype=float),)
+            x_new = x + step * stages[0]
+        # One check per step is exact: a NaN or inf in any stage reaches x_new,
+        # since its weight (step or step / 6) is positive and 0 * inf is NaN
+        # should the weight underflow.  All stages are evaluated before the
+        # check, so no f call moves; they are re-checked only to word the
+        # diagnostic, and the truncation point stays the same.
+        if not np.isfinite(x_new).all():
+            if not all(np.isfinite(s).all() for s in stages):
+                what = "stage derivative" if rk4 else "derivative"
+                diagnostic = f"non-finite {what} at t = {t:.6g}"
+            else:
+                diagnostic = f"non-finite state after the step from t = {t:.6g}"
             last = k
             break
+        x = x_new
 
     if diagnostic is not None:
         times = times[:last + 1]
@@ -306,10 +316,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                + [f"y{i + 1}" for i in range(p)])
     if traj.storage is not None:
         columns.append("W")
+    blocks = [traj.times[:, None], traj.states, traj.inputs, traj.outputs]
+    if traj.storage is not None:
+        blocks.append(traj.storage[:, None])
+    # "%.17g" % v gives the bytes of format(v, ".17g"); rows are formatted in
+    # chunks so that no whole-trajectory table of Python floats is built.
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for k in range(traj.n_samples):
-            row = [traj.times[k], *traj.states[k], *traj.inputs[k], *traj.outputs[k]]
-            if traj.storage is not None:
-                row.append(traj.storage[k])
-            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+        for start in range(0, traj.n_samples, 128):
+            chunk = np.hstack([b[start:start + 128] for b in blocks]).tolist()
+            fh.write("".join(row % tuple(values) for values in chunk))

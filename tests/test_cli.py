@@ -59,13 +59,14 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
             "C": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, float("nan")]]}
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "nan-y.json").write_text(json.dumps(cert))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     out = ["--out", str(tmp_path / "out")]
     cases = [["run", "linear-b", *flag, *out] for flag in (
         ["--x0", "1,2,3"], ["--step", "0"], ["--step", "nan"], ["--t-end", "1e-4"],
         ["--t-end", "inf"], ["--t-end", "nan"], ["--x0", "nan,1"], ["--seed", "-1"])]
     cases += [["surface", "linear-a", *flag, *out] for flag in (
         ["--points", "2"], ["--range", "0"], ["--range", "nan"])]
-    cases += [["certify-linear", str(tmp_path / name)] for name in ("list.json", "nan-y.json")]
+    cases += [["certify-linear", str(tmp_path / name)] for name in ("list.json", "nan-y.json", "deep.json")]
     for argv in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -4,8 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, Trajectory,
-                     closed_loop_matrix, make_closed_loop,
+from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField,
+                     Trajectory, closed_loop_matrix, make_closed_loop,
                      make_shaped_storage, monitor_decay, refine_check, simulate,
                      square_wave_value, write_trajectory_csv)
 
@@ -246,3 +246,152 @@ def test_trajectory_csv_header_and_digits(tmp_path, pendulum):
     # 17 significant digits round-trip exactly
     assert float(first[1]) == traj.states[0, 0]
     assert float(first[-1]) == traj.storage[0]
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles: the step loop and the CSV writer as first written, one
+# finiteness check per stage and one format() call per value.
+
+
+def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
+    step = cfg.step
+    n_steps = int(round(cfg.t_end / step))
+    if abs(n_steps * step - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+        n_steps = int(math.floor(cfg.t_end / step))
+    times = np.arange(n_steps + 1) * step
+    states = np.empty((n_steps + 1, sys.n_states))
+    inputs = np.empty((n_steps + 1, sys.n_io))
+    outputs = np.empty((n_steps + 1, sys.n_io))
+    storage = np.empty(n_steps + 1) if monitor is not None else None
+    f, h = sys.f, sys.h
+    x = np.array(x0, dtype=float)
+    diagnostic = None
+    last = n_steps
+    for k in range(n_steps + 1):
+        t = times[k]
+        v = signal.value(t)
+        states[k] = x
+        inputs[k] = v
+        outputs[k] = h(x)
+        if storage is not None:
+            storage[k] = monitor.value(x)
+        if k == n_steps:
+            break
+        if cfg.method == "RK4":
+            v_half = signal.value(t + 0.5 * step)
+            v_full = signal.value(t + step)
+            k1 = np.asarray(f(x, v), dtype=float)
+            k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
+            k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
+            k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
+            if not (np.isfinite(k1).all() and np.isfinite(k2).all()
+                    and np.isfinite(k3).all() and np.isfinite(k4).all()):
+                diagnostic = f"non-finite stage derivative at t = {t:.6g}"
+                last = k
+                break
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            k1 = np.asarray(f(x, v), dtype=float)
+            if not np.isfinite(k1).all():
+                diagnostic = f"non-finite derivative at t = {t:.6g}"
+                last = k
+                break
+            x = x + step * k1
+        if not np.isfinite(x).all():
+            diagnostic = f"non-finite state after the step from t = {t:.6g}"
+            last = k
+            break
+    keep = slice(0, last + 1)
+    return Trajectory(times=times[keep], states=states[keep], inputs=inputs[keep],
+                      outputs=outputs[keep],
+                      storage=None if storage is None else storage[keep],
+                      diagnostic=diagnostic)
+
+
+def _write_csv_oracle(traj, path):
+    n = traj.states.shape[1]
+    p = traj.inputs.shape[1]
+    columns = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(p)]
+               + [f"y{i + 1}" for i in range(p)])
+    if traj.storage is not None:
+        columns.append("W")
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for k in range(traj.n_samples):
+            row = [traj.times[k], *traj.states[k], *traj.inputs[k], *traj.outputs[k]]
+            if traj.storage is not None:
+                row.append(traj.storage[k])
+            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+
+
+def _inf_past_half():
+    """dx/dt = x + u until x passes 0.5, then an infinite derivative."""
+    return NonlinearSystem(1, 1, lambda x, u: x + u if x[0] < 0.5 else np.array([math.inf]),
+                           lambda x: x.copy())
+
+
+def _huge_rate():
+    """Finite derivatives up to 1e308, so a step can overflow the state."""
+    return NonlinearSystem(1, 1, lambda x, u: np.minimum(1e308 * x, 1e308) + u,
+                           lambda x: x.copy())
+
+
+def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
+    plant, V = pendulum
+    x0 = (1.0, 0.5, 0.0, 0.0)
+    square = InputSignal.square_wave(2, 0, 2.0, 3.0)   # switches at 1.5 s and 3 s, on the grid
+    constant = InputSignal.constant([0.3, -0.2])
+    cases = [  # (label, system, x0, signal, config, monitor)
+        ("square", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), V),
+        ("square, no monitor", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), None),
+        ("zero", plant, x0, InputSignal.zero(2), IntegratorConfig(step=1e-3, t_end=0.5), V),
+        ("constant", plant, x0, constant, IntegratorConfig(step=1e-3, t_end=0.5), None),
+        ("euler", plant, x0, square, IntegratorConfig(1e-3, 4.0, method="Euler"), V),
+        ("euler constant", plant, x0, constant, IntegratorConfig(1e-3, 0.5, method="Euler"), None),
+    ]
+    for method in ("RK4", "Euler"):
+        cfg = IntegratorConfig(step=1e-3, t_end=2.0, method=method)
+        huge = IntegratorConfig(step=0.5, t_end=3.0, method=method)
+        cases += [  # an inf stage, and finite stages whose step overflows the state
+            (f"{method} inf stage", _inf_past_half(), [0.1], InputSignal.zero(1), cfg, None),
+            (f"{method} overflow", _huge_rate(), [1.0], InputSignal.constant([1.0]), huge,
+             ScalarField(1, lambda x: float(x[0]))),
+        ]
+    diagnostics = set()
+    for label, sys, start, signal, cfg, monitor in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = simulate(sys, start, signal, cfg, monitor=monitor)
+            want = _simulate_oracle(sys, start, signal, cfg, monitor=monitor)
+        for field in ("times", "states", "inputs", "outputs"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (label, field)
+        assert (got.storage is None) == (want.storage is None), label
+        if want.storage is not None:
+            assert np.array_equal(got.storage, want.storage), label
+        assert got.diagnostic == want.diagnostic, label
+        diagnostics.add(want.diagnostic and want.diagnostic.split(" = ")[0])
+    assert diagnostics == {None, "non-finite stage derivative at t", "non-finite derivative at t",
+                           "non-finite state after the step from t"}
+
+
+def _csv_block(rng, n_rows, width, specials):
+    """Random float64 bit patterns of either sign, led by the special values."""
+    block = rng.integers(0, 2 ** 64, size=(n_rows, width), dtype=np.uint64).view(np.float64)
+    block.flat[:specials.size] = specials[:block.size]
+    return block
+
+
+def test_trajectory_csv_matches_the_per_value_writer_bytewise(tmp_path):
+    rng = np.random.default_rng(7)
+    specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                         1.7976931348623157e308, 0.1, -1e-300])
+    for n_rows in (1, 128, 129, 300):   # one row, and either side of the 128-row chunk
+        for with_storage in (False, True):
+            storage = _csv_block(rng, n_rows, 1, specials)[:, 0] if with_storage else None
+            traj = Trajectory(times=np.arange(n_rows) * 1e-3,
+                              states=_csv_block(rng, n_rows, 3, specials),
+                              inputs=_csv_block(rng, n_rows, 2, specials),
+                              outputs=_csv_block(rng, n_rows, 2, specials), storage=storage)
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_trajectory_csv(traj, got)
+            _write_csv_oracle(traj, want)
+            assert got.read_bytes() == want.read_bytes(), (n_rows, with_storage)
