@@ -135,6 +135,12 @@ def _polished_root(func, dim, points, norms, tol, accept):
     return None
 
 
+def _root_or_argmin(root, argmin) -> tuple:
+    """Witness of a root hunt: the polished root when one was found, else the
+    sampled argmin."""
+    return tuple(argmin if root is None else root)
+
+
 # ---------------------------------------------------------------------------
 # Per-knot rates and the dissipation checks derived from them
 
@@ -329,7 +335,7 @@ class NonvanishingReport(Report):
 
     @property
     def witness(self):
-        return tuple(self.argmin if self.critical_point is None else self.critical_point)
+        return _root_or_argmin(self.critical_point, self.argmin)
 
 
 def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
@@ -382,7 +388,7 @@ class UniquenessReport(Report):
 
     @property
     def witness(self):
-        return tuple(self.argmin if self.root is None else self.root)
+        return _root_or_argmin(self.root, self.argmin)
 
 
 def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 512,

@@ -5,6 +5,12 @@ simulates a scenario end to end and exports its artifacts.
 State ordering for the pendulum is fixed globally as
 ``(theta1, theta2, omega1, omega2)`` so the output map is the projection onto
 the first two coordinates.
+
+The model callables unpack their vector argument once with ``.tolist()`` and
+compute on Python floats: the same IEEE operations as on numpy scalars, at a
+fraction of the cost.  Where Python raises and numpy returns inf or nan, a
+square goes through :func:`_sq` and a division by a quantity that can round
+to zero through :func:`_div`, so every result stays bitwise that of numpy.
 """
 
 from __future__ import annotations
@@ -80,6 +86,24 @@ class ShapingParams:
                 raise ValueError(f"{label} must be nonnegative")
 
 
+def _sq(z: float) -> float:
+    # z ** 2 goes through pow() like numpy's scalar power (z * z differs from
+    # it in the last bit for some z); Python raises where numpy gives inf
+    try:
+        return z ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _div(a: float, b: float) -> float:
+    # a / b; where Python raises on a zero b, numpy's +-inf, or the nan that
+    # 0 / 0 (default nan) or nan / 0 (a itself) gives in hardware
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return a * math.copysign(math.inf, b)
+
+
 def _log_cosh(z: float) -> float:
     # overflow-safe log(cosh(z))
     az = abs(z)
@@ -104,32 +128,35 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     m2gl2 = params.m2 * params.g * params.l2
     k1, k2, kc = params.k1, params.k2, params.kc
     d1, d2, dc = params.d1, params.d2, params.dc
+    if m1l1 == 0.0 or m2l2 == 0.0:
+        raise ValueError("m * l**2 underflows to zero")
 
     def f(x, u):
-        th1, th2, w1, w2 = x
+        th1, th2, w1, w2 = x.tolist()
+        u1, u2 = u.tolist()
         e = th1 - th2
         de = w1 - w2
         return np.array([
             w1,
             w2,
-            (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u[0]) / m1l1,
-            (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u[1]) / m2l2,
+            (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
+            (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2,
         ])
 
     def h(x):
-        return np.array([x[0], x[1]])
+        return np.array(x[:2])
 
     h_jac = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     h_jac.setflags(write=False)
 
     def v_value(x):
-        th1, th2, w1, w2 = x
-        return (0.5 * kc * (th1 - th2) ** 2
-                + 0.5 * k1 * th1 ** 2 + 0.5 * m1l1 * w1 ** 2 + m1gl1 * (1.0 - cos(th1))
-                + 0.5 * k2 * th2 ** 2 + 0.5 * m2l2 * w2 ** 2 + m2gl2 * (1.0 - cos(th2)))
+        th1, th2, w1, w2 = x.tolist()
+        return (0.5 * kc * _sq(th1 - th2)
+                + 0.5 * k1 * _sq(th1) + 0.5 * m1l1 * _sq(w1) + m1gl1 * (1.0 - cos(th1))
+                + 0.5 * k2 * _sq(th2) + 0.5 * m2l2 * _sq(w2) + m2gl2 * (1.0 - cos(th2)))
 
     def v_gradient(x):
-        th1, th2, w1, w2 = x
+        th1, th2, w1, w2 = x.tolist()
         e = th1 - th2
         return np.array([
             kc * e + k1 * th1 + m1gl1 * sin(th1),
@@ -151,12 +178,14 @@ def build_sync_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
     beta, kappa, delta = params.beta, params.kappa, params.delta
 
     def potential_value(y):
-        e = y[0] - y[1]
+        y1, y2 = y.tolist()
+        e = y1 - y2
         return -beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
 
     def potential_gradient(y):
-        e = y[0] - y[1]
-        g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
+        y1, y2 = y.tolist()
+        e = y1 - y2
+        g = -2.0 * beta * e - _div(kappa * e, sqrt(e * e + delta * delta))
         return np.array([g, -g])
 
     F = ScalarField(2, potential_value, potential_gradient, name="coupling potential")
@@ -169,15 +198,17 @@ def build_full_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
     beta, kappa, delta, a, b = params.beta, params.kappa, params.delta, params.a, params.b
 
     def potential_value(y):
-        e = y[0] - y[1]
+        y1, y2 = y.tolist()
+        e = y1 - y2
         return (-beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
-                - a * _log_cosh(b * y[0]) - a * _log_cosh(b * y[1]))
+                - a * _log_cosh(b * y1) - a * _log_cosh(b * y2))
 
     def potential_gradient(y):
-        e = y[0] - y[1]
-        g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
-        return np.array([g - a * b * tanh(b * y[0]),
-                         -g - a * b * tanh(b * y[1])])
+        y1, y2 = y.tolist()
+        e = y1 - y2
+        g = -2.0 * beta * e - _div(kappa * e, sqrt(e * e + delta * delta))
+        return np.array([g - a * b * tanh(b * y1),
+                         -g - a * b * tanh(b * y2)])
 
     F = ScalarField(2, potential_value, potential_gradient, name="well-flattening potential")
     return StaticNonlinearity(2, potential_gradient, potential=F, name="sync + well flattening")
@@ -230,10 +261,12 @@ def build_linear_example(case: str) -> Scenario:
     if case == "a":
         def nonlinearity():
             def potential_value(y):
-                return 0.1 * y[0] ** 2 - 0.25 * y[1] ** 2
+                y1, y2 = y.tolist()
+                return 0.1 * _sq(y1) - 0.25 * _sq(y2)
 
             def potential_gradient(y):
-                return np.array([0.2 * y[0], -0.5 * y[1]])
+                y1, y2 = y.tolist()
+                return np.array([0.2 * y1, -0.5 * y2])
 
             F = ScalarField(2, potential_value, potential_gradient, name="sign-indefinite potential")
             return StaticNonlinearity(2, potential_gradient, potential=F,
@@ -244,10 +277,12 @@ def build_linear_example(case: str) -> Scenario:
     else:
         def nonlinearity():
             def potential_value(y):
-                return cos(y[0] - y[1]) - 1.0
+                y1, y2 = y.tolist()
+                return cos(y1 - y2) - 1.0
 
             def potential_gradient(y):
-                return np.array([sin(y[1] - y[0]), sin(y[0] - y[1])])
+                y1, y2 = y.tolist()
+                return np.array([sin(y2 - y1), sin(y1 - y2)])
 
             F = ScalarField(2, potential_value, potential_gradient, name="coupled potential")
             return StaticNonlinearity(2, potential_gradient, potential=F, name="coupled sine feedback")
@@ -404,10 +439,10 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
         raise ValueError(f"field dimension {field.dim} is not supported (need 2 or 4)")
 
     axis = np.linspace(-half_range, half_range, points)
+    ticks = axis.tolist()
     values = np.empty((points, points))
-    for i, t1 in enumerate(axis):
-        for j, t2 in enumerate(axis):
-            values[i, j] = restricted(t1, t2)
+    for i, t1 in enumerate(ticks):
+        values[i] = [restricted(t1, t2) for t2 in ticks]
 
     center = values[1:-1, 1:-1]
     neighbors = np.stack([
@@ -424,11 +459,13 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
 
     written = None
     if path is not None:
+        # one grid row per write, formatted with one template (the bytes of
+        # format(v, ".17g"), as in write_trajectory_csv)
         with open(path, "w") as fh:
             fh.write("theta1,theta2,value\n")
-            for i, t1 in enumerate(axis):
-                for j, t2 in enumerate(axis):
-                    fh.write(f"{t1:.17g},{t2:.17g},{values[i, j]:.17g}\n")
+            for t1, row in zip(ticks, values):
+                fh.write("".join("%.17g,%.17g,%.17g\n" % (t1, t2, v)
+                                 for t2, v in zip(ticks, row.tolist())))
         written = str(path)
     return SurfaceReport(axis, values, minima, n_plateau, degenerate, written)
 

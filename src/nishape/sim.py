@@ -29,6 +29,8 @@ class IntegratorConfig:
             raise ValueError(f"step must be positive and finite, got {self.step}")
         if not (self.step <= self.t_end < math.inf):
             raise ValueError(f"t_end must be finite and at least the step, got {self.t_end}")
+        if self.t_end / self.step == math.inf:
+            raise ValueError(f"t_end / step must be finite, got {self.t_end} / {self.step}")
         if self.method not in ("RK4", "Euler"):
             raise ValueError(f"unknown integration method {self.method!r}")
 

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from nishape import scenario_names
 from nishape.cli import main
 
 
@@ -63,7 +65,8 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     cases = [["run", "linear-b", *flag, *out] for flag in (
         ["--x0", "1,2,3"], ["--step", "0"], ["--step", "nan"], ["--t-end", "1e-4"],
-        ["--t-end", "inf"], ["--t-end", "nan"], ["--x0", "nan,1"], ["--seed", "-1"])]
+        ["--t-end", "inf"], ["--t-end", "nan"], ["--x0", "nan,1"], ["--seed", "-1"],
+        ["--step", "5e-324"])]
     cases += [["surface", "linear-a", *flag, *out] for flag in (
         ["--points", "2"], ["--range", "0"], ["--range", "nan"])]
     cases += [["certify-linear", str(tmp_path / name)] for name in ("list.json", "nan-y.json", "deep.json")]
@@ -133,6 +136,63 @@ def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()), np.errstate(all="ignore"):
             assert main(["certify-linear", str(path)]) in (0, 1, 2)
+
+    check()
+
+
+def test_huge_initial_state_fails_its_checks_without_traceback(capsys):
+    with np.errstate(all="ignore"):
+        assert main(["run", "pendulum-stabilize", "--x0", "1e200,0,0,0", "--t-end", "0.01"]) == 1
+    assert capsys.readouterr().out.endswith("overall: fail\n")
+
+
+def test_run_and_surface_never_raise_on_fuzzed_arguments(tmp_path_factory):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    finite = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, 1e-170, 1e200, -1e200, 1e308, -1e308]))
+    number = st.one_of(finite, st.sampled_from([math.inf, -math.inf, math.nan]))
+    out = str(tmp_path_factory.mktemp("fuzz"))
+
+    def mostly(common, rare):
+        return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
+
+    @st.composite
+    def argvs(draw):  # "--flag=value", so that "-1e+200" is not taken for a flag
+        name = draw(st.sampled_from(scenario_names()))
+        if draw(st.integers(0, 3)) == 0:
+            argv = ["surface", name, f"--out={out}", f"--points={draw(st.integers(-1, 12))}"]
+            if draw(st.booleans()):
+                argv.append(f"--range={draw(mostly(finite, number))!r}")
+            return argv
+        dim = 2 if name.startswith("linear") else 4
+        argv = ["run", name]
+        if draw(st.booleans()):
+            n = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+            x0 = draw(st.lists(mostly(finite, number), min_size=n, max_size=n))
+            argv.append("--x0=" + ",".join(repr(v) for v in x0))
+        t_end = draw(mostly(st.floats(1e-3, 0.02), number))
+        step = draw(mostly(st.integers(1, 20).map(lambda k: t_end / k), number))
+        if step > 0.0 and 20.0 < t_end / step < math.inf:  # at most 20 steps
+            step = t_end / 20.0
+        argv += [f"--t-end={t_end!r}", f"--step={step!r}"]
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(st.integers(-2, 2 ** 70))}")
+        if draw(st.booleans()):
+            argv.append(f"--out={out}")
+        return argv
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(argvs())
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2), argv
 
     check()
 

@@ -117,6 +117,176 @@ def test_full_shaping_gradient_consistency():
 
 
 # ---------------------------------------------------------------------------
+# Model callables against the numpy-scalar formulas (bitwise)
+
+
+def _numpy_scalar_models(pp, sp):
+    """The model formulas evaluated on numpy scalars (unpacked ``x``, ``y[0]``),
+    as the Python-float callables must reproduce them bit for bit."""
+    m1l1 = pp.m1 * pp.l1 ** 2
+    m2l2 = pp.m2 * pp.l2 ** 2
+    m1gl1 = pp.m1 * pp.g * pp.l1
+    m2gl2 = pp.m2 * pp.g * pp.l2
+    k1, k2, kc, d1, d2, dc = pp.k1, pp.k2, pp.kc, pp.d1, pp.d2, pp.dc
+    beta, kappa, delta, a, b = sp.beta, sp.kappa, sp.delta, sp.a, sp.b
+
+    def f(x, u):
+        th1, th2, w1, w2 = x
+        e = th1 - th2
+        de = w1 - w2
+        return np.array([
+            w1,
+            w2,
+            (-m1gl1 * math.sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u[0]) / m1l1,
+            (-m2gl2 * math.sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u[1]) / m2l2,
+        ])
+
+    def v_value(x):
+        th1, th2, w1, w2 = x
+        return (0.5 * kc * (th1 - th2) ** 2
+                + 0.5 * k1 * th1 ** 2 + 0.5 * m1l1 * w1 ** 2 + m1gl1 * (1.0 - math.cos(th1))
+                + 0.5 * k2 * th2 ** 2 + 0.5 * m2l2 * w2 ** 2 + m2gl2 * (1.0 - math.cos(th2)))
+
+    def v_gradient(x):
+        th1, th2, w1, w2 = x
+        e = th1 - th2
+        return np.array([kc * e + k1 * th1 + m1gl1 * math.sin(th1),
+                         -kc * e + k2 * th2 + m2gl2 * math.sin(th2),
+                         m1l1 * w1, m2l2 * w2])
+
+    def log_cosh(z):
+        az = abs(z)
+        return az - math.log(2.0) + math.log1p(math.exp(-2.0 * az))
+
+    def sync_value(y):
+        e = y[0] - y[1]
+        return -beta * e * e - kappa * (math.sqrt(e * e + delta * delta) - delta)
+
+    def sync_gradient(y):
+        e = y[0] - y[1]
+        g = -2.0 * beta * e - kappa * e / math.sqrt(e * e + delta * delta)
+        return np.array([g, -g])
+
+    def full_value(y):
+        return sync_value(y) - a * log_cosh(b * y[0]) - a * log_cosh(b * y[1])
+
+    def full_gradient(y):
+        e = y[0] - y[1]
+        g = -2.0 * beta * e - kappa * e / math.sqrt(e * e + delta * delta)
+        return np.array([g - a * b * math.tanh(b * y[0]), -g - a * b * math.tanh(b * y[1])])
+
+    return {
+        "plant f": f,
+        "plant h": lambda x: np.array([x[0], x[1]]),
+        "V value": v_value,
+        "V gradient": v_gradient,
+        "sync F": sync_value,
+        "sync phi": sync_gradient,
+        "full F": full_value,
+        "full phi": full_gradient,
+        "linear-a F": lambda y: 0.1 * y[0] ** 2 - 0.25 * y[1] ** 2,
+        "linear-a phi": lambda y: np.array([0.2 * y[0], -0.5 * y[1]]),
+        "linear-b F": lambda y: math.cos(y[0] - y[1]) - 1.0,
+        "linear-b phi": lambda y: np.array([math.sin(y[1] - y[0]), math.sin(y[0] - y[1])]),
+    }
+
+
+def _python_float_models(pp, sp):
+    plant, V = scenarios.build_pendulum(pp)
+    sync, full = build_sync_shaping(sp), build_full_shaping(sp)
+    lin_a = build_linear_example("a").build_nonlinearity()
+    lin_b = build_linear_example("b").build_nonlinearity()
+    return {
+        "plant f": plant.f,
+        "plant h": plant.h,
+        "V value": V.value,
+        "V gradient": V.gradient,
+        "sync F": sync.potential.value,
+        "sync phi": sync.phi,
+        "full F": full.potential.value,
+        "full phi": full.phi,
+        "linear-a F": lin_a.potential.value,
+        "linear-a phi": lin_a.phi,
+        "linear-b F": lin_b.potential.value,
+        "linear-b phi": lin_b.phi,
+    }
+
+
+_SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-170, -1e-170, 1.5e154,
+                   1e200, -1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def _probe_vectors(rng, n, dim):
+    """Random vectors: moderate values, log-uniform magnitudes over the whole
+    float range, and the special values above in random slots."""
+    moderate = rng.uniform(-10.0, 10.0, size=(n, dim))
+    wide = rng.choice((-1.0, 1.0), size=(n, dim)) * 10.0 ** rng.uniform(-320.0, 308.0, size=(n, dim))
+    special = rng.choice(np.array(_SPECIAL_VALUES), size=(n, dim))
+    pick = rng.uniform(size=(n, dim))
+    return np.where(pick < 0.7, moderate, np.where(pick < 0.85, wide, special))
+
+
+def _pow_sensitive_values(rng, n_pool=100_000):
+    """Values whose ``z ** 2`` (pow) and ``z * z`` round differently, so that a
+    square written as a product changes the result there."""
+    pool = rng.uniform(-10.0, 10.0, n_pool) * 10.0 ** rng.integers(-3, 4, n_pool)
+    powers = np.array([z ** 2 for z in pool.tolist()])
+    return pool[powers != pool * pool]
+
+
+def _outcome(fn, *args):
+    """The result's bit patterns (so -0.0 != 0.0), with every NaN made one.
+
+    Which operand's NaN an addition of two NaNs returns differs between numpy
+    scalars and Python floats (and even between CPython's generic and
+    specialized float add), so NaN sign and payload are not compared; every
+    artifact prints any NaN as "nan".
+    """
+    try:
+        out = np.atleast_1d(np.asarray(fn(*args), dtype=float))
+    except ValueError:  # math.sin/math.cos of an infinity, in both versions
+        return "ValueError"
+    out[np.isnan(out)] = math.nan
+    return out.view(np.uint64).tolist()
+
+
+# The second and third sets isolate each square of V on a one-entry probe
+# (no gravity; no coupling spring, or no hinge springs).
+@pytest.mark.parametrize("pp, sp", [
+    (PendulumParams(), ShapingParams()),
+    (PendulumParams(kc=0.0, dc=0.0, g=0.0), ShapingParams(delta=1e-200, kappa=0.0)),
+    (PendulumParams(m1=1e-300, k1=0.0, k2=0.0, g=0.0), ShapingParams(delta=1e-200, beta=0.0)),
+], ids=["defaults", "kc0-delta1e-200", "springless-tiny-mass"])
+def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
+    oracle = _numpy_scalar_models(pp, sp)
+    models = _python_float_models(pp, sp)
+    rng = np.random.default_rng(41)
+    z = _pow_sensitive_values(rng)
+    assert z.size >= 20
+    one_entry = np.zeros((4 * z.size, 4))
+    for slot in range(4):
+        one_entry[slot * z.size:(slot + 1) * z.size, slot] = z
+    states = np.vstack([_probe_vectors(rng, 4000, 4), one_entry])
+    inputs = _probe_vectors(rng, states.shape[0], 2)
+    raised = 0
+    with np.errstate(all="ignore"):
+        for x, u in zip(states, inputs):
+            y = x[:2].copy()
+            for name, fn in models.items():
+                args = ((x, u) if name == "plant f" else (x,) if name.startswith(("plant", "V"))
+                        else (y,))
+                got, want = _outcome(fn, *args), _outcome(oracle[name], *args)
+                assert got == want, (name, x, u)
+                raised += got == "ValueError"
+    assert raised > 0  # the infinite probes reached math.sin/math.cos
+
+
+def test_pendulum_rejects_an_underflowing_inertia():
+    with pytest.raises(ValueError, match="underflows"):
+        scenarios.build_pendulum(PendulumParams(l1=1e-170))
+
+
+# ---------------------------------------------------------------------------
 # Linear examples
 
 
@@ -198,6 +368,37 @@ def test_surface_minima_counts(pendulum, tmp_path):
     assert shaped.minima[0] == (0.0, 0.0)
     header = (tmp_path / "v.csv").read_text().splitlines()[0]
     assert header == "theta1,theta2,value"
+
+
+def _per_cell_surface_csv(report):
+    """The former surface writer: one f-string per grid cell."""
+    lines = ["theta1,theta2,value\n"]
+    for i, t1 in enumerate(report.axis):
+        for j, t2 in enumerate(report.axis):
+            lines.append(f"{t1:.17g},{t2:.17g},{report.values[i, j]:.17g}\n")
+    return "".join(lines)
+
+
+def test_surface_csv_matches_the_per_cell_writer_bytewise(pendulum, tmp_path):
+    plant, V = pendulum
+    nl = build_full_shaping()
+    W = make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian)
+    axis = np.linspace(-1.0 / 3.0, 1.0 / 3.0, 21)
+    rng = np.random.default_rng(17)
+    patterns = rng.integers(0, 2 ** 64, size=21 * 21, dtype=np.uint64).view(np.float64)
+    patterns[:8] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324,
+                    1.7976931348623157e308, 1e-310]
+    table = {(t1, t2): v for (t1, t2), v in zip(
+        ((t1, t2) for t1 in axis.tolist() for t2 in axis.tolist()), patterns.tolist())}
+    table[(0.0, 0.0)] = 0.0
+    odd = ScalarField(2, lambda x: table.get((float(x[0]), float(x[1])), 0.0))
+    cases = [(V, 8.0, 81), (W, 8.0, 4), (nl.potential, 1e200, 5), (odd, 1.0 / 3.0, 21)]
+    for k, (field, half_range, points) in enumerate(cases):
+        path = tmp_path / f"surface{k}.csv"
+        with np.errstate(all="ignore"):
+            report = export_potential_surface(field, path, half_range=half_range, points=points)
+        assert path.read_text() == _per_cell_surface_csv(report), k
+    assert np.isnan(report.values).any() and np.isinf(report.values).any()
 
 
 def test_surface_constant_field_is_degenerate():

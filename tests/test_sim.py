@@ -112,7 +112,7 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.1, t_end=1.0, method="RK45")
     for step, t_end in ((0.0, 1.0), (math.nan, 1.0), (math.inf, math.inf),
-                        (1e-3, math.inf), (1e-3, math.nan)):
+                        (1e-3, math.inf), (1e-3, math.nan), (5e-324, 1.0), (1e-10, 1e300)):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(step=step, t_end=t_end)
     for x0 in ([math.nan], [math.inf], [1.0, 2.0]):
