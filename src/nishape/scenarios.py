@@ -9,8 +9,9 @@ the first two coordinates.
 The model callables unpack their vector argument once with ``.tolist()`` and
 compute on Python floats: the same IEEE operations as on numpy scalars, at a
 fraction of the cost.  Where Python raises and numpy returns inf or nan, a
-square goes through :func:`_sq` and a division by a quantity that can round
-to zero through :func:`_div`, so every result stays bitwise that of numpy.
+square goes through :func:`_sq`, a division by a quantity that can round to
+zero through :func:`_div`, and a callable whose ``sin`` or ``cos`` raised on
+an infinity retries with :func:`_nan_at_inf`: results stay bitwise numpy's.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def _div(a: float, b: float) -> float:
         return a * math.copysign(math.inf, b)
 
 
+def _nan_at_inf(trig):
+    return lambda z: math.nan if math.isinf(z) else trig(z)
+
+
 def _log_cosh(z: float) -> float:
     # overflow-safe log(cosh(z))
     az = abs(z)
@@ -131,17 +136,20 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     if m1l1 == 0.0 or m2l2 == 0.0:
         raise ValueError("m * l**2 underflows to zero")
 
-    def f(x, u):
+    def f(x, u, sin=sin):
         th1, th2, w1, w2 = x.tolist()
         u1, u2 = u.tolist()
         e = th1 - th2
         de = w1 - w2
-        return np.array([
-            w1,
-            w2,
-            (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
-            (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2,
-        ])
+        try:
+            return np.array([
+                w1,
+                w2,
+                (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
+                (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2,
+            ])
+        except ValueError:
+            return f(x, u, _nan_at_inf(sin))
 
     def h(x):
         return np.array(x[:2])
@@ -149,21 +157,27 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     h_jac = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     h_jac.setflags(write=False)
 
-    def v_value(x):
+    def v_value(x, cos=cos):
         th1, th2, w1, w2 = x.tolist()
-        return (0.5 * kc * _sq(th1 - th2)
-                + 0.5 * k1 * _sq(th1) + 0.5 * m1l1 * _sq(w1) + m1gl1 * (1.0 - cos(th1))
-                + 0.5 * k2 * _sq(th2) + 0.5 * m2l2 * _sq(w2) + m2gl2 * (1.0 - cos(th2)))
+        try:
+            return (0.5 * kc * _sq(th1 - th2)
+                    + 0.5 * k1 * _sq(th1) + 0.5 * m1l1 * _sq(w1) + m1gl1 * (1.0 - cos(th1))
+                    + 0.5 * k2 * _sq(th2) + 0.5 * m2l2 * _sq(w2) + m2gl2 * (1.0 - cos(th2)))
+        except ValueError:
+            return v_value(x, _nan_at_inf(cos))
 
-    def v_gradient(x):
+    def v_gradient(x, sin=sin):
         th1, th2, w1, w2 = x.tolist()
         e = th1 - th2
-        return np.array([
-            kc * e + k1 * th1 + m1gl1 * sin(th1),
-            -kc * e + k2 * th2 + m2gl2 * sin(th2),
-            m1l1 * w1,
-            m2l2 * w2,
-        ])
+        try:
+            return np.array([
+                kc * e + k1 * th1 + m1gl1 * sin(th1),
+                -kc * e + k2 * th2 + m2gl2 * sin(th2),
+                m1l1 * w1,
+                m2l2 * w2,
+            ])
+        except ValueError:
+            return v_gradient(x, _nan_at_inf(sin))
 
     system = NonlinearSystem(4, 2, f, h, h_jacobian=lambda x: h_jac,
                              name="two-pendulum plant")
@@ -230,9 +244,7 @@ class Scenario:
     box: tuple                      # per-axis (lo, hi) bounds for box checks
     assumes_output_observability: bool = False
     certificate: Optional[SsniCertificate] = None
-    compare_unshaped: bool = False  # export an unshaped run and the sync statistic
-    convergence_tol: Optional[float] = None
-    check_uniqueness: bool = False
+    convergence_tol: Optional[float] = None  # claims global convergence to the origin
     pendulum: Optional[PendulumParams] = None
     shaping: Optional[ShapingParams] = None
     linear_case: Optional[str] = None
@@ -276,13 +288,19 @@ def build_linear_example(case: str) -> Scenario:
         t_end, description = 3.0, "diagonal feedback with sign-indefinite potential"
     else:
         def nonlinearity():
-            def potential_value(y):
+            def potential_value(y, cos=cos):
                 y1, y2 = y.tolist()
-                return cos(y1 - y2) - 1.0
+                try:
+                    return cos(y1 - y2) - 1.0
+                except ValueError:
+                    return potential_value(y, _nan_at_inf(cos))
 
-            def potential_gradient(y):
+            def potential_gradient(y, sin=sin):
                 y1, y2 = y.tolist()
-                return np.array([sin(y2 - y1), sin(y1 - y2)])
+                try:
+                    return np.array([sin(y2 - y1), sin(y1 - y2)])
+                except ValueError:
+                    return potential_gradient(y, _nan_at_inf(sin))
 
             F = ScalarField(2, potential_value, potential_gradient, name="coupled potential")
             return StaticNonlinearity(2, potential_gradient, potential=F, name="coupled sine feedback")
@@ -305,8 +323,7 @@ def build_linear_example(case: str) -> Scenario:
 
 
 def _pendulum_scenario(name: str, build_nl, signal: InputSignal, t_end: float,
-                       compare_unshaped: bool, convergence_tol, check_uniqueness: bool,
-                       description: str) -> Scenario:
+                       convergence_tol, description: str) -> Scenario:
     pendulum = PendulumParams()
     shaping = ShapingParams()
     return Scenario(
@@ -319,34 +336,24 @@ def _pendulum_scenario(name: str, build_nl, signal: InputSignal, t_end: float,
         config=IntegratorConfig(step=1e-3, t_end=t_end),
         box=((-8.0, 8.0),) * 4,
         assumes_output_observability=True,
-        compare_unshaped=compare_unshaped,
         convergence_tol=convergence_tol,
-        check_uniqueness=check_uniqueness,
         pendulum=pendulum,
         shaping=shaping,
         description=description,
     )
 
 
-def _build_registry():
-    scenarios = [
-        build_linear_example("a"),
-        build_linear_example("b"),
-        _pendulum_scenario("pendulum-sync", build_sync_shaping,
-                           InputSignal.square_wave(2, channel=0, amplitude=2.0, period=3.0),
-                           t_end=30.0, compare_unshaped=True, convergence_tol=None,
-                           check_uniqueness=False,
-                           description="enhanced coupling under a square-wave torque"),
-        _pendulum_scenario("pendulum-stabilize", build_full_shaping,
-                           InputSignal.zero(2),
-                           t_end=50.0, compare_unshaped=False, convergence_tol=1e-2,
-                           check_uniqueness=True,
-                           description="well flattening for global convergence to the origin"),
-    ]
-    return {sc.name: sc for sc in scenarios}
-
-
-REGISTRY = _build_registry()
+REGISTRY = {sc.name: sc for sc in (
+    build_linear_example("a"),
+    build_linear_example("b"),
+    _pendulum_scenario("pendulum-sync", build_sync_shaping,
+                       InputSignal.square_wave(2, channel=0, amplitude=2.0, period=3.0),
+                       t_end=30.0, convergence_tol=None,
+                       description="enhanced coupling under a square-wave torque"),
+    _pendulum_scenario("pendulum-stabilize", build_full_shaping, InputSignal.zero(2),
+                       t_end=50.0, convergence_tol=1e-2,
+                       description="well flattening for global convergence to the origin"),
+)}
 
 
 def scenario_names():
@@ -388,6 +395,8 @@ def scenario_config(name: str) -> dict:
 # ---------------------------------------------------------------------------
 # Potential-surface export and grid minima scan
 
+MAX_SURFACE_POINTS = 2001  # the grid and its 8 stacked neighbour grids take about 290 MB
+
 
 @dataclass(frozen=True, eq=False)
 class SurfaceReport(Report):
@@ -425,24 +434,19 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     interior marks the grid as degenerate.  When ``path`` is given the grid
     is written as a (theta1, theta2, value) CSV.
     """
-    if points < 3:
-        raise ValueError(f"grid needs at least 3 points per axis, got {points}")
-    if not (0.0 < half_range < math.inf):
-        raise ValueError(f"half_range must be positive and finite, got {half_range}")
-    if field.dim == 2:
-        def restricted(t1, t2):
-            return field.value((t1, t2))
-    elif field.dim == 4:
-        def restricted(t1, t2):
-            return field.value((t1, t2, 0.0, 0.0))
-    else:
+    if not 3 <= points <= MAX_SURFACE_POINTS:
+        raise ValueError(f"grid needs 3 to {MAX_SURFACE_POINTS} points per axis, got {points}")
+    if not (0.0 < half_range and 2.0 * half_range < math.inf):
+        raise ValueError(f"half_range must be positive with a finite double, got {half_range}")
+    if field.dim not in (2, 4):
         raise ValueError(f"field dimension {field.dim} is not supported (need 2 or 4)")
+    pad = (0.0,) * (field.dim - 2)
 
     axis = np.linspace(-half_range, half_range, points)
     ticks = axis.tolist()
     values = np.empty((points, points))
     for i, t1 in enumerate(ticks):
-        values[i] = [restricted(t1, t2) for t2 in ticks]
+        values[i] = [field.value((t1, t2) + pad) for t2 in ticks]
 
     center = values[1:-1, 1:-1]
     neighbors = np.stack([
@@ -457,7 +461,6 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     n_plateau = int(plateau.sum())
     degenerate = n_plateau == (points - 2) ** 2
 
-    written = None
     if path is not None:
         # one grid row per write, formatted with one template (the bytes of
         # format(v, ".17g"), as in write_trajectory_csv)
@@ -466,8 +469,8 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
             for t1, row in zip(ticks, values):
                 fh.write("".join("%.17g,%.17g,%.17g\n" % (t1, t2, v)
                                  for t2, v in zip(ticks, row.tolist())))
-        written = str(path)
-    return SurfaceReport(axis, values, minima, n_plateau, degenerate, written)
+    return SurfaceReport(axis, values, minima, n_plateau, degenerate,
+                         None if path is None else str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -597,28 +600,29 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         checks.append(("hidden-motion heuristic", hidden_motion_from_rates(rates)))
     del rates
 
-    traj_forced = None
-    traj_original = None
-    if not sc.signal.is_zero:
+    trajs = {"trajectory": traj_free}
+    if not sc.signal.is_zero:  # a forced scenario: compare against the unshaped plant
         traj_forced = simulate(closed, start, sc.signal, cfg, monitor=W)
-        if sc.compare_unshaped:
-            traj_original = simulate(plant, start, sc.signal, cfg, monitor=V)
-            window = (min(SYNC_WINDOW[0], 2.0 * cfg.t_end / 3.0), cfg.t_end)
+        traj_original = simulate(plant, start, sc.signal, cfg, monitor=V)
+        trajs = {"trajectory": traj_forced, "trajectory_unforced": traj_free,
+                 "trajectory_original": traj_original}
+        window = (min(SYNC_WINDOW[0], 2.0 * cfg.t_end / 3.0), cfg.t_end)
+        try:
             mean_orig = synchronization_statistic(traj_original, *window)
             mean_shaped = synchronization_statistic(traj_forced, *window)
-            ratio = mean_shaped / mean_orig if mean_orig > 0.0 else math.inf
-            checks.append(("synchronization statistic",
-                           SyncReport(mean_orig, mean_shaped, ratio, window,
-                                      "pass" if ratio < SYNC_RATIO_LIMIT else "fail")))
+        except ValueError:  # a truncated run ends before the window
+            mean_orig = mean_shaped = math.nan
+        ratio = mean_shaped / mean_orig if mean_orig != 0.0 else math.inf
+        checks.append(("synchronization statistic",
+                       SyncReport(mean_orig, mean_shaped, ratio, window,
+                                  "pass" if ratio < SYNC_RATIO_LIMIT else "fail")))
 
-    if sc.convergence_tol is not None:
+    if sc.convergence_tol is not None:  # global convergence needs a unique equilibrium
         final = traj_free.states[-1]
         final_norm = float(np.max(np.abs(final)))
         checks.append(("convergence endpoint",
                        ConvergenceReport(final_norm, final.copy(), sc.convergence_tol,
                                          "pass" if final_norm < sc.convergence_tol else "fail")))
-
-    if sc.check_uniqueness:
         checks.append(("equilibrium uniqueness",
                        check_equilibrium_uniqueness(closed, box, n_samples=512, seed=seed)))
 
@@ -626,10 +630,6 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     if out_dir is not None:
         run_dir = os.path.join(str(out_dir), sc.name)
         os.makedirs(run_dir, exist_ok=True)
-        trajs = {"trajectory": traj_free} if traj_forced is None else {
-            "trajectory": traj_forced, "trajectory_unforced": traj_free}
-        if traj_original is not None:
-            trajs["trajectory_original"] = traj_original
         for label, traj in trajs.items():
             path = result.artifacts[label] = os.path.join(run_dir, f"{label}.csv")
             write_trajectory_csv(traj, path)

@@ -23,16 +23,26 @@ class IntegratorConfig:
     step: float
     t_end: float
     method: str = "RK4"
+    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.8 GB, copied once into its Trajectory
 
     def __post_init__(self):
         if not (0.0 < self.step < math.inf):
             raise ValueError(f"step must be positive and finite, got {self.step}")
         if not (self.step <= self.t_end < math.inf):
             raise ValueError(f"t_end must be finite and at least the step, got {self.t_end}")
-        if self.t_end / self.step == math.inf:
-            raise ValueError(f"t_end / step must be finite, got {self.t_end} / {self.step}")
+        if not self.t_end / self.step < math.inf or self.n_steps > self.MAX_STEPS:
+            raise ValueError(f"t_end / step must be finite and at most {self.MAX_STEPS}, "
+                             f"got {self.t_end} / {self.step}")
         if self.method not in ("RK4", "Euler"):
             raise ValueError(f"unknown integration method {self.method!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """``t_end / step`` rounded, or floored where rounding overshoots ``t_end``."""
+        n_steps = int(round(self.t_end / self.step))
+        if abs(n_steps * self.step - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            n_steps = int(math.floor(self.t_end / self.step))
+        return n_steps
 
 
 def square_wave_value(t: float, amplitude: float, period: float) -> float:
@@ -168,10 +178,7 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     if monitor is not None and monitor.dim != sys.n_states:
         raise ValueError(f"monitor dimension {monitor.dim} != state dimension {sys.n_states}")
 
-    step = cfg.step
-    n_steps = int(round(cfg.t_end / step))
-    if abs(n_steps * step - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        n_steps = int(math.floor(cfg.t_end / step))
+    step, n_steps = cfg.step, cfg.n_steps
     times = np.arange(n_steps + 1) * step
     states = np.empty((n_steps + 1, sys.n_states))
     inputs = np.empty((n_steps + 1, sys.n_io))
@@ -187,7 +194,6 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         value = lambda _t: v_fixed
     x = x0
     diagnostic = None
-    last = n_steps
     for k in range(n_steps + 1):
         t = k * step  # bitwise times[k], as a Python float
         v = value(t)
@@ -221,19 +227,12 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
                 diagnostic = f"non-finite {what} at t = {t:.6g}"
             else:
                 diagnostic = f"non-finite state after the step from t = {t:.6g}"
-            last = k
             break
         x = x_new
 
-    if diagnostic is not None:
-        times = times[:last + 1]
-        states = states[:last + 1]
-        inputs = inputs[:last + 1]
-        outputs = outputs[:last + 1]
-        if storage is not None:
-            storage = storage[:last + 1]
-    return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs,
-                      storage=storage, diagnostic=diagnostic)
+    n = k + 1  # the loop always breaks, at the last knot recorded
+    return Trajectory(times=times[:n], states=states[:n], inputs=inputs[:n], outputs=outputs[:n],
+                      storage=None if storage is None else storage[:n], diagnostic=diagnostic)
 
 
 @dataclass(frozen=True, eq=False)

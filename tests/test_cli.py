@@ -66,9 +66,10 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
     cases = [["run", "linear-b", *flag, *out] for flag in (
         ["--x0", "1,2,3"], ["--step", "0"], ["--step", "nan"], ["--t-end", "1e-4"],
         ["--t-end", "inf"], ["--t-end", "nan"], ["--x0", "nan,1"], ["--seed", "-1"],
-        ["--step", "5e-324"])]
+        ["--step", "5e-324"], ["--t-end", "1e14"])]
     cases += [["surface", "linear-a", *flag, *out] for flag in (
-        ["--points", "2"], ["--range", "0"], ["--range", "nan"])]
+        ["--points", "2"], ["--range", "0"], ["--range", "nan"], ["--points", "1000000"],
+        ["--range", "1e308"])]
     cases += [["certify-linear", str(tmp_path / name)] for name in ("list.json", "nan-y.json", "deep.json")]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -141,9 +142,17 @@ def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
 
 
 def test_huge_initial_state_fails_its_checks_without_traceback(capsys):
-    with np.errstate(all="ignore"):
-        assert main(["run", "pendulum-stabilize", "--x0", "1e200,0,0,0", "--t-end", "0.01"]) == 1
-    assert capsys.readouterr().out.endswith("overall: fail\n")
+    # at 1e308 a stage overflows to inf, where math.sin and math.cos raise
+    huge = "1e308,-1e308,1e308,-1e308"
+    for argv in (["pendulum-stabilize", "--x0", "1e200,0,0,0", "--t-end", "0.01"],
+                 ["pendulum-stabilize", "--x0", huge, "--t-end", "3"],
+                 ["linear-b", "--x0", "1e308,-1e308", "--t-end", "1"],
+                 ["pendulum-sync", "--x0", huge, "--t-end", "3"]):
+        with np.errstate(all="ignore"):
+            assert main(["run", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out.endswith("overall: fail\n"), argv
+        assert "error:" not in captured.err, argv
 
 
 def test_run_and_surface_never_raise_on_fuzzed_arguments(tmp_path_factory):

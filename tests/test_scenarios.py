@@ -120,6 +120,16 @@ def test_full_shaping_gradient_consistency():
 # Model callables against the numpy-scalar formulas (bitwise)
 
 
+def _sin(z):
+    """``math.sin``, with numpy's nan at an infinity, where ``math.sin`` raises."""
+    return float(np.sin(z)) if math.isinf(z) else math.sin(z)
+
+
+def _cos(z):
+    """``math.cos``, with numpy's nan at an infinity, where ``math.cos`` raises."""
+    return float(np.cos(z)) if math.isinf(z) else math.cos(z)
+
+
 def _numpy_scalar_models(pp, sp):
     """The model formulas evaluated on numpy scalars (unpacked ``x``, ``y[0]``),
     as the Python-float callables must reproduce them bit for bit."""
@@ -137,21 +147,21 @@ def _numpy_scalar_models(pp, sp):
         return np.array([
             w1,
             w2,
-            (-m1gl1 * math.sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u[0]) / m1l1,
-            (-m2gl2 * math.sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u[1]) / m2l2,
+            (-m1gl1 * _sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u[0]) / m1l1,
+            (-m2gl2 * _sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u[1]) / m2l2,
         ])
 
     def v_value(x):
         th1, th2, w1, w2 = x
         return (0.5 * kc * (th1 - th2) ** 2
-                + 0.5 * k1 * th1 ** 2 + 0.5 * m1l1 * w1 ** 2 + m1gl1 * (1.0 - math.cos(th1))
-                + 0.5 * k2 * th2 ** 2 + 0.5 * m2l2 * w2 ** 2 + m2gl2 * (1.0 - math.cos(th2)))
+                + 0.5 * k1 * th1 ** 2 + 0.5 * m1l1 * w1 ** 2 + m1gl1 * (1.0 - _cos(th1))
+                + 0.5 * k2 * th2 ** 2 + 0.5 * m2l2 * w2 ** 2 + m2gl2 * (1.0 - _cos(th2)))
 
     def v_gradient(x):
         th1, th2, w1, w2 = x
         e = th1 - th2
-        return np.array([kc * e + k1 * th1 + m1gl1 * math.sin(th1),
-                         -kc * e + k2 * th2 + m2gl2 * math.sin(th2),
+        return np.array([kc * e + k1 * th1 + m1gl1 * _sin(th1),
+                         -kc * e + k2 * th2 + m2gl2 * _sin(th2),
                          m1l1 * w1, m2l2 * w2])
 
     def log_cosh(z):
@@ -186,8 +196,8 @@ def _numpy_scalar_models(pp, sp):
         "full phi": full_gradient,
         "linear-a F": lambda y: 0.1 * y[0] ** 2 - 0.25 * y[1] ** 2,
         "linear-a phi": lambda y: np.array([0.2 * y[0], -0.5 * y[1]]),
-        "linear-b F": lambda y: math.cos(y[0] - y[1]) - 1.0,
-        "linear-b phi": lambda y: np.array([math.sin(y[1] - y[0]), math.sin(y[0] - y[1])]),
+        "linear-b F": lambda y: _cos(y[0] - y[1]) - 1.0,
+        "linear-b phi": lambda y: np.array([_sin(y[1] - y[0]), _sin(y[0] - y[1])]),
     }
 
 
@@ -242,10 +252,7 @@ def _outcome(fn, *args):
     specialized float add), so NaN sign and payload are not compared; every
     artifact prints any NaN as "nan".
     """
-    try:
-        out = np.atleast_1d(np.asarray(fn(*args), dtype=float))
-    except ValueError:  # math.sin/math.cos of an infinity, in both versions
-        return "ValueError"
+    out = np.atleast_1d(np.asarray(fn(*args), dtype=float))
     out[np.isnan(out)] = math.nan
     return out.view(np.uint64).tolist()
 
@@ -268,7 +275,6 @@ def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
         one_entry[slot * z.size:(slot + 1) * z.size, slot] = z
     states = np.vstack([_probe_vectors(rng, 4000, 4), one_entry])
     inputs = _probe_vectors(rng, states.shape[0], 2)
-    raised = 0
     with np.errstate(all="ignore"):
         for x, u in zip(states, inputs):
             y = x[:2].copy()
@@ -277,8 +283,7 @@ def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
                         else (y,))
                 got, want = _outcome(fn, *args), _outcome(oracle[name], *args)
                 assert got == want, (name, x, u)
-                raised += got == "ValueError"
-    assert raised > 0  # the infinite probes reached math.sin/math.cos
+    assert np.isinf(states[:, :2]).any()  # infinite angles reached sin and cos
 
 
 def test_pendulum_rejects_an_underflowing_inertia():
@@ -413,7 +418,9 @@ def test_surface_grid_validation(pendulum):
     _, V = pendulum
     with pytest.raises(ValueError):
         export_potential_surface(V, points=2)
-    for half_range in (0.0, -1.0, math.nan, math.inf):
+    with pytest.raises(ValueError, match="points"):
+        export_potential_surface(V, points=scenarios.MAX_SURFACE_POINTS + 1)
+    for half_range in (0.0, -1.0, math.nan, math.inf, 1e308):  # 2 * 1e308 overflows
         with pytest.raises(ValueError, match="half_range"):
             export_potential_surface(V, half_range=half_range)
     with pytest.raises(ValueError, match="dimension"):
@@ -482,6 +489,32 @@ def test_run_scenario_simulation_count(monkeypatch, name, n_runs):
     monkeypatch.setattr(scenarios, "simulate", counting_simulate)
     run_scenario(name, t_end=0.05)
     assert len(calls) == n_runs
+
+
+_BOX_CHECKS = ["gradient-consistency F", "gradient-consistency V",
+               "shaped-storage positive-definite"]
+_PLANT_AND_LOOP = ["plant NI residuals", "plant OSNI residuals", "closed-loop storage decay",
+                   "closed-loop NI residuals (shaped storage)"]
+_FILES = ["checks_csv", "checks_txt", "scenario_json"]
+
+
+@pytest.mark.parametrize("name, checks, extras, artifacts", [
+    ("linear-a", _BOX_CHECKS + ["ssni-certificate", "minimal-realization"] + _PLANT_AND_LOOP,
+     ["dc_gain_max_abs", "epsilon_estimate"], ["trajectory"] + _FILES),
+    ("linear-b", _BOX_CHECKS + ["ssni-certificate", "minimal-realization"] + _PLANT_AND_LOOP,
+     ["dc_gain_max_abs", "epsilon_estimate"], ["trajectory"] + _FILES),
+    ("pendulum-sync", _BOX_CHECKS + _PLANT_AND_LOOP
+     + ["hidden-motion heuristic", "synchronization statistic"], ["epsilon_estimate"],
+     ["trajectory", "trajectory_unforced", "trajectory_original"] + _FILES),
+    ("pendulum-stabilize", _BOX_CHECKS + _PLANT_AND_LOOP
+     + ["hidden-motion heuristic", "convergence endpoint", "equilibrium uniqueness"],
+     ["epsilon_estimate"], ["trajectory"] + _FILES),
+])
+def test_run_scenario_check_order_and_artifact_labels(name, checks, extras, artifacts, tmp_path):
+    result = run_scenario(name, t_end=0.05, out_dir=tmp_path)
+    assert [check for check, _ in result.checks] == checks
+    assert list(result.extras) == extras
+    assert list(result.artifacts) == artifacts
 
 
 def test_run_scenario_unknown_name():

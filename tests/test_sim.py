@@ -115,6 +115,12 @@ def test_integrator_config_validation():
                         (1e-3, math.inf), (1e-3, math.nan), (5e-324, 1.0), (1e-10, 1e300)):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(step=step, t_end=t_end)
+    assert IntegratorConfig(step=1.0, t_end=1e7).n_steps == IntegratorConfig.MAX_STEPS
+    for t_end in (1e7 + 1.0, 1e14):
+        with pytest.raises(ValueError, match="at most 10000000"):
+            IntegratorConfig(step=1.0, t_end=t_end)
+    assert IntegratorConfig(step=0.1, t_end=0.3).n_steps == 3  # rounded: 0.3 / 0.1 < 3
+    assert IntegratorConfig(step=0.6, t_end=1.0).n_steps == 1   # floored: 2 steps overshoot
     for x0 in ([math.nan], [math.inf], [1.0, 2.0]):
         with pytest.raises(ValueError, match="x0 must be a finite vector of length 1"):
             simulate(_scalar_decay(), x0, InputSignal.zero(1),
