@@ -309,8 +309,13 @@ def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> Scalar
     Yinv = np.linalg.solve(cert.Y, np.eye(cert.Y.shape[0]))
     Yinv = 0.5 * (Yinv + Yinv.T)
     V_Y = ScalarField(cert.sys.n, lambda x: 0.5 * float(x @ Yinv @ x), lambda x: Yinv @ x)
-    F = ScalarField(phi.p, lambda y: sum(adaptive_simpson(c, 0.0, float(s))
-                                         for c, s in zip(phi.channels, y)), phi.phi)
+    def f_value(y):
+        total = 0.0  # a left fold: builtin sum() of floats is compensated from Python 3.12 on
+        for c, s in zip(phi.channels, y):
+            total += adaptive_simpson(c, 0.0, float(s))
+        return total
+
+    F = ScalarField(phi.p, f_value, phi.phi)
     return make_shaped_storage(V_Y, F, lambda x: C @ x, cert.sys.n,
                                h_jacobian=lambda x: C, name="W (slope-bound shaped)")
 

@@ -6,9 +6,9 @@ State ordering for the pendulum is fixed globally as
 ``(theta1, theta2, omega1, omega2)`` so the output map is the projection onto
 the first two coordinates.
 
-The model callables unpack their vector argument once with ``.tolist()`` and
-compute on Python floats: the same IEEE operations as on numpy scalars, at a
-fraction of the cost.  Where Python raises and numpy returns inf or nan, a
+The models are float forms (``from_floats``): they unpack a sequence of
+Python floats and compute the same IEEE operations as numpy scalars would, at
+a fraction of the cost.  Where Python raises and numpy returns inf or nan, a
 square goes through :func:`_sq`, a division by a quantity that can round to
 zero through :func:`_div`, and a callable whose ``sin`` or ``cos`` raised on
 an infinity retries with :func:`_nan_at_inf`: results stay bitwise numpy's.
@@ -137,28 +137,28 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
         raise ValueError("m * l**2 underflows to zero")
 
     def f(x, u, sin=sin):
-        th1, th2, w1, w2 = x.tolist()
-        u1, u2 = u.tolist()
+        th1, th2, w1, w2 = x
+        u1, u2 = u
         e = th1 - th2
         de = w1 - w2
         try:
-            return np.array([
+            return (
                 w1,
                 w2,
                 (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
                 (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2,
-            ])
+            )
         except ValueError:
             return f(x, u, _nan_at_inf(sin))
 
     def h(x):
-        return np.array(x[:2])
+        return x[:2]
 
     h_jac = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     h_jac.setflags(write=False)
 
     def v_value(x, cos=cos):
-        th1, th2, w1, w2 = x.tolist()
+        th1, th2, w1, w2 = x
         try:
             return (0.5 * kc * _sq(th1 - th2)
                     + 0.5 * k1 * _sq(th1) + 0.5 * m1l1 * _sq(w1) + m1gl1 * (1.0 - cos(th1))
@@ -167,21 +167,21 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
             return v_value(x, _nan_at_inf(cos))
 
     def v_gradient(x, sin=sin):
-        th1, th2, w1, w2 = x.tolist()
+        th1, th2, w1, w2 = x
         e = th1 - th2
         try:
-            return np.array([
+            return (
                 kc * e + k1 * th1 + m1gl1 * sin(th1),
                 -kc * e + k2 * th2 + m2gl2 * sin(th2),
                 m1l1 * w1,
                 m2l2 * w2,
-            ])
+            )
         except ValueError:
             return v_gradient(x, _nan_at_inf(sin))
 
-    system = NonlinearSystem(4, 2, f, h, h_jacobian=lambda x: h_jac,
-                             name="two-pendulum plant")
-    V = ScalarField(4, v_value, v_gradient, name="pendulum storage")
+    system = NonlinearSystem.from_floats(4, 2, f, h, h_jacobian=lambda x: h_jac,
+                                         name="two-pendulum plant")
+    V = ScalarField.from_floats(4, v_value, v_gradient, name="pendulum storage")
     return system, V
 
 
@@ -192,18 +192,18 @@ def build_sync_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
     beta, kappa, delta = params.beta, params.kappa, params.delta
 
     def potential_value(y):
-        y1, y2 = y.tolist()
+        y1, y2 = y
         e = y1 - y2
         return -beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
 
     def potential_gradient(y):
-        y1, y2 = y.tolist()
+        y1, y2 = y
         e = y1 - y2
         g = -2.0 * beta * e - _div(kappa * e, sqrt(e * e + delta * delta))
-        return np.array([g, -g])
+        return (g, -g)
 
-    F = ScalarField(2, potential_value, potential_gradient, name="coupling potential")
-    return StaticNonlinearity(2, potential_gradient, potential=F, name="sync coupling")
+    F = ScalarField.from_floats(2, potential_value, potential_gradient, name="coupling potential")
+    return StaticNonlinearity.from_floats(2, potential_gradient, potential=F, name="sync coupling")
 
 
 def build_full_shaping(params: ShapingParams = ShapingParams()) -> StaticNonlinearity:
@@ -212,20 +212,22 @@ def build_full_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
     beta, kappa, delta, a, b = params.beta, params.kappa, params.delta, params.a, params.b
 
     def potential_value(y):
-        y1, y2 = y.tolist()
+        y1, y2 = y
         e = y1 - y2
         return (-beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
                 - a * _log_cosh(b * y1) - a * _log_cosh(b * y2))
 
     def potential_gradient(y):
-        y1, y2 = y.tolist()
+        y1, y2 = y
         e = y1 - y2
         g = -2.0 * beta * e - _div(kappa * e, sqrt(e * e + delta * delta))
-        return np.array([g - a * b * tanh(b * y1),
-                         -g - a * b * tanh(b * y2)])
+        return (g - a * b * tanh(b * y1),
+                -g - a * b * tanh(b * y2))
 
-    F = ScalarField(2, potential_value, potential_gradient, name="well-flattening potential")
-    return StaticNonlinearity(2, potential_gradient, potential=F, name="sync + well flattening")
+    F = ScalarField.from_floats(2, potential_value, potential_gradient,
+                                name="well-flattening potential")
+    return StaticNonlinearity.from_floats(2, potential_gradient, potential=F,
+                                          name="sync + well flattening")
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +275,40 @@ def build_linear_example(case: str) -> Scenario:
     if case == "a":
         def nonlinearity():
             def potential_value(y):
-                y1, y2 = y.tolist()
+                y1, y2 = y
                 return 0.1 * _sq(y1) - 0.25 * _sq(y2)
 
             def potential_gradient(y):
-                y1, y2 = y.tolist()
-                return np.array([0.2 * y1, -0.5 * y2])
+                y1, y2 = y
+                return (0.2 * y1, -0.5 * y2)
 
-            F = ScalarField(2, potential_value, potential_gradient, name="sign-indefinite potential")
-            return StaticNonlinearity(2, potential_gradient, potential=F,
-                                      channels=(lambda s: 0.2 * s, lambda s: -0.5 * s),
-                                      name="diagonal gains")
+            F = ScalarField.from_floats(2, potential_value, potential_gradient,
+                                        name="sign-indefinite potential")
+            return StaticNonlinearity.from_floats(
+                2, potential_gradient, potential=F,
+                channels=(lambda s: 0.2 * s, lambda s: -0.5 * s), name="diagonal gains")
 
         t_end, description = 3.0, "diagonal feedback with sign-indefinite potential"
     else:
         def nonlinearity():
             def potential_value(y, cos=cos):
-                y1, y2 = y.tolist()
+                y1, y2 = y
                 try:
                     return cos(y1 - y2) - 1.0
                 except ValueError:
                     return potential_value(y, _nan_at_inf(cos))
 
             def potential_gradient(y, sin=sin):
-                y1, y2 = y.tolist()
+                y1, y2 = y
                 try:
-                    return np.array([sin(y2 - y1), sin(y1 - y2)])
+                    return (sin(y2 - y1), sin(y1 - y2))
                 except ValueError:
                     return potential_gradient(y, _nan_at_inf(sin))
 
-            F = ScalarField(2, potential_value, potential_gradient, name="coupled potential")
-            return StaticNonlinearity(2, potential_gradient, potential=F, name="coupled sine feedback")
+            F = ScalarField.from_floats(2, potential_value, potential_gradient,
+                                        name="coupled potential")
+            return StaticNonlinearity.from_floats(2, potential_gradient, potential=F,
+                                                  name="coupled sine feedback")
 
         t_end, description = 10.0, "cross-coupled feedback"
 
@@ -446,7 +451,7 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     ticks = axis.tolist()
     values = np.empty((points, points))
     for i, t1 in enumerate(ticks):
-        values[i] = [field.value((t1, t2) + pad) for t2 in ticks]
+        values[i] = [field.value_floats((t1, t2) + pad) for t2 in ticks]
 
     center = values[1:-1, 1:-1]
     neighbors = np.stack([
@@ -539,7 +544,7 @@ def _build_parts(sc: Scenario):
     """The scenario's plant, storage V, nonlinearity and shaped storage W."""
     plant, V, nl = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity()
     W = make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
-                            h_jacobian=plant.h_jacobian, name="W")
+                            h_jacobian=plant.h_jacobian, name="W", h_floats=plant.h_floats)
     return plant, V, nl, W
 
 

@@ -23,7 +23,7 @@ class IntegratorConfig:
     step: float
     t_end: float
     method: str = "RK4"
-    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.8 GB, copied once into its Trajectory
+    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.8 GB, held by its Trajectory
 
     def __post_init__(self):
         if not (0.0 < self.step < math.inf):
@@ -43,6 +43,9 @@ class IntegratorConfig:
         if abs(n_steps * self.step - self.t_end) > 1e-9 * max(1.0, self.t_end):
             n_steps = int(math.floor(self.t_end / self.step))
         return n_steps
+
+
+_CHUNK = 1024  # knots buffered as Python floats between writes into the record
 
 
 def square_wave_value(t: float, amplitude: float, period: float) -> float:
@@ -96,13 +99,27 @@ class InputSignal:
         return self.kind == "zero"
 
     def value(self, t: float) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(self.p)
+        return np.array(self._floats(t))
+
+    def _floats(self, t: float) -> list:
         if self.kind == "constant":
-            return np.array(self.vector)
-        v = np.zeros(self.p)
-        v[self.channel] = square_wave_value(t, self.amplitude, self.period)
+            return list(self.vector)
+        v = [0.0] * self.p
+        if self.kind == "square_wave":
+            v[self.channel] = square_wave_value(t, self.amplitude, self.period)
         return v
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: taken as it is when nothing can
+    write to it, copied otherwise (so a caller's array can change afterwards)."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+            and (a.base is None or (isinstance(a.base, np.ndarray)
+                                    and not a.base.flags.writeable))):
+        return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +139,9 @@ class Trajectory:
     diagnostic: Optional[str] = None
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=float)
-        inputs = np.array(self.inputs, dtype=float)
-        outputs = np.array(self.outputs, dtype=float)
-        storage = None if self.storage is None else np.array(self.storage, dtype=float)
+        times, states, inputs, outputs = (_read_only(a) for a in (
+            self.times, self.states, self.inputs, self.outputs))
+        storage = None if self.storage is None else _read_only(self.storage)
         n_knots = times.size
         if n_knots < 1:
             raise ValueError("trajectory needs at least one sample")
@@ -139,11 +154,10 @@ class Trajectory:
             dt = times[1] - times[0]
             if dt <= 0.0:
                 raise ValueError("times must be strictly increasing")
-            if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * dt:
+            spacing = np.diff(times)  # the one temporary of the check, worked in place
+            spacing -= dt
+            if np.max(np.abs(spacing, out=spacing)) > 1e-9 * dt:
                 raise ValueError("time grid must be uniform")
-        for arr in (times, states, inputs, outputs, storage):
-            if arr is not None:
-                arr.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)
@@ -163,12 +177,16 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
              monitor: Optional[ScalarField] = None) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
-    RK4 holds the input at its stage-time values (a square wave is evaluated
-    at t, t + step/2 and t + step; a zero or constant input is evaluated once
-    and its read-only vector reused).  ``monitor`` is sampled at the knots
-    into the storage channel.  A non-finite stage derivative or state
-    truncates the trajectory and attaches a diagnostic instead of propagating
-    NaNs; one finiteness check on the new state per step detects both.
+    The step loop runs on the float forms of the system and the monitor
+    (lists of Python floats), in numpy's operation order, so a run is bitwise
+    the run of the same loop on numpy vectors.  RK4 holds the input at its
+    stage-time values (a square wave is evaluated at t, t + step/2 and
+    t + step; a zero or constant input is evaluated once).  ``monitor`` is
+    sampled at the knots into the storage channel.  A non-finite stage
+    derivative or state truncates the trajectory and attaches a diagnostic
+    instead of propagating NaNs; one finiteness check on the new state per
+    step detects both.  Knots are written into the record in chunks of
+    ``_CHUNK``, so no whole-run list of Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -179,50 +197,65 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         raise ValueError(f"monitor dimension {monitor.dim} != state dimension {sys.n_states}")
 
     step, n_steps = cfg.step, cfg.n_steps
-    times = np.arange(n_steps + 1) * step
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= step  # bitwise k * step
     states = np.empty((n_steps + 1, sys.n_states))
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
+    xs, vs, ys, ws = rows = ([], [], [], [])  # states, inputs, outputs, storage not yet written
 
-    f, h = sys.f, sys.h
+    def flush(end):
+        start = end - len(xs)
+        for arr, buffered in zip((states, inputs, outputs, storage), rows):
+            if buffered:
+                arr[start:end] = buffered
+                buffered.clear()
+
+    f, h = sys.f_floats, sys.h_floats
+    w = None if monitor is None else monitor.value_floats
     rk4 = cfg.method == "RK4"
-    value = signal.value
-    if signal.kind != "square_wave":  # time-invariant: one shared read-only vector
-        v_fixed = signal.value(0.0)
-        v_fixed.setflags(write=False)
-        value = lambda _t: v_fixed
-    x = x0
+    forced = signal.kind == "square_wave"
+    value = signal._floats
+    half, sixth = 0.5 * step, step / 6.0
+    x = x0.tolist()
+    v = v_half = v_full = value(0.0)  # held for a zero or constant input
     diagnostic = None
     for k in range(n_steps + 1):
         t = k * step  # bitwise times[k], as a Python float
-        v = value(t)
-        states[k] = x
-        inputs[k] = v
-        outputs[k] = h(x)
-        if storage is not None:
-            storage[k] = monitor.value(x)
+        if forced:
+            v = value(t)
+        xs.append(x)
+        vs.append(v)
+        ys.append(h(x))
+        if w is not None:
+            ws.append(w(x))
         if k == n_steps:
             break
+        if len(xs) == _CHUNK:
+            flush(k + 1)
         if rk4:
-            v_half = value(t + 0.5 * step)
-            v_full = value(t + step)
-            k1 = np.asarray(f(x, v), dtype=float)
-            k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
-            k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
-            k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
+            if forced:
+                v_half = value(t + 0.5 * step)
+                v_full = value(t + step)
+            k1 = f(x, v)
+            k2 = f([a + half * b for a, b in zip(x, k1)], v_half)
+            k3 = f([a + half * b for a, b in zip(x, k2)], v_half)
+            k4 = f([a + step * b for a, b in zip(x, k3)], v_full)
             stages = (k1, k2, k3, k4)
-            x_new = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            x_new = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         else:
-            stages = (np.asarray(f(x, v), dtype=float),)
-            x_new = x + step * stages[0]
+            stages = (f(x, v),)
+            x_new = [a + step * b for a, b in zip(x, stages[0])]
         # One check per step is exact: a NaN or inf in any stage reaches x_new,
         # since its weight (step or step / 6) is positive and 0 * inf is NaN
         # should the weight underflow.  All stages are evaluated before the
         # check, so no f call moves; they are re-checked only to word the
         # diagnostic, and the truncation point stays the same.
-        if not np.isfinite(x_new).all():
-            if not all(np.isfinite(s).all() for s in stages):
+        if not all(map(math.isfinite, x_new)):
+            if not all(math.isfinite(s) for stage in stages for s in stage):
                 what = "stage derivative" if rk4 else "derivative"
                 diagnostic = f"non-finite {what} at t = {t:.6g}"
             else:
@@ -231,6 +264,11 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         x = x_new
 
     n = k + 1  # the loop always breaks, at the last knot recorded
+    flush(n)
+    if n == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
+        for arr in (times, states, inputs, outputs, storage):
+            if arr is not None:
+                arr.setflags(write=False)
     return Trajectory(times=times[:n], states=states[:n], inputs=inputs[:n], outputs=outputs[:n],
                       storage=None if storage is None else storage[:n], diagnostic=diagnostic)
 

@@ -6,11 +6,20 @@ optional analytic gradients, and feedback nonlinearities are memoryless maps
 that may carry the potential they are the gradient of.  Everything here is
 immutable after construction and evaluation routines are expected to be pure,
 so instances are safe to share across threads.
+
+Each model also has a float form of every callable: the same function on
+sequences of Python floats, returning a sequence or a float.  A model built
+with ``from_floats`` states its math once in that form and derives the numpy
+callables from it; a model built from numpy callables gets its float form
+through a one-line adapter (``np.array`` in, ``.tolist()`` out).  The
+composition operations compose float forms with float forms and numpy forms
+with numpy forms, and :func:`nishape.sim.simulate` steps on the float forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -50,6 +59,16 @@ class Report:
                      for v in np.atleast_1d(part))
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _listed(result) -> list:
+    """A numpy callable's result (an array, or any sequence) as a list of floats."""
+    if type(result) is np.ndarray and result.dtype is _FLOAT64:
+        return result.tolist()
+    return np.asarray(result, dtype=float).tolist()
+
+
 def fd_step(x) -> float:
     """Central-difference step, 1e-6 scaled by the probe point's size."""
     return 1e-6 * max(1.0, float(np.linalg.norm(x)))
@@ -85,10 +104,21 @@ class ScalarField:
         self.dim = dim
         self._value = value
         self._gradient = gradient
+        self.value_floats = lambda x: float(value(np.array(x, dtype=float)))
         self.name = name
         v0 = float(value(np.zeros(dim)))
         if abs(v0) > TAU_ZERO:
             raise ValueError(f"scalar field must vanish at the origin, got value(0) = {v0}")
+
+    @classmethod
+    def from_floats(cls, dim: int, value, gradient=None, name: str = "") -> "ScalarField":
+        """The field of a float form: ``value(x)`` returns a float and the
+        optional ``gradient(x)`` a sequence, for ``x`` a sequence of floats."""
+        field = cls(dim, lambda x: value(x.tolist()),
+                    None if gradient is None else lambda x: np.array(gradient(x.tolist())),
+                    name=name)
+        field.value_floats = value
+        return field
 
     @property
     def has_analytic_gradient(self) -> bool:
@@ -131,6 +161,8 @@ class NonlinearSystem:
         self.n_io = n_io
         self.f = f
         self.h = h
+        self.f_floats = lambda x, u: _listed(f(np.array(x, dtype=float), np.array(u, dtype=float)))
+        self.h_floats = lambda x: _listed(h(np.array(x, dtype=float)))
         self.h_jacobian = h_jacobian
         self.name = name
 
@@ -148,6 +180,17 @@ class NonlinearSystem:
             raise ValueError(f"h must return a length-{n_io} vector, got shape {hx.shape}")
         if np.linalg.norm(hx) > TAU_ZERO:
             raise ValueError(f"output must vanish at the origin: |h(0)| = {np.linalg.norm(hx)}")
+
+    @classmethod
+    def from_floats(cls, n_states: int, n_io: int, f, h, h_jacobian=None,
+                    name: str = "") -> "NonlinearSystem":
+        """The system of float forms ``f(x, u)`` and ``h(x)``: sequences of
+        floats in, a sequence out.  The derived ``sys.f`` and ``sys.h`` take
+        numpy arrays; ``h_jacobian`` stays a numpy callable."""
+        sys = cls(n_states, n_io, lambda x, u: np.array(f(x.tolist(), u.tolist())),
+                  lambda x: np.array(h(x.tolist())), h_jacobian=h_jacobian, name=name)
+        sys.f_floats, sys.h_floats = f, h
+        return sys
 
     def output_jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -187,6 +230,7 @@ class StaticNonlinearity:
             raise ValueError(f"potential dimension {potential.dim} != p = {p}")
         self.p = p
         self.phi = phi
+        self.phi_floats = lambda y: _listed(phi(np.array(y, dtype=float)))
         self.potential = potential
         self.channels = channels
         self.name = name
@@ -195,6 +239,16 @@ class StaticNonlinearity:
             raise ValueError(f"phi must return a length-{p} vector, got shape {v0.shape}")
         if np.linalg.norm(v0) > TAU_ZERO:
             raise ValueError(f"phi must vanish at the origin: |phi(0)| = {np.linalg.norm(v0)}")
+
+    @classmethod
+    def from_floats(cls, p: int, phi, potential: Optional[ScalarField] = None,
+                    channels=None, name: str = "") -> "StaticNonlinearity":
+        """The feedback of a float form ``phi(y)``: a sequence of floats in,
+        a sequence out.  The derived ``nl.phi`` takes a numpy array."""
+        nl = cls(p, lambda y: np.array(phi(y.tolist())), potential=potential,
+                 channels=channels, name=name)
+        nl.phi_floats = phi
+        return nl
 
 
 class HamiltonianSystem:
@@ -288,23 +342,32 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
             f"plant input/output dimension {sys.n_io} does not match "
             f"nonlinearity dimension {nl.p}")
     f, h, phi = sys.f, sys.h, nl.phi
+    f_floats, h_floats, phi_floats = sys.f_floats, sys.h_floats, nl.phi_floats
 
     def f_closed(x, v):
         return f(x, phi(h(x)) + v)
 
-    return NonlinearSystem(sys.n_states, sys.n_io, f_closed, h,
-                           h_jacobian=sys.h_jacobian,
-                           name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
+    def f_closed_floats(x, v):
+        # numpy's ``phi(h(x)) + v``, entry by entry: a zero v is still added (-0.0 + 0.0 is 0.0)
+        return f_floats(x, list(map(add, phi_floats(h_floats(x)), v)))
+
+    closed = NonlinearSystem(sys.n_states, sys.n_io, f_closed, h,
+                             h_jacobian=sys.h_jacobian,
+                             name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
+    closed.f_floats, closed.h_floats = f_closed_floats, h_floats
+    return closed
 
 
 def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
-                        h_jacobian=None, name: str = "W") -> ScalarField:
+                        h_jacobian=None, name: str = "W", h_floats=None) -> ScalarField:
     """Storage shaped along the output: ``W(x) = V(x) - F(h(x))``.
 
-    The gradient is assembled by the chain rule only when the gradients of V
-    and F and the output Jacobian are all analytic; any missing piece makes
-    the whole field fall back to finite differences so truncation errors stay
-    on a single scale.
+    ``h_floats`` is the float form of ``h`` (a system's ``h_floats``); with
+    it, W's float form composes the float forms of V, F and h, and without
+    it, W's float form adapts the numpy one.  The gradient is assembled by the
+    chain rule only when the gradients of V and F and the output Jacobian are
+    all analytic; any missing piece makes the whole field fall back to finite
+    differences so truncation errors stay on a single scale.
     """
     n = int(n)
     if V.dim != n:
@@ -323,7 +386,11 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
             y = np.asarray(h(x), dtype=float)
             return V.gradient(x) - np.asarray(h_jacobian(x), dtype=float).T @ F.gradient(y)
 
-    return ScalarField(n, w_value, w_gradient, name=name)
+    W = ScalarField(n, w_value, w_gradient, name=name)
+    if h_floats is not None:
+        v_floats, f_floats = V.value_floats, F.value_floats
+        W.value_floats = lambda x: v_floats(x) - f_floats(h_floats(x))
+    return W
 
 
 def hamiltonian_to_nonlinear(hs: HamiltonianSystem) -> NonlinearSystem:

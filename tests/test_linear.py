@@ -285,6 +285,17 @@ def test_certified_slope_bounded_feedback_gives_definite_storage():
         assert report.verdict == "pass"
 
 
+def test_dey_shaped_storage_adds_the_channel_integrals_left_to_right():
+    # integrals 1e16, 1.0 and -1e16 at y = (1, 1, 1): a left fold gives 0.0
+    # (1e16 + 1.0 rounds to 1e16), a compensated sum would give 1.0
+    sys = LinearSystem(-np.eye(3), np.eye(3), np.eye(3))
+    channels = tuple((lambda s, g=g: g * s) for g in (2e16, 2.0, -2e16))
+    assert [adaptive_simpson(c, 0.0, 1.0) for c in channels] == [1e16, 1.0, -1e16]
+    W = dey_shaped_storage(SsniCertificate(sys, np.eye(3)),
+                           StaticNonlinearity(3, channels=channels))
+    assert W.value(np.ones(3)) == 1.5 - 0.0  # |x|^2 / 2 - F(Cx), with F(Cx) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop matrix and Hurwitz test
 

@@ -9,7 +9,7 @@ from nishape import scenarios, simulate
 from nishape import (PendulumParams, ScalarField, ShapingParams,
                      build_full_shaping, build_linear_example,
                      build_sync_shaping, export_potential_surface, get_scenario,
-                     gradient_check, make_shaped_storage, run_scenario,
+                     gradient_check, make_closed_loop, make_shaped_storage, run_scenario,
                      scenario_config, scenario_names, synchronization_statistic,
                      Trajectory)
 
@@ -198,15 +198,24 @@ def _numpy_scalar_models(pp, sp):
         "linear-a phi": lambda y: np.array([0.2 * y[0], -0.5 * y[1]]),
         "linear-b F": lambda y: _cos(y[0] - y[1]) - 1.0,
         "linear-b phi": lambda y: np.array([_sin(y[1] - y[0]), _sin(y[0] - y[1])]),
+        # the closed loops f(x, phi(h(x)) + v) and the shaped storages V - F(h(x))
+        "sync closed f": lambda x, u: f(x, sync_gradient(x[:2]) + u),
+        "full closed f": lambda x, u: f(x, full_gradient(x[:2]) + u),
+        "sync W": lambda x: v_value(x) - sync_value(x[:2]),
+        "full W": lambda x: v_value(x) - full_value(x[:2]),
     }
 
 
 def _python_float_models(pp, sp):
+    """The built-in models' numpy callables, and the float forms of the
+    closed loops and shaped storages as the step loop composes them."""
     plant, V = scenarios.build_pendulum(pp)
     sync, full = build_sync_shaping(sp), build_full_shaping(sp)
     lin_a = build_linear_example("a").build_nonlinearity()
     lin_b = build_linear_example("b").build_nonlinearity()
-    return {
+    W_sync, W_full = (make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian,
+                                          h_floats=plant.h_floats) for nl in (sync, full))
+    models = {
         "plant f": plant.f,
         "plant h": plant.h,
         "V value": V.value,
@@ -219,7 +228,15 @@ def _python_float_models(pp, sp):
         "linear-a phi": lin_a.phi,
         "linear-b F": lin_b.potential.value,
         "linear-b phi": lin_b.phi,
+        "sync W": lambda x: W_sync.value_floats(x.tolist()),
+        "full W": lambda x: W_full.value_floats(x.tolist()),
     }
+    if sp.delta * sp.delta > 0.0:  # else phi(0) is 0 / 0 = nan, and no closed loop is built
+        for label, nl in (("sync", sync), ("full", full)):
+            closed = make_closed_loop(plant, nl)
+            models[f"{label} closed f"] = (
+                lambda x, u, f=closed.f_floats: f(x.tolist(), u.tolist()))
+    return models
 
 
 _SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-170, -1e-170, 1.5e154,
@@ -275,11 +292,18 @@ def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
         one_entry[slot * z.size:(slot + 1) * z.size, slot] = z
     states = np.vstack([_probe_vectors(rng, 4000, 4), one_entry])
     inputs = _probe_vectors(rng, states.shape[0], 2)
+    # every sign pattern of a zero state, under a zero input: phi(h(x)) + v turns a
+    # -0.0 of phi into 0.0, so a closed loop that skipped adding a zero v shows here
+    signed_zeros = np.array([[math.copysign(0.0, 1 - 2 * (k >> i & 1)) for i in range(4)]
+                             for k in range(16)])
+    states = np.vstack([states, signed_zeros])
+    inputs = np.vstack([inputs, np.zeros((16, 2))])
     with np.errstate(all="ignore"):
         for x, u in zip(states, inputs):
             y = x[:2].copy()
             for name, fn in models.items():
-                args = ((x, u) if name == "plant f" else (x,) if name.startswith(("plant", "V"))
+                args = ((x, u) if name.endswith(" f")
+                        else (x,) if name.startswith(("plant", "V")) or name.endswith(" W")
                         else (y,))
                 got, want = _outcome(fn, *args), _outcome(oracle[name], *args)
                 assert got == want, (name, x, u)

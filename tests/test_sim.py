@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField,
-                     Trajectory, closed_loop_matrix, make_closed_loop,
-                     make_shaped_storage, monitor_decay, refine_check, simulate,
+                     Trajectory, closed_loop_matrix, get_scenario,
+                     hamiltonian_to_nonlinear, make_closed_loop, make_shaped_storage,
+                     monitor_decay, refine_check, scenarios, simulate,
                      square_wave_value, write_trajectory_csv)
+
+from conftest import make_rotation_hamiltonian
 
 
 def _scalar_decay():
@@ -79,6 +83,44 @@ def test_uniform_grid_invariant(pendulum):
     dt = np.diff(traj.times)
     assert np.max(np.abs(dt - traj.step)) <= 1e-9 * traj.step
     assert traj.n_samples == 501
+
+
+def test_trajectory_copies_writeable_input_and_keeps_read_only_input():
+    times = np.arange(3) * 0.5
+    states = np.zeros((3, 1))
+    traj = Trajectory(times=times, states=states, inputs=np.zeros((3, 1)),
+                      outputs=np.zeros((3, 1)))
+    times[2] = 9.0
+    states[0, 0] = 7.0
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
+    assert traj.states[0, 0] == 0.0
+    assert not traj.states.flags.writeable
+    frozen = np.zeros((3, 1))
+    frozen.setflags(write=False)
+    base = np.zeros((3, 1))
+    view = base[:]
+    view.setflags(write=False)  # read-only, but writable through its base
+    traj = Trajectory(times=traj.times, states=frozen, inputs=view, outputs=frozen)
+    assert traj.times is not times and traj.states is frozen and traj.outputs is frozen
+    base[0, 0] = 7.0
+    assert traj.inputs[0, 0] == 0.0
+
+
+def test_simulate_peak_memory_stays_close_to_the_record(linear_cases):
+    sc = linear_cases["a"]
+    plant, V = sc.build_plant(), sc.build_storage()
+    # Euler: the record of 100k steps, at a quarter of the f calls (tracemalloc is slow)
+    cfg = IntegratorConfig(step=1e-4, t_end=10.0, method="Euler")
+    tracemalloc.start()
+    try:
+        traj = simulate(plant, sc.x0, sc.signal, cfg, monitor=V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (traj.times, traj.states, traj.inputs, traj.outputs,
+                                  traj.storage))
+    assert traj.n_samples == 100_001
+    assert peak <= 1.25 * held, (peak, held)
 
 
 def test_trajectory_rejects_nonuniform_grid():
@@ -342,18 +384,46 @@ def _huge_rate():
                            lambda x: x.copy())
 
 
+def _numpy_closed_loop(plant, nl):
+    """``f(x, phi(h(x)) + v)`` from the numpy callables alone."""
+    f, h, phi = plant.f, plant.h, nl.phi
+    return NonlinearSystem(plant.n_states, plant.n_io, lambda x, v: f(x, phi(h(x)) + v), h)
+
+
+def _closed_loop_cases(name, signal, t_end):
+    """A scenario's closed loop and W as the pipeline builds them, and their
+    numpy-callable twins for the oracle."""
+    sc = get_scenario(name)
+    plant, V, nl, W = scenarios._build_parts(sc)
+    W_numpy = ScalarField(plant.n_states, lambda x: V.value(x) - nl.potential.value(plant.h(x)))
+    return (f"{name} closed loop", make_closed_loop(plant, nl), sc.x0, signal,
+            IntegratorConfig(step=1e-3, t_end=t_end), W, (_numpy_closed_loop(plant, nl), W_numpy))
+
+
 def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     plant, V = pendulum
     x0 = (1.0, 0.5, 0.0, 0.0)
     square = InputSignal.square_wave(2, 0, 2.0, 3.0)   # switches at 1.5 s and 3 s, on the grid
     constant = InputSignal.constant([0.3, -0.2])
-    cases = [  # (label, system, x0, signal, config, monitor)
+    hamiltonian = hamiltonian_to_nonlinear(make_rotation_hamiltonian(omega=2.0, r=0.5))
+    listed = NonlinearSystem(2, 1, lambda x, u: [x[1], -x[0] - 0.5 * x[1] + u[0]],
+                             lambda x: x[:1].copy())
+    cases = [  # (label, system, x0, signal, config, monitor[, oracle system and monitor])
         ("square", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), V),
         ("square, no monitor", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), None),
+        # switches inside a step, where the stage inputs at t + step/2 and t + step differ
+        ("square, off grid", plant, x0, square, IntegratorConfig(step=7e-4, t_end=4.0), V),
         ("zero", plant, x0, InputSignal.zero(2), IntegratorConfig(step=1e-3, t_end=0.5), V),
         ("constant", plant, x0, constant, IntegratorConfig(step=1e-3, t_end=0.5), None),
         ("euler", plant, x0, square, IntegratorConfig(1e-3, 4.0, method="Euler"), V),
         ("euler constant", plant, x0, constant, IntegratorConfig(1e-3, 0.5, method="Euler"), None),
+        _closed_loop_cases("pendulum-stabilize", InputSignal.zero(2), 5.0),
+        _closed_loop_cases("pendulum-sync", get_scenario("pendulum-sync").signal, 4.0),
+        _closed_loop_cases("linear-b", InputSignal.zero(2), 2.0),
+        ("hamiltonian", hamiltonian, (1.0, -0.5), InputSignal.constant([0.25]),
+         IntegratorConfig(step=1e-3, t_end=2.0), make_rotation_hamiltonian().H),
+        ("list-valued f", listed, (1.0, 0.0), InputSignal.square_wave(1, 0, 1.0, 1.0),
+         IntegratorConfig(step=1e-3, t_end=2.0), None),
     ]
     for method in ("RK4", "Euler"):
         cfg = IntegratorConfig(step=1e-3, t_end=2.0, method=method)
@@ -364,10 +434,11 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
              ScalarField(1, lambda x: float(x[0]))),
         ]
     diagnostics = set()
-    for label, sys, start, signal, cfg, monitor in cases:
+    for label, sys, start, signal, cfg, monitor, *oracle in cases:
+        oracle_sys, oracle_monitor = oracle[0] if oracle else (sys, monitor)
         with np.errstate(over="ignore", invalid="ignore"):
             got = simulate(sys, start, signal, cfg, monitor=monitor)
-            want = _simulate_oracle(sys, start, signal, cfg, monitor=monitor)
+            want = _simulate_oracle(oracle_sys, start, signal, cfg, monitor=oracle_monitor)
         for field in ("times", "states", "inputs", "outputs"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (label, field)
         assert (got.storage is None) == (want.storage is None), label
