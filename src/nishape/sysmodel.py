@@ -105,6 +105,7 @@ class ScalarField:
         self._value = value
         self._gradient = gradient
         self.value_floats = lambda x: float(value(np.array(x, dtype=float)))
+        self.gradient_floats = lambda x: _listed(self.gradient(np.array(x, dtype=float)))
         self.name = name
         v0 = float(value(np.zeros(dim)))
         if abs(v0) > TAU_ZERO:
@@ -118,6 +119,7 @@ class ScalarField:
                     None if gradient is None else lambda x: np.array(gradient(x.tolist())),
                     name=name)
         field.value_floats = value
+        field.gradient_floats = gradient or field.gradient_floats
         return field
 
     @property
@@ -132,6 +134,11 @@ class ScalarField:
         if self._gradient is not None:
             return np.asarray(self._gradient(x), dtype=float)
         return central_gradient(self._value, x)
+
+    def gradients(self, xs) -> np.ndarray:
+        """The gradients at the rows of ``xs``: bit for bit the stacked :meth:`gradient`."""
+        grads = [self.gradient_floats(x) for x in np.asarray(xs, dtype=float).tolist()]
+        return np.array(grads, dtype=float).reshape(len(xs), self.dim)
 
 
 def zero_field(dim: int) -> ScalarField:
@@ -195,7 +202,8 @@ class NonlinearSystem:
     def output_jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.h_jacobian is not None:
-            return np.asarray(self.h_jacobian(x), dtype=float)
+            # C order: a Fortran-ordered one takes another BLAS path than a stacked product
+            return np.ascontiguousarray(self.h_jacobian(x), dtype=float)
         return central_jacobian(self.h, x, self.n_io)
 
 
@@ -383,10 +391,19 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     if V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None:
         def w_gradient(x):
             x = np.asarray(x, dtype=float)
-            y = np.asarray(h(x), dtype=float)
-            return V.gradient(x) - np.asarray(h_jacobian(x), dtype=float).T @ F.gradient(y)
+            jac = np.ascontiguousarray(h_jacobian(x), dtype=float)
+            return V.gradient(x) - jac.T @ F.gradient(np.asarray(h(x), dtype=float))
+
+        def w_gradients(xs):  # w_gradient's product stacked: the same kernel per item
+            xs = np.asarray(xs, dtype=float)
+            js = np.array([h_jacobian(x) for x in xs], dtype=float)  # C order, as in w_gradient
+            gf = F.gradients(np.array([h(x) for x in xs], dtype=float).reshape(len(xs), F.dim))
+            return V.gradients(xs) - np.matmul(js.reshape(len(xs), F.dim, n).transpose(0, 2, 1),
+                                               gf[:, :, None])[:, :, 0]
 
     W = ScalarField(n, w_value, w_gradient, name=name)
+    if w_gradient is not None:
+        W.gradients = w_gradients
     if h_floats is not None:
         v_floats, f_floats = V.value_floats, F.value_floats
         W.value_floats = lambda x: v_floats(x) - f_floats(h_floats(x))

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nishape
 from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, NonlinearSystem,
-                     Report, ScalarField, StaticNonlinearity, build_pendulum,
-                     PendulumParams, TAU_ZERO,
+                     Report, ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
+                     PendulumParams, TAU_ZERO, get_scenario,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
                      check_positive_definite, estimate_max_epsilon,
                      flag_hidden_motion, halton_box_samples,
@@ -14,7 +15,9 @@ from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, Nonlinear
                      make_closed_loop, make_shaped_storage, ni_residuals,
                      osni_residuals, report_line,
                      simulate, write_reports_csv, zero_field)
-from nishape.scenarios import ConvergenceReport, SyncReport
+from nishape.certify import dissipation_from_rates, epsilon_from_rates, rate_table
+from nishape.scenarios import ConvergenceReport, SyncReport, _build_parts
+from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
 
@@ -190,6 +193,166 @@ def test_rate_checks_match_the_per_knot_loops_bitwise():
     intervals = _knot_loop_oracle(sys, zero_field(2), traj, 0.0)[3]
     assert len(intervals) == 2 and intervals[-1][1] == traj.times[-1]
     assert flag_hidden_motion(sys, traj).intervals == intervals
+
+
+def _per_knot_rates(sys, V, traj):
+    """The rate sweep as a per-knot loop of 1-D ``@`` products on the numpy
+    callables: (vdot or None, supply, ydot_sq, f_sq)."""
+    n = traj.n_samples
+    vdot = None if V is None else np.empty(n)
+    supply, ydot_sq, f_sq = np.empty(n), np.empty(n), np.empty(n)
+    for k in range(n):
+        x, u = traj.states[k], traj.inputs[k]
+        fx = np.asarray(sys.f(x, u), dtype=float)
+        if vdot is not None:
+            vdot[k] = V.gradient(x) @ fx
+        ydot = sys.output_jacobian(x) @ fx
+        supply[k] = u @ ydot
+        ydot_sq[k] = ydot @ ydot
+        f_sq[k] = fx @ fx
+    return vdot, supply, ydot_sq, f_sq
+
+
+def _assert_rates_bitwise(sys, V, traj):
+    rates = rate_table(sys, V, traj)
+    got = (rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq)
+    for label, g, want in zip(("vdot", "supply", "ydot_sq", "f_sq"), got,
+                              _per_knot_rates(sys, V, traj)):
+        if want is None:
+            assert g is None, label
+        else:
+            assert g.shape == want.shape, label
+            assert g.view(np.uint64).tolist() == want.view(np.uint64).tolist(), label
+    return rates
+
+
+def _mixed_io_system(h_jacobian_order):
+    """A numpy-built plant with 4 states and 3 inputs and outputs whose output
+    Jacobian has no zero entry, in the given memory order ("F", "C"), or none
+    ("fd").  In F order both ``Dh(x) @ fx`` and ``Dh(x).T @ g`` take another
+    BLAS path than in C order, with other bits for most x."""
+    def f(x, u):
+        return np.array([x[1], -np.sin(x[0]) - 0.3 * x[1] + u[0] + u[2],
+                         x[3], -x[2] ** 3 - 0.5 * x[3] + u[1] + 0.2 * x[0]])
+
+    def h(x):
+        return np.array([x[0] + 0.5 * np.sin(x[1]) + 0.2 * x[2] * x[3],
+                         x[2] - 0.3 * x[0] * x[1] + 0.1 * np.sin(x[3]),
+                         x[1] + 0.4 * np.sin(x[2]) - 0.1 * x[0] * x[3]])
+
+    def h_jacobian(x):
+        return np.array([[1.0, 0.5 * np.cos(x[1]), 0.2 * x[3], 0.2 * x[2]],
+                         [-0.3 * x[1], -0.3 * x[0], 1.0, 0.1 * np.cos(x[3])],
+                         [-0.1 * x[3], 1.0, 0.4 * np.cos(x[2]), -0.1 * x[0]]],
+                        order=h_jacobian_order)
+
+    return NonlinearSystem(4, 3, f, h, None if h_jacobian_order == "fd" else h_jacobian)
+
+
+@pytest.mark.parametrize("name", ["linear-a", "linear-b", "pendulum-sync",
+                                  "pendulum-stabilize"])
+def test_rate_table_matches_the_per_knot_loop_bitwise_on_every_scenario(name):
+    sc = get_scenario(name)
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    cfg = IntegratorConfig(step=1e-3, t_end=1.5)  # 1501 knots: a full chunk and a partial one
+    _assert_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg))
+    traj = simulate(closed, sc.x0, sc.signal, cfg)
+    _assert_rates_bitwise(closed, W, traj)
+    assert _assert_rates_bitwise(closed, None, traj).vdot is None
+
+
+def test_rate_table_matches_the_per_knot_loop_bitwise_on_numpy_built_systems():
+    hs = make_rotation_hamiltonian(omega=1.3, r=0.4)
+    ham = hamiltonian_to_nonlinear(hs)
+    traj = simulate(ham, [1.0, -0.5], InputSignal.square_wave(1, 0, 1.0, 0.7),
+                    IntegratorConfig(step=1e-3, t_end=1.2))
+    _assert_rates_bitwise(ham, hs.H, traj)
+
+    x0 = (0.8, -0.4, 0.6, 0.3)
+    signal = InputSignal.square_wave(3, 1, 0.7, 0.4)
+    cfg = IntegratorConfig(step=1e-3, t_end=1.1)
+    V = ScalarField(4, lambda x: 0.5 * float(x @ x) + 1.0 - float(np.cos(x[0])),
+                    lambda x: x + np.array([np.sin(x[0]), 0.0, 0.0, 0.0]))
+    V_fd = ScalarField(4, V.value)
+    F = ScalarField(3, lambda y: float(np.sin(y[0]) * y[1] + 0.3 * y[0] * y[2]),
+                    lambda y: np.array([np.cos(y[0]) * y[1] + 0.3 * y[2], np.sin(y[0]),
+                                        0.3 * y[0]]))
+    for order in ("F", "C", "fd"):
+        sys = _mixed_io_system(order)
+        traj = simulate(sys, x0, signal, cfg)
+        _assert_rates_bitwise(sys, V, traj)
+        _assert_rates_bitwise(sys, V_fd, traj)
+        W = make_shaped_storage(V, F, sys.h, 4, h_jacobian=sys.h_jacobian)
+        assert W.has_analytic_gradient == (order != "fd")
+        _assert_rates_bitwise(sys, W, traj)
+        stacked = np.array([W.gradient(x) for x in traj.states])
+        assert W.gradients(traj.states).view(np.uint64).tolist() == \
+            stacked.view(np.uint64).tolist(), order
+
+
+def test_rate_table_matches_the_per_knot_loop_bitwise_at_chunk_boundaries():
+    sc = get_scenario("pendulum-sync")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    traj = simulate(closed, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=2.048))
+    assert traj.n_samples == 2049
+    for m in (1, 1023, 1024, 1025, 2049):
+        prefix = Trajectory(traj.times[:m], traj.states[:m], traj.inputs[:m], traj.outputs[:m])
+        _assert_rates_bitwise(closed, W, prefix)
+
+
+def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    huge = (1e308, -1e308, 1e308, -1e308)  # the CLI's blow-up start: truncated after one knot
+    # a run that grows for 1492 knots: |fx|^2 overflows at every knot, and the
+    # two terms of grad V . fx overflow to opposite infinities
+    growth = NonlinearSystem.from_floats(
+        2, 1, lambda x, u: (10.0 * x[0] + u[0], -x[1]), lambda x: (x[0] + x[1],),
+        h_jacobian=lambda x: np.array([[1.0, 1.0]]))
+    quartic = ScalarField.from_floats(2, lambda x: 0.25 * sum(z * z * z * z for z in x),
+                                      lambda x: (x[0] * x[0] * x[0], x[1] * x[1] * x[1]))
+    with np.errstate(all="ignore"):
+        for sys, field, x0, signal in (
+                (plant, V, huge, sc.signal), (closed, W, huge, sc.signal),
+                (growth, quartic, (1e300, -1e300), InputSignal.square_wave(1, 0, 1.0, 0.5))):
+            traj = simulate(sys, x0, signal, IntegratorConfig(step=1e-3, t_end=3.0))
+            assert traj.diagnostic is not None
+            rates = _assert_rates_bitwise(sys, field, traj)
+            if sys is not closed:  # the closed loop's one knot has only nan
+                values = np.concatenate([rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq])
+                assert np.isinf(values).any() and np.isnan(values).any()
+    assert traj.n_samples > _CHUNK
+
+
+def test_rate_checks_name_the_missing_storage():
+    plant, _, traj = _pendulum_square_wave_run(t_end=0.1)
+    rates = rate_table(plant, None, traj)
+    with pytest.raises(ValueError, match="V=None"):
+        dissipation_from_rates(rates, 0.0)
+    with pytest.raises(ValueError, match="V=None"):
+        epsilon_from_rates([rates])
+
+
+def test_rate_table_peak_memory_stays_within_one_chunk():
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    n = 20 * _CHUNK
+    states = np.random.default_rng(5).uniform(-8.0, 8.0, size=(n, 4))
+    traj = Trajectory(np.arange(n) * 1e-3, states, np.zeros((n, 2)), states[:, :2])
+    tracemalloc.start()
+    try:
+        rates = rate_table(closed, W, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq))
+    assert held == 4 * 8 * n
+    # the chunk's Python floats and stacked products: well under 1 kB per knot
+    assert peak <= held + 1024 * _CHUNK, (peak, held)
 
 
 def test_osni_rejects_negative_epsilon():

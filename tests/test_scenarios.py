@@ -185,11 +185,15 @@ def _numpy_scalar_models(pp, sp):
         g = -2.0 * beta * e - kappa * e / math.sqrt(e * e + delta * delta)
         return np.array([g - a * b * math.tanh(b * y[0]), -g - a * b * math.tanh(b * y[1])])
 
+    h_jac = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     return {
         "plant f": f,
         "plant h": lambda x: np.array([x[0], x[1]]),
         "V value": v_value,
         "V gradient": v_gradient,
+        "V gradient floats": v_gradient,
+        "sync F gradient floats": sync_gradient,
+        "full F gradient floats": full_gradient,
         "sync F": sync_value,
         "sync phi": sync_gradient,
         "full F": full_value,
@@ -203,19 +207,34 @@ def _numpy_scalar_models(pp, sp):
         "full closed f": lambda x, u: f(x, full_gradient(x[:2]) + u),
         "sync W": lambda x: v_value(x) - sync_value(x[:2]),
         "full W": lambda x: v_value(x) - full_value(x[:2]),
+        "sync W gradient floats": lambda x: v_gradient(x) - h_jac.T @ sync_gradient(x[:2]),
+        "full W gradient floats": lambda x: v_gradient(x) - h_jac.T @ full_gradient(x[:2]),
     }
 
 
+def _storage_fields(pp, sp):
+    """The pendulum's V, both potentials F and both shaped storages W."""
+    plant, V = scenarios.build_pendulum(pp)
+    sync, full = build_sync_shaping(sp), build_full_shaping(sp)
+    W_sync, W_full = (make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian,
+                                          h_floats=plant.h_floats) for nl in (sync, full))
+    return {"V": V, "sync F": sync.potential, "full F": full.potential,
+            "sync W": W_sync, "full W": W_full}
+
+
 def _python_float_models(pp, sp):
-    """The built-in models' numpy callables, and the float forms of the
-    closed loops and shaped storages as the step loop composes them."""
+    """The built-in models' numpy callables, the float forms of the closed
+    loops and shaped storages as the step loop composes them, and the
+    gradient float forms of V, F and W."""
     plant, V = scenarios.build_pendulum(pp)
     sync, full = build_sync_shaping(sp), build_full_shaping(sp)
     lin_a = build_linear_example("a").build_nonlinearity()
     lin_b = build_linear_example("b").build_nonlinearity()
-    W_sync, W_full = (make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian,
-                                          h_floats=plant.h_floats) for nl in (sync, full))
-    models = {
+    fields = _storage_fields(pp, sp)
+    W_sync, W_full = fields["sync W"], fields["full W"]
+    models = {f"{label} gradient floats": lambda x, g=field.gradient_floats: g(x.tolist())
+              for label, field in fields.items()}
+    models |= {
         "plant f": plant.f,
         "plant h": plant.h,
         "V value": V.value,
@@ -303,11 +322,18 @@ def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
             y = x[:2].copy()
             for name, fn in models.items():
                 args = ((x, u) if name.endswith(" f")
-                        else (x,) if name.startswith(("plant", "V")) or name.endswith(" W")
+                        else (x,) if name.startswith(("plant", "V")) or " W" in name
                         else (y,))
                 got, want = _outcome(fn, *args), _outcome(oracle[name], *args)
                 assert got == want, (name, x, u)
     assert np.isinf(states[:, :2]).any()  # infinite angles reached sin and cos
+    # gradients(xs) stacks the gradient_floats checked above, bit for bit
+    with np.errstate(all="ignore"):
+        for name, field in _storage_fields(pp, sp).items():
+            points = states[:, :field.dim]
+            stacked = np.array([field.gradient_floats(p) for p in points.tolist()], dtype=float)
+            assert (field.gradients(points).view(np.uint64).tolist()
+                    == stacked.view(np.uint64).tolist()), name
 
 
 def test_pendulum_rejects_an_underflowing_inertia():
