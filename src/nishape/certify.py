@@ -417,16 +417,12 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > r_excl]
     u0 = np.zeros(sys_cl.n_io)
-
-    def f0(x):
-        return np.asarray(sys_cl.f(x, u0), dtype=float)
-
-    norms = np.array([float(np.linalg.norm(f0(x))) for x in points])
+    norms = np.array([float(np.linalg.norm(sys_cl.f(x, u0))) for x in points])
     i_min = int(np.argmin(norms))
     scale = 1.0 + float(np.max(norms))
     tol_root = 1e-9 * scale
 
-    root = _polished_root(f0, sys_cl.n_states, points, norms, tol_root,
+    root = _polished_root(lambda x: sys_cl.f(x, u0), sys_cl.n_states, points, norms, tol_root,
                           lambda x: float(np.linalg.norm(x)) > r_excl)
 
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"

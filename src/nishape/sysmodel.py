@@ -7,13 +7,13 @@ that may carry the potential they are the gradient of.  Everything here is
 immutable after construction and evaluation routines are expected to be pure,
 so instances are safe to share across threads.
 
-Each model also has a float form of every callable: the same function on
-sequences of Python floats, returning a sequence or a float.  A model built
-with ``from_floats`` states its math once in that form and derives the numpy
-callables from it; a model built from numpy callables gets its float form
-through a one-line adapter (``np.array`` in, ``.tolist()`` out).  The
-composition operations compose float forms with float forms and numpy forms
-with numpy forms, and :func:`nishape.sim.simulate` steps on the float forms.
+Each model stores one form of every callable, its float form: the function
+on sequences of Python floats, returning a sequence or a float.  A model
+built with ``from_floats`` stores the float forms it is given; a model built
+from numpy callables adapts each of them once (``np.array`` in,
+``.tolist()`` out).  The numpy-facing methods derive from the float form, the
+composition operations compose float forms, and :func:`nishape.sim.simulate`
+steps on them.
 """
 
 from __future__ import annotations
@@ -93,47 +93,40 @@ def central_jacobian(func, x, n_out: int, step: Optional[float] = None) -> np.nd
 class ScalarField:
     """A differentiable scalar function on R^dim vanishing at the origin.
 
-    When no analytic gradient is supplied, :meth:`gradient` falls back to
-    central finite differences with step :func:`fd_step`.
+    When no analytic gradient is supplied, the gradient falls back to central
+    finite differences of the value with step :func:`fd_step`.
     """
 
     def __init__(self, dim: int, value, gradient=None, name: str = ""):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim}")
-        self.dim = dim
-        self._value = value
-        self._gradient = gradient
-        self.value_floats = lambda x: float(value(np.array(x, dtype=float)))
-        self.gradient_floats = lambda x: _listed(self.gradient(np.array(x, dtype=float)))
-        self.name = name
-        v0 = float(value(np.zeros(dim)))
-        if abs(v0) > TAU_ZERO:
-            raise ValueError(f"scalar field must vanish at the origin, got value(0) = {v0}")
+        self._store(dim, lambda x: float(value(np.array(x, dtype=float))),
+                    None if gradient is None
+                    else lambda x: _listed(gradient(np.array(x, dtype=float))), name)
 
     @classmethod
     def from_floats(cls, dim: int, value, gradient=None, name: str = "") -> "ScalarField":
         """The field of a float form: ``value(x)`` returns a float and the
         optional ``gradient(x)`` a sequence, for ``x`` a sequence of floats."""
-        field = cls(dim, lambda x: value(x.tolist()),
-                    None if gradient is None else lambda x: np.array(gradient(x.tolist())),
-                    name=name)
-        field.value_floats = value
-        field.gradient_floats = gradient or field.gradient_floats
-        return field
+        return cls.__new__(cls)._store(dim, value, gradient, name)
 
-    @property
-    def has_analytic_gradient(self) -> bool:
-        return self._gradient is not None
+    def _store(self, dim, value, gradient, name):
+        dim = int(dim)
+        if dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim}")
+        self.dim = dim
+        self.value_floats = value
+        self.has_analytic_gradient = gradient is not None
+        self.gradient_floats = gradient or (lambda x: central_gradient(self.value, x).tolist())
+        self.name = name
+        v0 = float(value([0.0] * dim))
+        if not abs(v0) <= TAU_ZERO:
+            raise ValueError(f"scalar field must vanish at the origin, got value(0) = {v0}")
+        return self
 
     def value(self, x) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+        return float(self.value_floats(np.asarray(x, dtype=float).tolist()))
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._gradient is not None:
-            return np.asarray(self._gradient(x), dtype=float)
-        return central_gradient(self._value, x)
+        return np.asarray(self.gradient_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def gradients(self, xs) -> np.ndarray:
         """The gradients at the rows of ``xs``: bit for bit the stacked :meth:`gradient`."""
@@ -143,7 +136,7 @@ class ScalarField:
 
 def zero_field(dim: int) -> ScalarField:
     """The identically-zero field (useful as an empty potential)."""
-    return ScalarField(dim, lambda x: 0.0, lambda x: np.zeros(dim), name="0")
+    return ScalarField.from_floats(dim, lambda x: 0.0, lambda x: [0.0] * dim, name="0")
 
 
 class NonlinearSystem:
@@ -152,52 +145,53 @@ class NonlinearSystem:
     Input and output share the dimension ``n_io <= n_states`` and the origin
     must be an equilibrium: ``f(0, 0) = 0`` and ``h(0) = 0`` are enforced at
     construction, together with a determinism probe (two evaluations of ``f``
-    at identical arguments must agree bitwise).  ``h_jacobian`` is optional;
-    without it :meth:`output_jacobian` uses central differences.
+    at identical arguments must agree bitwise).  ``h_jacobian`` is an optional
+    numpy callable; without it :meth:`output_jacobian` uses central differences.
     """
 
     def __init__(self, n_states: int, n_io: int, f, h, h_jacobian=None, name: str = ""):
-        n_states = int(n_states)
-        n_io = int(n_io)
+        self._store(n_states, n_io,
+                    lambda x, u: _listed(f(np.array(x, dtype=float), np.array(u, dtype=float))),
+                    lambda x: _listed(h(np.array(x, dtype=float))), h_jacobian, name)
+
+    @classmethod
+    def from_floats(cls, n_states: int, n_io: int, f, h, h_jacobian=None,
+                    name: str = "") -> "NonlinearSystem":
+        """The system of float forms ``f(x, u)`` and ``h(x)``: sequences of
+        floats in, a sequence out."""
+        return cls.__new__(cls)._store(n_states, n_io, f, h, h_jacobian, name)
+
+    def _store(self, n_states, n_io, f, h, h_jacobian, name):
+        n_states, n_io = int(n_states), int(n_io)
         if n_states < 1:
             raise ValueError(f"n_states must be positive, got {n_states}")
         if n_io < 1 or n_io > n_states:
             raise ValueError(
                 f"n_io must satisfy 1 <= n_io <= n_states, got n_io={n_io}, n_states={n_states}")
-        self.n_states = n_states
-        self.n_io = n_io
-        self.f = f
-        self.h = h
-        self.f_floats = lambda x, u: _listed(f(np.array(x, dtype=float), np.array(u, dtype=float)))
-        self.h_floats = lambda x: _listed(h(np.array(x, dtype=float)))
-        self.h_jacobian = h_jacobian
+        self.n_states, self.n_io = n_states, n_io
+        self.f_floats, self.h_floats, self.h_jacobian = f, h, h_jacobian
         self.name = name
-
-        x0 = np.zeros(n_states)
-        u0 = np.zeros(n_io)
+        x0, u0 = [0.0] * n_states, [0.0] * n_io
         fx = np.asarray(f(x0, u0), dtype=float)
         if fx.shape != (n_states,):
             raise ValueError(f"f must return a length-{n_states} vector, got shape {fx.shape}")
-        if np.linalg.norm(fx) > TAU_ZERO:
+        if not np.linalg.norm(fx) <= TAU_ZERO:
             raise ValueError(f"origin must be an equilibrium: |f(0,0)| = {np.linalg.norm(fx)}")
         if not np.array_equal(fx, np.asarray(f(x0, u0), dtype=float)):
             raise ValueError("f must be deterministic: repeated evaluation disagreed")
         hx = np.asarray(h(x0), dtype=float)
         if hx.shape != (n_io,):
             raise ValueError(f"h must return a length-{n_io} vector, got shape {hx.shape}")
-        if np.linalg.norm(hx) > TAU_ZERO:
+        if not np.linalg.norm(hx) <= TAU_ZERO:
             raise ValueError(f"output must vanish at the origin: |h(0)| = {np.linalg.norm(hx)}")
+        return self
 
-    @classmethod
-    def from_floats(cls, n_states: int, n_io: int, f, h, h_jacobian=None,
-                    name: str = "") -> "NonlinearSystem":
-        """The system of float forms ``f(x, u)`` and ``h(x)``: sequences of
-        floats in, a sequence out.  The derived ``sys.f`` and ``sys.h`` take
-        numpy arrays; ``h_jacobian`` stays a numpy callable."""
-        sys = cls(n_states, n_io, lambda x, u: np.array(f(x.tolist(), u.tolist())),
-                  lambda x: np.array(h(x.tolist())), h_jacobian=h_jacobian, name=name)
-        sys.f_floats, sys.h_floats = f, h
-        return sys
+    def f(self, x, u) -> np.ndarray:
+        return np.asarray(self.f_floats(np.asarray(x, dtype=float).tolist(),
+                                        np.asarray(u, dtype=float).tolist()), dtype=float)
+
+    def h(self, x) -> np.ndarray:
+        return np.asarray(self.h_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def output_jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -219,6 +213,24 @@ class StaticNonlinearity:
 
     def __init__(self, p: int, phi=None, potential: Optional[ScalarField] = None,
                  channels=None, name: str = ""):
+        if phi is None:
+            if channels is None:
+                raise ValueError("either phi or channels must be given")
+            channels = tuple(channels)
+
+            def phi(y):
+                return [float(c(s)) for c, s in zip(channels, y)]
+
+        self._store(p, lambda y: _listed(phi(np.array(y, dtype=float))), potential, channels, name)
+
+    @classmethod
+    def from_floats(cls, p: int, phi, potential: Optional[ScalarField] = None,
+                    channels=None, name: str = "") -> "StaticNonlinearity":
+        """The feedback of a float form ``phi(y)``: a sequence of floats in,
+        a sequence out."""
+        return cls.__new__(cls)._store(p, phi, potential, channels, name)
+
+    def _store(self, p, phi, potential, channels, name):
         p = int(p)
         if p < 1:
             raise ValueError(f"p must be positive, got {p}")
@@ -226,37 +238,22 @@ class StaticNonlinearity:
             channels = tuple(channels)
             if len(channels) != p:
                 raise ValueError(f"need {p} channels, got {len(channels)}")
-        if phi is None:
-            if channels is None:
-                raise ValueError("either phi or channels must be given")
-
-            def phi(y, _channels=channels):
-                y = np.asarray(y, dtype=float)
-                return np.array([float(c(s)) for c, s in zip(_channels, y)])
-
         if potential is not None and potential.dim != p:
             raise ValueError(f"potential dimension {potential.dim} != p = {p}")
         self.p = p
-        self.phi = phi
-        self.phi_floats = lambda y: _listed(phi(np.array(y, dtype=float)))
+        self.phi_floats = phi
         self.potential = potential
         self.channels = channels
         self.name = name
-        v0 = np.asarray(phi(np.zeros(p)), dtype=float)
+        v0 = np.asarray(phi([0.0] * p), dtype=float)
         if v0.shape != (p,):
             raise ValueError(f"phi must return a length-{p} vector, got shape {v0.shape}")
-        if np.linalg.norm(v0) > TAU_ZERO:
+        if not np.linalg.norm(v0) <= TAU_ZERO:
             raise ValueError(f"phi must vanish at the origin: |phi(0)| = {np.linalg.norm(v0)}")
+        return self
 
-    @classmethod
-    def from_floats(cls, p: int, phi, potential: Optional[ScalarField] = None,
-                    channels=None, name: str = "") -> "StaticNonlinearity":
-        """The feedback of a float form ``phi(y)``: a sequence of floats in,
-        a sequence out.  The derived ``nl.phi`` takes a numpy array."""
-        nl = cls(p, lambda y: np.array(phi(y.tolist())), potential=potential,
-                 channels=channels, name=name)
-        nl.phi_floats = phi
-        return nl
+    def phi(self, y) -> np.ndarray:
+        return np.asarray(self.phi_floats(np.asarray(y, dtype=float).tolist()), dtype=float)
 
 
 class HamiltonianSystem:
@@ -349,64 +346,56 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
         raise ValueError(
             f"plant input/output dimension {sys.n_io} does not match "
             f"nonlinearity dimension {nl.p}")
-    f, h, phi = sys.f, sys.h, nl.phi
-    f_floats, h_floats, phi_floats = sys.f_floats, sys.h_floats, nl.phi_floats
+    f, h, phi = sys.f_floats, sys.h_floats, nl.phi_floats
 
     def f_closed(x, v):
-        return f(x, phi(h(x)) + v)
-
-    def f_closed_floats(x, v):
         # numpy's ``phi(h(x)) + v``, entry by entry: a zero v is still added (-0.0 + 0.0 is 0.0)
-        return f_floats(x, list(map(add, phi_floats(h_floats(x)), v)))
+        return f(x, list(map(add, phi(h(x)), v)))
 
-    closed = NonlinearSystem(sys.n_states, sys.n_io, f_closed, h,
-                             h_jacobian=sys.h_jacobian,
-                             name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
-    closed.f_floats, closed.h_floats = f_closed_floats, h_floats
-    return closed
+    return NonlinearSystem.from_floats(sys.n_states, sys.n_io, f_closed, h,
+                                       h_jacobian=sys.h_jacobian,
+                                       name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
 
 
 def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
                         h_jacobian=None, name: str = "W", h_floats=None) -> ScalarField:
     """Storage shaped along the output: ``W(x) = V(x) - F(h(x))``.
 
-    ``h_floats`` is the float form of ``h`` (a system's ``h_floats``); with
-    it, W's float form composes the float forms of V, F and h, and without
-    it, W's float form adapts the numpy one.  The gradient is assembled by the
-    chain rule only when the gradients of V and F and the output Jacobian are
-    all analytic; any missing piece makes the whole field fall back to finite
-    differences so truncation errors stay on a single scale.
+    ``h`` is a numpy callable and ``h_floats`` its float form (a system's
+    ``h_floats``); without it, ``h`` is adapted.  The gradient is assembled by
+    the chain rule only when the gradients of V and F and the output Jacobian
+    are all analytic; any missing piece makes the whole field fall back to
+    finite differences so truncation errors stay on a single scale.
     """
     n = int(n)
     if V.dim != n:
         raise ValueError(f"V has dimension {V.dim}, expected n = {n}")
-    y0 = np.asarray(h(np.zeros(n)), dtype=float)
+    h_floats = h_floats or (lambda x: _listed(h(np.array(x, dtype=float))))
+    y0 = np.asarray(h_floats([0.0] * n), dtype=float)
     if y0.shape != (F.dim,):
         raise ValueError(f"h maps into R^{y0.size}, but F has dimension {F.dim}")
+    v_value, f_value = V.value_floats, F.value_floats
 
     def w_value(x):
-        return V.value(x) - F.value(h(x))
+        return v_value(x) - f_value(h_floats(x))
 
     w_gradient = None
     if V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None:
         def w_gradient(x):
-            x = np.asarray(x, dtype=float)
-            jac = np.ascontiguousarray(h_jacobian(x), dtype=float)
-            return V.gradient(x) - jac.T @ F.gradient(np.asarray(h(x), dtype=float))
+            jac = np.ascontiguousarray(h_jacobian(np.array(x, dtype=float)), dtype=float)
+            return (np.asarray(V.gradient_floats(x), dtype=float)
+                    - jac.T @ np.asarray(F.gradient_floats(h_floats(x)), dtype=float))
 
         def w_gradients(xs):  # w_gradient's product stacked: the same kernel per item
             xs = np.asarray(xs, dtype=float)
             js = np.array([h_jacobian(x) for x in xs], dtype=float)  # C order, as in w_gradient
-            gf = F.gradients(np.array([h(x) for x in xs], dtype=float).reshape(len(xs), F.dim))
+            ys = np.array([h_floats(x) for x in xs.tolist()], dtype=float).reshape(len(xs), F.dim)
             return V.gradients(xs) - np.matmul(js.reshape(len(xs), F.dim, n).transpose(0, 2, 1),
-                                               gf[:, :, None])[:, :, 0]
+                                               F.gradients(ys)[:, :, None])[:, :, 0]
 
-    W = ScalarField(n, w_value, w_gradient, name=name)
+    W = ScalarField.from_floats(n, w_value, w_gradient, name=name)
     if w_gradient is not None:
         W.gradients = w_gradients
-    if h_floats is not None:
-        v_floats, f_floats = V.value_floats, F.value_floats
-        W.value_floats = lambda x: v_floats(x) - f_floats(h_floats(x))
     return W
 
 
@@ -459,7 +448,7 @@ def gradient_check(field: ScalarField, points) -> GradientCheckReport:
         if pt.shape != (field.dim,):
             raise ValueError(f"probe point has shape {pt.shape}, field dimension is {field.dim}")
         g_an = field.gradient(pt)
-        g_fd = central_gradient(field._value, pt)
+        g_fd = central_gradient(field.value, pt)
         dev = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), floor))
         count += 1
         if dev > worst:

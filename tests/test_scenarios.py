@@ -250,11 +250,9 @@ def _python_float_models(pp, sp):
         "sync W": lambda x: W_sync.value_floats(x.tolist()),
         "full W": lambda x: W_full.value_floats(x.tolist()),
     }
-    if sp.delta * sp.delta > 0.0:  # else phi(0) is 0 / 0 = nan, and no closed loop is built
-        for label, nl in (("sync", sync), ("full", full)):
-            closed = make_closed_loop(plant, nl)
-            models[f"{label} closed f"] = (
-                lambda x, u, f=closed.f_floats: f(x.tolist(), u.tolist()))
+    for label, nl in (("sync", sync), ("full", full)):
+        closed = make_closed_loop(plant, nl)
+        models[f"{label} closed f"] = lambda x, u, f=closed.f_floats: f(x.tolist(), u.tolist())
     return models
 
 
@@ -294,12 +292,13 @@ def _outcome(fn, *args):
 
 
 # The second and third sets isolate each square of V on a one-entry probe
-# (no gravity; no coupling spring, or no hinge springs).
+# (no gravity; no coupling spring, or no hinge springs), with delta * delta a
+# subnormal 1e-320 (a delta whose square underflows to zero is rejected).
 @pytest.mark.parametrize("pp, sp", [
     (PendulumParams(), ShapingParams()),
-    (PendulumParams(kc=0.0, dc=0.0, g=0.0), ShapingParams(delta=1e-200, kappa=0.0)),
-    (PendulumParams(m1=1e-300, k1=0.0, k2=0.0, g=0.0), ShapingParams(delta=1e-200, beta=0.0)),
-], ids=["defaults", "kc0-delta1e-200", "springless-tiny-mass"])
+    (PendulumParams(kc=0.0, dc=0.0, g=0.0), ShapingParams(delta=1e-160, kappa=0.0)),
+    (PendulumParams(m1=1e-300, k1=0.0, k2=0.0, g=0.0), ShapingParams(delta=1e-160, beta=0.0)),
+], ids=["defaults", "kc0-delta1e-160", "springless-tiny-mass"])
 def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
     oracle = _numpy_scalar_models(pp, sp)
     models = _python_float_models(pp, sp)
@@ -339,6 +338,13 @@ def test_model_callables_match_the_numpy_scalar_formulas_bitwise(pp, sp):
 def test_pendulum_rejects_an_underflowing_inertia():
     with pytest.raises(ValueError, match="underflows"):
         scenarios.build_pendulum(PendulumParams(l1=1e-170))
+
+
+def test_shaping_rejects_a_delta_whose_square_underflows():
+    # delta * delta = 0.0 would make the smoothed |e| divide 0 by 0 at the origin
+    with pytest.raises(ValueError, match="underflows"):
+        ShapingParams(delta=1e-200)
+    assert ShapingParams(delta=1e-160).delta == 1e-160  # a subnormal square is kept
 
 
 # ---------------------------------------------------------------------------

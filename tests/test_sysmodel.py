@@ -50,6 +50,23 @@ def test_static_nonlinearity_must_vanish_at_origin():
         StaticNonlinearity(1, lambda y: y + 1.0)
 
 
+@pytest.mark.parametrize("from_floats", [False, True], ids=["numpy", "floats"])
+def test_nan_at_the_origin_is_rejected(from_floats):
+    # NaN fails every "<= TAU_ZERO" test, so it cannot pass for "close to zero"
+    def build(cls, *args):
+        return cls.from_floats(*args) if from_floats else cls(*args)
+
+    zero, nan = (lambda *args: [0.0, 0.0]), (lambda *args: [math.nan, math.nan])
+    with pytest.raises(ValueError, match="equilibrium"):
+        build(NonlinearSystem, 2, 2, nan, zero)
+    with pytest.raises(ValueError, match="vanish"):
+        build(NonlinearSystem, 2, 2, zero, nan)
+    with pytest.raises(ValueError, match="vanish"):
+        build(ScalarField, 2, lambda x: math.nan)
+    with pytest.raises(ValueError, match="vanish"):
+        build(StaticNonlinearity, 2, nan)
+
+
 def test_hamiltonian_rejects_non_skew_J():
     H = ScalarField(2, lambda x: 0.5 * float(x @ x))
     from nishape import HamiltonianSystem
@@ -183,6 +200,127 @@ def test_shaped_storage_dimension_mismatch():
     V = _quadratic_storage()
     with pytest.raises(ValueError, match="dimension"):
         make_shaped_storage(V, zero_field(2), lambda x: x.copy(), 3)
+
+
+# ---------------------------------------------------------------------------
+# One stored form: the compositions against their numpy oracles, and the two
+# constructors against each other
+
+
+def _bits(values):
+    """Bit patterns of a float or a vector, every NaN made one: which operand's
+    NaN an operation on two NaNs returns differs between numpy and Python."""
+    out = np.atleast_1d(np.array(values, dtype=float))
+    out[np.isnan(out)] = math.nan
+    return out.view(np.uint64).tolist()
+
+
+def _oracle_states(rng, dim):
+    """Random states, every sign pattern of a zero state, and random states
+    with one inf or nan entry."""
+    zeros = np.array([[math.copysign(0.0, 1 - 2 * (k >> i & 1)) for i in range(dim)]
+                      for k in range(2 ** dim)])
+    special = rng.uniform(-8.0, 8.0, size=(60, dim))
+    special[np.arange(60), rng.integers(0, dim, 60)] = rng.choice(
+        [math.inf, -math.inf, math.nan], 60)
+    return np.vstack([rng.uniform(-8.0, 8.0, size=(200, dim)), zeros, special])
+
+
+# linear-b's plant is built from numpy callables, the pendulum from float forms
+@pytest.mark.parametrize("name", ["linear-b", "pendulum-stabilize"])
+def test_closed_loop_is_the_numpy_composition_bitwise(name):
+    sc = get_scenario(name)
+    plant, nl = sc.build_plant(), sc.build_nonlinearity()
+    closed = make_closed_loop(plant, nl)
+    rng = np.random.default_rng(11)
+    states = _oracle_states(rng, plant.n_states)
+    inputs = rng.uniform(-2.0, 2.0, size=(len(states), plant.n_io))
+    # a zero v still turns a -0.0 of phi into 0.0
+    inputs[(states == 0.0).all(axis=1)] = 0.0
+    with np.errstate(all="ignore"):
+        for x, v in zip(states, inputs):
+            want = _bits(plant.f(x, nl.phi(plant.h(x)) + v))
+            assert _bits(closed.f(x, v)) == want, (x, v)
+            assert _bits(closed.f_floats(x.tolist(), v.tolist())) == want, (x, v)
+
+
+@pytest.mark.parametrize("name", ["linear-b", "pendulum-stabilize"])
+@pytest.mark.parametrize("with_h_floats", [True, False], ids=["h_floats", "adapted_h"])
+def test_shaped_storage_is_the_numpy_composition_bitwise(name, with_h_floats):
+    sc = get_scenario(name)
+    plant, V, F = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity().potential
+    W = make_shaped_storage(V, F, plant.h, plant.n_states, h_jacobian=plant.h_jacobian,
+                            h_floats=plant.h_floats if with_h_floats else None)
+    states = _oracle_states(np.random.default_rng(12), plant.n_states)
+    with np.errstate(all="ignore"):
+        for x in states:
+            want = _bits(V.value(x) - F.value(plant.h(x)))
+            assert _bits(W.value(x)) == want, x
+            assert _bits(W.value_floats(x.tolist())) == want, x
+        # the per-point chain rule and the stacked one
+        for x, g in zip(states, W.gradients(states)):
+            assert _bits(W.gradient(x)) == _bits(g), x
+
+
+def _twin_models(from_floats):
+    """A plant, two storages (analytic and finite-difference gradient) and two
+    feedbacks (a map and channels), written on numpy arrays for the plain
+    constructors or on float sequences for ``from_floats``."""
+    def vector(*entries):
+        return list(entries) if from_floats else np.array(entries)
+
+    def f(x, u):
+        return vector(x[1], -x[0] - 0.5 * x[1] - x[0] * x[0] * x[0] + u[0])
+
+    def value(x):
+        return 0.5 * x[0] * x[0] + 0.25 * x[1] * x[1] * x[1] * x[1]
+
+    def gradient(x):
+        return vector(x[0], x[1] * x[1] * x[1])
+
+    def phi(y):
+        return vector(-2.0 * y[0], 3.0 * y[1] * y[1] - y[0])
+
+    def build(cls, *args, **kwargs):
+        return cls.from_floats(*args, **kwargs) if from_floats else cls(*args, **kwargs)
+
+    channels = (lambda s: -2.0 * s, lambda s: 0.5 * s)
+    if from_floats:
+        diagonal = StaticNonlinearity.from_floats(
+            2, lambda y: [c(s) for c, s in zip(channels, y)], channels=channels)
+    else:
+        diagonal = StaticNonlinearity(2, channels=channels)
+    return (build(NonlinearSystem, 2, 1, f, lambda x: vector(x[0]),
+                  h_jacobian=lambda x: np.array([[1.0, 0.0]])),
+            build(ScalarField, 2, value, gradient), build(ScalarField, 2, value),
+            build(StaticNonlinearity, 2, phi), diagonal)
+
+
+def test_plain_and_float_built_twins_agree_on_every_derived_method():
+    plain, floats = _twin_models(False), _twin_models(True)
+    rng = np.random.default_rng(13)
+    states = _oracle_states(rng, 2)
+    inputs = rng.uniform(-2.0, 2.0, size=(len(states), 1))
+    with np.errstate(all="ignore"):
+        for x, u in zip(states, inputs):
+            xs = x.tolist()
+            for a, b in zip(plain, floats):
+                if isinstance(a, NonlinearSystem):
+                    pairs = [(a.f(x, u), b.f(x, u)), (a.h(x), b.h(x)),
+                             (a.f_floats(xs, u.tolist()), b.f_floats(xs, u.tolist())),
+                             (a.h_floats(xs), b.h_floats(xs)),
+                             (a.output_jacobian(x), b.output_jacobian(x))]
+                elif isinstance(a, ScalarField):
+                    assert a.has_analytic_gradient == b.has_analytic_gradient
+                    pairs = [(a.value(x), b.value(x)), (a.gradient(x), b.gradient(x)),
+                             (a.value_floats(xs), b.value_floats(xs)),
+                             (a.gradient_floats(xs), b.gradient_floats(xs))]
+                else:
+                    pairs = [(a.phi(x), b.phi(x)), (a.phi_floats(xs), b.phi_floats(xs))]
+                for got, want in pairs:
+                    assert _bits(got) == _bits(want), (a, x, u)
+        for a, b in zip(plain[1:3], floats[1:3]):
+            assert _bits(a.gradients(states)) == _bits(b.gradients(states))
 
 
 # ---------------------------------------------------------------------------
