@@ -5,8 +5,7 @@ deterministic simulation of the built-in scenarios."""
 
 from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
                        StaticNonlinearity, HamiltonianSystem,
-                       GradientCheckReport, gradient_check,
-                       hamiltonian_to_nonlinear, make_closed_loop,
+                       GradientCheckReport, gradient_check, make_closed_loop,
                        make_shaped_storage, zero_field,
                        TAU_GRAD, TAU_PD, TAU_ZERO)
 from .sim import (InputSignal, IntegratorConfig, Trajectory,
@@ -17,9 +16,9 @@ from .certify import (DefinitenessReport, DissipationReport,
                       DecayIdentityReport, HiddenMotionReport,
                       NonvanishingReport, RateTable, UniquenessReport,
                       check_equilibrium_uniqueness, check_gradient_nonvanishing,
-                      check_positive_definite, estimate_max_epsilon,
-                      flag_hidden_motion, halton_box_samples,
-                      hamiltonian_decay_identity, ni_residuals, osni_residuals,
+                      check_positive_definite, dissipation_from_rates,
+                      epsilon_from_rates, halton_box_samples,
+                      hamiltonian_decay_identity, hidden_motion_from_rates,
                       rate_table, report_line, write_reports_csv)
 from .linear import (SsniCertificate, SlopeBounds, SsniReport, DeyReport,
                      SchurReport, HurwitzReport, MinimalityReport,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -148,38 +148,39 @@ def _root_or_argmin(root, argmin) -> tuple:
 @dataclass(frozen=True, eq=False)
 class RateTable:
     """Per-knot scalars along ``traj``, with ``fx = f(x, u)`` and
-    ``ydot = Dh(x) fx``: ``vdot = grad V(x) . fx`` (None without a storage),
-    ``supply = u . ydot``, ``ydot_sq = |ydot|^2`` and ``f_sq = |fx|^2``."""
+    ``ydot = Dh(x) fx``: ``vdot = grad V(x) . fx``, ``supply = u . ydot``,
+    ``ydot_sq = |ydot|^2`` and ``f_sq = |fx|^2``."""
 
     traj: Trajectory
-    vdot: Optional[np.ndarray]
+    vdot: np.ndarray
     supply: np.ndarray
     ydot_sq: np.ndarray
     f_sq: np.ndarray
 
 
-def rate_table(sys: NonlinearSystem, V: Optional[ScalarField], traj: Trajectory) -> RateTable:
-    """One sweep over the knots of ``traj``; every rate check derives from it.
+def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTable:
+    """One sweep over the knots of ``traj``: the one entry to the trajectory
+    checks, which all derive from its rates (``*_from_rates``).
 
-    The sweep runs ``_CHUNK`` knots at a time: ``sys.f_floats`` and the output
-    Jacobian per knot, one ``V.gradients`` call, then every product as one
-    stacked ``np.matmul``, which runs numpy's kernel of a single ``@`` on each
-    item, so every rate is bit for bit the per-knot ``@`` product.
+    Rates are computed through the vector field at every knot, never by
+    differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
+    time: ``sys.f_floats`` and the output Jacobian per knot, one
+    ``V.gradients`` call, then every product as one stacked ``np.matmul``,
+    which runs numpy's kernel of a single ``@`` on each item, so every rate is
+    bit for bit the per-knot ``@`` product.
     """
-    if V is not None and V.dim != sys.n_states:
+    if V.dim != sys.n_states:
         raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
     if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
         raise ValueError("trajectory dimensions do not match the system")
     n = traj.n_samples
-    vdot = None if V is None else np.empty(n)
-    supply, ydot_sq, f_sq = np.empty((3, n))
+    vdot, supply, ydot_sq, f_sq = np.empty((4, n))
     for a in range(0, n, _CHUNK):
         xs, us = traj.states[a:a + _CHUNK], traj.inputs[a:a + _CHUNK]
         b = a + len(xs)
         fx = np.array([sys.f_floats(x, u) for x, u in zip(xs.tolist(), us.tolist())], float)
         ydot = np.matmul(np.array([sys.output_jacobian(x) for x in xs]), fx[:, :, None])[:, :, 0]
-        if vdot is not None:
-            vdot[a:b] = _row_dots(V.gradients(xs), fx)
+        vdot[a:b] = _row_dots(V.gradients(xs), fx)
         supply[a:b] = _row_dots(us, ydot)
         ydot_sq[a:b] = _row_dots(ydot, ydot)
         f_sq[a:b] = _row_dots(fx, fx)
@@ -208,11 +209,14 @@ class DissipationReport(Report):
 
 
 def dissipation_from_rates(rates: RateTable, epsilon: float) -> DissipationReport:
-    """The residuals of :func:`osni_residuals` from a rate table."""
+    """Residuals ``r = Vdot - u . ydot + epsilon |ydot|^2`` at every knot.
+
+    ``epsilon = 0`` is the NI inequality ``Vdot <= u . ydot``, ``epsilon > 0``
+    the OSNI one.  The pass tolerance scales with the largest sampled supply
+    term.
+    """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if rates.vdot is None:
-        raise ValueError("no storage rate: the rate table was built with V=None")
     residuals = rates.vdot - rates.supply + epsilon * rates.ydot_sq
     tolerance = 1e-6 * (1.0 + float(np.fmax.reduce(np.abs(rates.supply), initial=0.0)))
     worst = int(np.argmax(residuals))
@@ -224,45 +228,20 @@ def dissipation_from_rates(rates: RateTable, epsilon: float) -> DissipationRepor
                              float(epsilon), tolerance, verdict, residuals)
 
 
-def osni_residuals(sys: NonlinearSystem, V: ScalarField, traj: Trajectory,
-                   epsilon: float) -> DissipationReport:
-    """Residuals ``r = Vdot - u . ydot + epsilon |ydot|^2`` along a trajectory.
-
-    Rates are computed through the vector field at every knot:
-    ``Vdot = grad V(x) . f(x, u)`` and ``ydot = Dh(x) f(x, u)``.  The pass
-    tolerance scales with the largest sampled supply term.
-    """
-    return dissipation_from_rates(rate_table(sys, V, traj), epsilon)
-
-
-def ni_residuals(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> DissipationReport:
-    """Residuals of ``Vdot <= u . ydot`` (the epsilon = 0 case, bit for bit)."""
-    return osni_residuals(sys, V, traj, 0.0)
-
-
-def epsilon_from_rates(tables) -> float:
+def epsilon_from_rates(tables: Iterable[RateTable]) -> float:
     """Empirical infimum of ``(u . ydot - Vdot) / |ydot|^2`` over all knots of
     the rate tables with ``|ydot|`` above TAU_ZERO, floored at zero."""
+    tables = list(tables)  # an empty generator is no estimate either
+    if not tables:
+        raise ValueError("at least one rate table is required")
     best = math.inf
     for rates in tables:
-        if rates.vdot is None:
-            raise ValueError("no storage rate: the rate table was built with V=None")
         keep = rates.ydot_sq > TAU_ZERO * TAU_ZERO
         ratios = (rates.supply[keep] - rates.vdot[keep]) / rates.ydot_sq[keep]
         best = min(best, float(np.fmin.reduce(ratios, initial=math.inf)))
     if math.isinf(best):
         return 0.0
     return max(0.0, best)
-
-
-def estimate_max_epsilon(sys: NonlinearSystem, V: ScalarField,
-                         trajs: Sequence[Trajectory]) -> float:
-    """Empirical infimum of ``(u . ydot - Vdot) / |ydot|^2`` over all samples
-    with ``|ydot|`` above TAU_ZERO, floored at zero."""
-    trajs = list(trajs)
-    if not trajs:
-        raise ValueError("at least one trajectory is required")
-    return epsilon_from_rates(rate_table(sys, V, traj) for traj in trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +442,8 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     n_knots = traj.n_samples
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
-    W = make_shaped_storage(hs.H, nl.potential, hs.C, hs.n, h_jacobian=hs.grad_C)
+    W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states,
+                            h_jacobian=hs.output_jacobian, h_floats=hs.h_floats)
     w = np.empty(n_knots)
     rhs = np.empty(n_knots)
     for k, x in enumerate(traj.states):
@@ -496,7 +476,14 @@ class HiddenMotionReport(Report):
 
 
 def hidden_motion_from_rates(rates: RateTable) -> HiddenMotionReport:
-    """Intervals of knots where ``|ydot| < TAU_ZERO`` but ``|xdot| > 100 TAU_ZERO``."""
+    """Flag intervals where the output freezes while the state still moves.
+
+    A knot is suspicious when ``|ydot| < TAU_ZERO`` but
+    ``|xdot| > 100 TAU_ZERO``; consecutive suspicious knots are merged into
+    intervals.  This is a heuristic stand-in for an observability-type
+    hypothesis that is not algorithmically checkable in general.  The storage
+    plays no part: a bare system's table can be built with ``zero_field(n)``.
+    """
     times = rates.traj.times
     flagged = (np.sqrt(rates.ydot_sq) < TAU_ZERO) & (np.sqrt(rates.f_sq) > 100.0 * TAU_ZERO)
     edges = np.flatnonzero(np.diff(flagged, prepend=False, append=False))  # run starts, ends
@@ -504,17 +491,6 @@ def hidden_motion_from_rates(rates: RateTable) -> HiddenMotionReport:
                       for a, b in zip(edges[::2], edges[1::2]))
     n_flagged = int(flagged.sum())
     return HiddenMotionReport(intervals, n_flagged, "pass" if n_flagged == 0 else "flagged")
-
-
-def flag_hidden_motion(sys: NonlinearSystem, traj: Trajectory) -> HiddenMotionReport:
-    """Flag intervals where the output freezes while the state still moves.
-
-    A knot is suspicious when ``|ydot| < TAU_ZERO`` but
-    ``|xdot| > 100 TAU_ZERO``; consecutive suspicious knots are merged into
-    intervals.  This is a heuristic stand-in for an observability-type
-    hypothesis that is not algorithmically checkable in general.
-    """
-    return hidden_motion_from_rates(rate_table(sys, None, traj))
 
 
 # ---------------------------------------------------------------------------

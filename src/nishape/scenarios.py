@@ -43,6 +43,16 @@ from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
 # Parameter sets
 
 
+def _check_params(params, positive, nonnegative) -> None:
+    """Reject a NaN, infinite or negative parameter, and a zero one in
+    ``positive``: a NaN fails every comparison."""
+    for label in positive + nonnegative:
+        value = getattr(params, label)
+        if not (0.0 < value < math.inf if label in positive else 0.0 <= value < math.inf):
+            kind = "strictly positive" if label in positive else "nonnegative"
+            raise ValueError(f"{label} must be {kind} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PendulumParams:
     """Two pendulums on a common pivot: masses, rod lengths, hinge springs and
@@ -61,12 +71,7 @@ class PendulumParams:
     g: float = 9.81
 
     def __post_init__(self):
-        for label in ("m1", "m2", "l1", "l2"):
-            if getattr(self, label) <= 0.0:
-                raise ValueError(f"{label} must be strictly positive")
-        for label in ("k1", "k2", "kc", "d1", "d2", "dc", "g"):
-            if getattr(self, label) < 0.0:
-                raise ValueError(f"{label} must be nonnegative")
+        _check_params(self, ("m1", "m2", "l1", "l2"), ("k1", "k2", "kc", "d1", "d2", "dc", "g"))
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,9 @@ class ShapingParams:
     b: float = 3.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be strictly positive")
+        _check_params(self, ("delta",), ("beta", "kappa", "a", "b"))
         if self.delta * self.delta == 0.0:
             raise ValueError("delta * delta underflows to zero")
-        for label in ("beta", "kappa", "a", "b"):
-            if getattr(self, label) < 0.0:
-                raise ValueError(f"{label} must be nonnegative")
 
 
 def _sq(z: float) -> float:

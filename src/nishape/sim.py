@@ -50,8 +50,10 @@ _CHUNK = 1024  # knots buffered as Python floats between writes into the record
 
 def square_wave_value(t: float, amplitude: float, period: float) -> float:
     """``amplitude * sgn(sin(2 pi t / period))`` with ``sgn(0) := +1``."""
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
+    if not (0.0 < period < math.inf):
+        raise ValueError(f"period must be positive and finite, got {period}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     return amplitude if math.sin(2.0 * math.pi * t / period) >= 0.0 else -amplitude
 
 
@@ -72,13 +74,15 @@ class InputSignal:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.p < 1:
             raise ValueError(f"signal dimension must be positive, got {self.p}")
-        if self.kind == "constant" and len(self.vector) != self.p:
-            raise ValueError("constant signal needs a vector of matching dimension")
+        if self.kind == "constant":
+            if len(self.vector) != self.p:
+                raise ValueError("constant signal needs a vector of matching dimension")
+            if not all(map(math.isfinite, self.vector)):
+                raise ValueError(f"constant signal vector must be finite, got {self.vector}")
         if self.kind == "square_wave":
             if not (0 <= self.channel < self.p):
                 raise ValueError(f"channel {self.channel} out of range for p = {self.p}")
-            if self.period <= 0.0:
-                raise ValueError(f"period must be positive, got {self.period}")
+            square_wave_value(0.0, self.amplitude, self.period)  # rejects a bad period or amplitude
 
     @staticmethod
     def zero(p: int) -> "InputSignal":

@@ -154,12 +154,14 @@ class NonlinearSystem:
                     lambda x, u: _listed(f(np.array(x, dtype=float), np.array(u, dtype=float))),
                     lambda x: _listed(h(np.array(x, dtype=float))), h_jacobian, name)
 
-    @classmethod
-    def from_floats(cls, n_states: int, n_io: int, f, h, h_jacobian=None,
+    @staticmethod
+    def from_floats(n_states: int, n_io: int, f, h, h_jacobian=None,
                     name: str = "") -> "NonlinearSystem":
         """The system of float forms ``f(x, u)`` and ``h(x)``: sequences of
-        floats in, a sequence out."""
-        return cls.__new__(cls)._store(n_states, n_io, f, h, h_jacobian, name)
+        floats in, a sequence out.  Always a plain :class:`NonlinearSystem`,
+        also when called on a subclass."""
+        return NonlinearSystem.__new__(NonlinearSystem)._store(n_states, n_io, f, h,
+                                                               h_jacobian, name)
 
     def _store(self, n_states, n_io, f, h, h_jacobian, name):
         n_states, n_io = int(n_states), int(n_io)
@@ -256,32 +258,23 @@ class StaticNonlinearity:
         return np.asarray(self.phi_floats(np.asarray(y, dtype=float).tolist()), dtype=float)
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(NonlinearSystem):
     """Input-output Hamiltonian system
     ``x' = [J(x) - R(x)] (grad H(x) - grad C(x)^T u)``, ``y = C(x)``.
 
-    J must be skew-symmetric and R symmetric; both are probed at the origin
-    and on a small ring of axis points at construction.  ``grad_C_fn`` is the
-    optional analytic Jacobian of C; central differences otherwise.
+    A :class:`NonlinearSystem` with output ``h = C`` and ``h_jacobian =
+    grad_C_fn`` (the optional analytic Jacobian of C; central differences
+    otherwise), built through the plain constructor.  J must be
+    skew-symmetric and R symmetric; both are probed at the origin and on a
+    small ring of axis points at construction.
     """
 
     _PROBE_RADIUS = 0.1
 
     def __init__(self, n: int, p: int, J, R, H: ScalarField, C, grad_C_fn=None):
         n = int(n)
-        p = int(p)
-        if n < 1 or p < 1 or p > n:
-            raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
         if H.dim != n:
             raise ValueError(f"Hamiltonian dimension {H.dim} != n = {n}")
-        self.n = n
-        self.p = p
-        self.J = J
-        self.R = R
-        self.H = H
-        self.C = C
-        self._grad_C_fn = grad_C_fn
-
         probes = [np.zeros(n)]
         for i in range(n):
             e = np.zeros(n)
@@ -296,17 +289,13 @@ class HamiltonianSystem:
                 raise ValueError(f"J is not skew-symmetric at probe {x}")
             if np.max(np.abs(Rx - Rx.T)) > TAU_ZERO:
                 raise ValueError(f"R is not symmetric at probe {x}")
-        C0 = np.asarray(C(np.zeros(n)), dtype=float)
-        if C0.shape != (p,):
-            raise ValueError(f"C must return a length-{p} vector, got shape {C0.shape}")
-        if np.linalg.norm(C0) > TAU_ZERO:
-            raise ValueError(f"output map must vanish at the origin: |C(0)| = {np.linalg.norm(C0)}")
+        self.J, self.R, self.H = J, R, H
 
-    def grad_C(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._grad_C_fn is not None:
-            return np.asarray(self._grad_C_fn(x), dtype=float)
-        return central_jacobian(self.C, x, self.p)
+        def f(x, u):
+            return (np.asarray(J(x), dtype=float) - np.asarray(R(x), dtype=float)) @ (
+                H.gradient(x) - self.output_jacobian(x).T @ np.asarray(u, dtype=float))
+
+        super().__init__(n, p, f, C, h_jacobian=grad_C_fn, name="hamiltonian")
 
 
 class LinearSystem:
@@ -397,21 +386,6 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     if w_gradient is not None:
         W.gradients = w_gradients
     return W
-
-
-def hamiltonian_to_nonlinear(hs: HamiltonianSystem) -> NonlinearSystem:
-    """Realize the Hamiltonian dynamics as a plain state-space system (J and R
-    were probed when ``hs`` was built)."""
-    J, R, H, C, grad_C = hs.J, hs.R, hs.H, hs.C, hs.grad_C
-
-    def f(x, u):
-        return (np.asarray(J(x), dtype=float) - np.asarray(R(x), dtype=float)) @ (
-            H.gradient(x) - grad_C(x).T @ np.asarray(u, dtype=float))
-
-    def h(x):
-        return np.asarray(C(x), dtype=float)
-
-    return NonlinearSystem(hs.n, hs.p, f, h, h_jacobian=grad_C, name="hamiltonian")
 
 
 # ---------------------------------------------------------------------------

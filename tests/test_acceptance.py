@@ -12,11 +12,10 @@ from nishape import (InputSignal, IntegratorConfig, LinearSystem, SlopeBounds,
                      SsniCertificate, build_full_shaping,
                      build_linear_example, build_pendulum, build_sync_shaping,
                      check_equilibrium_uniqueness, check_positive_definite,
-                     check_ssni, closed_loop_matrix, estimate_max_epsilon,
-                     export_potential_surface, gradient_check,
-                     hamiltonian_decay_identity, hamiltonian_to_nonlinear,
-                     is_hurwitz, make_closed_loop, make_shaped_storage,
-                     monitor_decay, ni_residuals, osni_residuals,
+                     check_ssni, closed_loop_matrix, dissipation_from_rates,
+                     epsilon_from_rates, export_potential_surface, gradient_check,
+                     hamiltonian_decay_identity, is_hurwitz, make_closed_loop,
+                     make_shaped_storage, monitor_decay, rate_table,
                      schur_equivalence, simulate, synchronization_statistic)
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
@@ -135,12 +134,13 @@ def test_06_pendulum_osni_certification():
     trajs = [simulate(plant, rng.uniform(-3.0, 3.0, size=4), InputSignal.zero(2),
                       IntegratorConfig(step=1e-3, t_end=5.0))
              for _ in range(20)]
-    eps_hat = estimate_max_epsilon(plant, V, trajs)
+    eps_hat = epsilon_from_rates([rate_table(plant, V, traj) for traj in trajs])
     square = simulate(plant, (6.0, 4.5, 0.0, 0.0),
                       InputSignal.square_wave(2, 0, 2.0, 3.0),
                       IntegratorConfig(step=1e-3, t_end=30.0))
-    r_ni = ni_residuals(plant, V, square)
-    r_osni = osni_residuals(plant, V, square, 0.5 * eps_hat)
+    rates = rate_table(plant, V, square)
+    r_ni = dissipation_from_rates(rates, 0.0)
+    r_osni = dissipation_from_rates(rates, 0.5 * eps_hat)
     ok = (eps_hat > 0.0
           and r_ni.verdict == "pass" and r_ni.n_violations == 0
           and r_osni.verdict == "pass" and r_osni.n_violations == 0)
@@ -195,7 +195,7 @@ def test_09_potential_surface_minima():
 def test_10_decay_identity_and_order():
     hs = make_rotation_hamiltonian(omega=3.0, r=3.0)
     nl = make_linear_gain_feedback(-0.5)
-    closed = make_closed_loop(hamiltonian_to_nonlinear(hs), nl)
+    closed = make_closed_loop(hs, nl)
     discrepancies = []
     for step in (1e-3, 5e-4):
         traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),

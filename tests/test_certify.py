@@ -9,13 +9,11 @@ from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, Nonlinear
                      Report, ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
                      PendulumParams, TAU_ZERO, get_scenario,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
-                     check_positive_definite, estimate_max_epsilon,
-                     flag_hidden_motion, halton_box_samples,
-                     hamiltonian_decay_identity, hamiltonian_to_nonlinear,
-                     make_closed_loop, make_shaped_storage, ni_residuals,
-                     osni_residuals, report_line,
+                     check_positive_definite, dissipation_from_rates,
+                     epsilon_from_rates, halton_box_samples,
+                     hamiltonian_decay_identity, hidden_motion_from_rates,
+                     make_closed_loop, make_shaped_storage, rate_table, report_line,
                      simulate, write_reports_csv, zero_field)
-from nishape.certify import dissipation_from_rates, epsilon_from_rates, rate_table
 from nishape.scenarios import ConvergenceReport, SyncReport, _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -65,7 +63,7 @@ def test_halton_rejects_degenerate_box():
 
 def test_pendulum_square_wave_is_dissipative():
     plant, V, traj = _pendulum_square_wave_run(t_end=30.0)
-    report = ni_residuals(plant, V, traj)
+    report = dissipation_from_rates(rate_table(plant, V, traj), 0.0)
     assert report.verdict == "pass"
     assert report.n_violations == 0
     assert report.n_samples == traj.n_samples
@@ -73,10 +71,9 @@ def test_pendulum_square_wave_is_dissipative():
 
 def test_lossless_storage_rate_vanishes():
     hs = make_rotation_hamiltonian(omega=1.0, r=0.0)
-    sys = hamiltonian_to_nonlinear(hs)
-    traj = simulate(sys, [1.0, 0.0], InputSignal.zero(1),
+    traj = simulate(hs, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=5.0))
-    report = ni_residuals(sys, hs.H, traj)
+    report = dissipation_from_rates(rate_table(hs, hs.H, traj), 0.0)
     assert report.verdict == "pass"
     assert abs(report.max_violation) <= 1e-12
 
@@ -103,36 +100,38 @@ def test_flipped_hinge_damper_violates_dissipation():
     _, V = build_pendulum(p)
     traj = simulate(bad_plant, (1.0, -0.5, 0.0, 0.0), InputSignal.zero(2),
                     IntegratorConfig(step=1e-3, t_end=5.0))
-    report = ni_residuals(bad_plant, V, traj)
+    report = dissipation_from_rates(rate_table(bad_plant, V, traj), 0.0)
     assert report.verdict == "fail"
     assert report.max_violation > report.tolerance
 
 
 def test_osni_with_zero_epsilon_is_bitwise_ni():
     plant, V, traj = _pendulum_square_wave_run(t_end=2.0)
-    r_ni = ni_residuals(plant, V, traj)
-    r_osni = osni_residuals(plant, V, traj, 0.0)
-    assert np.array_equal(r_ni.residuals, r_osni.residuals)
-    assert r_ni.max_violation == r_osni.max_violation
-    assert r_ni.tolerance == r_osni.tolerance
+    rates = rate_table(plant, V, traj)
+    report = dissipation_from_rates(rates, 0.0)
+    # the NI inequality Vdot <= u . ydot: the epsilon term adds nothing
+    assert np.array_equal(report.residuals, rates.vdot - rates.supply)
+    assert report.max_violation == float(np.max(rates.vdot - rates.supply))
+    assert report.epsilon_used == 0.0
 
 
 def test_osni_passes_at_half_estimate_fails_at_ten_times():
     plant, V, trajs = _random_pendulum_batch()
-    eps_hat = estimate_max_epsilon(plant, V, trajs)
+    tables = [rate_table(plant, V, traj) for traj in trajs]
+    eps_hat = epsilon_from_rates(tables)
     assert eps_hat > 0.0
-    for traj in trajs:
-        assert osni_residuals(plant, V, traj, 0.5 * eps_hat).verdict == "pass"
-    assert any(osni_residuals(plant, V, traj, 10.0 * eps_hat).verdict == "fail"
-               for traj in trajs)
+    for rates in tables:
+        assert dissipation_from_rates(rates, 0.5 * eps_hat).verdict == "pass"
+    assert any(dissipation_from_rates(rates, 10.0 * eps_hat).verdict == "fail"
+               for rates in tables)
 
 
 def test_osni_passes_just_below_the_estimate():
     plant, V, trajs = _random_pendulum_batch(n_traj=3)
-    eps_hat = estimate_max_epsilon(plant, V, trajs)
-    for traj in trajs:
-        report = osni_residuals(plant, V, traj, eps_hat * (1.0 - 1e-6))
-        assert report.verdict == "pass"
+    tables = [rate_table(plant, V, traj) for traj in trajs]
+    eps_hat = epsilon_from_rates(tables)
+    for rates in tables:
+        assert dissipation_from_rates(rates, eps_hat * (1.0 - 1e-6)).verdict == "pass"
 
 
 def _knot_loop_oracle(sys, V, traj, epsilon):
@@ -173,17 +172,19 @@ def test_rate_checks_match_the_per_knot_loops_bitwise():
     plant, V, traj = _pendulum_square_wave_run(t_end=2.0)
     _, max_supply, eps_hat, intervals = _knot_loop_oracle(plant, V, traj, 0.0)
     assert eps_hat > 0.0 and intervals
-    assert estimate_max_epsilon(plant, V, [traj]) == eps_hat
-    assert flag_hidden_motion(plant, traj).intervals == intervals
-    for epsilon, report in ((0.0, ni_residuals(plant, V, traj)),
-                            (0.5 * eps_hat, osni_residuals(plant, V, traj, 0.5 * eps_hat))):
+    rates = rate_table(plant, V, traj)
+    assert epsilon_from_rates([rates]) == eps_hat
+    assert hidden_motion_from_rates(rates).intervals == intervals
+    assert hidden_motion_from_rates(rate_table(plant, zero_field(4), traj)).intervals == intervals
+    for epsilon in (0.0, 0.5 * eps_hat):
+        report = dissipation_from_rates(rates, epsilon)
         residuals = _knot_loop_oracle(plant, V, traj, epsilon)[0]
         assert np.array_equal(report.residuals, residuals)
         assert report.tolerance == 1e-6 * (1.0 + max_supply)
     # several trajectories: one infimum over all of their knots
     _, _, trajs = _random_pendulum_batch(n_traj=2, t_end=0.5)
     oracle = min(_knot_loop_oracle(plant, V, t, 0.0)[2] for t in trajs)
-    assert estimate_max_epsilon(plant, V, trajs) == oracle
+    assert epsilon_from_rates([rate_table(plant, V, t) for t in trajs]) == oracle
 
     # hidden motion in runs of several knots, the last one reaching the end
     sys = NonlinearSystem(2, 1, lambda x, u: np.array([max(u[0], 0.0), -x[1]]),
@@ -192,20 +193,18 @@ def test_rate_checks_match_the_per_knot_loops_bitwise():
                     IntegratorConfig(step=1e-2, t_end=0.9))
     intervals = _knot_loop_oracle(sys, zero_field(2), traj, 0.0)[3]
     assert len(intervals) == 2 and intervals[-1][1] == traj.times[-1]
-    assert flag_hidden_motion(sys, traj).intervals == intervals
+    assert hidden_motion_from_rates(rate_table(sys, zero_field(2), traj)).intervals == intervals
 
 
 def _per_knot_rates(sys, V, traj):
     """The rate sweep as a per-knot loop of 1-D ``@`` products on the numpy
-    callables: (vdot or None, supply, ydot_sq, f_sq)."""
+    callables: (vdot, supply, ydot_sq, f_sq)."""
     n = traj.n_samples
-    vdot = None if V is None else np.empty(n)
-    supply, ydot_sq, f_sq = np.empty(n), np.empty(n), np.empty(n)
+    vdot, supply, ydot_sq, f_sq = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for k in range(n):
         x, u = traj.states[k], traj.inputs[k]
         fx = np.asarray(sys.f(x, u), dtype=float)
-        if vdot is not None:
-            vdot[k] = V.gradient(x) @ fx
+        vdot[k] = V.gradient(x) @ fx
         ydot = sys.output_jacobian(x) @ fx
         supply[k] = u @ ydot
         ydot_sq[k] = ydot @ ydot
@@ -218,11 +217,8 @@ def _assert_rates_bitwise(sys, V, traj):
     got = (rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq)
     for label, g, want in zip(("vdot", "supply", "ydot_sq", "f_sq"), got,
                               _per_knot_rates(sys, V, traj)):
-        if want is None:
-            assert g is None, label
-        else:
-            assert g.shape == want.shape, label
-            assert g.view(np.uint64).tolist() == want.view(np.uint64).tolist(), label
+        assert g.shape == want.shape, label
+        assert g.view(np.uint64).tolist() == want.view(np.uint64).tolist(), label
     return rates
 
 
@@ -259,15 +255,13 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_every_scenario(name):
     _assert_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg))
     traj = simulate(closed, sc.x0, sc.signal, cfg)
     _assert_rates_bitwise(closed, W, traj)
-    assert _assert_rates_bitwise(closed, None, traj).vdot is None
 
 
 def test_rate_table_matches_the_per_knot_loop_bitwise_on_numpy_built_systems():
     hs = make_rotation_hamiltonian(omega=1.3, r=0.4)
-    ham = hamiltonian_to_nonlinear(hs)
-    traj = simulate(ham, [1.0, -0.5], InputSignal.square_wave(1, 0, 1.0, 0.7),
+    traj = simulate(hs, [1.0, -0.5], InputSignal.square_wave(1, 0, 1.0, 0.7),
                     IntegratorConfig(step=1e-3, t_end=1.2))
-    _assert_rates_bitwise(ham, hs.H, traj)
+    _assert_rates_bitwise(hs, hs.H, traj)
 
     x0 = (0.8, -0.4, 0.6, 0.3)
     signal = InputSignal.square_wave(3, 1, 0.7, 0.4)
@@ -327,15 +321,6 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
     assert traj.n_samples > _CHUNK
 
 
-def test_rate_checks_name_the_missing_storage():
-    plant, _, traj = _pendulum_square_wave_run(t_end=0.1)
-    rates = rate_table(plant, None, traj)
-    with pytest.raises(ValueError, match="V=None"):
-        dissipation_from_rates(rates, 0.0)
-    with pytest.raises(ValueError, match="V=None"):
-        epsilon_from_rates([rates])
-
-
 def test_rate_table_peak_memory_stays_within_one_chunk():
     sc = get_scenario("pendulum-stabilize")
     plant, V, nl, W = _build_parts(sc)
@@ -357,8 +342,8 @@ def test_rate_table_peak_memory_stays_within_one_chunk():
 
 def test_osni_rejects_negative_epsilon():
     plant, V, traj = _pendulum_square_wave_run(t_end=1.0)
-    with pytest.raises(ValueError):
-        osni_residuals(plant, V, traj, -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dissipation_from_rates(rate_table(plant, V, traj), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +352,9 @@ def test_osni_rejects_negative_epsilon():
 
 def test_epsilon_estimate_lossless_is_zero():
     hs = make_rotation_hamiltonian(omega=1.0, r=0.0)
-    sys = hamiltonian_to_nonlinear(hs)
-    traj = simulate(sys, [1.0, 0.0], InputSignal.zero(1),
+    traj = simulate(hs, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=3.0))
-    assert estimate_max_epsilon(sys, hs.H, [traj]) == 0.0
+    assert epsilon_from_rates([rate_table(hs, hs.H, traj)]) == 0.0
 
 
 def test_epsilon_estimate_grows_with_damping():
@@ -383,15 +367,15 @@ def test_epsilon_estimate_grows_with_damping():
         plant, V = build_pendulum(p)
         trajs = [simulate(plant, x0, InputSignal.zero(2),
                           IntegratorConfig(step=1e-3, t_end=3.0)) for x0 in starts]
-        estimates.append(estimate_max_epsilon(plant, V, trajs))
+        estimates.append(epsilon_from_rates([rate_table(plant, V, t) for t in trajs]))
     assert estimates[0] > 0.0
     assert estimates[1] >= estimates[0]
 
 
 def test_epsilon_estimate_requires_trajectories():
-    plant, V = build_pendulum()
-    with pytest.raises(ValueError):
-        estimate_max_epsilon(plant, V, [])
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="at least one"):
+            epsilon_from_rates(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +506,7 @@ def test_uniqueness_linear_hurwitz_loop_passes(linear_cases):
 def _closed_rotation(omega=1.0, r=1.0, gain=-0.5):
     hs = make_rotation_hamiltonian(omega=omega, r=r)
     nl = make_linear_gain_feedback(gain)
-    closed = make_closed_loop(hamiltonian_to_nonlinear(hs), nl)
+    closed = make_closed_loop(hs, nl)
     return hs, nl, closed
 
 
@@ -547,7 +531,7 @@ def test_decay_identity_fourth_order_refinement():
 def test_decay_identity_zero_feedback_reduces_to_plant_rate():
     hs = make_rotation_hamiltonian(omega=1.0, r=1.0)
     nl = StaticNonlinearity(1, lambda y: np.zeros(1), potential=zero_field(1))
-    closed = make_closed_loop(hamiltonian_to_nonlinear(hs), nl)
+    closed = make_closed_loop(hs, nl)
     traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = hamiltonian_decay_identity(hs, nl, traj)
@@ -582,14 +566,61 @@ def _nonlinear_hamiltonian():
     return hs, StaticNonlinearity(1, F.gradient, potential=F)
 
 
+def _hamiltonian_oracle(hs):
+    """The Hamiltonian dynamics as a plain numpy-built system:
+    ``(J(x) - R(x)) @ (grad H(x) - grad C(x)^T u)``, ``y = C(x)``."""
+    def jac_C(x):
+        return np.asarray(hs.h_jacobian(x), dtype=float)
+
+    def f(x, u):
+        return (np.asarray(hs.J(x), dtype=float) - np.asarray(hs.R(x), dtype=float)) @ (
+            hs.H.gradient(x) - jac_C(x).T @ np.asarray(u, dtype=float))
+
+    return NonlinearSystem(hs.n_states, hs.n_io, f, hs.h, h_jacobian=jac_C)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("which", ["rotation", "nonlinear"])
+def test_hamiltonian_system_matches_its_numpy_realization_bitwise(which, forced):
+    if which == "rotation":
+        hs, nl = make_rotation_hamiltonian(omega=1.3, r=0.4), make_linear_gain_feedback(-0.5)
+    else:
+        hs, nl = _nonlinear_hamiltonian()
+    assert isinstance(hs, NonlinearSystem)
+    oracle = _hamiltonian_oracle(hs)
+    signal = InputSignal.square_wave(1, 0, 0.8, 0.7) if forced else InputSignal.zero(1)
+    cfg = IntegratorConfig(step=1e-3, t_end=1.2)
+
+    def bits(*arrays):
+        return [a.tobytes() for a in arrays]
+
+    for sys, ref in ((hs, oracle), (make_closed_loop(hs, nl), make_closed_loop(oracle, nl))):
+        traj = simulate(sys, (0.9, -0.6), signal, cfg, monitor=hs.H)
+        want = simulate(ref, (0.9, -0.6), signal, cfg, monitor=hs.H)
+        assert bits(traj.states, traj.outputs, traj.storage) == \
+            bits(want.states, want.outputs, want.storage)
+        got, exp = rate_table(sys, hs.H, traj), rate_table(ref, hs.H, traj)
+        assert bits(got.vdot, got.supply, got.ydot_sq, got.f_sq) == \
+            bits(exp.vdot, exp.supply, exp.ydot_sq, exp.f_sq)
+
+
+def test_hamiltonian_system_rejects_an_output_off_the_origin():
+    hs = make_rotation_hamiltonian()
+    with pytest.raises(ValueError, match="output must vanish"):
+        HamiltonianSystem(2, 1, hs.J, hs.R, hs.H, lambda x: np.array([x[0] + 1.0]))
+    # a float-form system is never a Hamiltonian without J, R and H
+    plain = HamiltonianSystem.from_floats(1, 1, lambda x, u: (-x[0],), lambda x: (x[0],))
+    assert type(plain) is NonlinearSystem
+
+
 def test_decay_identity_matches_the_hand_derived_loop():
     # oracle: the per-knot w = H(x) - F(C(x)) and rhs = -g^T R g with
     # g = grad H - grad C^T grad F(C(x)), written out by hand; the identity
     # reads w and grad W from make_shaped_storage with the same float operations
     hs, nl = _nonlinear_hamiltonian()
     H, F = hs.H, nl.potential
-    W = make_shaped_storage(H, F, hs.C, hs.n, h_jacobian=hs.grad_C)
-    closed = make_closed_loop(hamiltonian_to_nonlinear(hs), nl)
+    W = make_shaped_storage(H, F, hs.h, hs.n_states, h_jacobian=hs.output_jacobian)
+    closed = make_closed_loop(hs, nl)
     rng = np.random.default_rng(37)
     for x0 in rng.uniform(-1.5, 1.5, size=(2, 2)):
         traj = simulate(closed, x0, InputSignal.zero(1), IntegratorConfig(step=1e-3, t_end=1.0))
@@ -597,9 +628,9 @@ def test_decay_identity_matches_the_hand_derived_loop():
         w = np.empty(len(states))
         rhs = np.empty(len(states))
         for k, x in enumerate(states):
-            y = np.asarray(hs.C(x), dtype=float)
+            y = hs.h(x)
             w[k] = H.value(x) - F.value(y)
-            g = H.gradient(x) - hs.grad_C(x).T @ F.gradient(y)
+            g = H.gradient(x) - hs.output_jacobian(x).T @ F.gradient(y)
             rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
         assert np.array_equal([W.value(x) for x in states], w)
         assert np.array_equal([-float(W.gradient(x) @ hs.R(x) @ W.gradient(x))
@@ -640,7 +671,7 @@ def test_shaped_closed_loops_stay_dissipative_for_all_scenarios():
         closed = make_closed_loop(plant, nl)
         traj = simulate(closed, sc.x0, InputSignal.zero(closed.n_io),
                         IntegratorConfig(step=1e-3, t_end=3.0))
-        report = ni_residuals(closed, W, traj)
+        report = dissipation_from_rates(rate_table(closed, W, traj), 0.0)
         assert report.verdict == "pass", name
 
 
@@ -655,7 +686,7 @@ def test_hidden_motion_flags_unobserved_state():
                           h_jacobian=lambda x: np.array([[1.0, 0.0]]))
     traj = simulate(sys, [0.0, 1.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-2, t_end=1.0))
-    report = flag_hidden_motion(sys, traj)
+    report = hidden_motion_from_rates(rate_table(sys, zero_field(2), traj))
     assert report.verdict == "flagged"
     assert report.n_flagged == traj.n_samples
 
@@ -665,7 +696,7 @@ def test_hidden_motion_clean_on_observed_decay():
                           h_jacobian=lambda x: np.eye(1))
     traj = simulate(sys, [1.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-2, t_end=1.0))
-    assert flag_hidden_motion(sys, traj).verdict == "pass"
+    assert hidden_motion_from_rates(rate_table(sys, zero_field(1), traj)).verdict == "pass"
 
 
 # ---------------------------------------------------------------------------

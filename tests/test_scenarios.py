@@ -41,6 +41,16 @@ def test_shaping_params_defaults_and_validation():
         ShapingParams(kappa=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("params, label", [
+    *((PendulumParams, label) for label in ("m1", "m2", "l1", "l2", "k1", "k2", "kc",
+                                             "d1", "d2", "dc", "g")),
+    *((ShapingParams, label) for label in ("beta", "kappa", "delta", "a", "b"))])
+def test_params_reject_a_non_finite_value_by_name(params, label, bad):
+    with pytest.raises(ValueError, match=f"^{label} must be .* and finite, got {bad}$"):
+        params(**{label: bad})
+
+
 # ---------------------------------------------------------------------------
 # Pendulum plant
 

@@ -7,7 +7,7 @@ import pytest
 
 from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField,
                      Trajectory, closed_loop_matrix, get_scenario,
-                     hamiltonian_to_nonlinear, make_closed_loop, make_shaped_storage,
+                     make_closed_loop, make_shaped_storage,
                      monitor_decay, refine_check, scenarios, simulate,
                      square_wave_value, write_trajectory_csv)
 from nishape.sim import _CHUNK
@@ -183,6 +183,21 @@ def test_square_wave_values():
     assert square_wave_value(0.0, 2.0, 3.0) == 2.0    # sgn(0) convention
     with pytest.raises(ValueError):
         square_wave_value(1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("label, build", [
+    ("period", lambda bad: square_wave_value(1.0, 2.0, bad)),
+    ("amplitude", lambda bad: square_wave_value(1.0, bad, 3.0)),
+    ("period", lambda bad: InputSignal.square_wave(2, 0, 1.0, bad)),
+    ("amplitude", lambda bad: InputSignal.square_wave(2, 0, bad, 3.0)),
+    ("vector", lambda bad: InputSignal.constant([0.5, bad]))],
+    ids=["square_wave_value-period", "square_wave_value-amplitude", "square_wave-period",
+         "square_wave-amplitude", "constant-vector"])
+def test_signals_reject_a_non_finite_parameter(label, build, bad):
+    # a nan period used to give -amplitude at every t, a silently wrong input
+    with pytest.raises(ValueError, match=label):
+        build(bad)
 
 
 def test_square_wave_signal_single_channel():
@@ -409,7 +424,7 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     x0 = (1.0, 0.5, 0.0, 0.0)
     square = InputSignal.square_wave(2, 0, 2.0, 3.0)   # switches at 1.5 s and 3 s, on the grid
     constant = InputSignal.constant([0.3, -0.2])
-    hamiltonian = hamiltonian_to_nonlinear(make_rotation_hamiltonian(omega=2.0, r=0.5))
+    hamiltonian = make_rotation_hamiltonian(omega=2.0, r=0.5)
     listed = NonlinearSystem(2, 1, lambda x, u: [x[1], -x[0] - 0.5 * x[1] + u[0]],
                              lambda x: x[:1].copy())
     cases = [  # (label, system, x0, signal, config, monitor[, oracle system and monitor])

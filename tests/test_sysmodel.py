@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nishape import (NonlinearSystem, ScalarField, StaticNonlinearity,
-                     build_full_shaping, gradient_check,
-                     hamiltonian_to_nonlinear, make_closed_loop,
+                     build_full_shaping, gradient_check, make_closed_loop,
                      make_shaped_storage, scenario_names, get_scenario,
                      zero_field, TAU_ZERO)
 from conftest import make_rotation_hamiltonian
@@ -328,8 +327,8 @@ def test_plain_and_float_built_twins_agree_on_every_derived_method():
 
 
 def test_hamiltonian_dynamics_damped_rotation():
-    hs = make_rotation_hamiltonian(omega=1.0, r=1.0)
-    sys = hamiltonian_to_nonlinear(hs)
+    sys = make_rotation_hamiltonian(omega=1.0, r=1.0)
+    assert isinstance(sys, NonlinearSystem)
     # (J - R) grad H at x = (1, 0) with u = 0
     assert np.allclose(sys.f(np.array([1.0, 0.0]), np.zeros(1)),
                        np.array([-1.0, -1.0]), atol=1e-14)
@@ -344,8 +343,7 @@ def test_hamiltonian_dynamics_damped_rotation():
 def test_lossless_hamiltonian_conserves_energy():
     from nishape import simulate, InputSignal, IntegratorConfig
     hs = make_rotation_hamiltonian(omega=1.0, r=0.0)
-    sys = hamiltonian_to_nonlinear(hs)
-    traj = simulate(sys, [1.0, 0.0], InputSignal.zero(1),
+    traj = simulate(hs, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=10.0), monitor=hs.H)
     assert np.max(traj.storage) - np.min(traj.storage) <= 1e-8
 
