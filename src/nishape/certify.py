@@ -343,8 +343,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     box = _as_box(box, field.dim)
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > 0.0]
-    grads = np.array([field.gradient(x) for x in points])
-    grad_norms = np.linalg.norm(grads, axis=1)
+    grad_norms = np.linalg.norm(field.gradients(points), axis=1)
     i_min = int(np.argmin(grad_norms))
     floor = TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
@@ -443,12 +442,11 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
     W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states,
-                            h_jacobian=hs.output_jacobian, h_floats=hs.h_floats)
+                            h_jacobian=hs.output_jacobian)
     w = np.empty(n_knots)
     rhs = np.empty(n_knots)
-    for k, x in enumerate(traj.states):
+    for k, (x, g) in enumerate(zip(traj.states, W.gradients(traj.states))):
         w[k] = W.value(x)
-        g = W.gradient(x)
         rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
     step = traj.step
     lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * step)

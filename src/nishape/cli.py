@@ -74,7 +74,7 @@ def _cmd_surface(args) -> int:
                                           points=args.points)
         print(f"{label}: {report.n_minima} local minima, "
               f"{report.n_plateau} plateau cells -> {path}")
-        ok = ok and not report.degenerate
+        ok = ok and report.passed
     return 0 if ok else 1
 
 

@@ -96,7 +96,9 @@ class SlopeBounds:
     """Per-channel maximum slopes mu_i > 0 of a diagonal nonlinearity."""
 
     def __init__(self, mu):
-        mu = np.array(mu, dtype=float).reshape(-1)
+        mu = np.array(mu, dtype=float)
+        if mu.ndim != 1:  # a matrix M is not a list of per-channel slopes
+            raise ValueError(f"mu must be a flat list of per-channel slopes, got shape {mu.shape}")
         if mu.size < 1 or np.any(mu <= 0.0) or not np.isfinite(mu).all():
             raise ValueError("slope bounds must be finite and strictly positive")
         mu.setflags(write=False)
@@ -315,7 +317,7 @@ def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> Scalar
             total += adaptive_simpson(c, 0.0, float(s))
         return total
 
-    F = ScalarField(phi.p, f_value, phi.phi)
+    F = ScalarField.from_floats(phi.p, f_value, phi.phi_floats)
     return make_shaped_storage(V_Y, F, lambda x: C @ x, cert.sys.n,
                                h_jacobian=lambda x: C, name="W (slope-bound shaped)")
 

@@ -525,8 +525,7 @@ class ScenarioResult:
 
     @property
     def passed(self) -> bool:
-        return all(rep.verdict in ("pass", "skipped", "info", "flagged")
-                   for _, rep in self.checks)
+        return all(rep.passed for _, rep in self.checks)
 
     def lines(self):
         out = [report_line(name, rep) for name, rep in self.checks]
@@ -539,7 +538,7 @@ def _build_parts(sc: Scenario):
     """The scenario's plant, storage V, nonlinearity and shaped storage W."""
     plant, V, nl = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity()
     W = make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
-                            h_jacobian=plant.h_jacobian, name="W", h_floats=plant.h_floats)
+                            h_jacobian=plant.h_jacobian, name="W")
     return plant, V, nl, W
 
 

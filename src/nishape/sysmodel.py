@@ -39,6 +39,7 @@ class Report:
     informational reports) and name their fields: the worst value is the
     smallest of ``worst_fields``, and the witness is the concatenation of
     ``witness_fields`` (scalars or vectors; a field holding None adds nothing).
+    ``passed`` is the one pass policy, read by every caller that gates on a report.
     """
 
     worst_fields: ClassVar[tuple] = ()
@@ -46,7 +47,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.verdict in ("pass", "ok", "skipped", "info", "flagged")
 
     @property
     def worst_value(self) -> float:
@@ -347,19 +348,20 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
 
 
 def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
-                        h_jacobian=None, name: str = "W", h_floats=None) -> ScalarField:
+                        h_jacobian=None, name: str = "W") -> ScalarField:
     """Storage shaped along the output: ``W(x) = V(x) - F(h(x))``.
 
-    ``h`` is a numpy callable and ``h_floats`` its float form (a system's
-    ``h_floats``); without it, ``h`` is adapted.  The gradient is assembled by
-    the chain rule only when the gradients of V and F and the output Jacobian
-    are all analytic; any missing piece makes the whole field fall back to
-    finite differences so truncation errors stay on a single scale.
+    ``h`` is a numpy callable.  A system's bound ``h`` method contributes that
+    system's ``h_floats``; any other callable is adapted once.  The gradient is
+    assembled by the chain rule only when the gradients of V and F and the
+    output Jacobian are all analytic; any missing piece makes the whole field
+    fall back to finite differences so truncation errors stay on a single scale.
     """
     n = int(n)
     if V.dim != n:
         raise ValueError(f"V has dimension {V.dim}, expected n = {n}")
-    h_floats = h_floats or (lambda x: _listed(h(np.array(x, dtype=float))))
+    h_floats = (h.__self__.h_floats if getattr(h, "__func__", None) is NonlinearSystem.h
+                else lambda x: _listed(h(np.array(x, dtype=float))))
     y0 = np.asarray(h_floats([0.0] * n), dtype=float)
     if y0.shape != (F.dim,):
         raise ValueError(f"h maps into R^{y0.size}, but F has dimension {F.dim}")

@@ -45,6 +45,13 @@ def test_certify_linear_pass_and_fail(tmp_path, capsys):
         ("singular", {"A": [[0.0, 0.0], [0.0, -2.0]], "B": [[0.0, 0.0], [0.0, 2.0]]}, 1,
          "dc-gain cross-check: fail (A is singular"),
         ("short-mu", {"mu": [0.5]}, 2, "error: mu has 1 entries, system has 2 channels"),
+        # a matrix mu is not read as a diagonal: a column for 2 channels, a 2 x 2 for 4
+        ("column-mu", {"mu": [[0.5], [0.5]]}, 2,
+         "error: mu must be a flat list of per-channel slopes, got shape (2, 1)"),
+        ("matrix-mu", {"A": np.diag([-1.0, -2.0, -3.0, -4.0]).tolist(),
+                       "B": np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), "C": np.eye(4).tolist(),
+                       "Y": np.eye(4).tolist(), "mu": [[0.5, 0.5], [0.5, 0.5]]}, 2,
+         "error: mu must be a flat list of per-channel slopes, got shape (2, 2)"),
     ]
     for label, changes, code, text in cases:
         path = tmp_path / f"{label}.json"

@@ -238,25 +238,38 @@ def test_dey_shaped_storage_tanh_matches_log_cosh():
         assert W.value(x) == pytest.approx(0.5 * float(x @ x) - F_exact, abs=1e-9)
 
 
+class _FloatFormOnly(StaticNonlinearity):
+    """A feedback whose numpy method must not be called: a composition reads
+    the float form it stores."""
+
+    def phi(self, y):
+        raise AssertionError("the numpy method of phi was adapted again")
+
+
 def test_dey_shaped_storage_matches_the_hand_derived_formulas():
-    # oracle: W = x^T Y^-1 x / 2 - sum_i int_0^{(Cx)_i} phi_i and its gradient
+    # oracle: the numpy composition W = x^T Y^-1 x / 2 - sum_i int_0^{(Cx)_i} phi_i
+    # (the channel integrals folded left to right) and its chain-rule gradient
     # Y^-1 x - C^T phi(Cx), written out by hand; the float operations agree
     rng = np.random.default_rng(31)
     for _ in range(4):
         sys, cert = _random_certified_instance(rng)
         channels = tuple((lambda s, g=g: g * math.tanh(s))
                          for g in rng.uniform(0.2, 2.0, size=sys.p))
-        phi = StaticNonlinearity(sys.p, channels=channels)
-        W = dey_shaped_storage(cert, phi)
+        W = dey_shaped_storage(cert, _FloatFormOnly(sys.p, channels=channels))
         assert W.has_analytic_gradient
         C = sys.C
         Yinv = np.linalg.solve(cert.Y, np.eye(sys.n))
         Yinv = 0.5 * (Yinv + Yinv.T)
-        for x in rng.uniform(-3.0, 3.0, size=(8, sys.n)):
-            F = sum(adaptive_simpson(c, 0.0, float(s)) for c, s in zip(channels, C @ x))
+        xs = rng.uniform(-3.0, 3.0, size=(8, sys.n))
+        for x, g in zip(xs, W.gradients(xs)):
+            y = C @ x
+            F = 0.0
+            for c, s in zip(channels, y):
+                F += adaptive_simpson(c, 0.0, float(s))
             assert W.value(x) == 0.5 * float(x @ Yinv @ x) - F
-            assert np.array_equal(W.gradient(x),
-                                  Yinv @ x - C.T @ np.asarray(phi.phi(C @ x), dtype=float))
+            want = Yinv @ x - C.T @ np.array([c(s) for c, s in zip(channels, y)])
+            assert np.array_equal(W.gradient(x), want)
+            assert np.array_equal(g, want)
 
 
 def test_dey_shaped_storage_requires_diagonal():

@@ -226,8 +226,8 @@ def _storage_fields(pp, sp):
     """The pendulum's V, both potentials F and both shaped storages W."""
     plant, V = scenarios.build_pendulum(pp)
     sync, full = build_sync_shaping(sp), build_full_shaping(sp)
-    W_sync, W_full = (make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian,
-                                          h_floats=plant.h_floats) for nl in (sync, full))
+    W_sync, W_full = (make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian)
+                      for nl in (sync, full))
     return {"V": V, "sync F": sync.potential, "full F": full.potential,
             "sync W": W_sync, "full W": W_full}
 
@@ -512,9 +512,11 @@ def test_run_scenario_linear_a_bundle(tmp_path):
     assert rows[0] == ["check", "verdict", "worst_value", "witness"]
     assert all(row[1] in ("pass", "skipped", "info", "flagged") for row in rows[1:])
 
-    cfg = json.load(open(result.artifacts["scenario_json"]))
+    with open(result.artifacts["scenario_json"]) as fh:
+        cfg = json.load(fh)
     assert cfg["name"] == "linear-a"
-    traj_lines = open(result.artifacts["trajectory"]).read().splitlines()
+    with open(result.artifacts["trajectory"]) as fh:
+        traj_lines = fh.read().splitlines()
     assert traj_lines[0] == "t,x1,x2,v1,v2,y1,y2,W"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,13 @@ from nishape import (NonlinearSystem, ScalarField, StaticNonlinearity,
                      build_full_shaping, gradient_check, make_closed_loop,
                      make_shaped_storage, scenario_names, get_scenario,
                      zero_field, TAU_ZERO)
+from nishape.certify import (DecayIdentityReport, DefinitenessReport, DissipationReport,
+                             HiddenMotionReport, NonvanishingReport, UniquenessReport)
+from nishape.linear import (DeyReport, HurwitzReport, MinimalityReport, SchurReport,
+                            SsniReport)
+from nishape.scenarios import ConvergenceReport, ScenarioResult, SurfaceReport, SyncReport
+from nishape.sim import MonitorDecayReport, RefineReport
+from nishape.sysmodel import GradientCheckReport, Report
 from conftest import make_rotation_hamiltonian
 
 
@@ -243,13 +251,14 @@ def test_closed_loop_is_the_numpy_composition_bitwise(name):
             assert _bits(closed.f_floats(x.tolist(), v.tolist())) == want, (x, v)
 
 
+# a system's bound h contributes its h_floats; any other callable is adapted
 @pytest.mark.parametrize("name", ["linear-b", "pendulum-stabilize"])
-@pytest.mark.parametrize("with_h_floats", [True, False], ids=["h_floats", "adapted_h"])
-def test_shaped_storage_is_the_numpy_composition_bitwise(name, with_h_floats):
+@pytest.mark.parametrize("bound_h", [True, False], ids=["h_floats", "adapted_h"])
+def test_shaped_storage_is_the_numpy_composition_bitwise(name, bound_h):
     sc = get_scenario(name)
     plant, V, F = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity().potential
-    W = make_shaped_storage(V, F, plant.h, plant.n_states, h_jacobian=plant.h_jacobian,
-                            h_floats=plant.h_floats if with_h_floats else None)
+    h = plant.h if bound_h else lambda x: plant.h(x)
+    W = make_shaped_storage(V, F, h, plant.n_states, h_jacobian=plant.h_jacobian)
     states = _oracle_states(np.random.default_rng(12), plant.n_states)
     with np.errstate(all="ignore"):
         for x in states:
@@ -259,6 +268,65 @@ def test_shaped_storage_is_the_numpy_composition_bitwise(name, with_h_floats):
         # the per-point chain rule and the stacked one
         for x, g in zip(states, W.gradients(states)):
             assert _bits(W.gradient(x)) == _bits(g), x
+
+
+def test_shaped_storage_reads_the_float_output_map_of_a_bound_h():
+    seen = []
+
+    def h_floats(x):
+        seen.append(x)
+        return [x[0]]
+
+    plant = NonlinearSystem.from_floats(2, 1, lambda x, u: [x[1], u[0] - x[0]], h_floats)
+    W = make_shaped_storage(_quadratic_storage(), zero_field(1), plant.h, 2)
+    xs = [1.5, -2.0]
+    assert W.value_floats(xs) == 3.125
+    assert seen[-1] is xs
+
+
+_VERDICTS = {  # report type -> {verdict: passed}, the one pass policy as a table
+    GradientCheckReport: {"pass": True, "fail": False, "nothing to check": False},
+    DissipationReport: {"pass": True, "fail": False},
+    DefinitenessReport: {"pass": True, "fail": False},
+    NonvanishingReport: {"pass": True, "fail": False},
+    UniquenessReport: {"pass": True, "fail": False},
+    DecayIdentityReport: {"info": True},
+    HiddenMotionReport: {"pass": True, "flagged": True},
+    SsniReport: {"pass": True, "fail": False},
+    DeyReport: {"pass": True, "fail": False},
+    SchurReport: {"pass": True, "fail": False},
+    HurwitzReport: {"pass": True, "fail": False, "indeterminate": False},
+    MinimalityReport: {"pass": True, "fail": False},
+    SurfaceReport: {"ok": True, "degenerate": False},
+    SyncReport: {"pass": True, "fail": False},
+    ConvergenceReport: {"pass": True, "fail": False},
+    MonitorDecayReport: {"pass": True, "fail": False, "skipped": True},
+    RefineReport: {"info": True},
+}
+
+
+def _report_with_verdict(cls, verdict):
+    fields = {f.name: None for f in dataclasses.fields(cls)}
+    if "verdict" in fields:
+        fields["verdict"] = verdict
+    if cls is SurfaceReport:
+        fields["degenerate"] = verdict == "degenerate"
+    report = cls(**fields)
+    assert report.verdict == verdict
+    return report
+
+
+def _all_subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _all_subclasses(direct)}
+
+
+def test_every_report_type_reads_the_one_pass_policy():
+    assert set(_VERDICTS) == _all_subclasses(Report)
+    for cls, table in _VERDICTS.items():
+        for verdict, passed in table.items():
+            report = _report_with_verdict(cls, verdict)
+            assert report.passed is passed, (cls.__name__, verdict)
+            assert ScenarioResult("t", [("check", report)], {}, {}).passed is passed
 
 
 def _twin_models(from_floats):
