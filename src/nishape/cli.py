@@ -41,6 +41,7 @@ def _cmd_run(args) -> int:
     return 0 if result.passed else 1
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # bad input exits 2 or fails
 def _cmd_certify_linear(args) -> int:
     system, cert, slopes = load_certificate(args.file)
     checks = [("ssni-certificate", check_ssni(cert)),
@@ -78,7 +79,7 @@ def _cmd_surface(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ni-shape",
         description="Storage shaping and absolute-stability checks for NI systems")
@@ -103,10 +104,16 @@ def main(argv=None) -> int:
     surf_p.add_argument("--out", type=str, default=None)
 
     sub.add_parser("list", help="list the registered scenarios")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()  # built once per process: each call only parses
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return 2
     handler = {"run": _cmd_run, "certify-linear": _cmd_certify_linear,
                "surface": _cmd_surface, "list": _cmd_list}[args.command]

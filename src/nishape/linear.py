@@ -25,48 +25,51 @@ from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
 def sym_eigenvalues(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Cyclic Jacobi rotations, iterated until the off-diagonal Frobenius norm
-    drops below 1e-12 times the matrix norm.  Rejects inputs whose norm is not
-    finite or whose asymmetry exceeds TAU_ZERO relative to their norm.
+    Cyclic Jacobi rotations on Python floats, iterated until the off-diagonal
+    Frobenius norm drops below 1e-12 times the matrix norm.  Rejects inputs
+    whose norm is not finite or whose asymmetry exceeds TAU_ZERO relative to
+    their norm.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"need a square matrix, got shape {S.shape}")
-    fro = float(np.linalg.norm(S))
-    if not math.isfinite(fro) or float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
-        raise ValueError("matrix must be finite and symmetric within tolerance")
+    with np.errstate(over="ignore"):  # the norm of entries beyond ~1e154 overflows
+        fro = float(np.linalg.norm(S))
+        if not math.isfinite(fro) and np.isfinite(S).all():
+            raise ValueError("matrix entries are finite but too large for a finite norm")
+        if not math.isfinite(fro) or float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
+            raise ValueError("matrix must be finite and symmetric within tolerance")
     n = S.shape[0]
     if n == 1:
         return np.array([S[0, 0]])
-    A = 0.5 * (S + S.T)
+    A = (0.5 * (S + S.T)).tolist()
     target = 1e-12 * fro
     for _ in range(60):
-        # off-diagonal norm from the entries themselves (a difference of the
-        # full and diagonal sums would cancel catastrophically near zero)
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
+        # off-diagonal norm from the entries, by numpy: a Python sum would not keep
+        # BLAS's order, and full minus diagonal sums would cancel near zero
+        M = np.array(A)
+        off = float(np.linalg.norm(M - np.diag(np.diag(M))))
         if off <= target:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                Ap, Aq = A[p], A[q]
+                apq = Ap[q]
                 if apq == 0.0:
                     continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                tau = (Aq[q] - Ap[p]) / (2.0 * apq)
                 t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
+                for row in A:  # columns p and q, then rows p and q, each rounded as numpy would
+                    a, b = row[p], row[q]
+                    row[p], row[q] = c * a - s * b, s * a + c * b
+                Ap[:], Aq[:] = ([c * a - s * b for a, b in zip(Ap, Aq)],
+                                [s * a + c * b for a, b in zip(Ap, Aq)])
+                Ap[q] = Aq[p] = 0.0
     else:
         raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(A).copy())
+    return np.sort(np.diag(M))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,8 @@ class SlopeBounds:
             raise ValueError(f"mu must be a flat list of per-channel slopes, got shape {mu.shape}")
         if mu.size < 1 or np.any(mu <= 0.0) or not np.isfinite(mu).all():
             raise ValueError("slope bounds must be finite and strictly positive")
+        if math.isinf(1.0 / float(mu.min())):  # a subnormal slope: M^-1 would overflow
+            raise ValueError(f"mu[{np.argmin(mu)}] = {float(mu.min())!r} has no finite reciprocal")
         mu.setflags(write=False)
         self.mu = mu
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nishape import scenario_names
+from nishape import cli, scenario_names
 from nishape.cli import main
 
 
@@ -64,12 +64,38 @@ def test_certify_linear_pass_and_fail(tmp_path, capsys):
     assert main(["certify-linear", str(tmp_path / "missing.json")]) == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 2.0]],
+                                "C": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, 1.0]],
+                                "mu": [0.5, 0.5]}))
+    run = ["run", "linear-a", "--t-end", "1", "--out", str(tmp_path / "out")]
+    calls = [run + ["--seed", "3"], run, ["run", "linear-a", "--step", "0"], ["list"],
+             ["certify-linear", str(cert)]]
+    shared = []
+    for argv in calls:  # one process, one parser
+        shared.append((main(argv), capsys.readouterr().out))
+    for argv, got in zip(calls, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        assert got == (main(argv), capsys.readouterr().out), argv
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+    # the unseeded run after a seeded one reads the default seed 0
+    assert shared[1] == (main(run + ["--seed", "0"]), capsys.readouterr().out)
+    assert shared[0][1] != shared[1][1]
+
+
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
     cert = {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 2.0]],
             "C": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, float("nan")]]}
     (tmp_path / "list.json").write_text(json.dumps([1, 2]))
     (tmp_path / "nan-y.json").write_text(json.dumps(cert))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # finite inputs whose numbers overflow: 1 / mu, and the norms of A Y + Y A^T and of Y
+    (tmp_path / "tiny-mu.json").write_text(json.dumps(
+        {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Y": [[1.0]], "mu": [5e-324]}))
+    (tmp_path / "huge-a.json").write_text(json.dumps(cert | {
+        "A": [[-1e200, 0.0], [0.0, -1e200]], "B": [[1e200, 0.0], [0.0, 1e200]]}))
+    (tmp_path / "huge-y.json").write_text(json.dumps(cert | {"Y": [[1e300, 0.0], [0.0, 1e300]]}))
     out = ["--out", str(tmp_path / "out")]
     cases = [["run", "linear-b", *flag, *out] for flag in (
         ["--x0", "1,2,3"], ["--step", "0"], ["--step", "nan"], ["--t-end", "1e-4"],
@@ -78,12 +104,15 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
     cases += [["surface", "linear-a", *flag, *out] for flag in (
         ["--points", "2"], ["--range", "0"], ["--range", "nan"], ["--points", "1000000"],
         ["--range", "1e308"])]
-    cases += [["certify-linear", str(tmp_path / name)] for name in ("list.json", "nan-y.json", "deep.json")]
+    cases += [["certify-linear", str(tmp_path / name)] for name in (
+        "list.json", "nan-y.json", "deep.json", "tiny-mu.json", "huge-a.json", "huge-y.json")]
     for argv in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
         assert "Traceback" not in captured.err, argv
+        if argv[0] == "certify-linear":  # rejected while loading: one line, nothing on stdout
+            assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
 def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
@@ -142,8 +171,7 @@ def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
     @given(payloads())
     def check(payload):
         path.write_text(json.dumps(payload))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()), np.errstate(all="ignore"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["certify-linear", str(path)]) in (0, 1, 2)
 
     check()

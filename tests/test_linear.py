@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,93 @@ def test_sym_eigenvalues_rejects_asymmetric_input():
         for S in (np.array([[bad]]), np.array([[bad, 0.0], [0.0, 1.0]])):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 sym_eigenvalues(S)
+
+
+def test_sym_eigenvalues_names_a_norm_that_overflows_on_finite_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        with pytest.raises(ValueError, match="finite but too large"):
+            sym_eigenvalues(np.diag([1e300, 1e300]))
+        with pytest.raises(ValueError, match="must be finite and symmetric"):
+            sym_eigenvalues(np.diag([math.inf, 1.0]))
+
+
+def _numpy_rotation_jacobi(S):
+    """Reference: the same Jacobi rotations on a numpy array, each updating
+    columns p and q, then rows p and q, as whole-vector operations."""
+    S = np.asarray(S, dtype=float)
+    fro = float(np.linalg.norm(S))
+    n = S.shape[0]
+    if n == 1:
+        return np.array([S[0, 0]])
+    A = 0.5 * (S + S.T)
+    for _ in range(60):
+        if float(np.linalg.norm(A - np.diag(np.diag(A)))) <= 1e-12 * fro:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, q] = A[q, p] = 0.0
+    else:
+        raise RuntimeError("Jacobi iteration did not converge")
+    return np.sort(np.diag(A).copy())
+
+
+# The (0, 1) rotation divides 2e150 by 2e-300: tau overflows to -inf, and
+# t = -0.0 makes it a rotation by the identity.  The 1e140 entries keep the
+# off-diagonal norm above the stop test's 1e-12 * 1e150.
+TAU_OVERFLOW = np.array([[1e150, 1e-300, 0.0], [1e-300, -1e150, 1e140], [0.0, 1e140, 0.0]])
+
+
+def _jacobi_test_matrices():
+    """2,000 seeded symmetric matrices, n = 1..8 at scales 1e-150..1e150, then
+    the tau overflow."""
+    rng = np.random.default_rng(20261018)
+    for i in range(2000):
+        n = 1 + i % 8
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        kind = (i // 8) % 4
+        if kind == 3:  # repeated eigenvalues: Q diag(d) Q^T with a repeated d
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            d = rng.choice([-1.0, 0.5, 2.0], size=n)
+            S = q @ np.diag(d) @ q.T * scale
+        else:
+            S = rng.normal(size=(n, n)) * scale
+            if kind == 1:  # a zeroed off-diagonal row and column
+                k = int(rng.integers(n))
+                S[k, :k] = S[k, k + 1:] = S[:k, k] = S[k + 1:, k] = 0.0
+            elif kind == 2:  # a diagonal input
+                S = np.diag(np.diag(S))
+        yield 0.5 * (S + S.T)
+    yield TAU_OVERFLOW
+
+
+def test_sym_eigenvalues_match_the_numpy_rotations_bitwise():
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy scalars warn on tau
+        _numpy_rotation_jacobi(TAU_OVERFLOW)
+    count = 0
+    for S in _jacobi_test_matrices():
+        with np.errstate(over="ignore"):
+            expected = _numpy_rotation_jacobi(S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float path warns about nothing
+            assert sym_eigenvalues(S).tobytes() == expected.tobytes(), S
+        count += 1
+    assert count > 2000
 
 
 # ---------------------------------------------------------------------------
