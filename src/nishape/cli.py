@@ -48,17 +48,17 @@ def _cmd_certify_linear(args) -> int:
               ("minimal-realization", check_minimal(system))]
     try:
         gain = dc_gain(system, cert)
-        print(f"dc gain max |entry| = {_fmt(np.max(np.abs(gain)))}")
     except (ArithmeticError, ValueError) as exc:  # mismatch, or a singular A
         print(f"dc-gain cross-check: fail ({exc})")
         return 1
     if slopes is not None:
         checks.append(("slope-bound condition", dey_condition(system, cert, slopes)))
         checks.append(("schur-complement agreement", schur_equivalence(cert, slopes)))
-    ok = True
+    # printed only once every check has run: a usage error leaves no half report
+    print(f"dc gain max |entry| = {_fmt(np.max(np.abs(gain)))}")
     for name, report in checks:
         print(report_line(name, report))
-        ok = ok and report.passed
+    ok = all(report.passed for _, report in checks)
     print(f"overall: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 

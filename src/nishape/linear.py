@@ -72,6 +72,14 @@ def sym_eigenvalues(S) -> np.ndarray:
     return np.sort(np.diag(M))
 
 
+def _min_eigenvalue(S) -> float:
+    """Smallest eigenvalue of a symmetric ``S``, scaled by an exact power of two
+    first where its norm overflows on finite entries (slopes near 1e300 or 1e-300)."""
+    with np.errstate(over="ignore"):  # scaled back, an eigenvalue beyond 1.8e308 is an infinity
+        scale = 0 if math.isfinite(float(np.linalg.norm(S))) else math.frexp(np.max(np.abs(S)))[1]
+        return float(np.ldexp(sym_eigenvalues(np.ldexp(S, -scale))[0], scale))
+
+
 # ---------------------------------------------------------------------------
 # Certificates and slope bounds
 
@@ -232,7 +240,7 @@ def dey_condition(sys: LinearSystem, cert: Optional[SsniCertificate],
     G0 = dc_gain(sys, cert)
     asym = float(np.max(np.abs(G0 - G0.T)))
     G0s = 0.5 * (G0 + G0.T)
-    margin = float(sym_eigenvalues(m.M_inv() - G0s)[0])
+    margin = _min_eigenvalue(m.M_inv() - G0s)
     return DeyReport(margin, asym, "pass" if margin > TAU_PD else "fail")
 
 
@@ -249,8 +257,8 @@ def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> SchurReport:
     Yinv = 0.5 * (Yinv + Yinv.T)
     P1 = m.M_inv() - C @ Y @ C.T
     P2 = Yinv - C.T @ m.M() @ C
-    margin1 = float(sym_eigenvalues(0.5 * (P1 + P1.T))[0])
-    margin2 = float(sym_eigenvalues(0.5 * (P2 + P2.T))[0])
+    margin1 = _min_eigenvalue(0.5 * (P1 + P1.T))
+    margin2 = _min_eigenvalue(0.5 * (P2 + P2.T))
     hold1 = margin1 > 0.0
     hold2 = margin2 > 0.0
     return SchurReport(margin1, margin2, hold1, hold2,

@@ -9,6 +9,7 @@ scenarios are run with steps that put the switch times exactly on the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -48,13 +49,19 @@ class IntegratorConfig:
 _CHUNK = 1024  # knots buffered as Python floats between writes into the record
 
 
-def square_wave_value(t: float, amplitude: float, period: float) -> float:
-    """``amplitude * sgn(sin(2 pi t / period))`` with ``sgn(0) := +1``."""
+def _square_wave(amplitude: float, period: float, high, low):
+    """``t -> high`` where ``sin(2 pi t / period) >= 0``, else ``low``."""
     if not (0.0 < period < math.inf):
         raise ValueError(f"period must be positive and finite, got {period}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    return amplitude if math.sin(2.0 * math.pi * t / period) >= 0.0 else -amplitude
+    sin, two_pi = math.sin, 2.0 * math.pi  # 2.0 * pi * t / period rounds as (2.0 * pi) * t
+    return lambda t: high if sin(two_pi * t / period) >= 0.0 else low
+
+
+def square_wave_value(t: float, amplitude: float, period: float) -> float:
+    """``amplitude * sgn(sin(2 pi t / period))`` with ``sgn(0) := +1``."""
+    return _square_wave(amplitude, period, amplitude, -amplitude)(t)
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,18 @@ class InputSignal:
                 raise ValueError("constant signal needs a vector of matching dimension")
             if not all(map(math.isfinite, self.vector)):
                 raise ValueError(f"constant signal vector must be finite, got {self.vector}")
+        held = self.vector if self.kind == "constant" else (0.0,) * self.p
+        floats = lambda t: held
         if self.kind == "square_wave":
             if not (0 <= self.channel < self.p):
                 raise ValueError(f"channel {self.channel} out of range for p = {self.p}")
-            square_wave_value(0.0, self.amplitude, self.period)  # rejects a bad period or amplitude
+            high, low = (held[:self.channel] + (level,) + held[self.channel + 1:]
+                         for level in (self.amplitude, -self.amplitude))
+            floats = _square_wave(self.amplitude, self.period, high, low)
+        object.__setattr__(self, "_floats", floats)  # t -> the input, a shared tuple
+
+    def __reduce__(self):  # rebuilt by __init__, since the closure above does not pickle
+        return InputSignal, tuple(getattr(self, k) for k in self.__dataclass_fields__)
 
     @staticmethod
     def zero(p: int) -> "InputSignal":
@@ -104,14 +119,6 @@ class InputSignal:
 
     def value(self, t: float) -> np.ndarray:
         return np.array(self._floats(t))
-
-    def _floats(self, t: float) -> list:
-        if self.kind == "constant":
-            return list(self.vector)
-        v = [0.0] * self.p
-        if self.kind == "square_wave":
-            v[self.channel] = square_wave_value(t, self.amplitude, self.period)
-        return v
 
 
 def _read_only(a) -> np.ndarray:
@@ -177,15 +184,43 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
+@functools.cache  # one kernel per (n_states, method), shared by every later run
+def _step_kernel(n: int, method: str):
+    """One step of ``method`` on ``n`` states as straight-line code on locals:
+    ``kernel(f, x, v, v_half, v_full, step, half, sixth)`` returns the new state
+    and the stages, each entry rounded as numpy rounds it on whole vectors."""
+    def each(template):  # "(e0, e1, ..., )" with i = 0 .. n - 1
+        return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
+
+    lines = [each("x{i}") + " = x", each("a{i}") + " = a = f(x, v)"]
+    if method == "RK4":
+        lines += [each("b{i}") + " = b = f(" + each("x{i} + half * a{i}") + ", v_half)",
+                  each("c{i}") + " = c = f(" + each("x{i} + half * b{i}") + ", v_half)",
+                  each("d{i}") + " = d = f(" + each("x{i} + step * c{i}") + ", v_full)",
+                  # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                  "return " + each("x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})")
+                  + ", (a, b, c, d)"]
+    else:
+        lines.append("return " + each("x{i} + step * a{i}") + ", (a,)")
+    namespace = {}
+    exec(compile("def kernel(f, x, v, v_half, v_full, step, half, sixth):\n"
+                 + "".join(f"    {line}\n" for line in lines),
+                 f"<{method} step on {n} states>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig,
              monitor: Optional[ScalarField] = None) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
     The step loop runs on the float forms of the system and the monitor
-    (lists of Python floats), in numpy's operation order, so a run is bitwise
-    the run of the same loop on numpy vectors.  RK4 holds the input at its
-    stage-time values (a square wave is evaluated at t, t + step/2 and
-    t + step; a zero or constant input is evaluated once).  ``monitor`` is
+    (sequences of Python floats), in numpy's operation order, so a run is
+    bitwise the run of the same loop on numpy vectors.  A step is one call of
+    an unrolled kernel, generated on the first run of its ``(n_states,
+    method)`` and cached in the module for every later run; stage states reach
+    ``f`` as tuples.  RK4 holds the input at its stage-time values (a square
+    wave is evaluated at t, t + step/2 and t + step; a zero or constant input
+    is evaluated once).  ``monitor`` is
     sampled at the knots into the storage channel.  A non-finite stage
     derivative or state truncates the trajectory and attaches a diagnostic
     instead of propagating NaNs; one finiteness check on the new state per
@@ -219,6 +254,7 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     f, h = sys.f_floats, sys.h_floats
     w = None if monitor is None else monitor.value_floats
     rk4 = cfg.method == "RK4"
+    kernel = _step_kernel(sys.n_states, cfg.method)
     forced = signal.kind == "square_wave"
     value = signal._floats
     half, sixth = 0.5 * step, step / 6.0
@@ -238,21 +274,10 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             break
         if len(xs) == _CHUNK:
             flush(k + 1)
-        if rk4:
-            if forced:
-                v_half = value(t + 0.5 * step)
-                v_full = value(t + step)
-            k1 = f(x, v)
-            k2 = f([a + half * b for a, b in zip(x, k1)], v_half)
-            k3 = f([a + half * b for a, b in zip(x, k2)], v_half)
-            k4 = f([a + step * b for a, b in zip(x, k3)], v_full)
-            stages = (k1, k2, k3, k4)
-            # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            x_new = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        else:
-            stages = (f(x, v),)
-            x_new = [a + step * b for a, b in zip(x, stages[0])]
+        if forced and rk4:
+            v_half = value(t + half)
+            v_full = value(t + step)
+        x_new, stages = kernel(f, x, v, v_half, v_full, step, half, sixth)
         # One check per step is exact: a NaN or inf in any stage reaches x_new,
         # since its weight (step or step / 6) is positive and 0 * inf is NaN
         # should the weight underflow.  All stages are evaluated before the
@@ -260,8 +285,7 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         # diagnostic, and the truncation point stays the same.
         if not all(map(math.isfinite, x_new)):
             if not all(math.isfinite(s) for stage in stages for s in stage):
-                what = "stage derivative" if rk4 else "derivative"
-                diagnostic = f"non-finite {what} at t = {t:.6g}"
+                diagnostic = f"non-finite {'stage ' if rk4 else ''}derivative at t = {t:.6g}"
             else:
                 diagnostic = f"non-finite state after the step from t = {t:.6g}"
             break

@@ -115,6 +115,23 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
             assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
+def test_extreme_slopes_get_a_whole_report_and_their_verdict(tmp_path, capsys):
+    # the margin matrix Y^-1 - C^T M C (mu = 1e300) or M^-1 - G(0) (mu = 1e-300)
+    # holds about 1e300, whose norm overflows; the verdict is still decidable
+    for mu, code, slope_verdict in ((1e300, 1, "fail"), (1e-300, 0, "pass")):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Y": [[1.0]],
+                                    "mu": [mu]}))
+        assert main(["certify-linear", str(path)]) == code, mu
+        captured = capsys.readouterr()
+        assert captured.err == "", mu
+        lines = captured.out.splitlines()
+        assert len(lines) == 6 and lines[0] == "dc gain max |entry| = 1", mu
+        assert lines[3].startswith(f"slope-bound condition: {slope_verdict}  worst="), mu
+        assert lines[4].startswith("schur-complement agreement: pass  worst="), mu
+        assert lines[5] == f"overall: {'pass' if code == 0 else 'fail'}", mu
+
+
 def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nishape import linear
 from nishape import (InputSignal, IntegratorConfig, LinearSystem,
                      SlopeBounds, SsniCertificate, StaticNonlinearity,
                      adaptive_simpson, check_minimal, check_positive_definite,
@@ -81,6 +82,20 @@ def test_sym_eigenvalues_names_a_norm_that_overflows_on_finite_entries():
             sym_eigenvalues(np.diag([1e300, 1e300]))
         with pytest.raises(ValueError, match="must be finite and symmetric"):
             sym_eigenvalues(np.diag([math.inf, 1.0]))
+
+
+def test_margins_scale_a_matrix_whose_norm_overflows_by_a_power_of_two():
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):  # a finite norm: the eigensolver's own bits
+        S = rng.normal(size=(n, n))
+        S = S + S.T
+        assert linear._min_eigenvalue(S) == sym_eigenvalues(S)[0]
+    # scaled by 2^-k and back: exact here, and infinite where the eigenvalue overflows
+    assert linear._min_eigenvalue(np.diag([3e300, -1e300])) == -1e300
+    assert linear._min_eigenvalue(np.array([[1e300, 1e299], [1e299, 1e300]])) == pytest.approx(9e299)
+    assert linear._min_eigenvalue(np.full((2, 2), -1.7e308)) == -math.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        linear._min_eigenvalue(np.diag([math.inf, 1e300]))
 
 
 def _numpy_rotation_jacobi(S):

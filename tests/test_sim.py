@@ -10,6 +10,7 @@ from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField
                      make_closed_loop, make_shaped_storage,
                      monitor_decay, refine_check, scenarios, simulate,
                      square_wave_value, write_trajectory_csv)
+from nishape import sim
 from nishape.sim import _CHUNK
 
 from conftest import make_rotation_hamiltonian
@@ -206,6 +207,38 @@ def test_square_wave_signal_single_channel():
     assert v[0] == 2.0 and v[1] == 0.0
     with pytest.raises(ValueError):
         InputSignal.square_wave(2, channel=5, amplitude=1.0, period=3.0)
+
+
+def test_square_wave_closure_matches_square_wave_value_bitwise():
+    signal = get_scenario("pendulum-sync").signal
+    amplitude, period = signal.amplitude, signal.period
+    for step in (1e-3, 7e-4):  # on the grid, switch times included, and off it
+        knots = np.arange(int(round(8.0 / step)) + 1, dtype=float) * step
+        for t in [t for k in knots.tolist() for t in (k, k + 0.5 * step, k + step)]:
+            want = square_wave_value(t, amplitude, period)
+            assert want == (amplitude if math.sin(2.0 * math.pi * t / period) >= 0.0
+                            else -amplitude)
+            expected = [0.0] * signal.p
+            expected[signal.channel] = want  # nonzero, so == compares every bit
+            assert list(signal._floats(t)) == expected, (step, t)
+    switch = 0.5 * period  # a switch time on the 1e-3 grid
+    assert signal._floats(switch) != signal._floats(switch + 1e-3)
+    # value() returns a fresh array each call: writing to it leaves the shared tuples alone
+    for t in (0.0, 0.75 * period):
+        v = signal.value(t)
+        v += 100.0
+        assert np.array_equal(signal.value(t), np.array(signal._floats(t)))
+        assert signal.value(t) is not signal.value(t)
+
+
+def test_signals_rebuild_through_pickle_and_copy():
+    import copy
+    import pickle
+    for signal in (InputSignal.zero(2), InputSignal.constant([0.5, -1.0]),
+                   InputSignal.square_wave(2, 1, 2.0, 3.0)):
+        for twin in (pickle.loads(pickle.dumps(signal)), copy.deepcopy(signal)):
+            assert twin == signal
+            assert all(twin._floats(t) == signal._floats(t) for t in (0.0, 1.0, 2.0))
 
 
 def test_constant_signal():
@@ -419,6 +452,18 @@ def _closed_loop_cases(name, signal, t_end):
             IntegratorConfig(step=1e-3, t_end=t_end), W, (_numpy_closed_loop(plant, nl), W_numpy))
 
 
+def _float_ring(n, cap=math.inf):
+    """n float-form states on a ring, ``x_i' = x_{i+1} - 0.3 x_i + sin(x_{i-1}) / 4``
+    plus u on the first; it grows, and past ``|x_1| = cap`` every rate is infinite."""
+    def f(x, u):
+        if abs(x[0]) > cap:
+            return [math.inf] * n
+        return [x[(i + 1) % n] - 0.3 * x[i] + 0.25 * math.sin(x[i - 1]) + (u[0] if i == 0 else 0.0)
+                for i in range(n)]
+
+    return NonlinearSystem.from_floats(n, 1, f, lambda x: [x[0]])
+
+
 def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     plant, V = pendulum
     x0 = (1.0, 0.5, 0.0, 0.0)
@@ -452,6 +497,16 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
             (f"{method} overflow", _huge_rate(), [1.0], InputSignal.constant([1.0]), huge,
              ScalarField(1, lambda x: float(x[0]))),
         ]
+        for n in (3, 16):  # kernels that no model above generates: odd, and wide
+            ring, capped = _float_ring(n), _float_ring(n, cap=2.0)
+            square_sum = ScalarField.from_floats(n, lambda x: sum(z * z for z in x))
+            cases += [
+                (f"{method} ring {n}", ring, [0.1 * (-1) ** i for i in range(n)],
+                 InputSignal.square_wave(1, 0, 1.0, 1.0),
+                 IntegratorConfig(step=1e-3, t_end=2.0, method=method), square_sum),
+                (f"{method} ring {n} truncated", capped, [0.1] * n, InputSignal.zero(1),
+                 IntegratorConfig(step=1e-2, t_end=20.0, method=method), None),
+            ]
     diagnostics = set()
     for label, sys, start, signal, cfg, monitor, *oracle in cases:
         oracle_sys, oracle_monitor = oracle[0] if oracle else (sys, monitor)
@@ -464,9 +519,16 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         if want.storage is not None:
             assert np.array_equal(got.storage, want.storage), label
         assert got.diagnostic == want.diagnostic, label
+        if "ring" in label:
+            assert (want.diagnostic is not None) == label.endswith("truncated"), label
         diagnostics.add(want.diagnostic and want.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t", "non-finite derivative at t",
                            "non-finite state after the step from t"}
+    # the ring runs built one kernel per (n, method); a second run reuses that object
+    kernel, built = sim._step_kernel(16, "RK4"), sim._step_kernel.cache_info().misses
+    simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
+    assert sim._step_kernel.cache_info().misses == built
+    assert sim._step_kernel(16, "RK4") is kernel
 
 
 def _csv_block(rng, n_rows, width, specials):
