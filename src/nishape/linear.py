@@ -377,38 +377,30 @@ def is_hurwitz(Acl) -> HurwitzReport:
     return HurwitzReport(min_eig, residual, "pass" if min_eig > TAU_PD else "fail")
 
 
-def _pivoted_rank(M, rel_tol: float = 1e-9) -> int:
-    """Numerical rank by Gaussian elimination with complete pivoting;
-    pivots below ``rel_tol`` times the largest pivot do not count."""
-    A = np.array(M, dtype=float)
-    rows, cols = A.shape
-    rank = 0
-    first_pivot = None
-    for r in range(min(rows, cols)):
-        sub = np.abs(A[r:, r:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        pivot = sub[i, j]
-        if first_pivot is None:
-            first_pivot = pivot
-        if pivot <= rel_tol * first_pivot:
-            break
-        A[[r, r + i], :] = A[[r + i, r], :]
-        A[:, [r, r + j]] = A[:, [r + j, r]]
-        A[r + 1:, r:] -= np.outer(A[r + 1:, r] / A[r, r], A[r, r:])
-        rank += 1
-    return rank
+def _unit_scaled(block) -> np.ndarray:
+    """``block`` exactly scaled by the power of two that puts its largest entry in
+    [0.5, 1); a zero block stays zero (``frexp(0.0)`` has exponent 0)."""
+    return np.ldexp(block, -math.frexp(float(np.max(np.abs(block), initial=0.0)))[1])
+
+
+def _rank(M) -> int:
+    """Singular values above 1e-9 times the largest."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s > 1e-9 * s.max(initial=0.0)))
 
 
 def check_minimal(sys: LinearSystem) -> MinimalityReport:
-    """Rank tests on the controllability and observability matrices."""
-    n = sys.n
-    ctrb_blocks = [sys.B]
-    obsv_blocks = [sys.C]
+    """Rank tests on the controllability and observability matrices.  A and each
+    Krylov block are scaled by powers of two, so no power of A overflows and the
+    ranks do not change under ``A -> cA``."""
+    n, A = sys.n, _unit_scaled(sys.A)
+    ctrb_blocks = [_unit_scaled(sys.B)]
+    obsv_blocks = [_unit_scaled(sys.C)]
     for _ in range(n - 1):
-        ctrb_blocks.append(sys.A @ ctrb_blocks[-1])
-        obsv_blocks.append(obsv_blocks[-1] @ sys.A)
-    rank_c = _pivoted_rank(np.hstack(ctrb_blocks))
-    rank_o = _pivoted_rank(np.vstack(obsv_blocks))
+        ctrb_blocks.append(_unit_scaled(A @ ctrb_blocks[-1]))
+        obsv_blocks.append(_unit_scaled(obsv_blocks[-1] @ A))
+    rank_c = _rank(np.hstack(ctrb_blocks))
+    rank_o = _rank(np.vstack(obsv_blocks))
     verdict = "pass" if (rank_c == n and rank_o == n) else "fail"
     return MinimalityReport(rank_c, rank_o, n, verdict)
 

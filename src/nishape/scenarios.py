@@ -375,7 +375,7 @@ def scenario_config(name: str) -> dict:
         "description": sc.description,
         "x0": list(sc.x0),
         "signal": dataclasses.asdict(sc.signal) | {"vector": list(sc.signal.vector)},
-        "integrator": dataclasses.asdict(sc.config),
+        "integrator": dataclasses.asdict(sc.config) | {"method": sc.config.method},
         "box": [list(b) for b in sc.box],
         "assumes_output_observability": sc.assumes_output_observability,
     }
@@ -556,8 +556,7 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     """
     sc = get_scenario(name)
     cfg = IntegratorConfig(step=step if step is not None else sc.config.step,
-                           t_end=t_end if t_end is not None else sc.config.t_end,
-                           method=sc.config.method)
+                           t_end=t_end if t_end is not None else sc.config.t_end)
     start = np.array(sc.x0 if x0 is None else x0, dtype=float)
 
     plant, V, nl, W = _build_parts(sc)
@@ -567,7 +566,8 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     extras = {}
 
     probes_y = halton_box_samples(out_box, 100, seed)
-    checks.append(("gradient-consistency F", gradient_check(nl.potential, probes_y)))
+    phi_as_grad_F = ScalarField.from_floats(nl.p, nl.potential.value_floats, nl.phi_floats)
+    checks.append(("gradient-consistency F", gradient_check(phi_as_grad_F, probes_y)))
     probes_x = halton_box_samples(box, 100, seed + 1)
     checks.append(("gradient-consistency V", gradient_check(V, probes_x)))
 

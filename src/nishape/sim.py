@@ -1,10 +1,10 @@
 """Deterministic fixed-step ODE simulation with signal generators,
 trajectory recording, and storage monitoring.
 
-The integrator is classical RK4 at a fixed step (Euler exists only for
-convergence cross-checks).  No adaptivity and no event location: trajectories
-are bitwise reproducible for identical arguments, and the square-wave
-scenarios are run with steps that put the switch times exactly on the grid.
+The integrator is classical RK4 at a fixed step.  No adaptivity and no event
+location: trajectories are bitwise reproducible for identical arguments, and
+the square-wave scenarios are run with steps that put the switch times exactly
+on the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .sysmodel import NonlinearSystem, Report, ScalarField
 class IntegratorConfig:
     step: float
     t_end: float
-    method: str = "RK4"
+    method: ClassVar[str] = "RK4"  # the one integrator
     MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.8 GB, held by its Trajectory
 
     def __post_init__(self):
@@ -34,8 +34,6 @@ class IntegratorConfig:
         if not self.t_end / self.step < math.inf or self.n_steps > self.MAX_STEPS:
             raise ValueError(f"t_end / step must be finite and at most {self.MAX_STEPS}, "
                              f"got {self.t_end} / {self.step}")
-        if self.method not in ("RK4", "Euler"):
-            raise ValueError(f"unknown integration method {self.method!r}")
 
     @property
     def n_steps(self) -> int:
@@ -184,28 +182,25 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-@functools.cache  # one kernel per (n_states, method), shared by every later run
-def _step_kernel(n: int, method: str):
-    """One step of ``method`` on ``n`` states as straight-line code on locals:
+@functools.cache  # one kernel per state dimension, shared by every later run
+def _step_kernel(n: int):
+    """One RK4 step on ``n`` states as straight-line code on locals:
     ``kernel(f, x, v, v_half, v_full, step, half, sixth)`` returns the new state
     and the stages, each entry rounded as numpy rounds it on whole vectors."""
     def each(template):  # "(e0, e1, ..., )" with i = 0 .. n - 1
         return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
 
-    lines = [each("x{i}") + " = x", each("a{i}") + " = a = f(x, v)"]
-    if method == "RK4":
-        lines += [each("b{i}") + " = b = f(" + each("x{i} + half * a{i}") + ", v_half)",
-                  each("c{i}") + " = c = f(" + each("x{i} + half * b{i}") + ", v_half)",
-                  each("d{i}") + " = d = f(" + each("x{i} + step * c{i}") + ", v_full)",
-                  # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-                  "return " + each("x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})")
-                  + ", (a, b, c, d)"]
-    else:
-        lines.append("return " + each("x{i} + step * a{i}") + ", (a,)")
+    lines = [each("x{i}") + " = x", each("a{i}") + " = a = f(x, v)",
+             each("b{i}") + " = b = f(" + each("x{i} + half * a{i}") + ", v_half)",
+             each("c{i}") + " = c = f(" + each("x{i} + half * b{i}") + ", v_half)",
+             each("d{i}") + " = d = f(" + each("x{i} + step * c{i}") + ", v_full)",
+             # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+             "return " + each("x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})")
+             + ", (a, b, c, d)"]
     namespace = {}
     exec(compile("def kernel(f, x, v, v_half, v_full, step, half, sixth):\n"
                  + "".join(f"    {line}\n" for line in lines),
-                 f"<{method} step on {n} states>", "exec"), namespace)
+                 f"<RK4 step on {n} states>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -216,15 +211,14 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     The step loop runs on the float forms of the system and the monitor
     (sequences of Python floats), in numpy's operation order, so a run is
     bitwise the run of the same loop on numpy vectors.  A step is one call of
-    an unrolled kernel, generated on the first run of its ``(n_states,
-    method)`` and cached in the module for every later run; stage states reach
-    ``f`` as tuples.  RK4 holds the input at its stage-time values (a square
-    wave is evaluated at t, t + step/2 and t + step; a zero or constant input
-    is evaluated once).  ``monitor`` is
-    sampled at the knots into the storage channel.  A non-finite stage
-    derivative or state truncates the trajectory and attaches a diagnostic
-    instead of propagating NaNs; one finiteness check on the new state per
-    step detects both.  Knots are written into the record in chunks of
+    an unrolled kernel, generated on the first run of its ``n_states`` and
+    cached in the module for every later run; stage states reach ``f`` as
+    tuples.  RK4 holds the input at its stage-time values (a square wave is
+    evaluated at t, t + step/2 and t + step; a zero or constant input is
+    evaluated once).  ``monitor`` is sampled at the knots into the storage
+    channel.  A non-finite stage derivative or state truncates the trajectory
+    and attaches a diagnostic instead of propagating NaNs; one finiteness check
+    on the new state per step detects both.  Knots are written into the record in chunks of
     ``_CHUNK``, so no whole-run list of Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
@@ -253,8 +247,7 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
 
     f, h = sys.f_floats, sys.h_floats
     w = None if monitor is None else monitor.value_floats
-    rk4 = cfg.method == "RK4"
-    kernel = _step_kernel(sys.n_states, cfg.method)
+    kernel = _step_kernel(sys.n_states)
     forced = signal.kind == "square_wave"
     value = signal._floats
     half, sixth = 0.5 * step, step / 6.0
@@ -263,8 +256,8 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     diagnostic = None
     for k in range(n_steps + 1):
         t = k * step  # bitwise times[k], as a Python float
-        if forced:
-            v = value(t)
+        if forced:  # RK4's stage inputs at t, t + step/2 and t + step
+            v, v_half, v_full = value(t), value(t + half), value(t + step)
         xs.append(x)
         vs.append(v)
         ys.append(h(x))
@@ -274,18 +267,15 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             break
         if len(xs) == _CHUNK:
             flush(k + 1)
-        if forced and rk4:
-            v_half = value(t + half)
-            v_full = value(t + step)
         x_new, stages = kernel(f, x, v, v_half, v_full, step, half, sixth)
         # One check per step is exact: a NaN or inf in any stage reaches x_new,
-        # since its weight (step or step / 6) is positive and 0 * inf is NaN
+        # since its weight step / 6 is positive and 0 * inf is NaN
         # should the weight underflow.  All stages are evaluated before the
         # check, so no f call moves; they are re-checked only to word the
         # diagnostic, and the truncation point stays the same.
         if not all(map(math.isfinite, x_new)):
             if not all(math.isfinite(s) for stage in stages for s in stage):
-                diagnostic = f"non-finite {'stage ' if rk4 else ''}derivative at t = {t:.6g}"
+                diagnostic = f"non-finite stage derivative at t = {t:.6g}"
             else:
                 diagnostic = f"non-finite state after the step from t = {t:.6g}"
             break
@@ -359,7 +349,7 @@ def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
         flags.append("discontinuous input")
     trajectories = []
     for divisor in (1, 2, 4):
-        sub_cfg = IntegratorConfig(step=cfg.step / divisor, t_end=cfg.t_end, method=cfg.method)
+        sub_cfg = IntegratorConfig(step=cfg.step / divisor, t_end=cfg.t_end)
         trajectories.append(simulate(sys, x0, signal, sub_cfg))
     if any(t.diagnostic is not None for t in trajectories):
         flags.append("truncated")

@@ -132,6 +132,24 @@ def test_extreme_slopes_get_a_whole_report_and_their_verdict(tmp_path, capsys):
         assert lines[5] == f"overall: {'pass' if code == 0 else 'fail'}", mu
 
 
+def test_minimality_verdict_does_not_depend_on_the_scale_of_A(tmp_path, capsys):
+    A = 1e6 * np.diag([-1.0, -2.0, -3.0])
+    C = np.ones((1, 3))
+    certificates = {  # B = -A Y C^T with Y = I
+        "c = 1e6": ({"A": A.tolist(), "B": (-A @ C.T).tolist(), "C": C.tolist(),
+                     "Y": np.eye(3).tolist()}, "worst=3  witness=(3, 3)"),
+        "1e120": ({"A": (-1e120 * np.eye(4)).tolist(), "B": (1e120 * np.eye(4)).tolist(),
+                   "C": np.eye(4).tolist(), "Y": np.eye(4).tolist()}, "worst=4  witness=(4, 4)"),
+    }
+    for label, (payload, ranks) in certificates.items():
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert main(["certify-linear", str(path)]) == 0, label
+        captured = capsys.readouterr()
+        assert f"minimal-realization: pass  {ranks}\n" in captured.out, label
+        assert captured.err == "", label
+
+
 def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st

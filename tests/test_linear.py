@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -475,6 +476,72 @@ def test_check_minimal_example_and_failures():
     no_output = LinearSystem(np.diag([-1.0, -2.0]), np.eye(2), np.zeros((2, 2)))
     report = check_minimal(no_output)
     assert report.verdict == "fail" and not report.observable
+
+
+def _exact_rank(rows) -> int:
+    """Rank of an integer matrix by Gaussian elimination on fractions."""
+    M = [[Fraction(int(v)) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(M[0])):
+        pivot = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for r in range(rank + 1, len(M)):
+            factor = M[r][col] / M[rank][col]
+            M[r] = [a - factor * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def _integer_system(rng):
+    """Integer (A, B, C) with entries in [-3, 3] and n <= 4: dense, sparse, or
+    a diagonal A whose B has a zero row and whose C has a zero column."""
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, n + 1))
+    kind = int(rng.integers(3))
+    draw = lambda *shape: rng.integers(-3, 4, size=shape)
+    A, B, C = draw(n, n), draw(n, p), draw(p, n)
+    if kind == 1:  # mostly zeros: Krylov ranks of every size
+        A, B, C = (M * (rng.random(M.shape) < 0.3) for M in (A, B, C))
+    elif kind == 2:
+        A = np.diag(draw(n))
+        B[rng.integers(n)] = 0
+        C[:, rng.integers(n)] = 0
+    return A, B, C
+
+
+def test_check_minimal_ranks_match_exact_rational_ranks_at_every_scale():
+    # Scaling A by 2^k scales the j-th Krylov block by 2^(jk), which leaves the
+    # exact rank alone; the blocks of 2^(-400) A or 2^400 A differ in size by
+    # up to 2^1200, far beyond a relative pivot threshold.
+    rng = np.random.default_rng(20260)
+    seen = set()
+    for _ in range(300):
+        A, B, C = _integer_system(rng)
+        n = A.shape[0]
+        ctrb = np.hstack([np.linalg.matrix_power(A, j) @ B for j in range(n)])
+        obsv = np.vstack([C @ np.linalg.matrix_power(A, j) for j in range(n)])
+        exact = (_exact_rank(ctrb), _exact_rank(obsv.T))
+        seen.add(exact == (n, n))
+        for k in (-400, -20, 0, 20, 400):
+            report = check_minimal(LinearSystem(np.ldexp(A.astype(float), k), B, C))
+            got = (report.rank_controllability, report.rank_observability)
+            assert got == exact, (A.tolist(), B.tolist(), C.tolist(), k)
+    assert seen == {True, False}
+
+
+def test_check_minimal_does_not_depend_on_the_time_unit_of_A():
+    C, Y = np.ones((1, 3)), np.eye(3)
+    for c in (2.0 ** -400, 1e-6, 1.0, 1e6, 2.0 ** 400):
+        A = c * np.diag([-1.0, -2.0, -3.0])
+        report = check_minimal(LinearSystem(A, -A @ Y @ C.T, C))
+        assert (report.rank_controllability, report.rank_observability) == (3, 3), c
+        assert report.verdict == "pass", c
+    # near the largest double, A B overflows unless A itself is scaled first
+    A = 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    report = check_minimal(LinearSystem(A, [[3.0], [3.0]], [[1.0, 0.0]]))
+    assert (report.rank_controllability, report.rank_observability) == (2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 from nishape import scenarios, simulate
-from nishape import (PendulumParams, ScalarField, ShapingParams,
+from nishape import (PendulumParams, ScalarField, ShapingParams, StaticNonlinearity,
                      build_full_shaping, build_linear_example,
                      build_sync_shaping, export_potential_surface, get_scenario,
                      gradient_check, make_closed_loop, make_shaped_storage, run_scenario,
                      scenario_config, scenario_names, synchronization_statistic,
                      Trajectory)
+from nishape.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +420,7 @@ def test_scenario_config_dump():
     assert cfg["pendulum"]["m1"] == 2.0
     assert cfg["shaping"]["kappa"] == 5.0
     assert cfg["integrator"] == {"step": 1e-3, "t_end": 30.0, "method": "RK4"}
+    assert list(cfg["integrator"]) == ["step", "t_end", "method"]  # scenario.json key order
     assert cfg["x0"] == [6.0, 4.5, 0.0, 0.0]
     assert cfg["signal"]["kind"] == "square_wave"
     lin = scenario_config("linear-a")
@@ -594,6 +597,22 @@ def test_run_scenario_overrides(tmp_path):
     result = run_scenario("linear-b", step=2e-3, t_end=2.0, x0=[0.5, -0.5], seed=3)
     assert result.passed
     assert result.artifacts == {}
+
+
+def test_gradient_consistency_f_probes_the_feedback_that_closes_the_loop(monkeypatch, capsys):
+    sc = get_scenario("linear-b")
+
+    def doubled():  # phi = 2 grad F, with F unchanged
+        nl = sc.build_nonlinearity()
+        return StaticNonlinearity.from_floats(2, lambda y: [2.0 * g for g in nl.phi_floats(y)],
+                                              potential=nl.potential)
+
+    monkeypatch.setitem(scenarios.REGISTRY, "linear-b",
+                        dataclasses.replace(sc, build_nonlinearity=doubled))
+    assert main(["run", "linear-b"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if ": fail" in line]
+    assert [line.split("  ")[0] for line in failed] == ["gradient-consistency F: fail",
+                                                         "overall: fail"]
 
 
 def test_synchronization_statistic_window():

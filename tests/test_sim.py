@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -108,14 +109,16 @@ def test_trajectory_copies_writeable_input_and_keeps_read_only_input():
     assert traj.inputs[0, 0] == 0.0
 
 
-def test_simulate_peak_memory_stays_close_to_the_record(linear_cases):
-    sc = linear_cases["a"]
-    plant, V = sc.build_plant(), sc.build_storage()
-    # Euler: a record of 25k steps, at a quarter of the f calls (tracemalloc is slow)
-    cfg = IntegratorConfig(step=1e-4, t_end=2.5, method="Euler")
+def test_simulate_peak_memory_stays_close_to_the_record():
+    # a float-form 2-state system: a record of 25k steps at little cost per f call
+    # (tracemalloc is slow)
+    plant = NonlinearSystem.from_floats(2, 2, lambda x, u: (u[0] - x[0], 2.0 * (u[1] - x[1])),
+                                        lambda x: (x[0], x[1]))
+    V = ScalarField.from_floats(2, lambda x: 0.5 * (x[0] * x[0] + x[1] * x[1]))
+    cfg = IntegratorConfig(step=1e-4, t_end=2.5)
     tracemalloc.start()
     try:
-        traj = simulate(plant, sc.x0, sc.signal, cfg, monitor=V)
+        traj = simulate(plant, (1.0, -2.0), InputSignal.zero(2), cfg, monitor=V)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,20 +147,14 @@ def test_nonfinite_guard_truncates_with_diagnostic():
     assert np.isfinite(traj.states).all()
 
 
-def test_euler_method_supported():
-    traj = simulate(_scalar_decay(), [1.0], InputSignal.zero(1),
-                    IntegratorConfig(step=1e-4, t_end=1.0, method="Euler"))
-    # first-order accuracy only
-    assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-4
-
-
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=2.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.1, t_end=1.0, method="RK45")
+    # RK4 is the one integrator: a class constant, not a field of the config
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["step", "t_end"]
+    assert IntegratorConfig.method == IntegratorConfig(step=0.1, t_end=1.0).method == "RK4"
     for step, t_end in ((0.0, 1.0), (math.nan, 1.0), (math.inf, math.inf),
                         (1e-3, math.inf), (1e-3, math.nan), (5e-324, 1.0), (1e-10, 1e300)):
         with pytest.raises(ValueError, match="finite"):
@@ -377,26 +374,18 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
             storage[k] = monitor.value(x)
         if k == n_steps:
             break
-        if cfg.method == "RK4":
-            v_half = signal.value(t + 0.5 * step)
-            v_full = signal.value(t + step)
-            k1 = np.asarray(f(x, v), dtype=float)
-            k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
-            k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
-            k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
-            if not (np.isfinite(k1).all() and np.isfinite(k2).all()
-                    and np.isfinite(k3).all() and np.isfinite(k4).all()):
-                diagnostic = f"non-finite stage derivative at t = {t:.6g}"
-                last = k
-                break
-            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            k1 = np.asarray(f(x, v), dtype=float)
-            if not np.isfinite(k1).all():
-                diagnostic = f"non-finite derivative at t = {t:.6g}"
-                last = k
-                break
-            x = x + step * k1
+        v_half = signal.value(t + 0.5 * step)
+        v_full = signal.value(t + step)
+        k1 = np.asarray(f(x, v), dtype=float)
+        k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
+        k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
+        k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
+        if not (np.isfinite(k1).all() and np.isfinite(k2).all()
+                and np.isfinite(k3).all() and np.isfinite(k4).all()):
+            diagnostic = f"non-finite stage derivative at t = {t:.6g}"
+            last = k
+            break
+        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             diagnostic = f"non-finite state after the step from t = {t:.6g}"
             last = k
@@ -479,8 +468,6 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         ("square, off grid", plant, x0, square, IntegratorConfig(step=7e-4, t_end=4.0), V),
         ("zero", plant, x0, InputSignal.zero(2), IntegratorConfig(step=1e-3, t_end=0.5), V),
         ("constant", plant, x0, constant, IntegratorConfig(step=1e-3, t_end=0.5), None),
-        ("euler", plant, x0, square, IntegratorConfig(1e-3, 4.0, method="Euler"), V),
-        ("euler constant", plant, x0, constant, IntegratorConfig(1e-3, 0.5, method="Euler"), None),
         _closed_loop_cases("pendulum-stabilize", InputSignal.zero(2), 5.0),
         _closed_loop_cases("pendulum-sync", get_scenario("pendulum-sync").signal, 4.0),
         _closed_loop_cases("linear-b", InputSignal.zero(2), 2.0),
@@ -489,24 +476,22 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         ("list-valued f", listed, (1.0, 0.0), InputSignal.square_wave(1, 0, 1.0, 1.0),
          IntegratorConfig(step=1e-3, t_end=2.0), None),
     ]
-    for method in ("RK4", "Euler"):
-        cfg = IntegratorConfig(step=1e-3, t_end=2.0, method=method)
-        huge = IntegratorConfig(step=0.5, t_end=3.0, method=method)
-        cases += [  # an inf stage, and finite stages whose step overflows the state
-            (f"{method} inf stage", _inf_past_half(), [0.1], InputSignal.zero(1), cfg, None),
-            (f"{method} overflow", _huge_rate(), [1.0], InputSignal.constant([1.0]), huge,
-             ScalarField(1, lambda x: float(x[0]))),
+    cases += [  # an inf stage, and finite stages whose step overflows the state
+        ("inf stage", _inf_past_half(), [0.1], InputSignal.zero(1),
+         IntegratorConfig(step=1e-3, t_end=2.0), None),
+        ("overflow", _huge_rate(), [1.0], InputSignal.constant([1.0]),
+         IntegratorConfig(step=0.5, t_end=3.0), ScalarField(1, lambda x: float(x[0]))),
+    ]
+    for n in (3, 16):  # kernels that no model above generates: odd, and wide
+        ring, capped = _float_ring(n), _float_ring(n, cap=2.0)
+        square_sum = ScalarField.from_floats(n, lambda x: sum(z * z for z in x))
+        cases += [
+            (f"ring {n}", ring, [0.1 * (-1) ** i for i in range(n)],
+             InputSignal.square_wave(1, 0, 1.0, 1.0), IntegratorConfig(step=1e-3, t_end=2.0),
+             square_sum),
+            (f"ring {n} truncated", capped, [0.1] * n, InputSignal.zero(1),
+             IntegratorConfig(step=1e-2, t_end=20.0), None),
         ]
-        for n in (3, 16):  # kernels that no model above generates: odd, and wide
-            ring, capped = _float_ring(n), _float_ring(n, cap=2.0)
-            square_sum = ScalarField.from_floats(n, lambda x: sum(z * z for z in x))
-            cases += [
-                (f"{method} ring {n}", ring, [0.1 * (-1) ** i for i in range(n)],
-                 InputSignal.square_wave(1, 0, 1.0, 1.0),
-                 IntegratorConfig(step=1e-3, t_end=2.0, method=method), square_sum),
-                (f"{method} ring {n} truncated", capped, [0.1] * n, InputSignal.zero(1),
-                 IntegratorConfig(step=1e-2, t_end=20.0, method=method), None),
-            ]
     diagnostics = set()
     for label, sys, start, signal, cfg, monitor, *oracle in cases:
         oracle_sys, oracle_monitor = oracle[0] if oracle else (sys, monitor)
@@ -522,13 +507,13 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         if "ring" in label:
             assert (want.diagnostic is not None) == label.endswith("truncated"), label
         diagnostics.add(want.diagnostic and want.diagnostic.split(" = ")[0])
-    assert diagnostics == {None, "non-finite stage derivative at t", "non-finite derivative at t",
+    assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}
-    # the ring runs built one kernel per (n, method); a second run reuses that object
-    kernel, built = sim._step_kernel(16, "RK4"), sim._step_kernel.cache_info().misses
+    # the ring runs built one kernel per state dimension; a second run reuses that object
+    kernel, built = sim._step_kernel(16), sim._step_kernel.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
     assert sim._step_kernel.cache_info().misses == built
-    assert sim._step_kernel(16, "RK4") is kernel
+    assert sim._step_kernel(16) is kernel
 
 
 def _csv_block(rng, n_rows, width, specials):
