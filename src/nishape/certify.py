@@ -164,21 +164,26 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
 
     Rates are computed through the vector field at every knot, never by
     differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
-    time: ``sys.f_floats`` and the output Jacobian per knot, one
+    time: ``fx = f(x, u)`` and the output Jacobian per knot, one
     ``V.gradients`` call, then every product as one stacked ``np.matmul``,
     which runs numpy's kernel of a single ``@`` on each item, so every rate is
-    bit for bit the per-knot ``@`` product.
+    bit for bit the per-knot ``@`` product.  ``fx`` is read from
+    ``traj.derivatives`` when ``simulate`` recorded them with this system's
+    float form (``traj.vector_field is sys.f_floats``), the same bits; any
+    other trajectory calls ``sys.f_floats`` per knot.
     """
     if V.dim != sys.n_states:
         raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
     if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
         raise ValueError("trajectory dimensions do not match the system")
     n = traj.n_samples
+    recorded = traj.vector_field is sys.f_floats
     vdot, supply, ydot_sq, f_sq = np.empty((4, n))
     for a in range(0, n, _CHUNK):
         xs, us = traj.states[a:a + _CHUNK], traj.inputs[a:a + _CHUNK]
         b = a + len(xs)
-        fx = np.array([sys.f_floats(x, u) for x, u in zip(xs.tolist(), us.tolist())], float)
+        fx = (traj.derivatives[a:b] if recorded else
+              np.array([sys.f_floats(x, u) for x, u in zip(xs.tolist(), us.tolist())], float))
         ydot = np.matmul(np.array([sys.output_jacobian(x) for x in xs]), fx[:, :, None])[:, :, 0]
         vdot[a:b] = _row_dots(V.gradients(xs), fx)
         supply[a:b] = _row_dots(us, ydot)

@@ -580,7 +580,8 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         gain = dc_gain(sc.certificate.sys, sc.certificate)  # raises on mismatch
         extras["dc_gain_max_abs"] = float(np.max(np.abs(gain)))
 
-    # one rate table per (system, storage, trajectory), dropped once its checks exist
+    # one rate table per (system, storage, trajectory), dropped once its checks exist;
+    # the plant's run is never exported, so it goes with its table
     traj_plant = simulate(plant, start, sc.signal, cfg, monitor=V)
     rates = rate_table(plant, V, traj_plant)
     checks.append(("plant NI residuals", dissipation_from_rates(rates, 0.0)))
@@ -588,7 +589,7 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     extras["epsilon_estimate"] = eps_hat
     if eps_hat > 0.0:
         checks.append(("plant OSNI residuals", dissipation_from_rates(rates, 0.5 * eps_hat)))
-    del rates
+    del rates, traj_plant
 
     closed = make_closed_loop(plant, nl)
     traj_free = simulate(closed, start, InputSignal.zero(plant.n_io), cfg, monitor=W)

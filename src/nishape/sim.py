@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class IntegratorConfig:
     step: float
     t_end: float
     method: ClassVar[str] = "RK4"  # the one integrator
-    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.8 GB, held by its Trajectory
+    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 1.1 GB, held by its Trajectory
 
     def __post_init__(self):
         if not (0.0 < self.step < math.inf):
@@ -137,7 +137,8 @@ class Trajectory:
 
     ``inputs`` holds the exogenous signal v at each knot.  ``storage`` is the
     optional monitored field, ``diagnostic`` is set when the integration was
-    truncated by a non-finite value.
+    truncated by a non-finite value.  ``derivatives`` holds ``f(x, v)`` at each
+    knot for the float form ``vector_field`` that gave it; the two come together.
     """
 
     times: np.ndarray
@@ -146,11 +147,14 @@ class Trajectory:
     outputs: np.ndarray
     storage: Optional[np.ndarray] = None
     diagnostic: Optional[str] = None
+    derivatives: Optional[np.ndarray] = None
+    vector_field: Optional[Callable] = None
 
     def __post_init__(self):
         times, states, inputs, outputs = (_read_only(a) for a in (
             self.times, self.states, self.inputs, self.outputs))
-        storage = None if self.storage is None else _read_only(self.storage)
+        storage, derivatives = (None if a is None else _read_only(a)
+                                for a in (self.storage, self.derivatives))
         n_knots = times.size
         if n_knots < 1:
             raise ValueError("trajectory needs at least one sample")
@@ -159,6 +163,10 @@ class Trajectory:
                 raise ValueError(f"{label} must have one row per knot")
         if storage is not None and storage.shape != (n_knots,):
             raise ValueError("storage must have one value per knot")
+        if (derivatives is None) != (self.vector_field is None):
+            raise ValueError("derivatives and vector_field come together")
+        if derivatives is not None and derivatives.shape != states.shape:
+            raise ValueError("derivatives must have one row per knot and one column per state")
         if n_knots >= 2:
             dt = times[1] - times[0]
             if dt <= 0.0:
@@ -172,6 +180,7 @@ class Trajectory:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "storage", storage)
+        object.__setattr__(self, "derivatives", derivatives)
 
     @property
     def n_samples(self) -> int:
@@ -218,8 +227,10 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     evaluated once).  ``monitor`` is sampled at the knots into the storage
     channel.  A non-finite stage derivative or state truncates the trajectory
     and attaches a diagnostic instead of propagating NaNs; one finiteness check
-    on the new state per step detects both.  Knots are written into the record in chunks of
-    ``_CHUNK``, so no whole-run list of Python floats is built.
+    on the new state per step detects both.  Each knot's derivative ``f(x, v)``
+    is recorded: the first stage of its step, or one more call at the final
+    knot.  Knots are written into the record in chunks of ``_CHUNK``, so no
+    whole-run list of Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -236,11 +247,13 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
-    xs, vs, ys, ws = rows = ([], [], [], [])  # states, inputs, outputs, storage not yet written
+    derivatives = np.empty((n_steps + 1, sys.n_states))
+    # states, inputs, outputs, storage and derivatives not yet written
+    xs, vs, ys, ws, ds = rows = ([], [], [], [], [])
 
     def flush(end):
         start = end - len(xs)
-        for arr, buffered in zip((states, inputs, outputs, storage), rows):
+        for arr, buffered in zip((states, inputs, outputs, storage, derivatives), rows):
             if buffered:
                 arr[start:end] = buffered
                 buffered.clear()
@@ -258,16 +271,18 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         t = k * step  # bitwise times[k], as a Python float
         if forced:  # RK4's stage inputs at t, t + step/2 and t + step
             v, v_half, v_full = value(t), value(t + half), value(t + step)
+        if len(xs) == _CHUNK:
+            flush(k)
         xs.append(x)
         vs.append(v)
         ys.append(h(x))
         if w is not None:
             ws.append(w(x))
         if k == n_steps:
+            ds.append(f(x, v))
             break
-        if len(xs) == _CHUNK:
-            flush(k + 1)
         x_new, stages = kernel(f, x, v, v_half, v_full, step, half, sixth)
+        ds.append(stages[0])
         # One check per step is exact: a NaN or inf in any stage reaches x_new,
         # since its weight step / 6 is positive and 0 * inf is NaN
         # should the weight underflow.  All stages are evaluated before the
@@ -284,11 +299,12 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     n = k + 1  # the loop always breaks, at the last knot recorded
     flush(n)
     if n == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
-        for arr in (times, states, inputs, outputs, storage):
+        for arr in (times, states, inputs, outputs, storage, derivatives):
             if arr is not None:
                 arr.setflags(write=False)
     return Trajectory(times=times[:n], states=states[:n], inputs=inputs[:n], outputs=outputs[:n],
-                      storage=None if storage is None else storage[:n], diagnostic=diagnostic)
+                      storage=None if storage is None else storage[:n], diagnostic=diagnostic,
+                      derivatives=derivatives[:n], vector_field=f)
 
 
 @dataclass(frozen=True, eq=False)

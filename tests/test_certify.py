@@ -222,6 +222,26 @@ def _assert_rates_bitwise(sys, V, traj):
     return rates
 
 
+def _rate_bits(rates):
+    return [a.tobytes() for a in (rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq)]
+
+
+def _assert_recorded_rates_bitwise(sys, V, traj, other=None):
+    """``rate_table`` on a run of ``sys`` reads the derivatives the run recorded:
+    the bits of the per-knot loop and of the same knots rebuilt without them.
+    Under ``other``, a system of another ``f``, it calls that ``f`` per knot."""
+    assert traj.vector_field is sys.f_floats and traj.derivatives.shape == traj.states.shape
+    rates = _assert_rates_bitwise(sys, V, traj)
+    bare = Trajectory(traj.times, traj.states, traj.inputs, traj.outputs)
+    assert _rate_bits(rates) == _rate_bits(rate_table(sys, V, bare))
+    if other is not None:
+        assert other.f_floats is not sys.f_floats
+        other_rates = rate_table(other, V, traj)
+        assert _rate_bits(other_rates) == [a.tobytes() for a in _per_knot_rates(other, V, traj)]
+        assert _rate_bits(other_rates) != _rate_bits(rates)
+    return rates
+
+
 def _mixed_io_system(h_jacobian_order):
     """A numpy-built plant with 4 states and 3 inputs and outputs whose output
     Jacobian has no zero entry, in the given memory order ("F", "C"), or none
@@ -252,9 +272,10 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_every_scenario(name):
     plant, V, nl, W = _build_parts(sc)
     closed = make_closed_loop(plant, nl)
     cfg = IntegratorConfig(step=1e-3, t_end=1.5)  # 1501 knots: a full chunk and a partial one
-    _assert_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg))
+    # pendulum-sync's runs are forced by its square wave; the others are unforced
+    _assert_recorded_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg), other=closed)
     traj = simulate(closed, sc.x0, sc.signal, cfg)
-    _assert_rates_bitwise(closed, W, traj)
+    _assert_recorded_rates_bitwise(closed, W, traj, other=plant)
 
 
 def test_rate_table_matches_the_per_knot_loop_bitwise_on_numpy_built_systems():
@@ -314,11 +335,60 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
                 (growth, quartic, (1e300, -1e300), InputSignal.square_wave(1, 0, 1.0, 0.5))):
             traj = simulate(sys, x0, signal, IntegratorConfig(step=1e-3, t_end=3.0))
             assert traj.diagnostic is not None
-            rates = _assert_rates_bitwise(sys, field, traj)
+            # the attempted step's first stage, recorded at the last knot
+            assert np.isfinite(traj.derivatives[-1]).all() == (x0 is not huge)
+            rates = _assert_recorded_rates_bitwise(sys, field, traj)
             if sys is not closed:  # the closed loop's one knot has only nan
                 values = np.concatenate([rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq])
                 assert np.isinf(values).any() and np.isnan(values).any()
     assert traj.n_samples > _CHUNK
+
+
+class _Counted:
+    """A float form ``f`` that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x, u):
+        self.calls += 1
+        return self.f(x, u)
+
+
+def test_one_f_call_per_stage_and_none_in_the_rate_table():
+    sc = get_scenario("pendulum-sync")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+
+    def counted(f, n, p, h, h_jacobian=None):
+        return NonlinearSystem.from_floats(n, p, _Counted(f), h, h_jacobian=h_jacobian)
+
+    sys, twin = (counted(closed.f_floats, 4, 2, closed.h_floats, closed.h_jacobian)
+                 for _ in range(2))  # the same f, and another float form of it
+    squared = counted(lambda x, u: (x[0] * x[0] + u[0],), 1, 1, lambda x: (x[0],))
+    runs = [(sys, twin, W, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=1.5)),
+            # blows up near t = 1: truncated after about a thousand knots
+            (squared, None, zero_field(1), (1.0,), InputSignal.zero(1),
+             IntegratorConfig(step=1e-3, t_end=2.0))]
+    for sys, twin, field, x0, signal, cfg in runs:
+        f = sys.f_floats
+        f.calls = 0  # from the construction's probes
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(sys, x0, signal, cfg)
+            n = traj.n_samples
+            if traj.diagnostic is None:  # four stages per step and the final knot's f
+                assert n == cfg.n_steps + 1 and f.calls == 4 * cfg.n_steps + 1
+            else:  # four stages per recorded knot: the last one's step was attempted
+                assert 2 < n < cfg.n_steps and f.calls == 4 * n
+            f.calls = 0
+            rate_table(sys, field, traj)
+            assert f.calls == 0
+            rate_table(sys, field, Trajectory(traj.times, traj.states, traj.inputs, traj.outputs))
+            assert f.calls == n
+            if twin is not None:
+                twin.f_floats.calls = 0
+                rate_table(twin, field, traj)
+                assert twin.f_floats.calls == n and f.calls == n
 
 
 def test_rate_table_peak_memory_stays_within_one_chunk():

@@ -109,6 +109,23 @@ def test_trajectory_copies_writeable_input_and_keeps_read_only_input():
     assert traj.inputs[0, 0] == 0.0
 
 
+def test_trajectory_validates_its_derivatives():
+    times, zeros = np.arange(3) * 0.5, np.zeros((3, 2))
+    derivatives = np.ones((3, 2))
+    traj = Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=derivatives,
+                      vector_field=lambda x, u: (0.0, 0.0))
+    derivatives[0, 0] = 7.0  # taken through _read_only like the other arrays
+    assert traj.derivatives[0, 0] == 1.0 and not traj.derivatives.flags.writeable
+    for bad in (np.ones((2, 2)), np.ones((3, 1)), np.ones((3, 3)), np.ones(6), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match="one row per knot and one column per state"):
+            Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=bad,
+                       vector_field=lambda x, u: (0.0, 0.0))
+    with pytest.raises(ValueError, match="come together"):
+        Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="come together"):
+        Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], vector_field=lambda x, u: (0.0, 0.0))
+
+
 def test_simulate_peak_memory_stays_close_to_the_record():
     # a float-form 2-state system: a record of 25k steps at little cost per f call
     # (tracemalloc is slow)
@@ -123,11 +140,11 @@ def test_simulate_peak_memory_stays_close_to_the_record():
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for a in (traj.times, traj.states, traj.inputs, traj.outputs,
-                                  traj.storage))
+                                  traj.storage, traj.derivatives))
     assert traj.n_samples == 25_001
     # the record, the grid check's np.diff temporary (8 B per knot) and one chunk
     # of knots buffered as Python floats (well under 512 B per knot); a copy of
-    # the record (64 B per knot here) would not fit
+    # the record (80 B per knot here) would not fit
     assert peak <= held + 8 * traj.n_samples + 512 * _CHUNK, (peak, held)
 
 
@@ -360,6 +377,7 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
+    derivatives = np.empty((n_steps + 1, sys.n_states))
     f, h = sys.f, sys.h
     x = np.array(x0, dtype=float)
     diagnostic = None
@@ -372,11 +390,11 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
         outputs[k] = h(x)
         if storage is not None:
             storage[k] = monitor.value(x)
+        derivatives[k] = k1 = np.asarray(f(x, v), dtype=float)
         if k == n_steps:
             break
         v_half = signal.value(t + 0.5 * step)
         v_full = signal.value(t + step)
-        k1 = np.asarray(f(x, v), dtype=float)
         k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
         k3 = np.asarray(f(x + (0.5 * step) * k2, v_half), dtype=float)
         k4 = np.asarray(f(x + step * k3, v_full), dtype=float)
@@ -394,7 +412,8 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
     return Trajectory(times=times[keep], states=states[keep], inputs=inputs[keep],
                       outputs=outputs[keep],
                       storage=None if storage is None else storage[keep],
-                      diagnostic=diagnostic)
+                      diagnostic=diagnostic, derivatives=derivatives[keep],
+                      vector_field=sys.f_floats)
 
 
 def _write_csv_oracle(traj, path):
@@ -498,8 +517,9 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         with np.errstate(over="ignore", invalid="ignore"):
             got = simulate(sys, start, signal, cfg, monitor=monitor)
             want = _simulate_oracle(oracle_sys, start, signal, cfg, monitor=oracle_monitor)
-        for field in ("times", "states", "inputs", "outputs"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (label, field)
+        for field in ("times", "states", "inputs", "outputs", "derivatives"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (label, field)
+        assert got.vector_field is sys.f_floats, label
         assert (got.storage is None) == (want.storage is None), label
         if want.storage is not None:
             assert np.array_equal(got.storage, want.storage), label
