@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .linear import sym_eigenvalues
 from .sim import _CHUNK, Trajectory
-from .sysmodel import (NonlinearSystem, Report, ScalarField, StaticNonlinearity,
+from .sysmodel import (Check, NonlinearSystem, ScalarField, StaticNonlinearity,
                        HamiltonianSystem, TAU_PD, TAU_ZERO, central_jacobian,
                        make_shaped_storage)
 
@@ -135,12 +135,6 @@ def _polished_root(func, dim, points, norms, tol, accept):
     return None
 
 
-def _root_or_argmin(root, argmin) -> tuple:
-    """Witness of a root hunt: the polished root when one was found, else the
-    sampled argmin."""
-    return tuple(argmin if root is None else root)
-
-
 # ---------------------------------------------------------------------------
 # Per-knot rates and the dissipation checks derived from them
 
@@ -197,28 +191,14 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class DissipationReport(Report):
-    max_violation: float          # largest residual found (positive = violation)
-    worst_time: float
-    worst_state: np.ndarray
-    n_samples: int
-    n_violations: int
-    epsilon_used: float
-    tolerance: float
-    verdict: str
-    residuals: np.ndarray
-
-    worst_fields = ("max_violation",)
-    witness_fields = ("worst_time", "worst_state")
-
-
-def dissipation_from_rates(rates: RateTable, epsilon: float) -> DissipationReport:
+def dissipation_from_rates(rates: RateTable, epsilon: float) -> Check:
     """Residuals ``r = Vdot - u . ydot + epsilon |ydot|^2`` at every knot.
 
     ``epsilon = 0`` is the NI inequality ``Vdot <= u . ydot``, ``epsilon > 0``
     the OSNI one.  The pass tolerance scales with the largest sampled supply
-    term.
+    term.  The worst value is the largest residual, witnessed by its time and
+    state; ``detail`` holds the ``residuals``, the ``tolerance`` and
+    ``n_violations``, the number of residuals above it.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -228,9 +208,9 @@ def dissipation_from_rates(rates: RateTable, epsilon: float) -> DissipationRepor
     n_violations = int(np.sum(residuals > tolerance))
     verdict = "pass" if residuals[worst] <= tolerance else "fail"
     traj = rates.traj
-    return DissipationReport(float(residuals[worst]), float(traj.times[worst]),
-                             traj.states[worst].copy(), traj.n_samples, n_violations,
-                             float(epsilon), tolerance, verdict, residuals)
+    return Check(verdict, residuals[worst], (traj.times[worst], *traj.states[worst]),
+                 traj.n_samples, {"residuals": residuals, "tolerance": tolerance,
+                                  "n_violations": n_violations})
 
 
 def epsilon_from_rates(tables: Iterable[RateTable]) -> float:
@@ -251,19 +231,6 @@ def epsilon_from_rates(tables: Iterable[RateTable]) -> float:
 
 # ---------------------------------------------------------------------------
 # Positive definiteness on a box
-
-
-@dataclass(frozen=True, eq=False)
-class DefinitenessReport(Report):
-    min_sampled_value: float
-    min_hessian_eig_origin: float
-    argmin: np.ndarray
-    n_samples: int
-    verdict: str
-    caveat: str
-
-    worst_fields = ("min_sampled_value",)
-    witness_fields = ("argmin",)
 
 
 def _origin_hessian(field: ScalarField) -> np.ndarray:
@@ -291,13 +258,15 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
 
 
 def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
-                            seed: int = 0) -> DefinitenessReport:
+                            seed: int = 0) -> Check:
     """Sampled positive definiteness on a box around the origin.
 
     Quasi-random nonzero points plus a deterministic shell near the origin
     must all give strictly positive values, and the finite-difference Hessian
     at the origin must have its smallest eigenvalue above TAU_PD.  This is a
-    box-local certificate only.
+    box-local certificate only, as ``detail["caveat"]`` says.  The worst value
+    is the smallest sampled value, witnessed by its point;
+    ``detail["min_hessian_eig_origin"]`` is the Hessian's smallest eigenvalue.
     """
     box = _as_box(box, field.dim)
     if not np.all((box[:, 0] < 0.0) & (box[:, 1] > 0.0)):
@@ -310,40 +279,25 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
     ok = values[i_min] > 0.0 and eigs[0] > TAU_PD
     caveat = ("box-local certificate: values sampled on the given box and the "
               "Hessian checked at the origin; no global or radial-unboundedness claim")
-    return DefinitenessReport(float(values[i_min]), float(eigs[0]), points[i_min].copy(),
-                              points.shape[0], "pass" if ok else "fail", caveat)
+    return Check("pass" if ok else "fail", values[i_min], points[i_min], points.shape[0],
+                 {"min_hessian_eig_origin": float(eigs[0]), "caveat": caveat})
 
 
 # ---------------------------------------------------------------------------
 # Gradient nonvanishing away from the origin
 
 
-@dataclass(frozen=True, eq=False)
-class NonvanishingReport(Report):
-    min_grad_norm: float
-    argmin: np.ndarray
-    floor: float
-    critical_point: Optional[np.ndarray]
-    n_samples: int
-    verdict: str
-    note: str = ""
-
-    worst_fields = ("min_grad_norm",)
-
-    @property
-    def witness(self):
-        return _root_or_argmin(self.critical_point, self.argmin)
-
-
 def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
-                                seed: int = 0) -> NonvanishingReport:
+                                seed: int = 0) -> Check:
     """Sampled minimum of ``|grad W|`` over nonzero points of the box.
 
     The scale-aware pass floor is TAU_PD times the smallest sampled ``|x|``.
     Sampling alone cannot see an interior critical point, so a damped-Newton
     polish on the gradient runs from the worst samples; a polished critical
     point away from the origin (and inside the box) fails the check with
-    that witness.
+    that witness; otherwise the witness is the sampled minimizer.  The worst
+    value is the sampled minimum, and ``detail["note"]`` warns of a small
+    margin (empty when there is none).
     """
     box = _as_box(box, field.dim)
     points = halton_box_samples(box, n_samples, seed)
@@ -363,37 +317,23 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     if grad_norms[i_min] < 1e-3 * float(np.median(grad_norms)):
         note = "small margin: sampled gradient decays fast toward the origin"
     verdict = "fail" if (critical is not None or grad_norms[i_min] <= floor) else "pass"
-    return NonvanishingReport(float(grad_norms[i_min]), points[i_min].copy(), floor,
-                              critical, points.shape[0], verdict, note)
+    return Check(verdict, grad_norms[i_min], points[i_min] if critical is None else critical,
+                 points.shape[0], {"note": note})
 
 
 # ---------------------------------------------------------------------------
 # Closed-loop equilibrium uniqueness
 
 
-@dataclass(frozen=True, eq=False)
-class UniquenessReport(Report):
-    min_residual_norm: float
-    argmin: np.ndarray
-    root: Optional[np.ndarray]
-    n_samples: int
-    r_excl: float
-    verdict: str
-
-    worst_fields = ("min_residual_norm",)
-
-    @property
-    def witness(self):
-        return _root_or_argmin(self.root, self.argmin)
-
-
 def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 512,
-                                 seed: int = 0) -> UniquenessReport:
+                                 seed: int = 0) -> Check:
     """Hunt for nonzero equilibria of the autonomous closed loop.
 
     Sampled minimum of ``|f(x, 0)|`` outside an exclusion ball at the origin,
     followed by a damped-Newton root polish (finite-difference Jacobian) from
-    the worst samples.  Any converged nonzero root is a counterexample.
+    the worst samples.  Any converged nonzero root is a counterexample and
+    the witness; otherwise the witness is the sampled minimizer.  The worst
+    value is the sampled minimum.
     """
     box = _as_box(box, sys_cl.n_states)
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
@@ -409,35 +349,24 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
                           lambda x: float(np.linalg.norm(x)) > r_excl)
 
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
-    return UniquenessReport(float(norms[i_min]), points[i_min].copy(), root,
-                            points.shape[0], r_excl, verdict)
+    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian decay identity
 
 
-@dataclass(frozen=True, eq=False)
-class DecayIdentityReport(Report):
-    max_discrepancy: float
-    time_of_max: float
-    n_samples: int
-    step: float
-
-    verdict: ClassVar[str] = "info"
-    worst_fields = ("max_discrepancy",)
-    witness_fields = ("time_of_max",)
-
-
 def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
-                               traj: Trajectory) -> DecayIdentityReport:
+                               traj: Trajectory) -> Check:
     """Compare the storage rate along the flow with its dissipation form.
 
     For ``W = H - F(C(x))`` along the autonomous closure, the rate of W must
     equal ``-grad W(x)^T R(x) grad W(x)``.  The left side is taken from a
     fourth-order five-point stencil on the recorded samples (interior knots),
     the right side analytically at the same knots, so the discrepancy shrinks
-    at the integrator's own fourth-order rate under step refinement.
+    at the integrator's own fourth-order rate under step refinement.  The
+    verdict is "info"; the worst value is the largest discrepancy, witnessed
+    by its time.
     """
     if nl.potential is None:
         raise ValueError("nonlinearity carries no potential; the identity needs phi = grad F")
@@ -453,39 +382,26 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     for k, (x, g) in enumerate(zip(traj.states, W.gradients(traj.states))):
         w[k] = W.value(x)
         rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
-    step = traj.step
-    lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * step)
+    lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * traj.step)
     discrepancy = np.abs(lhs - rhs[2:-2])
     i_max = int(np.argmax(discrepancy))
-    return DecayIdentityReport(float(discrepancy[i_max]), float(traj.times[i_max + 2]),
-                               int(discrepancy.size), step)
+    return Check("info", discrepancy[i_max], (traj.times[i_max + 2],), discrepancy.size)
 
 
 # ---------------------------------------------------------------------------
 # Output-observability heuristic
 
 
-@dataclass(frozen=True, eq=False)
-class HiddenMotionReport(Report):
-    intervals: tuple
-    n_flagged: int
-    verdict: str  # "pass" | "flagged"
-
-    worst_fields = ("n_flagged",)
-
-    @property
-    def witness(self):
-        return self.intervals[0] if self.intervals else ()
-
-
-def hidden_motion_from_rates(rates: RateTable) -> HiddenMotionReport:
+def hidden_motion_from_rates(rates: RateTable) -> Check:
     """Flag intervals where the output freezes while the state still moves.
 
     A knot is suspicious when ``|ydot| < TAU_ZERO`` but
     ``|xdot| > 100 TAU_ZERO``; consecutive suspicious knots are merged into
-    intervals.  This is a heuristic stand-in for an observability-type
-    hypothesis that is not algorithmically checkable in general.  The storage
-    plays no part: a bare system's table can be built with ``zero_field(n)``.
+    intervals, ``detail["intervals"]``.  The worst value is the number of
+    flagged knots and the witness the first interval.  This is a heuristic
+    stand-in for an observability-type hypothesis that is not algorithmically
+    checkable in general.  The storage plays no part: a bare system's table
+    can be built with ``zero_field(n)``.
     """
     times = rates.traj.times
     flagged = (np.sqrt(rates.ydot_sq) < TAU_ZERO) & (np.sqrt(rates.f_sq) > 100.0 * TAU_ZERO)
@@ -493,33 +409,30 @@ def hidden_motion_from_rates(rates: RateTable) -> HiddenMotionReport:
     intervals = tuple((float(times[a]), float(times[b - 1]))
                       for a, b in zip(edges[::2], edges[1::2]))
     n_flagged = int(flagged.sum())
-    return HiddenMotionReport(intervals, n_flagged, "pass" if n_flagged == 0 else "flagged")
+    return Check("pass" if n_flagged == 0 else "flagged", n_flagged,
+                 intervals[0] if intervals else (), detail={"intervals": intervals})
 
 
 # ---------------------------------------------------------------------------
 # Report serialization
 
 
-def report_line(name: str, report: Report) -> str:
-    """One line per report: name, verdict, worst value, witness."""
-    witness = report.witness
-    if witness:
-        witness_text = "(" + ", ".join(format(float(v), ".17g") for v in witness) + ")"
-    else:
-        witness_text = "-"
-    worst = format(report.worst_value, ".17g")
-    return f"{name}: {report.verdict}  worst={worst}  witness={witness_text}"
+def fmt_g17(value) -> str:
+    """A number to 17 significant digits: the one number format of the reports."""
+    return format(float(value), ".17g")
 
 
-def write_reports_csv(path, named_reports) -> None:
+def report_line(name: str, check: Check) -> str:
+    """One line per check: name, verdict, worst value, witness."""
+    witness = "(" + ", ".join(map(fmt_g17, check.witness)) + ")" if check.witness else "-"
+    return f"{name}: {check.verdict}  worst={fmt_g17(check.worst_value)}  witness={witness}"
+
+
+def write_reports_csv(path, named_checks) -> None:
     """CSV with columns check, verdict, worst_value, witness."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "verdict", "worst_value", "witness"])
-        for name, report in named_reports:
-            writer.writerow([
-                name,
-                report.verdict,
-                format(report.worst_value, ".17g"),
-                " ".join(format(float(v), ".17g") for v in report.witness),
-            ])
+        for name, check in named_checks:
+            writer.writerow([name, check.verdict, fmt_g17(check.worst_value),
+                             " ".join(map(fmt_g17, check.witness))])

@@ -12,15 +12,11 @@ import sys
 
 import numpy as np
 
-from .certify import report_line
+from .certify import fmt_g17, report_line
 from .linear import (check_minimal, check_ssni, dc_gain, dey_condition,
                      load_certificate, schur_equivalence)
 from .scenarios import (_build_parts, export_potential_surface, get_scenario,
                         run_scenario, scenario_names)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _cmd_list(_args) -> int:
@@ -55,10 +51,10 @@ def _cmd_certify_linear(args) -> int:
         checks.append(("slope-bound condition", dey_condition(system, cert, slopes)))
         checks.append(("schur-complement agreement", schur_equivalence(cert, slopes)))
     # printed only once every check has run: a usage error leaves no half report
-    print(f"dc gain max |entry| = {_fmt(np.max(np.abs(gain)))}")
-    for name, report in checks:
-        print(report_line(name, report))
-    ok = all(report.passed for _, report in checks)
+    print(f"dc gain max |entry| = {fmt_g17(np.max(np.abs(gain)))}")
+    for name, check in checks:
+        print(report_line(name, check))
+    ok = all(check.passed for _, check in checks)
     print(f"overall: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 
@@ -71,11 +67,11 @@ def _cmd_surface(args) -> int:
     ok = True
     for label, field in (("original", V), ("shaped", W)):
         path = os.path.join(out, f"surface_{sc.name}_{label}.csv")
-        report = export_potential_surface(field, path, half_range=args.range,
-                                          points=args.points)
-        print(f"{label}: {report.n_minima} local minima, "
-              f"{report.n_plateau} plateau cells -> {path}")
-        ok = ok and report.passed
+        grid = export_potential_surface(field, path, half_range=args.range,
+                                        points=args.points)
+        print(f"{label}: {len(grid.minima)} local minima, "
+              f"{grid.n_plateau} plateau cells -> {path}")
+        ok = ok and not grid.degenerate
     return 0 if ok else 1
 
 

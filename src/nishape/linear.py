@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
+from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        StaticNonlinearity, TAU_PD, TAU_ZERO, make_shaped_storage)
 
 
@@ -129,83 +128,21 @@ class SlopeBounds:
 
 
 # ---------------------------------------------------------------------------
-# Reports
-
-
-@dataclass(frozen=True, eq=False)
-class SsniReport(Report):
-    max_lyapunov_eig: float
-    structure_residual: float
-    verdict: str
-
-    worst_fields = ("max_lyapunov_eig",)
-    witness_fields = ("structure_residual",)
-
-
-@dataclass(frozen=True, eq=False)
-class DeyReport(Report):
-    margin: float
-    asymmetry: float
-    verdict: str
-
-    worst_fields = ("margin",)
-
-
-@dataclass(frozen=True, eq=False)
-class SchurReport(Report):
-    primal_margin: float   # min eig(M^-1 - C Y C^T)
-    dual_margin: float     # min eig(Y^-1 - C^T M C)
-    primal_holds: bool
-    dual_holds: bool
-    verdict: str           # "pass" when the two predicates agree
-
-    worst_fields = witness_fields = ("primal_margin", "dual_margin")
-
-    @property
-    def agree(self):
-        return self.primal_holds == self.dual_holds
-
-
-@dataclass(frozen=True, eq=False)
-class HurwitzReport(Report):
-    min_p_eig: float
-    residual: float
-    verdict: str  # "pass" | "fail" | "indeterminate"
-    note: str = ""
-
-    worst_fields = ("min_p_eig",)
-
-
-@dataclass(frozen=True, eq=False)
-class MinimalityReport(Report):
-    rank_controllability: int
-    rank_observability: int
-    n: int
-    verdict: str
-
-    worst_fields = witness_fields = ("rank_controllability", "rank_observability")
-
-    @property
-    def controllable(self):
-        return self.rank_controllability == self.n
-
-    @property
-    def observable(self):
-        return self.rank_observability == self.n
-
-
-# ---------------------------------------------------------------------------
 # Certificate checks
 
 
-def check_ssni(cert: SsniCertificate) -> SsniReport:
-    """Verify ``max eig(AY + YA^T) < -TAU_PD`` and ``B = -A Y C^T``."""
+def check_ssni(cert: SsniCertificate) -> Check:
+    """Verify ``max eig(AY + YA^T) < -TAU_PD`` and ``B = -A Y C^T``.
+
+    The worst value is that largest eigenvalue; the witness is the structure
+    residual ``max |B + A Y C^T|``.
+    """
     A, B, C, Y = cert.sys.A, cert.sys.B, cert.sys.C, cert.Y
     L = A @ Y + Y @ A.T
     max_eig = float(sym_eigenvalues(0.5 * (L + L.T))[-1])
     residual = float(np.max(np.abs(B + A @ Y @ C.T)))
     ok = max_eig < -TAU_PD and residual <= TAU_ZERO * (1.0 + np.max(np.abs(B)))
-    return SsniReport(max_eig, residual, "pass" if ok else "fail")
+    return Check("pass" if ok else "fail", max_eig, (residual,))
 
 
 def dc_gain(sys: LinearSystem, cert: Optional[SsniCertificate] = None) -> np.ndarray:
@@ -229,24 +166,26 @@ def dc_gain(sys: LinearSystem, cert: Optional[SsniCertificate] = None) -> np.nda
 
 
 def dey_condition(sys: LinearSystem, cert: Optional[SsniCertificate],
-                  m: SlopeBounds) -> DeyReport:
+                  m: SlopeBounds) -> Check:
     """Slope-bound stability condition: ``M^-1 - G(0) > 0``.
 
-    G(0) is symmetrized before the eigenvalue test; asymmetry beyond
-    tolerance is reported through the ``asymmetry`` field.
+    G(0) is symmetrized before the eigenvalue test.  The worst value is the
+    margin ``min eig(M^-1 - G(0))``; there is no witness.
     """
     if m.p != sys.p:
         raise ValueError(f"slope bounds have {m.p} channels, system has {sys.p}")
     G0 = dc_gain(sys, cert)
-    asym = float(np.max(np.abs(G0 - G0.T)))
-    G0s = 0.5 * (G0 + G0.T)
-    margin = _min_eigenvalue(m.M_inv() - G0s)
-    return DeyReport(margin, asym, "pass" if margin > TAU_PD else "fail")
+    margin = _min_eigenvalue(m.M_inv() - 0.5 * (G0 + G0.T))
+    return Check("pass" if margin > TAU_PD else "fail", margin)
 
 
-def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> SchurReport:
+def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> Check:
     """Evaluate ``min eig(M^-1 - C Y C^T) > 0`` and its Schur-complement dual
-    ``min eig(Y^-1 - C^T M C) > 0`` and report whether the verdicts agree."""
+    ``min eig(Y^-1 - C^T M C) > 0``: "pass" when the two predicates agree.
+
+    The witness is the two margins, primal first, and the worst value the
+    smaller of them.
+    """
     C, Y = cert.sys.C, cert.Y
     if m.p != cert.sys.p:
         raise ValueError(f"slope bounds have {m.p} channels, system has {cert.sys.p}")
@@ -259,10 +198,8 @@ def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> SchurReport:
     P2 = Yinv - C.T @ m.M() @ C
     margin1 = _min_eigenvalue(0.5 * (P1 + P1.T))
     margin2 = _min_eigenvalue(0.5 * (P2 + P2.T))
-    hold1 = margin1 > 0.0
-    hold2 = margin2 > 0.0
-    return SchurReport(margin1, margin2, hold1, hold2,
-                       "pass" if hold1 == hold2 else "fail")
+    verdict = "pass" if (margin1 > 0.0) == (margin2 > 0.0) else "fail"
+    return Check(verdict, min(margin1, margin2), (margin1, margin2))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +284,15 @@ def closed_loop_matrix(sys: LinearSystem, K) -> np.ndarray:
     return sys.A + sys.B @ K @ sys.C
 
 
-def is_hurwitz(Acl) -> HurwitzReport:
+def is_hurwitz(Acl) -> Check:
     """Hurwitz test through the Lyapunov equation ``A^T P + P A = -I``.
 
     The equation is solved as a vectorized least-squares problem.  An
     inconsistent system (eigenvalue pair summing to zero with no solution)
-    is reported as indeterminate; when a solution exists the verdict is the
-    positive definiteness of P, which is conclusive either way.
+    or a solution that is not symmetric is reported as indeterminate, with a
+    NaN worst value; when a symmetric solution exists the verdict is the
+    positive definiteness of P, which is conclusive either way, and the worst
+    value is the smallest eigenvalue of P.
     """
     A = np.asarray(Acl, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -366,15 +305,10 @@ def is_hurwitz(Acl) -> HurwitzReport:
     residual = float(np.max(np.abs(K @ vec_p - rhs)))
     P = vec_p.reshape((n, n), order="F")
     scale = 1.0 + float(np.max(np.abs(P)))
-    if residual > 1e-8 * scale:
-        return HurwitzReport(math.nan, residual, "indeterminate",
-                             note="Lyapunov operator is inconsistent (marginal spectrum)")
-    if np.max(np.abs(P - P.T)) > 1e-8 * scale:
-        return HurwitzReport(math.nan, residual, "indeterminate",
-                             note="Lyapunov solution is not symmetric")
-    P = 0.5 * (P + P.T)
-    min_eig = float(sym_eigenvalues(P)[0])
-    return HurwitzReport(min_eig, residual, "pass" if min_eig > TAU_PD else "fail")
+    if residual > 1e-8 * scale or np.max(np.abs(P - P.T)) > 1e-8 * scale:
+        return Check("indeterminate", math.nan)
+    min_eig = float(sym_eigenvalues(0.5 * (P + P.T))[0])
+    return Check("pass" if min_eig > TAU_PD else "fail", min_eig)
 
 
 def _unit_scaled(block) -> np.ndarray:
@@ -389,10 +323,11 @@ def _rank(M) -> int:
     return int(np.count_nonzero(s > 1e-9 * s.max(initial=0.0)))
 
 
-def check_minimal(sys: LinearSystem) -> MinimalityReport:
+def check_minimal(sys: LinearSystem) -> Check:
     """Rank tests on the controllability and observability matrices.  A and each
     Krylov block are scaled by powers of two, so no power of A overflows and the
-    ranks do not change under ``A -> cA``."""
+    ranks do not change under ``A -> cA``.  The witness is the two ranks,
+    controllability first, and the worst value the smaller of them."""
     n, A = sys.n, _unit_scaled(sys.A)
     ctrb_blocks = [_unit_scaled(sys.B)]
     obsv_blocks = [_unit_scaled(sys.C)]
@@ -402,7 +337,7 @@ def check_minimal(sys: LinearSystem) -> MinimalityReport:
     rank_c = _rank(np.hstack(ctrb_blocks))
     rank_o = _rank(np.vstack(obsv_blocks))
     verdict = "pass" if (rank_c == n and rank_o == n) else "fail"
-    return MinimalityReport(rank_c, rank_o, n, verdict)
+    return Check(verdict, min(rank_c, rank_o), (rank_c, rank_o))
 
 
 def to_nonlinear(sys: LinearSystem) -> NonlinearSystem:

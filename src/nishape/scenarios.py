@@ -29,12 +29,12 @@ import numpy as np
 
 from .certify import (check_equilibrium_uniqueness, check_positive_definite,
                       dissipation_from_rates, epsilon_from_rates,
-                      halton_box_samples, hidden_motion_from_rates, rate_table,
+                      fmt_g17, halton_box_samples, hidden_motion_from_rates, rate_table,
                       report_line, write_reports_csv)
 from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonlinear
 from .sim import (InputSignal, IntegratorConfig, Trajectory, monitor_decay,
                   simulate, write_trajectory_csv)
-from .sysmodel import (LinearSystem, NonlinearSystem, Report, ScalarField,
+from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        StaticNonlinearity, gradient_check, make_closed_loop,
                        make_shaped_storage)
 
@@ -399,31 +399,20 @@ MAX_SURFACE_POINTS = 2001  # the grid and its 8 stacked neighbour grids take abo
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceReport(Report):
+class SurfaceGrid:
+    """A field's values on a square grid, ``values[i, j]`` at
+    ``(axis[i], axis[j])``, and the grid's strict local minima."""
+
     axis: np.ndarray
     values: np.ndarray
     minima: tuple          # (theta1, theta2) grid locations of strict minima
     n_plateau: int
-    degenerate: bool
-    path: Optional[str]
-
-    worst_fields = ("n_minima",)
-
-    @property
-    def n_minima(self):
-        return len(self.minima)
-
-    @property
-    def verdict(self):
-        return "degenerate" if self.degenerate else "ok"
-
-    @property
-    def witness(self):
-        return self.minima[0] if self.minima else ()
+    degenerate: bool       # every interior cell ties with its neighborhood minimum
+    path: Optional[str]    # the CSV written, if any
 
 
 def export_potential_surface(field: ScalarField, path=None, half_range: float = 8.0,
-                             points: int = 161) -> SurfaceReport:
+                             points: int = 161) -> SurfaceGrid:
     """Evaluate the field's displacement restriction on a square grid and
     scan for strict local minima.
 
@@ -469,35 +458,8 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
             for t1, row in zip(ticks, values):
                 fh.write("".join("%.17g,%.17g,%.17g\n" % (t1, t2, v)
                                  for t2, v in zip(ticks, row.tolist())))
-    return SurfaceReport(axis, values, minima, n_plateau, degenerate,
-                         None if path is None else str(path))
-
-
-# ---------------------------------------------------------------------------
-# Scenario-specific report types
-
-
-@dataclass(frozen=True, eq=False)
-class SyncReport(Report):
-    mean_original: float
-    mean_shaped: float
-    ratio: float
-    window: tuple
-    verdict: str
-
-    worst_fields = ("ratio",)
-    witness_fields = ("mean_original", "mean_shaped")
-
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport(Report):
-    final_norm: float
-    final_state: np.ndarray
-    tolerance: float
-    verdict: str
-
-    worst_fields = ("final_norm",)
-    witness_fields = ("final_state",)
+    return SurfaceGrid(axis, values, minima, n_plateau, degenerate,
+                       None if path is None else str(path))
 
 
 def synchronization_statistic(traj: Trajectory, t_start: float, t_end: float) -> float:
@@ -519,7 +481,7 @@ SYNC_RATIO_LIMIT = 0.25
 @dataclass(eq=False)
 class ScenarioResult:
     name: str
-    checks: list            # (name, report) pairs
+    checks: list            # (name, Check) pairs
     artifacts: dict          # label -> path
     extras: dict             # free-form numeric results (epsilon estimate, ...)
 
@@ -530,7 +492,7 @@ class ScenarioResult:
     def lines(self):
         out = [report_line(name, rep) for name, rep in self.checks]
         for key, value in self.extras.items():
-            out.append(f"{key} = {format(float(value), '.17g')}")
+            out.append(f"{key} = {fmt_g17(value)}")
         return out
 
 
@@ -551,8 +513,11 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     positive-definiteness check, plant NI/OSNI residuals along the forced
     run, an unforced closed-loop run with storage-decay monitoring, plus the
     scenario's own comparisons (synchronization statistic, convergence
-    endpoint, equilibrium uniqueness).  Artifacts (trajectory CSVs, check
-    reports, the scenario configuration) land in ``out_dir`` when given.
+    endpoint, equilibrium uniqueness).  The synchronization check's worst
+    value is the ratio of the shaped to the original mean ``|y1 - y2|``,
+    witnessed by the two means; the convergence check's is ``max |x(T)|``,
+    witnessed by ``x(T)``.  Artifacts (trajectory CSVs, check reports, the
+    scenario configuration) land in ``out_dir`` when given.
     """
     sc = get_scenario(name)
     cfg = IntegratorConfig(step=step if step is not None else sc.config.step,
@@ -615,15 +580,15 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
             mean_orig = mean_shaped = math.nan
         ratio = mean_shaped / mean_orig if mean_orig != 0.0 else math.inf
         checks.append(("synchronization statistic",
-                       SyncReport(mean_orig, mean_shaped, ratio, window,
-                                  "pass" if ratio < SYNC_RATIO_LIMIT else "fail")))
+                       Check("pass" if ratio < SYNC_RATIO_LIMIT else "fail", ratio,
+                             (mean_orig, mean_shaped))))
 
     if sc.convergence_tol is not None:  # global convergence needs a unique equilibrium
         final = traj_free.states[-1]
         final_norm = float(np.max(np.abs(final)))
         checks.append(("convergence endpoint",
-                       ConvergenceReport(final_norm, final.copy(), sc.convergence_tol,
-                                         "pass" if final_norm < sc.convergence_tol else "fail")))
+                       Check("pass" if final_norm < sc.convergence_tol else "fail", final_norm,
+                             final)))
         checks.append(("equilibrium uniqueness",
                        check_equilibrium_uniqueness(closed, box, n_samples=512, seed=seed)))
 

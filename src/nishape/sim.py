@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import NonlinearSystem, Report, ScalarField
+from .sysmodel import Check, NonlinearSystem, ScalarField
 
 
 @dataclass(frozen=True)
@@ -307,58 +307,33 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
                       derivatives=derivatives[:n], vector_field=f)
 
 
-@dataclass(frozen=True, eq=False)
-class MonitorDecayReport(Report):
-    max_increase: float
-    tolerance: float
-    verdict: str  # "pass" | "fail" | "skipped"
-    note: str = ""
-
-    worst_fields = ("max_increase",)
-
-
-def monitor_decay(traj: Trajectory) -> MonitorDecayReport:
-    """Largest forward difference of the storage channel.
+def monitor_decay(traj: Trajectory) -> Check:
+    """Largest forward difference of the storage channel, the worst value.
 
     Only meaningful on unforced segments, so a trajectory with any nonzero
-    input is reported as skipped rather than judged.
+    input is reported as skipped rather than judged, with a NaN worst value.
     """
     if traj.storage is None:
         raise ValueError("trajectory has no storage channel to monitor")
     if np.any(traj.inputs != 0.0):
-        return MonitorDecayReport(math.nan, math.nan, "skipped",
-                                  note="forced segment: input is not identically zero")
+        return Check("skipped", math.nan)
     w = traj.storage
     tolerance = 1e-8 * (1.0 + float(np.max(np.abs(w))))
     if w.size < 2:
-        return MonitorDecayReport(0.0, tolerance, "pass")
+        return Check("pass", 0.0)
     max_increase = float(np.max(np.diff(w)))
-    return MonitorDecayReport(max_increase, tolerance,
-                              "pass" if max_increase <= tolerance else "fail")
-
-
-@dataclass(frozen=True, eq=False)
-class RefineReport(Report):
-    err_coarse: float          # |x_h(T) - x_{h/2}(T)|
-    err_fine: float            # |x_{h/2}(T) - x_{h/4}(T)|
-    order: Optional[float]     # log2(err_coarse / err_fine)
-    flags: tuple
-
-    verdict: ClassVar[str] = "info"
-    witness_fields = ("err_coarse", "err_fine")
-
-    @property
-    def worst_value(self):
-        return math.nan if self.order is None else self.order
+    return Check("pass" if max_increase <= tolerance else "fail", max_increase)
 
 
 def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
-                 cfg: IntegratorConfig) -> RefineReport:
+                 cfg: IntegratorConfig) -> Check:
     """Empirical integrator order from runs at step, step/2 and step/4.
 
-    Reports the end-state Richardson differences and
-    ``log2(e_h / e_{h/2})``; square-wave inputs are flagged since the
-    discontinuity degrades the observed order.
+    The verdict is "info".  The worst value is the observed order
+    ``log2(e_h / e_{h/2})``, NaN when either difference is zero or a run was
+    truncated, and the witness the end-state Richardson differences
+    ``(e_h, e_{h/2})``.  ``detail["flags"]`` names a square-wave input, since
+    the discontinuity degrades the observed order, and a truncated run.
     """
     flags = []
     if signal.kind == "square_wave":
@@ -369,14 +344,14 @@ def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
         trajectories.append(simulate(sys, x0, signal, sub_cfg))
     if any(t.diagnostic is not None for t in trajectories):
         flags.append("truncated")
-        return RefineReport(math.nan, math.nan, None, tuple(flags))
+        return Check("info", math.nan, (math.nan, math.nan), detail={"flags": tuple(flags)})
     end_h, end_h2, end_h4 = (t.states[-1] for t in trajectories)
     err_coarse = float(np.linalg.norm(end_h - end_h2))
     err_fine = float(np.linalg.norm(end_h2 - end_h4))
-    order = None
+    order = math.nan
     if err_coarse > 0.0 and err_fine > 0.0:
         order = math.log2(err_coarse / err_fine)
-    return RefineReport(err_coarse, err_fine, order, tuple(flags))
+    return Check("info", order, (err_coarse, err_fine), detail={"flags": tuple(flags)})
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

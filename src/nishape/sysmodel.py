@@ -18,9 +18,10 @@ steps on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
-from typing import ClassVar, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -32,32 +33,30 @@ TAU_PD = 1e-9          # strict positive-definiteness margin
 
 
 @dataclass(frozen=True, eq=False)
-class Report:
-    """Base of every check report: a ``verdict``, a worst value and a witness.
+class Check:
+    """The outcome of one check: its ``verdict``, the worst value it found,
+    the ``witness`` of that value (a tuple of floats, empty when there is
+    none), the number of points it sampled (0 for a check that samples none)
+    and ``detail``, a read-only mapping of the further values its callers read.
 
-    Subclasses declare ``verdict`` (a field, or a class constant for purely
-    informational reports) and name their fields: the worst value is the
-    smallest of ``worst_fields``, and the witness is the concatenation of
-    ``witness_fields`` (scalars or vectors; a field holding None adds nothing).
-    ``passed`` is the one pass policy, read by every caller that gates on a report.
+    Each check function states its worst value and witness itself.
+    ``passed`` is the one pass policy, read by every caller that gates on a check.
     """
 
-    worst_fields: ClassVar[tuple] = ()
-    witness_fields: ClassVar[tuple] = ()
+    verdict: str
+    worst_value: float
+    witness: tuple = ()
+    n_samples: int = 0
+    detail: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "worst_value", float(self.worst_value))
+        object.__setattr__(self, "witness", tuple(map(float, self.witness)))
+        object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("pass", "ok", "skipped", "info", "flagged")
-
-    @property
-    def worst_value(self) -> float:
-        return float(min(getattr(self, name) for name in self.worst_fields))
-
-    @property
-    def witness(self) -> tuple:
-        parts = (getattr(self, name) for name in self.witness_fields)
-        return tuple(float(v) for part in parts if part is not None
-                     for v in np.atleast_1d(part))
+        return self.verdict in ("pass", "skipped", "info", "flagged")
 
 
 _FLOAT64 = np.dtype(float)
@@ -394,30 +393,21 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
 # Gradient consistency probing
 
 
-@dataclass(frozen=True, eq=False)
-class GradientCheckReport(Report):
-    max_deviation: float
-    worst_point: Optional[np.ndarray]
-    n_points: int
-    verdict: str  # "pass" | "fail" | "nothing to check"
-
-    worst_fields = ("max_deviation",)
-    witness_fields = ("worst_point",)
-
-
-def gradient_check(field: ScalarField, points) -> GradientCheckReport:
+def gradient_check(field: ScalarField, points) -> Check:
     """Probe an analytic gradient against central finite differences.
 
     The deviation at a point is ``|g_an - g_fd| / max(|g_fd|, 1e-3)``, so the
     TAU_GRAD verdict corresponds to a 1e-5 relative tolerance with a 1e-8
-    absolute floor.  Fields without an analytic gradient report
-    "nothing to check".
+    absolute floor.  The worst value is the largest deviation and the witness
+    its point.  A field without an analytic gradient, or an empty set of
+    points, reports "nothing to check".
     """
+    nothing = Check("nothing to check", 0.0)
     if not field.has_analytic_gradient:
-        return GradientCheckReport(0.0, None, 0, "nothing to check")
+        return nothing
     floor = TAU_GRAD_FLOOR / TAU_GRAD
     worst = -1.0
-    worst_pt = None
+    worst_pt = ()  # stays empty only when every deviation is NaN
     count = 0
     for pt in points:
         pt = np.asarray(pt, dtype=float)
@@ -429,5 +419,6 @@ def gradient_check(field: ScalarField, points) -> GradientCheckReport:
         count += 1
         if dev > worst:
             worst, worst_pt = dev, pt
-    verdict = "pass" if worst <= TAU_GRAD else "fail"
-    return GradientCheckReport(worst, worst_pt, count, verdict)
+    if count == 0:
+        return nothing
+    return Check("pass" if worst <= TAU_GRAD else "fail", worst, worst_pt, count)

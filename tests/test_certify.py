@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import nishape
-from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, NonlinearSystem,
-                     Report, ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
+from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, NonlinearSystem,
+                     ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
                      PendulumParams, TAU_ZERO, get_scenario,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
                      check_positive_definite, dissipation_from_rates,
@@ -14,7 +14,7 @@ from nishape import (HamiltonianSystem, InputSignal, IntegratorConfig, Nonlinear
                      hamiltonian_decay_identity, hidden_motion_from_rates,
                      make_closed_loop, make_shaped_storage, rate_table, report_line,
                      simulate, write_reports_csv, zero_field)
-from nishape.scenarios import ConvergenceReport, SyncReport, _build_parts
+from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
@@ -65,7 +65,7 @@ def test_pendulum_square_wave_is_dissipative():
     plant, V, traj = _pendulum_square_wave_run(t_end=30.0)
     report = dissipation_from_rates(rate_table(plant, V, traj), 0.0)
     assert report.verdict == "pass"
-    assert report.n_violations == 0
+    assert report.detail["n_violations"] == 0
     assert report.n_samples == traj.n_samples
 
 
@@ -75,7 +75,7 @@ def test_lossless_storage_rate_vanishes():
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = dissipation_from_rates(rate_table(hs, hs.H, traj), 0.0)
     assert report.verdict == "pass"
-    assert abs(report.max_violation) <= 1e-12
+    assert abs(report.worst_value) <= 1e-12
 
 
 def test_flipped_hinge_damper_violates_dissipation():
@@ -102,7 +102,7 @@ def test_flipped_hinge_damper_violates_dissipation():
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = dissipation_from_rates(rate_table(bad_plant, V, traj), 0.0)
     assert report.verdict == "fail"
-    assert report.max_violation > report.tolerance
+    assert report.worst_value > report.detail["tolerance"]
 
 
 def test_osni_with_zero_epsilon_is_bitwise_ni():
@@ -110,9 +110,11 @@ def test_osni_with_zero_epsilon_is_bitwise_ni():
     rates = rate_table(plant, V, traj)
     report = dissipation_from_rates(rates, 0.0)
     # the NI inequality Vdot <= u . ydot: the epsilon term adds nothing
-    assert np.array_equal(report.residuals, rates.vdot - rates.supply)
-    assert report.max_violation == float(np.max(rates.vdot - rates.supply))
-    assert report.epsilon_used == 0.0
+    assert np.array_equal(report.detail["residuals"], rates.vdot - rates.supply)
+    assert report.worst_value == float(np.max(rates.vdot - rates.supply))
+    # witnessed by the time and state of the largest residual
+    k = int(np.argmax(rates.vdot - rates.supply))
+    assert report.witness == (traj.times[k], *traj.states[k])
 
 
 def test_osni_passes_at_half_estimate_fails_at_ten_times():
@@ -174,13 +176,14 @@ def test_rate_checks_match_the_per_knot_loops_bitwise():
     assert eps_hat > 0.0 and intervals
     rates = rate_table(plant, V, traj)
     assert epsilon_from_rates([rates]) == eps_hat
-    assert hidden_motion_from_rates(rates).intervals == intervals
-    assert hidden_motion_from_rates(rate_table(plant, zero_field(4), traj)).intervals == intervals
+    assert hidden_motion_from_rates(rates).detail["intervals"] == intervals
+    assert hidden_motion_from_rates(rate_table(plant, zero_field(4), traj)).detail["intervals"] \
+        == intervals
     for epsilon in (0.0, 0.5 * eps_hat):
         report = dissipation_from_rates(rates, epsilon)
         residuals = _knot_loop_oracle(plant, V, traj, epsilon)[0]
-        assert np.array_equal(report.residuals, residuals)
-        assert report.tolerance == 1e-6 * (1.0 + max_supply)
+        assert np.array_equal(report.detail["residuals"], residuals)
+        assert report.detail["tolerance"] == 1e-6 * (1.0 + max_supply)
     # several trajectories: one infimum over all of their knots
     _, _, trajs = _random_pendulum_batch(n_traj=2, t_end=0.5)
     oracle = min(_knot_loop_oracle(plant, V, t, 0.0)[2] for t in trajs)
@@ -193,7 +196,10 @@ def test_rate_checks_match_the_per_knot_loops_bitwise():
                     IntegratorConfig(step=1e-2, t_end=0.9))
     intervals = _knot_loop_oracle(sys, zero_field(2), traj, 0.0)[3]
     assert len(intervals) == 2 and intervals[-1][1] == traj.times[-1]
-    assert hidden_motion_from_rates(rate_table(sys, zero_field(2), traj)).intervals == intervals
+    report = hidden_motion_from_rates(rate_table(sys, zero_field(2), traj))
+    assert report.detail["intervals"] == intervals
+    # witnessed by the first interval
+    assert report.witness == intervals[0]
 
 
 def _per_knot_rates(sys, V, traj):
@@ -474,24 +480,24 @@ BOX2 = [(-5.0, 5.0), (-5.0, 5.0)]
 def test_definiteness_diagonal_quadratic():
     report = check_positive_definite(_w1_field(), BOX2, n_samples=200, seed=0)
     assert report.verdict == "pass"
-    assert report.min_sampled_value > 0.0
-    assert report.min_hessian_eig_origin == pytest.approx(0.8, abs=1e-6)
-    assert "box-local" in report.caveat
+    assert report.worst_value > 0.0
+    assert report.detail["min_hessian_eig_origin"] == pytest.approx(0.8, abs=1e-6)
+    assert "box-local" in report.detail["caveat"]
 
 
 def test_definiteness_indefinite_fails_with_witness():
     report = check_positive_definite(_indefinite_field(), BOX2, n_samples=200, seed=0)
     assert report.verdict == "fail"
-    assert report.min_sampled_value < 0.0
+    assert report.worst_value < 0.0
     witness = np.asarray(report.witness)
-    assert witness[0] ** 2 - witness[1] ** 2 == pytest.approx(report.min_sampled_value)
+    assert witness[0] ** 2 - witness[1] ** 2 == report.worst_value
 
 
 def test_definiteness_coupled_field_hessian_eigs():
     report = check_positive_definite(_w2_field(), BOX2, n_samples=200, seed=0)
     assert report.verdict == "pass"
     # Hessian at the origin is [[2, -1], [-1, 2]]
-    assert report.min_hessian_eig_origin == pytest.approx(1.0, abs=1e-6)
+    assert report.detail["min_hessian_eig_origin"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_definiteness_verdicts_are_seed_stable():
@@ -514,17 +520,24 @@ def test_definiteness_box_must_contain_origin():
 # Gradient nonvanishing
 
 
+def _is_sample(witness, box, n_samples, seed=0):
+    return witness in [tuple(x) for x in halton_box_samples(box, n_samples, seed).tolist()]
+
+
 def test_nonvanishing_coupled_field_passes():
-    report = check_gradient_nonvanishing(_w2_field(), BOX2, n_samples=200, seed=0)
+    field = _w2_field()
+    report = check_gradient_nonvanishing(field, BOX2, n_samples=200, seed=0)
     assert report.verdict == "pass"
-    assert report.critical_point is None
+    # no critical point: the witness is the sampled minimizer of |grad W|
+    assert _is_sample(report.witness, BOX2, 200)
+    assert np.linalg.norm(field.gradient(report.witness)) == report.worst_value
 
 
 def test_nonvanishing_quartic_passes_with_margin_note():
     field = ScalarField(1, lambda x: x[0] ** 4, lambda x: np.array([4.0 * x[0] ** 3]))
     report = check_gradient_nonvanishing(field, [(-1.0, 1.0)], n_samples=200, seed=0)
     assert report.verdict == "pass"
-    assert "margin" in report.note
+    assert "margin" in report.detail["note"]
 
 
 def test_nonvanishing_double_well_fails_near_unit_points():
@@ -532,8 +545,10 @@ def test_nonvanishing_double_well_fails_near_unit_points():
                         lambda x: np.array([x[0] ** 3 - x[0]]))
     report = check_gradient_nonvanishing(field, [(-2.0, 2.0)], n_samples=200, seed=0)
     assert report.verdict == "fail"
-    assert report.critical_point is not None
-    assert abs(abs(report.critical_point[0]) - 1.0) < 1e-6
+    # the witness is the polished critical point, not the sampled minimizer
+    assert not _is_sample(report.witness, [(-2.0, 2.0)], 200)
+    assert abs(abs(report.witness[0]) - 1.0) < 1e-6
+    assert abs(field.gradient(report.witness)[0]) < 1e-9 < report.worst_value
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +561,21 @@ def test_uniqueness_shaped_pendulum_passes():
     closed = make_closed_loop(plant, build_full_shaping())
     report = check_equilibrium_uniqueness(closed, [(-8.0, 8.0)] * 4, n_samples=512, seed=0)
     assert report.verdict == "pass"
-    assert report.root is None
+    # no root: the witness is the sampled minimizer of |f(x, 0)|
+    assert _is_sample(report.witness, [(-8.0, 8.0)] * 4, 512)
+    assert np.linalg.norm(closed.f(report.witness, np.zeros(2))) == report.worst_value
 
 
 def test_uniqueness_open_loop_pendulum_finds_nonzero_well():
     plant, _ = build_pendulum()
     report = check_equilibrium_uniqueness(plant, [(-8.0, 8.0)] * 4, n_samples=512, seed=0)
     assert report.verdict == "fail"
-    root = report.root
-    assert root is not None
+    # the witness is the polished root, not the sampled minimizer
+    root = np.array(report.witness)
+    assert not _is_sample(report.witness, [(-8.0, 8.0)] * 4, 512)
     assert np.linalg.norm(root) > 1.0
-    # it really is an equilibrium
-    assert np.linalg.norm(plant.f(root, np.zeros(2))) <= 1e-8
+    # it really is an equilibrium, nearer than any sample
+    assert np.linalg.norm(plant.f(root, np.zeros(2))) <= 1e-8 < report.worst_value
     # angular velocities vanish at any equilibrium
     assert np.max(np.abs(root[2:])) <= 1e-8
 
@@ -585,7 +603,7 @@ def test_decay_identity_small_discrepancy():
     traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = hamiltonian_decay_identity(hs, nl, traj)
-    assert report.max_discrepancy <= 1e-7
+    assert report.worst_value <= 1e-7
 
 
 def test_decay_identity_fourth_order_refinement():
@@ -594,7 +612,7 @@ def test_decay_identity_fourth_order_refinement():
     for step in (1e-3, 5e-4):
         traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),
                         IntegratorConfig(step=step, t_end=3.0))
-        discrepancies.append(hamiltonian_decay_identity(hs, nl, traj).max_discrepancy)
+        discrepancies.append(hamiltonian_decay_identity(hs, nl, traj).worst_value)
     assert discrepancies[0] / discrepancies[1] >= 8.0
 
 
@@ -605,7 +623,7 @@ def test_decay_identity_zero_feedback_reduces_to_plant_rate():
     traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = hamiltonian_decay_identity(hs, nl, traj)
-    assert report.max_discrepancy <= 1e-7
+    assert report.worst_value <= 1e-7
 
 
 def test_decay_identity_lossless_conserves_storage():
@@ -614,7 +632,7 @@ def test_decay_identity_lossless_conserves_storage():
     traj = simulate(closed, [1.0, 0.0], InputSignal.zero(1),
                     IntegratorConfig(step=1e-3, t_end=5.0))
     report = hamiltonian_decay_identity(hs, nl, traj)
-    assert report.max_discrepancy <= 1e-7
+    assert report.worst_value <= 1e-7
     w_values = np.array([W(x) for x in traj.states])
     assert np.max(w_values) - np.min(w_values) <= 1e-8
 
@@ -709,8 +727,8 @@ def test_decay_identity_matches_the_hand_derived_loop():
         lhs = (-w[4:n] + 8.0 * w[3:n - 1] - 8.0 * w[1:n - 3] + w[:n - 4]) / (12.0 * traj.step)
         discrepancy = np.abs(lhs - rhs[2:n - 2])
         report = hamiltonian_decay_identity(hs, nl, traj)
-        assert report.max_discrepancy == float(np.max(discrepancy)) > 0.0
-        assert report.time_of_max == float(traj.times[int(np.argmax(discrepancy)) + 2])
+        assert report.worst_value == float(np.max(discrepancy)) > 0.0
+        assert report.witness == (traj.times[int(np.argmax(discrepancy)) + 2],)
 
 
 def test_decay_identity_requires_potential_and_autonomy():
@@ -758,7 +776,8 @@ def test_hidden_motion_flags_unobserved_state():
                     IntegratorConfig(step=1e-2, t_end=1.0))
     report = hidden_motion_from_rates(rate_table(sys, zero_field(2), traj))
     assert report.verdict == "flagged"
-    assert report.n_flagged == traj.n_samples
+    assert report.worst_value == traj.n_samples
+    assert report.witness == report.detail["intervals"][0] == (0.0, traj.times[-1])
 
 
 def test_hidden_motion_clean_on_observed_decay():
@@ -773,77 +792,65 @@ def test_hidden_motion_clean_on_observed_decay():
 # Report serialization
 
 
-def _report_of_each_kind():
-    """(name, report, report_line text, checks.csv row), one per report class
-    plus the witness special cases."""
-    v = np.array
+def _checks_and_their_text():
+    """(name, Check, report_line text, checks.csv row), one per witness shape."""
+    nan = math.nan
     return [
-        ("grad", nishape.GradientCheckReport(2.5e-9, v([0.5, -1.25]), 10, "pass"),
+        ("grad", Check("pass", 2.5e-9, (0.5, -1.25), 10),
          "pass  worst=2.5000000000000001e-09  witness=(0.5, -1.25)",
          "pass,2.5000000000000001e-09,0.5 -1.25"),
-        ("grad-none", nishape.GradientCheckReport(0.0, None, 0, "nothing to check"),
+        ("grad-none", Check("nothing to check", 0.0),
          "nothing to check  worst=0  witness=-", "nothing to check,0,"),
-        ("dissipation", nishape.DissipationReport(1e-3, 0.25, v([1.0, -2.0]), 5, 1, 0.1,
-                                                  1e-6, "fail", v([0.0, 1e-3])),
+        ("dissipation", Check("fail", 1e-3, (0.25, 1.0, -2.0), 5),
          "fail  worst=0.001  witness=(0.25, 1, -2)", "fail,0.001,0.25 1 -2"),
-        ("definiteness", nishape.DefinitenessReport(0.125, 0.8, v([0.1, 0.2]), 7, "pass", ""),
+        ("definiteness", Check("pass", 0.125, (0.1, 0.2), 7),
          "pass  worst=0.125  witness=(0.10000000000000001, 0.20000000000000001)",
          "pass,0.125,0.10000000000000001 0.20000000000000001"),
-        ("nonvanishing", nishape.NonvanishingReport(0.3, v([0.5, 0.5]), 1e-9, None, 9, "pass"),
+        ("nonvanishing", Check("pass", 0.3, (0.5, 0.5), 9),
          "pass  worst=0.29999999999999999  witness=(0.5, 0.5)",
          "pass,0.29999999999999999,0.5 0.5"),
-        ("critical", nishape.NonvanishingReport(0.3, v([0.5, 0.5]), 1e-9, v([1.0, 0.0]), 9,
-                                                "fail"),
+        ("critical", Check("fail", 0.3, (1.0, 0.0), 9),
          "fail  worst=0.29999999999999999  witness=(1, 0)", "fail,0.29999999999999999,1 0"),
-        ("uniqueness", nishape.UniquenessReport(0.7, v([3.0, -1.0]), None, 11, 1e-3, "pass"),
+        ("uniqueness", Check("pass", 0.7, (3.0, -1.0), 11),
          "pass  worst=0.69999999999999996  witness=(3, -1)", "pass,0.69999999999999996,3 -1"),
-        ("root", nishape.UniquenessReport(0.7, v([3.0, -1.0]), v([2.0, 2.0]), 11, 1e-3, "fail"),
+        ("root", Check("fail", 0.7, (2.0, 2.0), 11),
          "fail  worst=0.69999999999999996  witness=(2, 2)", "fail,0.69999999999999996,2 2"),
-        ("decay", nishape.DecayIdentityReport(1e-7, 1.5, 100, 1e-3),
+        ("decay", Check("info", 1e-7, (1.5,), 100),
          "info  worst=9.9999999999999995e-08  witness=(1.5)", "info,9.9999999999999995e-08,1.5"),
-        ("hidden", nishape.HiddenMotionReport(((0.0, 0.5), (2.0, 3.0)), 3, "flagged"),
+        ("hidden", Check("flagged", 3, (0.0, 0.5)),
          "flagged  worst=3  witness=(0, 0.5)", "flagged,3,0 0.5"),
-        ("hidden-none", nishape.HiddenMotionReport((), 0, "pass"),
+        ("hidden-none", Check("pass", 0),
          "pass  worst=0  witness=-", "pass,0,"),
-        ("ssni", nishape.SsniReport(-2.0, 1e-12, "pass"),
+        ("ssni", Check("pass", -2.0, (1e-12,)),
          "pass  worst=-2  witness=(9.9999999999999998e-13)", "pass,-2,9.9999999999999998e-13"),
-        ("dey", nishape.DeyReport(0.25, 0.0, "pass"), "pass  worst=0.25  witness=-", "pass,0.25,"),
-        ("schur", nishape.SchurReport(0.5, -0.125, True, False, "fail"),
+        ("dey", Check("pass", 0.25), "pass  worst=0.25  witness=-", "pass,0.25,"),
+        ("schur", Check("fail", -0.125, (0.5, -0.125)),
          "fail  worst=-0.125  witness=(0.5, -0.125)", "fail,-0.125,0.5 -0.125"),
-        ("hurwitz", nishape.HurwitzReport(math.nan, 1.0, "indeterminate", "note"),
+        ("hurwitz", Check("indeterminate", nan),
          "indeterminate  worst=nan  witness=-", "indeterminate,nan,"),
-        ("minimality", nishape.MinimalityReport(2, 1, 2, "fail"),
+        ("minimality", Check("fail", 1, (2, 1)),
          "fail  worst=1  witness=(2, 1)", "fail,1,2 1"),
-        ("monitor", nishape.MonitorDecayReport(-1e-11, 1e-8, "pass"),
+        ("monitor", Check("pass", -1e-11),
          "pass  worst=-9.9999999999999994e-12  witness=-", "pass,-9.9999999999999994e-12,"),
-        ("refine", nishape.RefineReport(1e-5, 6.25e-7, 4.0, ()),
+        ("refine", Check("info", 4.0, (1e-5, 6.25e-7)),
          "info  worst=4  witness=(1.0000000000000001e-05, 6.2500000000000005e-07)",
          "info,4,1.0000000000000001e-05 6.2500000000000005e-07"),
-        ("refine-none", nishape.RefineReport(0.0, 0.0, None, ()),
+        ("refine-none", Check("info", nan, (0.0, 0.0)),
          "info  worst=nan  witness=(0, 0)", "info,nan,0 0"),
-        ("surface", nishape.SurfaceReport(v([0.0]), v([[0.0]]), ((0.0, 0.1), (1.0, 1.0)), 0,
-                                          False, None),
+        ("surface", Check("ok", 2, (0.0, 0.1)),
          "ok  worst=2  witness=(0, 0.10000000000000001)", "ok,2,0 0.10000000000000001"),
-        ("surface-flat", nishape.SurfaceReport(v([0.0]), v([[0.0]]), (), 4, True, None),
+        ("surface-flat", Check("degenerate", 0),
          "degenerate  worst=0  witness=-", "degenerate,0,"),
-        ("sync", SyncReport(0.2, 0.03, 0.15, (20.0, 30.0), "pass"),
+        ("sync", Check("pass", 0.15, (0.2, 0.03)),
          "pass  worst=0.14999999999999999  witness=(0.20000000000000001, 0.029999999999999999)",
          "pass,0.14999999999999999,0.20000000000000001 0.029999999999999999"),
-        ("convergence", ConvergenceReport(1e-3, v([1e-3, 0.0]), 1e-2, "pass"),
+        ("convergence", Check("pass", 1e-3, np.array([1e-3, 0.0])),
          "pass  worst=0.001  witness=(0.001, 0)", "pass,0.001,0.001 0"),
     ]
 
 
-def test_every_report_class_shares_the_report_base():
-    classes = {obj for module in (nishape, nishape.scenarios) for name, obj in vars(module).items()
-               if isinstance(obj, type) and name.endswith("Report") and obj is not Report}
-    assert len(classes) == 17
-    assert all(issubclass(cls, Report) for cls in classes)
-    assert classes == {type(report) for _, report, _, _ in _report_of_each_kind()}
-
-
 def test_report_line_and_csv_golden_text(tmp_path):
-    cases = _report_of_each_kind()
+    cases = _checks_and_their_text()
     for name, report, line, _ in cases:
         assert report_line(name, report) == f"{name}: {line}"
     path = tmp_path / "checks.csv"

@@ -285,6 +285,11 @@ def test_surface_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "surface_linear-b_original.csv").exists()
     assert (tmp_path / "surface_linear-b_shaped.csv").exists()
+    # at |x| ~ 1e-200 every value underflows to 0: an all-plateau, degenerate grid fails
+    code = main(["surface", "linear-a", "--out", str(tmp_path), "--points", "5",
+                 "--range", "1e-200"])
+    assert code == 1
+    assert "0 local minima, 9 plateau cells" in capsys.readouterr().out
 
 
 def test_no_command_is_usage_error(capsys):

@@ -185,8 +185,9 @@ def test_check_ssni_example_margins():
     _, cert = _example_cert()
     report = check_ssni(cert)
     assert report.verdict == "pass"
-    assert abs(report.max_lyapunov_eig - (-2.0)) <= 1e-9
-    assert report.structure_residual <= 1e-12
+    # worst: the largest eigenvalue of AY + YA^T; witness: the structure residual
+    assert abs(report.worst_value - (-2.0)) <= 1e-9
+    assert len(report.witness) == 1 and report.witness[0] <= 1e-12
 
 
 def test_check_ssni_identity_case():
@@ -199,7 +200,7 @@ def test_check_ssni_fails_on_wrong_structure():
     sys = LinearSystem(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
     report = check_ssni(SsniCertificate(sys, np.eye(2)))
     assert report.verdict == "fail"
-    assert report.structure_residual > 0.1
+    assert report.witness[0] > 0.1
 
 
 def test_certificate_rejects_bad_Y():
@@ -250,10 +251,11 @@ def test_dey_condition_example():
     sys, cert = _example_cert()
     passing = dey_condition(sys, cert, SlopeBounds([0.5, 0.5]))
     assert passing.verdict == "pass"
-    assert passing.margin == pytest.approx(1.0, abs=1e-9)
+    assert passing.worst_value == pytest.approx(1.0, abs=1e-9)
+    assert passing.witness == ()
     failing = dey_condition(sys, cert, SlopeBounds([2.0, 2.0]))
     assert failing.verdict == "fail"
-    assert failing.margin == pytest.approx(-0.5, abs=1e-9)
+    assert failing.worst_value == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_dey_condition_trivial_for_zero_gain():
@@ -265,11 +267,16 @@ def test_dey_condition_trivial_for_zero_gain():
 def test_schur_equivalence_example_margins():
     _, cert = _example_cert()
     both = schur_equivalence(cert, SlopeBounds([0.5, 0.5]))
-    assert both.primal_holds and both.dual_holds and both.agree
-    assert both.primal_margin == pytest.approx(1.0, abs=1e-12)
-    assert both.dual_margin == pytest.approx(0.5, abs=1e-12)
+    # witness: the (primal, dual) margins; worst: the smaller of them
+    primal, dual = both.witness
+    assert both.verdict == "pass" and primal > 0.0 and dual > 0.0
+    assert primal == pytest.approx(1.0, abs=1e-12)
+    assert dual == pytest.approx(0.5, abs=1e-12)
+    assert both.worst_value == dual
     neither = schur_equivalence(cert, SlopeBounds([2.0, 2.0]))
-    assert (not neither.primal_holds) and (not neither.dual_holds) and neither.agree
+    primal, dual = neither.witness
+    assert neither.verdict == "pass" and primal < 0.0 and dual < 0.0
+    assert neither.worst_value == min(primal, dual)
 
 
 def test_schur_equivalence_random_instances_always_agree():
@@ -277,7 +284,7 @@ def test_schur_equivalence_random_instances_always_agree():
     for _ in range(100):
         _, cert = _random_certified_instance(rng)
         m = SlopeBounds(rng.uniform(0.05, 5.0, size=cert.sys.p))
-        assert schur_equivalence(cert, m).agree
+        assert schur_equivalence(cert, m).verdict == "pass"
 
 
 def test_schur_equivalence_property_across_seeds():
@@ -286,7 +293,7 @@ def test_schur_equivalence_property_across_seeds():
         for _ in range(170):
             _, cert = _random_certified_instance(rng)
             m = SlopeBounds(rng.uniform(0.05, 5.0, size=cert.sys.p))
-            assert schur_equivalence(cert, m).agree
+            assert schur_equivalence(cert, m).verdict == "pass"
 
 
 def test_slope_bounds_validation():
@@ -467,15 +474,16 @@ def test_check_minimal_example_and_failures():
     sys = _example_system()
     report = check_minimal(sys)
     assert report.verdict == "pass"
-    assert report.controllable and report.observable
+    # witness: the (controllability, observability) ranks; worst: the smaller
+    assert (report.worst_value, report.witness) == (2.0, (2.0, 2.0))
 
     no_input = LinearSystem(np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.eye(2))
     report = check_minimal(no_input)
-    assert report.verdict == "fail" and not report.controllable
+    assert report.verdict == "fail" and (report.worst_value, report.witness) == (0.0, (0.0, 2.0))
 
     no_output = LinearSystem(np.diag([-1.0, -2.0]), np.eye(2), np.zeros((2, 2)))
     report = check_minimal(no_output)
-    assert report.verdict == "fail" and not report.observable
+    assert report.verdict == "fail" and (report.worst_value, report.witness) == (0.0, (2.0, 0.0))
 
 
 def _exact_rank(rows) -> int:
@@ -526,8 +534,7 @@ def test_check_minimal_ranks_match_exact_rational_ranks_at_every_scale():
         seen.add(exact == (n, n))
         for k in (-400, -20, 0, 20, 400):
             report = check_minimal(LinearSystem(np.ldexp(A.astype(float), k), B, C))
-            got = (report.rank_controllability, report.rank_observability)
-            assert got == exact, (A.tolist(), B.tolist(), C.tolist(), k)
+            assert report.witness == exact, (A.tolist(), B.tolist(), C.tolist(), k)
     assert seen == {True, False}
 
 
@@ -536,12 +543,12 @@ def test_check_minimal_does_not_depend_on_the_time_unit_of_A():
     for c in (2.0 ** -400, 1e-6, 1.0, 1e6, 2.0 ** 400):
         A = c * np.diag([-1.0, -2.0, -3.0])
         report = check_minimal(LinearSystem(A, -A @ Y @ C.T, C))
-        assert (report.rank_controllability, report.rank_observability) == (3, 3), c
+        assert report.witness == (3, 3), c
         assert report.verdict == "pass", c
     # near the largest double, A B overflows unless A itself is scaled first
     A = 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]])
     report = check_minimal(LinearSystem(A, [[3.0], [3.0]], [[1.0, 0.0]]))
-    assert (report.rank_controllability, report.rank_observability) == (2, 2)
+    assert report.witness == (2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_is_hurwitz_agrees_with_scipy_lyapunov_solution():
         p_min = float(scipy_linalg.eigvalsh(0.5 * (P + P.T))[0])
         report = is_hurwitz(A)
         assert report.verdict == ("pass" if spectral_abscissa < 0.0 else "fail"), k
-        assert report.min_p_eig == pytest.approx(p_min, rel=1e-9, abs=1e-12), k
+        assert report.worst_value == pytest.approx(p_min, rel=1e-9, abs=1e-12), k
         verdicts.add(report.verdict)
     assert verdicts == {"pass", "fail"}
 

@@ -270,7 +270,7 @@ def test_monitor_decay_constant_trajectory_passes():
                       storage=np.array([1.0, 1.0, 1.0]))
     report = monitor_decay(traj)
     assert report.verdict == "pass"
-    assert report.max_increase == 0.0
+    assert report.worst_value == 0.0
 
 
 def test_monitor_decay_skips_forced_segment(pendulum):
@@ -278,7 +278,8 @@ def test_monitor_decay_skips_forced_segment(pendulum):
     sig = InputSignal.square_wave(2, 0, 2.0, 3.0)
     traj = simulate(plant, (1.0, 0.0, 0.0, 0.0), sig,
                     IntegratorConfig(step=1e-3, t_end=1.0), monitor=V)
-    assert monitor_decay(traj).verdict == "skipped"
+    report = monitor_decay(traj)
+    assert report.verdict == "skipped" and math.isnan(report.worst_value)
 
 
 def test_monitor_decay_requires_storage(pendulum):
@@ -321,8 +322,10 @@ def test_linear_coupled_case_converges_and_decays(linear_cases):
 def test_refine_check_smooth_rk4_order():
     report = refine_check(_scalar_decay(), [1.0], InputSignal.zero(1),
                           IntegratorConfig(step=0.05, t_end=1.0))
-    assert report.order is not None
-    assert report.order >= 3.5
+    # worst: the observed order; witness: the end-state differences (e_h, e_h/2)
+    err_coarse, err_fine = report.witness
+    assert report.worst_value == math.log2(err_coarse / err_fine)
+    assert report.worst_value >= 3.5
 
 
 def test_refine_check_square_wave_degrades_order(pendulum):
@@ -330,17 +333,17 @@ def test_refine_check_square_wave_degrades_order(pendulum):
     report = refine_check(plant, (1.0, 0.5, 0.0, 0.0),
                           InputSignal.square_wave(2, 0, 2.0, 3.0),
                           IntegratorConfig(step=0.01, t_end=6.0))
-    assert "discontinuous input" in report.flags
-    assert report.order is not None
-    assert 0.3 < report.order < 2.0
+    assert "discontinuous input" in report.detail["flags"]
+    assert 0.3 < report.worst_value < 2.0
 
 
 def test_refine_check_zero_dynamics():
     frozen = NonlinearSystem(1, 1, lambda x, u: np.zeros(1), lambda x: x.copy())
     report = refine_check(frozen, [0.0], InputSignal.zero(1),
                           IntegratorConfig(step=0.1, t_end=1.0))
-    assert report.order is None
-    assert report.err_coarse == 0.0 and report.err_fine == 0.0
+    # a zero difference has no order: the worst value is NaN
+    assert math.isnan(report.worst_value)
+    assert report.witness == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

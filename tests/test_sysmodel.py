@@ -1,21 +1,17 @@
-import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from nishape import (NonlinearSystem, ScalarField, StaticNonlinearity,
+import nishape
+from nishape import (Check, InputSignal, IntegratorConfig, LinearSystem, NonlinearSystem,
+                     ScalarField, SlopeBounds, SsniCertificate, StaticNonlinearity,
                      build_full_shaping, gradient_check, make_closed_loop,
-                     make_shaped_storage, scenario_names, get_scenario,
-                     zero_field, TAU_ZERO)
-from nishape.certify import (DecayIdentityReport, DefinitenessReport, DissipationReport,
-                             HiddenMotionReport, NonvanishingReport, UniquenessReport)
-from nishape.linear import (DeyReport, HurwitzReport, MinimalityReport, SchurReport,
-                            SsniReport)
-from nishape.scenarios import ConvergenceReport, ScenarioResult, SurfaceReport, SyncReport
-from nishape.sim import MonitorDecayReport, RefineReport
-from nishape.sysmodel import GradientCheckReport, Report
-from conftest import make_rotation_hamiltonian
+                     make_shaped_storage, rate_table, run_scenario, scenario_names,
+                     get_scenario, simulate, zero_field, TAU_ZERO)
+from nishape.scenarios import ScenarioResult
+from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -284,49 +280,99 @@ def test_shaped_storage_reads_the_float_output_map_of_a_bound_h():
     assert seen[-1] is xs
 
 
-_VERDICTS = {  # report type -> {verdict: passed}, the one pass policy as a table
-    GradientCheckReport: {"pass": True, "fail": False, "nothing to check": False},
-    DissipationReport: {"pass": True, "fail": False},
-    DefinitenessReport: {"pass": True, "fail": False},
-    NonvanishingReport: {"pass": True, "fail": False},
-    UniquenessReport: {"pass": True, "fail": False},
-    DecayIdentityReport: {"info": True},
-    HiddenMotionReport: {"pass": True, "flagged": True},
-    SsniReport: {"pass": True, "fail": False},
-    DeyReport: {"pass": True, "fail": False},
-    SchurReport: {"pass": True, "fail": False},
-    HurwitzReport: {"pass": True, "fail": False, "indeterminate": False},
-    MinimalityReport: {"pass": True, "fail": False},
-    SurfaceReport: {"ok": True, "degenerate": False},
-    SyncReport: {"pass": True, "fail": False},
-    ConvergenceReport: {"pass": True, "fail": False},
-    MonitorDecayReport: {"pass": True, "fail": False, "skipped": True},
-    RefineReport: {"info": True},
+_PASSED = {  # verdict -> passed: the one pass policy as a table
+    "pass": True, "skipped": True, "info": True, "flagged": True,
+    "fail": False, "nothing to check": False, "indeterminate": False,
 }
 
 
-def _report_with_verdict(cls, verdict):
-    fields = {f.name: None for f in dataclasses.fields(cls)}
-    if "verdict" in fields:
-        fields["verdict"] = verdict
-    if cls is SurfaceReport:
-        fields["degenerate"] = verdict == "degenerate"
-    report = cls(**fields)
-    assert report.verdict == verdict
-    return report
+def test_check_reads_the_one_pass_policy():
+    for verdict, passed in _PASSED.items():
+        check = Check(verdict, 0.0)
+        assert check.passed is passed, verdict
+        assert ScenarioResult("t", [("check", check)], {}, {}).passed is passed
+    # a verdict outside the table fails, "ok" included: a surface grid is no check
+    assert not any(Check(verdict, 0.0).passed for verdict in ("ok", "degenerate", ""))
+    check = Check("pass", np.float64(0.5), np.array([1.0, 2.0]), 3, {"note": ""})
+    assert (check.worst_value, check.witness) == (0.5, (1.0, 2.0))
+    assert type(check.worst_value) is float and all(type(v) is float for v in check.witness)
+    with pytest.raises(TypeError):
+        check.detail["note"] = "changed"
 
 
-def _all_subclasses(cls):
-    return {sub for direct in cls.__subclasses__() for sub in {direct} | _all_subclasses(direct)}
+def _checks_of_every_check_function():
+    """check function -> the records it returns on inputs that reach each of
+    its verdicts (Schur's "fail" needs the two predicates to disagree, which
+    no exact input gives)."""
+    cfg = IntegratorConfig(step=1e-2, t_end=0.5)
+    zero = InputSignal.zero(1)
+    square = ScalarField(1, lambda x: float(x @ x), lambda x: 2.0 * x)
+
+    def run(f, monitor=None, signal=zero):
+        sys = NonlinearSystem(1, 1, f, lambda x: x.copy(), h_jacobian=lambda x: np.eye(1))
+        return sys, simulate(sys, [1.0], signal, cfg, monitor=monitor)
+
+    stable, decay = run(lambda x, u: -x + u, monitor=square)
+    unstable, growth = run(lambda x, u: x + u, monitor=square)
+    _, forced = run(lambda x, u: -x + u, monitor=square, signal=InputSignal.constant([1.0]))
+    hidden = NonlinearSystem(2, 1, lambda x, u: np.array([0.0, -x[1]]), lambda x: x[:1].copy(),
+                             h_jacobian=lambda x: np.array([[1.0, 0.0]]))
+    hidden_run = simulate(hidden, [0.0, 1.0], zero, cfg)
+    well = ScalarField(1, lambda x: 0.25 * x[0] ** 4 - 0.5 * x[0] ** 2,
+                       lambda x: np.array([x[0] ** 3 - x[0]]))
+    hs, nl = make_rotation_hamiltonian(), make_linear_gain_feedback()
+    box = [(-2.0, 2.0)]
+    lin = LinearSystem([[-1.0]], [[1.0]], [[1.0]])
+    cert = SsniCertificate(lin, [[1.0]])
+    wrong = SsniCertificate(LinearSystem([[-1.0]], [[2.0]], [[1.0]]), [[1.0]])
+    scenario_checks = [check for name in ("pendulum-sync", "pendulum-stabilize")
+                       for _, check in run_scenario(name, t_end=0.3).checks]
+    flip = ScalarField(1, square.value, lambda x: -x)
+    negative = ScalarField(1, lambda x: -square.value(x))
+    roots = NonlinearSystem(1, 1, lambda x, u: x - x ** 3, lambda x: x.copy())
+    closed = make_closed_loop(hs, nl)
+    return {
+        nishape.gradient_check: [gradient_check(square, [[0.5]]), gradient_check(flip, [[1.0]]),
+                                 gradient_check(square, [])],
+        nishape.dissipation_from_rates: [
+            nishape.dissipation_from_rates(rate_table(sys, square, traj), 0.0)
+            for sys, traj in ((stable, decay), (unstable, growth))],
+        nishape.check_positive_definite: [nishape.check_positive_definite(field, box, 16)
+                                          for field in (square, negative)],
+        nishape.check_gradient_nonvanishing: [nishape.check_gradient_nonvanishing(field, box, 16)
+                                              for field in (square, well)],
+        nishape.check_equilibrium_uniqueness: [nishape.check_equilibrium_uniqueness(sys, box, 16)
+                                               for sys in (stable, roots)],
+        nishape.hamiltonian_decay_identity: [
+            nishape.hamiltonian_decay_identity(hs, nl, simulate(closed, [1.0, 0.0], zero, cfg))],
+        nishape.hidden_motion_from_rates: [
+            nishape.hidden_motion_from_rates(rate_table(sys, zero_field(n), traj))
+            for sys, n, traj in ((stable, 1, decay), (hidden, 2, hidden_run))],
+        nishape.check_ssni: [nishape.check_ssni(c) for c in (cert, wrong)],
+        nishape.dey_condition: [nishape.dey_condition(lin, cert, SlopeBounds([m]))
+                                for m in (0.5, 2.0)],
+        nishape.schur_equivalence: [nishape.schur_equivalence(cert, SlopeBounds([2.0]))],
+        nishape.is_hurwitz: [nishape.is_hurwitz(A) for A in ([[-1.0]], [[1.0]], [[0.0]])],
+        nishape.check_minimal: [nishape.check_minimal(sys) for sys in (
+            lin, LinearSystem([[-1.0]], [[0.0]], [[1.0]]))],
+        nishape.monitor_decay: [nishape.monitor_decay(traj) for traj in (decay, growth, forced)],
+        nishape.refine_check: [nishape.refine_check(stable, [1.0], zero, cfg)],
+        nishape.run_scenario: scenario_checks,
+    }
 
 
-def test_every_report_type_reads_the_one_pass_policy():
-    assert set(_VERDICTS) == _all_subclasses(Report)
-    for cls, table in _VERDICTS.items():
-        for verdict, passed in table.items():
-            report = _report_with_verdict(cls, verdict)
-            assert report.passed is passed, (cls.__name__, verdict)
-            assert ScenarioResult("t", [("check", report)], {}, {}).passed is passed
+def test_every_check_function_emits_only_table_verdicts():
+    emitted = _checks_of_every_check_function()
+    # every public function annotated to return a Check is exercised
+    returns_check = {f for f in vars(nishape).values() if inspect.isfunction(f)
+                     and inspect.signature(f).return_annotation == "Check"}
+    assert returns_check == set(emitted) - {nishape.run_scenario}
+    verdicts = set()
+    for func, checks in emitted.items():
+        assert all(type(check) is Check for check in checks), func.__name__
+        assert {check.verdict for check in checks} <= set(_PASSED), func.__name__
+        verdicts |= {check.verdict for check in checks}
+    assert verdicts == set(_PASSED)
 
 
 def _twin_models(from_floats):
@@ -426,8 +472,8 @@ def test_gradient_check_coupled_potential():
     rng = np.random.default_rng(8)
     report = gradient_check(F, rng.uniform(-3.0, 3.0, size=(100, 2)))
     assert report.passed
-    assert report.max_deviation <= 1e-6
-    assert report.n_points == 100
+    assert report.worst_value <= 1e-6
+    assert report.n_samples == 100
 
 
 def test_gradient_check_exact_linear_field():
@@ -436,20 +482,32 @@ def test_gradient_check_exact_linear_field():
     rng = np.random.default_rng(9)
     report = gradient_check(F, rng.uniform(-3.0, 3.0, size=(20, 2)))
     assert report.passed
-    assert report.max_deviation <= 1e-9
+    assert report.worst_value <= 1e-9
 
 
 def test_gradient_check_catches_sign_flip():
     F = ScalarField(2, lambda y: 0.5 * float(y @ y),
                     lambda y: -np.asarray(y, dtype=float))
     rng = np.random.default_rng(10)
-    report = gradient_check(F, rng.uniform(1.0, 3.0, size=(20, 2)))
+    points = rng.uniform(1.0, 3.0, size=(20, 2))
+    report = gradient_check(F, points)
     assert report.verdict == "fail"
-    assert report.max_deviation > 0.5
+    assert report.worst_value > 0.5
+    # the witness is the probe point of the largest deviation
+    assert report.witness in [tuple(pt) for pt in points.tolist()]
+    assert gradient_check(F, [report.witness]).worst_value == report.worst_value
 
 
 def test_gradient_check_without_analytic_gradient():
     F = ScalarField(2, lambda y: float(y @ y))
     report = gradient_check(F, [np.ones(2)])
     assert report.verdict == "nothing to check"
-    assert report.n_points == 0
+    assert (report.worst_value, report.witness, report.n_samples) == (0.0, (), 0)
+
+
+def test_gradient_check_of_no_points_has_nothing_to_check():
+    F = ScalarField(2, lambda y: float(y @ y), lambda y: 2.0 * np.asarray(y, dtype=float))
+    for points in ([], np.empty((0, 2))):
+        report = gradient_check(F, points)
+        assert report.verdict == "nothing to check" and not report.passed
+        assert (report.worst_value, report.witness, report.n_samples) == (0.0, (), 0)
