@@ -158,8 +158,8 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
 
     Rates are computed through the vector field at every knot, never by
     differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
-    time: ``fx = f(x, u)`` and the output Jacobian per knot, one
-    ``V.gradients`` call, then every product as one stacked ``np.matmul``,
+    time: ``fx = f(x, u)`` and the output Jacobian per knot (a constant one is
+    broadcast), one ``V.gradients`` call, then every product as one stacked ``np.matmul``,
     which runs numpy's kernel of a single ``@`` on each item, so every rate is
     bit for bit the per-knot ``@`` product.  ``fx`` is read from
     ``traj.derivatives`` when ``simulate`` recorded them with this system's
@@ -178,7 +178,9 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
         b = a + len(xs)
         fx = (traj.derivatives[a:b] if recorded else
               np.array([sys.f_floats(x, u) for x, u in zip(xs.tolist(), us.tolist())], float))
-        ydot = np.matmul(np.array([sys.output_jacobian(x) for x in xs]), fx[:, :, None])[:, :, 0]
+        js = (sys.h_jacobian if isinstance(sys.h_jacobian, np.ndarray)
+              else np.array([sys.output_jacobian(x) for x in xs]))
+        ydot = np.matmul(js, fx[:, :, None])[:, :, 0]
         vdot[a:b] = _row_dots(V.gradients(xs), fx)
         supply[a:b] = _row_dots(us, ydot)
         ydot_sq[a:b] = _row_dots(ydot, ydot)

@@ -269,7 +269,7 @@ def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> Scalar
 
     F = ScalarField.from_floats(phi.p, f_value, phi.phi_floats)
     return make_shaped_storage(V_Y, F, lambda x: C @ x, cert.sys.n,
-                               h_jacobian=lambda x: C, name="W (slope-bound shaped)")
+                               h_jacobian=C, name="W (slope-bound shaped)")
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +343,8 @@ def check_minimal(sys: LinearSystem) -> Check:
 def to_nonlinear(sys: LinearSystem) -> NonlinearSystem:
     """Wrap a linear system for use with the nonlinear tooling."""
     A, B, C = sys.A, sys.B, sys.C
-    return NonlinearSystem(sys.n, sys.p,
-                           lambda x, u: A @ x + B @ u,
-                           lambda x: C @ x,
-                           h_jacobian=lambda x: C,
-                           name="linear")
+    return NonlinearSystem(sys.n, sys.p, lambda x, u: A @ x + B @ u, lambda x: C @ x,
+                           h_jacobian=C, name="linear")
 
 
 # ---------------------------------------------------------------------------

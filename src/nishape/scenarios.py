@@ -104,10 +104,13 @@ def _nan_at_inf(trig):
     return lambda z: math.nan if math.isinf(z) else trig(z)
 
 
+_LOG_2 = math.log(2.0)
+
+
 def _log_cosh(z: float) -> float:
     # overflow-safe log(cosh(z))
     az = abs(z)
-    return az - math.log(2.0) + log1p(math.exp(-2.0 * az))
+    return az - _LOG_2 + log1p(math.exp(-2.0 * az))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +152,6 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     def h(x):
         return x[:2]
 
-    h_jac = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    h_jac.setflags(write=False)
-
     def v_value(x, cos=cos):
         th1, th2, w1, w2 = x
         try:
@@ -174,7 +174,7 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
         except ValueError:
             return v_gradient(x, _nan_at_inf(sin))
 
-    system = NonlinearSystem.from_floats(4, 2, f, h, h_jacobian=lambda x: h_jac,
+    system = NonlinearSystem.from_floats(4, 2, f, h, h_jacobian=np.eye(2, 4),
                                          name="two-pendulum plant")
     V = ScalarField.from_floats(4, v_value, v_gradient, name="pendulum storage")
     return system, V

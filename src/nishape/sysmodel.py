@@ -18,8 +18,9 @@ steps on them.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from operator import add
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -145,8 +146,8 @@ class NonlinearSystem:
     Input and output share the dimension ``n_io <= n_states`` and the origin
     must be an equilibrium: ``f(0, 0) = 0`` and ``h(0) = 0`` are enforced at
     construction, together with a determinism probe (two evaluations of ``f``
-    at identical arguments must agree bitwise).  ``h_jacobian`` is an optional
-    numpy callable; without it :meth:`output_jacobian` uses central differences.
+    at identical arguments must agree bitwise).  Without ``h_jacobian`` (a numpy
+    callable or a constant matrix), :meth:`output_jacobian` uses central differences.
     """
 
     def __init__(self, n_states: int, n_io: int, f, h, h_jacobian=None, name: str = ""):
@@ -171,7 +172,8 @@ class NonlinearSystem:
             raise ValueError(
                 f"n_io must satisfy 1 <= n_io <= n_states, got n_io={n_io}, n_states={n_states}")
         self.n_states, self.n_io = n_states, n_io
-        self.f_floats, self.h_floats, self.h_jacobian = f, h, h_jacobian
+        self.f_floats, self.h_floats = f, h
+        self.h_jacobian = _constant_jacobian(h_jacobian, n_io, n_states)
         self.name = name
         x0, u0 = [0.0] * n_states, [0.0] * n_io
         fx = np.asarray(f(x0, u0), dtype=float)
@@ -196,11 +198,26 @@ class NonlinearSystem:
         return np.asarray(self.h_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def output_jacobian(self, x) -> np.ndarray:
+        if isinstance(self.h_jacobian, np.ndarray):
+            return self.h_jacobian
         x = np.asarray(x, dtype=float)
         if self.h_jacobian is not None:
             # C order: a Fortran-ordered one takes another BLAS path than a stacked product
             return np.ascontiguousarray(self.h_jacobian(x), dtype=float)
         return central_jacobian(self.h, x, self.n_io)
+
+
+def _constant_jacobian(jac, n_out: int, n_in: int):
+    """An output Jacobian given as a constant matrix, taken once as a read-only
+    C-order copy (numpy's ``@`` on a Fortran-ordered matrix takes another BLAS
+    path, with other bits); a callable or None as it is."""
+    if jac is None or callable(jac):
+        return jac
+    jac = np.array(jac, dtype=float, order="C")
+    if jac.shape != (n_out, n_in):
+        raise ValueError(f"h_jacobian must be a {n_out} x {n_in} matrix, got shape {jac.shape}")
+    jac.setflags(write=False)
+    return jac
 
 
 class StaticNonlinearity:
@@ -329,19 +346,28 @@ class LinearSystem:
 # Composition operations
 
 
+@functools.cache  # one composition per channel count, shared by every later loop
+def _closed_loop_factory(p: int):
+    """``factory(f, h, phi)`` returns ``f_closed(x, v) = f(x, (u0 + v0, ...))`` on
+    ``p`` channels, with ``(u0, ...) = phi(h(x))`` and v unpacked into locals: numpy's
+    ``phi(h(x)) + v`` entry by entry, a zero v still added (-0.0 + 0.0 is 0.0)."""
+    us, vs, sums = ("".join(template.format(i=i) + ", " for i in range(p))
+                    for template in ("u{i}", "v{i}", "u{i} + v{i}"))
+    namespace = {}
+    exec(compile(f"def factory(f, h, phi):\n    def f_closed(x, v):\n        {us}= phi(h(x))\n"
+                 f"        {vs}= v\n        return f(x, ({sums}))\n    return f_closed\n",
+                 f"<closed loop on {p} channels>", "exec"), namespace)
+    return namespace["factory"]
+
+
 def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearSystem:
-    """Close ``u = phi(y) + v`` around the plant; v is the new input."""
+    """Close ``u = phi(y) + v`` around the plant, passing u as a tuple; v is the new input."""
     if sys.n_io != nl.p:
         raise ValueError(
             f"plant input/output dimension {sys.n_io} does not match "
             f"nonlinearity dimension {nl.p}")
-    f, h, phi = sys.f_floats, sys.h_floats, nl.phi_floats
-
-    def f_closed(x, v):
-        # numpy's ``phi(h(x)) + v``, entry by entry: a zero v is still added (-0.0 + 0.0 is 0.0)
-        return f(x, list(map(add, phi(h(x)), v)))
-
-    return NonlinearSystem.from_floats(sys.n_states, sys.n_io, f_closed, h,
+    f_closed = _closed_loop_factory(nl.p)(sys.f_floats, sys.h_floats, nl.phi_floats)
+    return NonlinearSystem.from_floats(sys.n_states, sys.n_io, f_closed, sys.h_floats,
                                        h_jacobian=sys.h_jacobian,
                                        name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
 
@@ -351,10 +377,11 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     """Storage shaped along the output: ``W(x) = V(x) - F(h(x))``.
 
     ``h`` is a numpy callable.  A system's bound ``h`` method contributes that
-    system's ``h_floats``; any other callable is adapted once.  The gradient is
-    assembled by the chain rule only when the gradients of V and F and the
-    output Jacobian are all analytic; any missing piece makes the whole field
-    fall back to finite differences so truncation errors stay on a single scale.
+    system's ``h_floats``; any other callable is adapted once.  ``h_jacobian``
+    is a numpy callable or a constant matrix, broadcast by ``W.gradients``.  The
+    gradient is assembled by the chain rule only when the gradients of V and F
+    and the output Jacobian are all analytic; any missing piece makes the whole
+    field fall back to finite differences so truncation errors stay on a single scale.
     """
     n = int(n)
     if V.dim != n:
@@ -369,18 +396,22 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     def w_value(x):
         return v_value(x) - f_value(h_floats(x))
 
+    h_jacobian = _constant_jacobian(h_jacobian, F.dim, n)
+    constant = isinstance(h_jacobian, np.ndarray)
     w_gradient = None
     if V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None:
         def w_gradient(x):
-            jac = np.ascontiguousarray(h_jacobian(np.array(x, dtype=float)), dtype=float)
+            jac = (h_jacobian if constant else
+                   np.ascontiguousarray(h_jacobian(np.array(x, dtype=float)), dtype=float))
             return (np.asarray(V.gradient_floats(x), dtype=float)
                     - jac.T @ np.asarray(F.gradient_floats(h_floats(x)), dtype=float))
 
         def w_gradients(xs):  # w_gradient's product stacked: the same kernel per item
             xs = np.asarray(xs, dtype=float)
-            js = np.array([h_jacobian(x) for x in xs], dtype=float)  # C order, as in w_gradient
+            js = (h_jacobian if constant else  # C order, as in w_gradient
+                  np.array([h_jacobian(x) for x in xs], dtype=float).reshape(len(xs), F.dim, n))
             ys = np.array([h_floats(x) for x in xs.tolist()], dtype=float).reshape(len(xs), F.dim)
-            return V.gradients(xs) - np.matmul(js.reshape(len(xs), F.dim, n).transpose(0, 2, 1),
+            return V.gradients(xs) - np.matmul(js.swapaxes(-1, -2),
                                                F.gradients(ys)[:, :, None])[:, :, 0]
 
     W = ScalarField.from_floats(n, w_value, w_gradient, name=name)
@@ -398,16 +429,15 @@ def gradient_check(field: ScalarField, points) -> Check:
 
     The deviation at a point is ``|g_an - g_fd| / max(|g_fd|, 1e-3)``, so the
     TAU_GRAD verdict corresponds to a 1e-5 relative tolerance with a 1e-8
-    absolute floor.  The worst value is the largest deviation and the witness
-    its point.  A field without an analytic gradient, or an empty set of
-    points, reports "nothing to check".
+    absolute floor.  The worst value is the largest deviation, or the first NaN
+    one, and the witness its point.  A field without an analytic gradient, or an
+    empty set of points, reports "nothing to check".
     """
     nothing = Check("nothing to check", 0.0)
     if not field.has_analytic_gradient:
         return nothing
     floor = TAU_GRAD_FLOOR / TAU_GRAD
     worst = -1.0
-    worst_pt = ()  # stays empty only when every deviation is NaN
     count = 0
     for pt in points:
         pt = np.asarray(pt, dtype=float)
@@ -417,7 +447,7 @@ def gradient_check(field: ScalarField, points) -> Check:
         g_fd = central_gradient(field.value, pt)
         dev = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), floor))
         count += 1
-        if dev > worst:
+        if not dev <= worst and not math.isnan(worst):  # the first NaN stays the worst
             worst, worst_pt = dev, pt
     if count == 0:
         return nothing

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import nishape
-from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, NonlinearSystem,
-                     ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
+from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, LinearSystem,
+                     NonlinearSystem, ScalarField, StaticNonlinearity, Trajectory, build_pendulum,
                      PendulumParams, TAU_ZERO, get_scenario,
                      check_equilibrium_uniqueness, check_gradient_nonvanishing,
                      check_positive_definite, dissipation_from_rates,
                      epsilon_from_rates, halton_box_samples,
                      hamiltonian_decay_identity, hidden_motion_from_rates,
                      make_closed_loop, make_shaped_storage, rate_table, report_line,
-                     simulate, write_reports_csv, zero_field)
+                     simulate, to_nonlinear, write_reports_csv, zero_field)
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -310,6 +310,52 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_numpy_built_systems():
         stacked = np.array([W.gradient(x) for x in traj.states])
         assert W.gradients(traj.states).view(np.uint64).tolist() == \
             stacked.view(np.uint64).tolist(), order
+
+
+def _fortran_linear_scenario():
+    """A linear plant whose C (3 x 4, no zero entry) is Fortran-ordered, with a
+    storage, a coupled feedback, a start and a forcing; in F order ``C @ fx``
+    and ``C.T @ g`` take another BLAS path than in C order."""
+    C = np.asfortranarray(np.array([[1.0, 0.3, -0.2, 0.7], [0.4, -1.1, 0.6, 0.25],
+                                    [-0.35, 0.45, 0.9, -0.6]]))
+    A = np.array([[-1.0, 0.2, 0.0, 0.1], [-0.2, -1.5, 0.3, 0.0],
+                  [0.0, -0.3, -0.8, 0.2], [-0.1, 0.0, -0.2, -1.2]])
+    plant = to_nonlinear(LinearSystem(A, np.asfortranarray(C.T), C))
+    V = ScalarField(4, lambda x: 0.5 * float(x @ x), lambda x: np.array(x, dtype=float))
+    F = ScalarField(3, lambda y: float(np.sin(y[0]) * y[1] - 0.2 * y[2] ** 2),
+                    lambda y: np.array([np.cos(y[0]) * y[1], np.sin(y[0]), -0.4 * y[2]]))
+    nl = StaticNonlinearity(3, F.gradient, potential=F)
+    return plant, V, nl, (0.8, -0.4, 0.6, 0.3), InputSignal.square_wave(3, 1, 0.7, 0.4)
+
+
+@pytest.mark.parametrize("name", ["pendulum-sync", "linear-a", "fortran-C"])
+def test_constant_output_jacobian_matches_the_per_point_callable_bitwise(name):
+    if name == "fortran-C":
+        plant, V, nl, x0, signal = _fortran_linear_scenario()
+        assert not plant.h_jacobian.flags.f_contiguous
+    else:
+        sc = get_scenario(name)
+        plant, V, nl, x0, signal = (sc.build_plant(), sc.build_storage(),
+                                    sc.build_nonlinearity(), sc.x0, sc.signal)
+    jac = plant.h_jacobian
+    assert isinstance(jac, np.ndarray)
+    given = np.asfortranarray(jac) if name == "fortran-C" else jac  # as the model gave it
+    per_point = NonlinearSystem.from_floats(plant.n_states, plant.n_io, plant.f_floats,
+                                            plant.h_floats, h_jacobian=lambda x: given)
+    W, W_per_point = (make_shaped_storage(V, nl.potential, plant.h, plant.n_states,
+                                          h_jacobian=j) for j in (given, lambda x: given))
+    cfg = IntegratorConfig(step=1e-3, t_end=1.1)  # 1101 knots: a full chunk and a partial one
+    for sys, twin, field, field_twin in (
+            (plant, per_point, V, V),
+            (make_closed_loop(plant, nl), make_closed_loop(per_point, nl), W, W_per_point)):
+        traj = simulate(sys, x0, signal, cfg)
+        assert traj.diagnostic is None
+        assert _rate_bits(rate_table(sys, field, traj)) == \
+            _rate_bits(rate_table(twin, field_twin, traj))
+        _assert_rates_bitwise(sys, field, traj)
+    assert W.gradients(traj.states).tobytes() == W_per_point.gradients(traj.states).tobytes()
+    for x in traj.states[::37]:
+        assert W.gradient(x).tobytes() == W_per_point.gradient(x).tobytes()
 
 
 def test_rate_table_matches_the_per_knot_loop_bitwise_at_chunk_boundaries():

@@ -1,5 +1,6 @@
 import inspect
 import math
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nishape import (Check, InputSignal, IntegratorConfig, LinearSystem, Nonline
                      ScalarField, SlopeBounds, SsniCertificate, StaticNonlinearity,
                      build_full_shaping, gradient_check, make_closed_loop,
                      make_shaped_storage, rate_table, run_scenario, scenario_names,
-                     get_scenario, simulate, zero_field, TAU_ZERO)
+                     get_scenario, simulate, to_nonlinear, zero_field, TAU_ZERO)
 from nishape.scenarios import ScenarioResult
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
 
@@ -266,6 +267,73 @@ def test_shaped_storage_is_the_numpy_composition_bitwise(name, bound_h):
             assert _bits(W.gradient(x)) == _bits(g), x
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_generated_closed_loop_is_the_mapped_sum_bitwise(p):
+    received = []
+
+    def f(x, u):  # hands back the input it is given
+        received.append(u)
+        return tuple(u)
+
+    def phi(y):  # -0.0 at a zero output
+        return tuple(-(s * s * s) - 0.5 * math.sin(s) for s in y)
+
+    plant = NonlinearSystem.from_floats(p, p, f, lambda x: tuple(2.0 * s for s in x))
+    nl = StaticNonlinearity.from_floats(p, phi)
+    closed = make_closed_loop(plant, nl)
+    rng = np.random.default_rng(30 + p)
+    states = _oracle_states(rng, p)[:200 + 2 ** p]  # the finite ones: math.sin raises at inf
+    inputs = rng.uniform(-2.0, 2.0, size=(len(states), p))
+    zeros = states[200:]  # every sign pattern of a zero state, under a zero v of each sign
+    states = np.vstack([states, zeros])
+    inputs = np.vstack([inputs[:200], np.zeros_like(zeros), np.full_like(zeros, -0.0)])
+    assert _bits(phi([0.0] * p)) == _bits([-0.0] * p)
+    with np.errstate(all="ignore"):
+        for x, v in zip(states.tolist(), inputs.tolist()):
+            want = _bits(f(x, list(map(add, phi(plant.h_floats(x)), v))))
+            received.clear()
+            assert _bits(closed.f_floats(x, v)) == want, (x, v)
+            assert type(received[0]) is tuple and len(received[0]) == p
+    assert _bits(closed.f_floats([0.0] * p, [0.0] * p)) == [0] * p  # -0.0 + 0.0 is 0.0
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_generated_closed_loop_rejects_a_phi_of_the_wrong_length(extra):
+    def phi(y):  # the right length only at the origin, where it is probed
+        return [0.0, 0.0] if y == [0.0, 0.0] else [1.0] * (2 + extra)
+
+    plant = NonlinearSystem.from_floats(2, 2, lambda x, u: (u[0], u[1]), lambda x: list(x))
+    closed = make_closed_loop(plant, StaticNonlinearity.from_floats(2, phi))
+    with pytest.raises(ValueError):
+        closed.f_floats([1.0, 0.0], (0.0, 0.0))
+
+
+def test_a_constant_output_jacobian_is_stored_once_read_only_in_c_order():
+    C = np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4))
+    ls = LinearSystem(-np.eye(4), np.asfortranarray(C.T), C)
+    assert ls.C.flags.f_contiguous and not ls.C.flags.c_contiguous
+    gain = StaticNonlinearity.from_floats(3, lambda y: [-0.5 * s for s in y])
+    for sys in (to_nonlinear(ls), make_closed_loop(to_nonlinear(ls), gain)):
+        jac = sys.h_jacobian
+        assert jac.flags.c_contiguous and not jac.flags.writeable
+        assert np.array_equal(jac, C) and sys.output_jacobian(np.ones(4)) is jac
+        with pytest.raises(ValueError, match="read-only"):
+            jac[0, 0] = 5.0
+    # the caller's array is copied: it stays writable, and a later write reaches no system
+    mine = np.eye(2, 4)
+    sys = NonlinearSystem.from_floats(4, 2, lambda x, u: (0.0,) * 4, lambda x: x[:2],
+                                      h_jacobian=mine)
+    mine[0, 0] = 5.0
+    assert sys.h_jacobian[0, 0] == 1.0
+    for jac in (np.eye(4, 2), np.eye(2)):
+        with pytest.raises(ValueError, match="h_jacobian must be a 2 x 4 matrix"):
+            NonlinearSystem.from_floats(4, 2, lambda x, u: (0.0,) * 4, lambda x: x[:2],
+                                        h_jacobian=jac)
+    with pytest.raises(ValueError, match="h_jacobian must be a 2 x 4 matrix"):
+        make_shaped_storage(zero_field(4), zero_field(2), lambda x: x[:2], 4,
+                            h_jacobian=np.eye(4))
+
+
 def test_shaped_storage_reads_the_float_output_map_of_a_bound_h():
     seen = []
 
@@ -496,6 +564,20 @@ def test_gradient_check_catches_sign_flip():
     # the witness is the probe point of the largest deviation
     assert report.witness in [tuple(pt) for pt in points.tolist()]
     assert gradient_check(F, [report.witness]).worst_value == report.worst_value
+
+
+def test_gradient_check_fails_a_nan_gradient():
+    F = ScalarField(1, lambda x: float(x[0] ** 2), lambda x: np.array([np.nan]))
+    report = gradient_check(F, [[1.0], [2.0]])
+    assert report.verdict == "fail" and not report.passed
+    assert math.isnan(report.worst_value) and report.n_samples == 2
+    # witnessed by the first point, also when finite deviations follow it
+    assert report.witness == (1.0,)
+    G = ScalarField(1, lambda x: float(x[0] ** 2),
+                    lambda x: np.array([np.nan if x[0] == 2.0 else 2.0 * x[0]]))
+    report = gradient_check(G, [[1.0], [2.0], [3.0], [-4.0]])
+    assert report.verdict == "fail" and math.isnan(report.worst_value)
+    assert report.witness == (2.0,) and report.n_samples == 4
 
 
 def test_gradient_check_without_analytic_gradient():
