@@ -377,8 +377,7 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     n_knots = traj.n_samples
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
-    W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states,
-                            h_jacobian=hs.output_jacobian)
+    W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states, h_jacobian=hs.h_jacobian)
     w = np.empty(n_knots)
     rhs = np.empty(n_knots)
     for k, (x, g) in enumerate(zip(traj.states, W.gradients(traj.states))):

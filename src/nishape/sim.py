@@ -10,6 +10,7 @@ on the grid.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
@@ -44,7 +45,7 @@ class IntegratorConfig:
         return n_steps
 
 
-_CHUNK = 1024  # knots buffered as Python floats between writes into the record
+_CHUNK = 1024  # steps per call of the generated loop, buffered as Python floats
 
 
 def _square_wave(amplitude: float, period: float, high, low):
@@ -191,26 +192,44 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-@functools.cache  # one kernel per state dimension, shared by every later run
-def _step_kernel(n: int):
-    """One RK4 step on ``n`` states as straight-line code on locals:
-    ``kernel(f, x, v, v_half, v_full, step, half, sixth)`` returns the new state
-    and the stages, each entry rounded as numpy rounds it on whole vectors."""
-    def each(template):  # "(e0, e1, ..., )" with i = 0 .. n - 1
-        return "(" + "".join(template.format(i=i) + ", " for i in range(n)) + ")"
+@functools.cache  # one loop per shape and input kind, shared by every later run
+def _step_loop(n: int, p: int, forced: bool, monitored: bool):
+    """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
+    ``loop(f, h, w, value, x, v, k, stop, final, step, rows)`` appends knots
+    ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
+    the state, the input, ``h(x)``, ``w(x)`` when ``monitored``, and the first
+    stage.  It returns ``(x, None)``, or ``(x, stages)`` after the first step
+    whose new state is not finite.  ``h`` and the stages are unpacked into
+    locals, so one of the wrong length raises ``ValueError`` before a row shifts."""
+    def each(template, count=n):  # "e0, e1, ..., " with i = 0 .. count - 1
+        return "".join(template.format(i=i) + ", " for i in range(count))
 
-    lines = [each("x{i}") + " = x", each("a{i}") + " = a = f(x, v)",
-             each("b{i}") + " = b = f(" + each("x{i} + half * a{i}") + ", v_half)",
-             each("c{i}") + " = c = f(" + each("x{i} + half * b{i}") + ", v_half)",
-             each("d{i}") + " = d = f(" + each("x{i} + step * c{i}") + ", v_full)",
-             # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-             "return " + each("x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})")
-             + ", (a, b, c, d)"]
+    v_half, v_full = ("v_half", "v_full") if forced else ("v", "v")
+    record = [f"x = ({each('x{i}')})", "xs += x", "vs += v",
+              f"{each('y{i}', p)}= y = h(x)", "ys += y",
+              *(["ws.append(w(x))"] if monitored else []),
+              f"{each('a{i}')}= a = f(x, v)", "ds += a"]
+    body = (["t = k * step", "v, v_half, v_full = value(t), value(t + half), value(t + step)"]
+            if forced else []) + record + [
+        f"{each('b{i}')}= b = f(({each('x{i} + half * a{i}')}), {v_half})",
+        f"{each('c{i}')}= c = f(({each('x{i} + half * b{i}')}), {v_half})",
+        f"{each('d{i}')}= d = f(({each('x{i} + step * c{i}')}), {v_full})",
+        # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(n)),
+        # exact: a non-finite stage reaches the new state (step / 6 > 0, 0 * inf is NaN),
+        # and x * 0.0 is +-0.0 for a finite x, NaN otherwise, so the sum cannot overflow
+        "if " + " + ".join(f"x{i} * 0.0" for i in range(n)) + " != 0.0:",
+        "    return x, (a, b, c, d)"]
+    last_knot = (["v = value(stop * step)"] if forced else []) + record
+    source = ("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
+              "    xs, vs, ys, ws, ds = rows\n    half, sixth = 0.5 * step, step / 6.0\n"
+              f"    {each('x{i}')}= x\n    for k in range(k, stop):\n"
+              + "".join(f"        {line}\n" for line in body) + "    if final:\n"
+              + "".join(f"        {line}\n" for line in last_knot)
+              + f"    return ({each('x{i}')}), None\n")
     namespace = {}
-    exec(compile("def kernel(f, x, v, v_half, v_full, step, half, sixth):\n"
-                 + "".join(f"    {line}\n" for line in lines),
-                 f"<RK4 step on {n} states>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile(source, f"<RK4 loop on {n} states, {p} channels>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig,
@@ -219,18 +238,19 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
 
     The step loop runs on the float forms of the system and the monitor
     (sequences of Python floats), in numpy's operation order, so a run is
-    bitwise the run of the same loop on numpy vectors.  A step is one call of
-    an unrolled kernel, generated on the first run of its ``n_states`` and
-    cached in the module for every later run; stage states reach ``f`` as
-    tuples.  RK4 holds the input at its stage-time values (a square wave is
-    evaluated at t, t + step/2 and t + step; a zero or constant input is
-    evaluated once).  ``monitor`` is sampled at the knots into the storage
-    channel.  A non-finite stage derivative or state truncates the trajectory
-    and attaches a diagnostic instead of propagating NaNs; one finiteness check
-    on the new state per step detects both.  Each knot's derivative ``f(x, v)``
-    is recorded: the first stage of its step, or one more call at the final
-    knot.  Knots are written into the record in chunks of ``_CHUNK``, so no
-    whole-run list of Python floats is built.
+    bitwise the run of the same loop on numpy vectors.  It is straight-line
+    code on locals, generated once per state and channel count, input kind and
+    monitoring, and cached in the module; states reach ``f`` as tuples.  RK4
+    holds the input at its stage-time values (a square wave is evaluated at t,
+    t + step/2 and t + step; a zero or constant input is evaluated once).
+    ``monitor`` is sampled at the knots into the storage channel.  A non-finite
+    stage derivative or state truncates the trajectory and attaches a
+    diagnostic instead of propagating NaNs; one exact finiteness test on the
+    new state per step detects both.  Each knot's derivative ``f(x, v)`` is
+    recorded: the first stage of its step, or one more call at the final knot.
+    An ``h`` or ``f`` value of the wrong length raises ``ValueError``.  Knots
+    are written into the record every ``_CHUNK`` steps, so no whole-run list of
+    Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -248,63 +268,41 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
     derivatives = np.empty((n_steps + 1, sys.n_states))
-    # states, inputs, outputs, storage and derivatives not yet written
-    xs, vs, ys, ws, ds = rows = ([], [], [], [], [])
+    arrays = (states, inputs, outputs, storage, derivatives)
+    rows = ([], [], [], [], [])  # the entries of the knots not yet written, flat
 
-    def flush(end):
-        start = end - len(xs)
-        for arr, buffered in zip((states, inputs, outputs, storage, derivatives), rows):
-            if buffered:
-                arr[start:end] = buffered
-                buffered.clear()
+    def flush(start):  # writes the buffered knots from ``start``, returns the next knot
+        end = start + len(rows[0]) // sys.n_states
+        for arr, buf in zip(arrays, rows):
+            if buf:
+                arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, *arr.shape[1:])
+                buf.clear()
+        return end
 
-    f, h = sys.f_floats, sys.h_floats
-    w = None if monitor is None else monitor.value_floats
-    kernel = _step_kernel(sys.n_states)
-    forced = signal.kind == "square_wave"
-    value = signal._floats
-    half, sixth = 0.5 * step, step / 6.0
-    x = x0.tolist()
-    v = v_half = v_full = value(0.0)  # held for a zero or constant input
+    f, w = sys.f_floats, None if monitor is None else monitor.value_floats
+    loop = _step_loop(sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None)
+    x, v = tuple(x0.tolist()), signal._floats(0.0)  # v is held for a zero or constant input
+    k, stages = 0, None
+    while stages is None and k <= n_steps:
+        stop = min(k + _CHUNK, n_steps)
+        x, stages = loop(f, sys.h_floats, w, signal._floats, x, v, k, stop, stop == n_steps,
+                         step, rows)
+        k = flush(k)
     diagnostic = None
-    for k in range(n_steps + 1):
-        t = k * step  # bitwise times[k], as a Python float
-        if forced:  # RK4's stage inputs at t, t + step/2 and t + step
-            v, v_half, v_full = value(t), value(t + half), value(t + step)
-        if len(xs) == _CHUNK:
-            flush(k)
-        xs.append(x)
-        vs.append(v)
-        ys.append(h(x))
-        if w is not None:
-            ws.append(w(x))
-        if k == n_steps:
-            ds.append(f(x, v))
-            break
-        x_new, stages = kernel(f, x, v, v_half, v_full, step, half, sixth)
-        ds.append(stages[0])
-        # One check per step is exact: a NaN or inf in any stage reaches x_new,
-        # since its weight step / 6 is positive and 0 * inf is NaN
-        # should the weight underflow.  All stages are evaluated before the
-        # check, so no f call moves; they are re-checked only to word the
-        # diagnostic, and the truncation point stays the same.
-        if not all(map(math.isfinite, x_new)):
-            if not all(math.isfinite(s) for stage in stages for s in stage):
-                diagnostic = f"non-finite stage derivative at t = {t:.6g}"
-            else:
-                diagnostic = f"non-finite state after the step from t = {t:.6g}"
-            break
-        x = x_new
+    if stages is not None:  # the stages are read only to word the diagnostic
+        t = (k - 1) * step  # the knot the step left from, bitwise times[k - 1]
+        if all(map(math.isfinite, itertools.chain.from_iterable(stages))):
+            diagnostic = f"non-finite state after the step from t = {t:.6g}"
+        else:
+            diagnostic = f"non-finite stage derivative at t = {t:.6g}"
 
-    n = k + 1  # the loop always breaks, at the last knot recorded
-    flush(n)
-    if n == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
-        for arr in (times, states, inputs, outputs, storage, derivatives):
+    if k == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
+        for arr in (times, *arrays):
             if arr is not None:
                 arr.setflags(write=False)
-    return Trajectory(times=times[:n], states=states[:n], inputs=inputs[:n], outputs=outputs[:n],
-                      storage=None if storage is None else storage[:n], diagnostic=diagnostic,
-                      derivatives=derivatives[:n], vector_field=f)
+    return Trajectory(times=times[:k], states=states[:k], inputs=inputs[:k], outputs=outputs[:k],
+                      storage=None if storage is None else storage[:k], diagnostic=diagnostic,
+                      derivatives=derivatives[:k], vector_field=f)
 
 
 def monitor_decay(traj: Trajectory) -> Check:

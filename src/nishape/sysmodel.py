@@ -19,6 +19,7 @@ steps on them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -68,6 +69,19 @@ def _listed(result) -> list:
     if type(result) is np.ndarray and result.dtype is _FLOAT64:
         return result.tolist()
     return np.asarray(result, dtype=float).tolist()
+
+
+def _stacked(rows: list, width: int) -> np.ndarray:
+    """Sequences of ``width`` floats as the rows of an array, through one flat
+    buffer; other rows take numpy's nested conversion, which raises on ragged ones."""
+    try:
+        uniform = not set(map(len, rows)) - {width}
+    except TypeError:  # a bare number, as a one-dimensional numpy gradient may give
+        uniform = False
+    if uniform:
+        flat = itertools.chain.from_iterable(rows)
+        return np.fromiter(flat, float, len(rows) * width).reshape(len(rows), width)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def fd_step(x) -> float:
@@ -131,8 +145,8 @@ class ScalarField:
 
     def gradients(self, xs) -> np.ndarray:
         """The gradients at the rows of ``xs``: bit for bit the stacked :meth:`gradient`."""
-        grads = [self.gradient_floats(x) for x in np.asarray(xs, dtype=float).tolist()]
-        return np.array(grads, dtype=float).reshape(len(xs), self.dim)
+        return _stacked(list(map(self.gradient_floats, np.asarray(xs, dtype=float).tolist())),
+                        self.dim)
 
 
 def zero_field(dim: int) -> ScalarField:
@@ -410,7 +424,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
             xs = np.asarray(xs, dtype=float)
             js = (h_jacobian if constant else  # C order, as in w_gradient
                   np.array([h_jacobian(x) for x in xs], dtype=float).reshape(len(xs), F.dim, n))
-            ys = np.array([h_floats(x) for x in xs.tolist()], dtype=float).reshape(len(xs), F.dim)
+            ys = _stacked(list(map(h_floats, xs.tolist())), F.dim)
             return V.gradients(xs) - np.matmul(js.swapaxes(-1, -2),
                                                F.gradients(ys)[:, :, None])[:, :, 0]
 

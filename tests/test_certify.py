@@ -777,6 +777,32 @@ def test_decay_identity_matches_the_hand_derived_loop():
         assert report.witness == (traj.times[int(np.argmax(discrepancy)) + 2],)
 
 
+def test_decay_identity_without_an_output_jacobian_differences_w_as_a_whole():
+    # no grad_C_fn: W's gradient is the central difference of W, as
+    # make_shaped_storage documents for a missing piece, and not the chain
+    # rule on a central-difference Jacobian of the output sin(x1)
+    rotation = make_rotation_hamiltonian(omega=2.0, r=0.5)
+    hs = HamiltonianSystem(2, 1, rotation.J, rotation.R, rotation.H,
+                           lambda x: np.array([math.sin(x[0])]))
+    nl = make_linear_gain_feedback()
+    traj = simulate(make_closed_loop(hs, nl), [1.0, 0.0], InputSignal.zero(1),
+                    IntegratorConfig(step=1e-3, t_end=0.5))
+
+    def worst(W):
+        w = np.array([W.value(x) for x in traj.states])
+        rhs = np.array([-float(g @ (hs.R(x) @ g))
+                        for x, g in zip(traj.states, W.gradients(traj.states))])
+        lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * traj.step)
+        return float(np.max(np.abs(lhs - rhs[2:-2])))
+
+    differenced = make_shaped_storage(hs.H, nl.potential, hs.h, 2)
+    chained = make_shaped_storage(hs.H, nl.potential, hs.h, 2, h_jacobian=hs.output_jacobian)
+    assert hs.h_jacobian is None and chained.has_analytic_gradient
+    assert not differenced.has_analytic_gradient
+    report = hamiltonian_decay_identity(hs, nl, traj)
+    assert report.worst_value == worst(differenced) != worst(chained)
+
+
 def test_decay_identity_requires_potential_and_autonomy():
     hs, nl, closed = _closed_rotation()
     bare = StaticNonlinearity(1, lambda y: -0.5 * np.asarray(y, dtype=float))

@@ -475,6 +475,17 @@ def _float_ring(n, cap=math.inf):
     return NonlinearSystem.from_floats(n, 1, f, lambda x: [x[0]])
 
 
+def _clock_until(knot):
+    """x1' = x2, x2' = 0 and x3' = u - x3: from x2 = 1 on a grid of step 2^-10,
+    x1 is exactly t.  Every rate is infinite past x1 = (knot + 3/4) step: the
+    last stage of the step from ``knot`` sees x1 = (knot + 1) step, so that step
+    truncates the run."""
+    cap = (knot + 0.75) * 2.0 ** -10
+    return NonlinearSystem.from_floats(
+        3, 1, lambda x, u: (x[1], 0.0, u[0] - x[2]) if x[0] < cap else (math.inf,) * 3,
+        lambda x: (x[2],))
+
+
 def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     plant, V = pendulum
     x0 = (1.0, 0.5, 0.0, 0.0)
@@ -503,6 +514,10 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
          IntegratorConfig(step=1e-3, t_end=2.0), None),
         ("overflow", _huge_rate(), [1.0], InputSignal.constant([1.0]),
          IntegratorConfig(step=0.5, t_end=3.0), ScalarField(1, lambda x: float(x[0]))),
+        # finite states whose sum overflows: the finiteness test must not truncate here
+        ("huge finite states", NonlinearSystem.from_floats(
+            2, 1, lambda x, u: (-1e-3 * x[0], u[0] - 1e-3 * x[1]), lambda x: (x[0],)),
+         (1.5e308, 1.5e308), InputSignal.zero(1), IntegratorConfig(step=1e-2, t_end=0.1), None),
     ]
     for n in (3, 16):  # kernels that no model above generates: odd, and wide
         ring, capped = _float_ring(n), _float_ring(n, cap=2.0)
@@ -514,6 +529,25 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
             (f"ring {n} truncated", capped, [0.1] * n, InputSignal.zero(1),
              IntegratorConfig(step=1e-2, t_end=20.0), None),
         ]
+    knots = {}  # label -> the number of knots the run records
+    # runs either side of a chunk of _CHUNK steps, forced and unforced, with and without W
+    for n_steps in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
+        chunk_cfg = IntegratorConfig(step=2.0 ** -10, t_end=n_steps * 2.0 ** -10)
+        for signal in (square, InputSignal.zero(2)):
+            for monitor in (V, None):
+                label = f"{n_steps} steps, {signal.kind}, monitor {monitor is not None}"
+                knots[label] = n_steps + 1
+                cases.append((label, plant, x0, signal, chunk_cfg, monitor))
+    # truncations at the first and the last knot of the first, second and final chunk
+    for knot in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1):
+        for signal, monitor in ((InputSignal.zero(1), None),
+                                (InputSignal.square_wave(1, 0, 1.0, 0.5), ScalarField(
+                                    3, lambda x: float(x[2] * x[2]), name="x3^2"))):
+            label = f"truncated at knot {knot}, {signal.kind}"
+            knots[label] = knot + 1
+            cases.append((label, _clock_until(knot), (0.0, 1.0, 0.5), signal,
+                          IntegratorConfig(step=2.0 ** -10, t_end=2 * _CHUNK * 2.0 ** -10),
+                          monitor))
     diagnostics = set()
     for label, sys, start, signal, cfg, monitor, *oracle in cases:
         oracle_sys, oracle_monitor = oracle[0] if oracle else (sys, monitor)
@@ -527,16 +561,20 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         if want.storage is not None:
             assert np.array_equal(got.storage, want.storage), label
         assert got.diagnostic == want.diagnostic, label
+        if label in knots:
+            assert got.n_samples == knots[label], label
+        if label == "huge finite states":
+            assert want.diagnostic is None, label
         if "ring" in label:
             assert (want.diagnostic is not None) == label.endswith("truncated"), label
         diagnostics.add(want.diagnostic and want.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}
-    # the ring runs built one kernel per state dimension; a second run reuses that object
-    kernel, built = sim._step_kernel(16), sim._step_kernel.cache_info().misses
+    # the ring runs built one loop per shape and input kind; a second run reuses that object
+    loop, built = sim._step_loop(16, 1, False, False), sim._step_loop.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
-    assert sim._step_kernel.cache_info().misses == built
-    assert sim._step_kernel(16) is kernel
+    assert sim._step_loop.cache_info().misses == built
+    assert sim._step_loop(16, 1, False, False) is loop
 
 
 def _csv_block(rng, n_rows, width, specials):
@@ -561,3 +599,38 @@ def test_trajectory_csv_matches_the_per_value_writer_bytewise(tmp_path):
             write_trajectory_csv(traj, got)
             _write_csv_oracle(traj, want)
             assert got.read_bytes() == want.read_bytes(), (n_rows, with_storage)
+
+
+def test_simulate_raises_on_an_output_or_rate_of_the_wrong_length():
+    # each is right at the origin, where the constructor probes it, one entry
+    # short for x1 in [0.8, 0.9) and one too long for x1 in (0.5, 0.8): a flat
+    # buffer keeps its length over such a pair and would shift every row between
+    def ragged(right, x):
+        if 0.8 <= x[0] < 0.9:
+            return right[:-1]
+        return right + (0.0,) if 0.5 < x[0] < 0.8 else right
+
+    decay = lambda x, u: (-x[0], u[0] - x[1])
+    cases = {
+        "h": NonlinearSystem.from_floats(2, 1, decay, lambda x: ragged((x[1],), x)),
+        "f": NonlinearSystem.from_floats(2, 1, lambda x, u: ragged(decay(x, u), x),
+                                         lambda x: (x[1],)),
+    }
+    cfg = IntegratorConfig(step=1e-2, t_end=1.0)  # x1 = exp(-t) passes 0.9 and 0.8
+    for label, sys in cases.items():
+        for signal in (InputSignal.zero(1), InputSignal.square_wave(1, 0, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="values to unpack"):
+                simulate(sys, (1.0, 0.0), signal, cfg)
+            simulate(sys, (1.0, 0.0), signal, IntegratorConfig(step=1e-2, t_end=0.1))
+    # the stacked gradients and the shaped storage's stacked outputs raise too
+    field = ScalarField.from_floats(2, lambda x: 0.0, lambda x: ragged((0.0, 0.0), x))
+    points = np.array([[1.0, 0.0], [0.85, 0.0], [0.6, 0.0]])
+    with pytest.raises(ValueError):
+        field.gradients(points)
+    assert field.gradients(points[:1]).tolist() == [[0.0, 0.0]]
+    quadratic = ScalarField.from_floats(1, lambda y: 0.5 * y[0] * y[0], lambda y: (y[0],))
+    W = make_shaped_storage(ScalarField.from_floats(2, lambda x: 0.0, lambda x: (0.0, 0.0)),
+                            quadratic, cases["h"].h, 2, h_jacobian=[[0.0, 1.0]])
+    with pytest.raises(ValueError):
+        W.gradients(points)
+    assert W.gradients(points[:1]).tolist() == [[0.0, 0.0]]
