@@ -32,7 +32,7 @@ from .certify import (check_equilibrium_uniqueness, check_positive_definite,
                       fmt_g17, halton_box_samples, hidden_motion_from_rates, rate_table,
                       report_line, write_reports_csv)
 from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonlinear
-from .sim import (InputSignal, IntegratorConfig, Trajectory, monitor_decay,
+from .sim import (InputSignal, IntegratorConfig, Trajectory, _write_g17_csv, monitor_decay,
                   simulate, write_trajectory_csv)
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        StaticNonlinearity, gradient_check, make_closed_loop,
@@ -438,11 +438,10 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
         values[i] = [field.value_floats((t1, t2) + pad) for t2 in ticks]
 
     center = values[1:-1, 1:-1]
-    neighbors = np.stack([
+    neighborhood_min = np.stack([  # a temporary: the CSV below reuses its memory
         values[1 + di:points - 1 + di, 1 + dj:points - 1 + dj]
         for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
-    ])
-    neighborhood_min = neighbors.min(axis=0)
+    ]).min(axis=0)
     strict = center < neighborhood_min
     plateau = center == neighborhood_min
     minima = tuple((float(axis[i + 1]), float(axis[j + 1]))
@@ -451,13 +450,10 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     degenerate = n_plateau == (points - 2) ** 2
 
     if path is not None:
-        # one grid row per write, formatted with one template (the bytes of
-        # format(v, ".17g"), as in write_trajectory_csv)
-        with open(path, "w") as fh:
-            fh.write("theta1,theta2,value\n")
-            for t1, row in zip(ticks, values):
-                fh.write("".join("%.17g,%.17g,%.17g\n" % (t1, t2, v)
-                                 for t2, v in zip(ticks, row.tolist())))
+        def cells(start, stop):  # grid cell r is (axis[r // points], axis[r % points])
+            r = np.arange(start, stop)
+            return np.column_stack((axis[r // points], axis[r % points], values.ravel()[r]))
+        _write_g17_csv(path, "theta1,theta2,value", points * points, cells)
     return SurfaceGrid(axis, values, minima, n_plateau, degenerate,
                        None if path is None else str(path))
 

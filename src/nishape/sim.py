@@ -209,8 +209,9 @@ def _step_loop(n: int, p: int, forced: bool, monitored: bool):
               f"{each('y{i}', p)}= y = h(x)", "ys += y",
               *(["ws.append(w(x))"] if monitored else []),
               f"{each('a{i}')}= a = f(x, v)", "ds += a"]
-    body = (["t = k * step", "v, v_half, v_full = value(t), value(t + half), value(t + step)"]
-            if forced else []) + record + [
+    body = (["t = k * step",  # the last step's value at its t + step, when that is t bitwise
+             "v = v_full if t == t_full else value(t)", "t_full = t + step",
+             "v_half, v_full = value(t + half), value(t_full)"] if forced else []) + record + [
         f"{each('b{i}')}= b = f(({each('x{i} + half * a{i}')}), {v_half})",
         f"{each('c{i}')}= c = f(({each('x{i} + half * b{i}')}), {v_half})",
         f"{each('d{i}')}= d = f(({each('x{i} + step * c{i}')}), {v_full})",
@@ -223,7 +224,7 @@ def _step_loop(n: int, p: int, forced: bool, monitored: bool):
     last_knot = (["v = value(stop * step)"] if forced else []) + record
     source = ("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
               "    xs, vs, ys, ws, ds = rows\n    half, sixth = 0.5 * step, step / 6.0\n"
-              f"    {each('x{i}')}= x\n    for k in range(k, stop):\n"
+              f"    t_full = -1.0\n    {each('x{i}')}= x\n    for k in range(k, stop):\n"
               + "".join(f"        {line}\n" for line in body) + "    if final:\n"
               + "".join(f"        {line}\n" for line in last_knot)
               + f"    return ({each('x{i}')}), None\n")
@@ -242,7 +243,9 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     code on locals, generated once per state and channel count, input kind and
     monitoring, and cached in the module; states reach ``f`` as tuples.  RK4
     holds the input at its stage-time values (a square wave is evaluated at t,
-    t + step/2 and t + step; a zero or constant input is evaluated once).
+    t + step/2 and t + step, and the value at t + step serves the next knot
+    when that knot's time equals it bitwise; a zero or constant input is
+    evaluated once).
     ``monitor`` is sampled at the knots into the storage channel.  A non-finite
     stage derivative or state truncates the trajectory and attaches a
     diagnostic instead of propagating NaNs; one exact finiteness test on the
@@ -353,23 +356,139 @@ def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV with header ``t,x1..xn,v1..vp,y1..yp[,W]``, 17 significant digits."""
+    """CSV with header ``t,x1..xn,v1..vp,y1..yp[,W]``, each value exactly as
+    ``"%.17g" % v`` writes it (17 significant digits; see ``_g17_text``)."""
     n = traj.states.shape[1]
     p = traj.inputs.shape[1]
     columns = (["t"]
                + [f"x{i + 1}" for i in range(n)]
                + [f"v{i + 1}" for i in range(p)]
                + [f"y{i + 1}" for i in range(p)])
-    if traj.storage is not None:
-        columns.append("W")
     blocks = [traj.times[:, None], traj.states, traj.inputs, traj.outputs]
     if traj.storage is not None:
+        columns.append("W")
         blocks.append(traj.storage[:, None])
-    # "%.17g" % v gives the bytes of format(v, ".17g"); rows are formatted in
-    # chunks so that no whole-trajectory table of Python floats is built.
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, traj.n_samples, 128):
-            chunk = np.hstack([b[start:start + 128] for b in blocks]).tolist()
-            fh.write("".join(row % tuple(values) for values in chunk))
+    _write_g17_csv(path, ",".join(columns), traj.n_samples,
+                   lambda start, stop: np.hstack([b[start:stop] for b in blocks]))
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" text for whole tables
+
+_CSV_VALUES = 4096  # values per chunk of text: about 120 B of arrays each at the peak
+_E = np.r_[0:17, -6:0]  # table rows by E itself: a negative E counts from the end
+_POW10 = np.array([float(10 ** (16 - e)) for e in _E.tolist()])  # exact up to 10**22
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # as for |v| below
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _g17_tables():
+    """Each 4-digit q's digits as one word (in memory order on any platform) and
+    its trailing zeros; rows of 32 bytes by (E, kept digits), at ``E * 18 +
+    kept``: the digit cells that stay and those taken one cell right (past the
+    dot); and by (E, kept, minus, last column), at ``(E * 18 + kept) * 4 + 2 *
+    minus + last``: the sign, ``0.00``, dot, exponent and separator around the
+    text ('g' is fixed from E = -4 up)."""
+    q = np.arange(10 ** 4)
+    quads = np.stack([q // 10 ** k % 10 + 48 for k in (3, 2, 1, 0)], 1).astype(np.uint8)
+    e, kept = (a.reshape(-1, 1) for a in np.meshgrid(_E, np.arange(18), indexing="ij"))
+    c, dot = np.arange(32), np.where(e >= -4, 7 + e, 7)  # the dot's cell follows ``dot``
+    digit = c - 7 - (c > dot)  # the digit a cell shows: d0 at cell 7
+    shown = (digit >= 0) & (digit < kept) & (c != dot + 1)
+    with_dot = np.where(e >= 0, kept > e + 1, (e >= -4) | (kept > 1))
+    end = 7 + kept + with_dot  # the cell after the last digit
+    suffix = (e < -4) & (c >= end) & (c < end + 4)
+    text = np.select(
+        [(c == dot + 1) & with_dot, (e >= -4) & (e < 0) & (c >= dot) & (c <= 7),
+         suffix & (c == end + 3), suffix],
+        [ord("."), ord("0"), ord("0") - e, np.array(list(b"e-0\0"))[c - end & 3]])
+    sign = ((c == np.minimum(dot, 7) - 1) * np.uint8(ord("-")))[:, None, None]
+    separator = (c == end + 4 * (e < -4))[:, None, None]
+    marks = (text.astype(np.uint8)[:, None, None] + sign * np.uint8([0, 1])[:, None, None]
+             + separator * np.uint8([ord(","), ord("\n")])[:, None])  # by minus, last column
+    zeros = sum((q % 10 ** k == 0).astype(np.uint8) for k in (1, 2, 3, 4))
+    masks = (np.uint8(255) * (shown & (c <= dot)), np.uint8(255) * (shown & (c > dot)))
+    return (quads.view(np.uint32).ravel(), zeros,
+            *(np.ascontiguousarray(t).view("V32").ravel() for t in (*masks, marks.reshape(-1, 32))))
+
+
+# built at import, early in the heap: a table built at the first CSV kept the heap
+# from shrinking under it and raised pendulum-sync's peak RSS by another 0.3 MB
+_QUADS, _QUAD_ZEROS, _STAY, _MOVE, _MARKS = _g17_tables()
+
+
+def _decimal17(v: np.ndarray):
+    """``(digits, E, exact)``: ``|v| = digits * 10**(E - 16)`` rounded half to even,
+    ``10**16 <= digits < 10**17``, for each finite v with E in [-6, 16] (``exact``),
+    where ``10**(16 - E)`` is exact; zeros give 0, 0.  Dekker's product on
+    Veltkamp's split (numpy rounds each operation once, fusing none) gives ``p +
+    err = |v| * 10**(16 - E)`` exactly.  E, first ``floor(log10|v|)``, stands if
+    ``1e16 <= p + err < 1e17`` on the pair, else moves by one.  ``p >= 2**53`` is
+    even, so ``p + rint(err)`` rounds half to even; none rounds up to ``10**17``
+    (the double below each ``10**k`` is at least 4.5e-17 of it below)."""
+    a = np.abs(v)
+    exact = (a >= 1e-6) & (a < 1e17)  # false for inf and NaN
+    a[~exact] = 1.0  # a harmless stand-in
+    e = np.floor(np.log10(a)).astype(np.intp)
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)  # Veltkamp's split by 2**27 + 1
+    a_lo = a - a_hi
+    for attempt in range(2):
+        np.clip(e, -6, 16, out=e)
+        s_hi, s_lo, p = _POW10_HI[e], _POW10_LO[e], a * _POW10[e]
+        err = a_hi * s_hi - p + a_hi * s_lo + a_lo * s_hi + a_lo * s_lo
+        low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
+        high = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
+        if attempt or not (low | high).any():
+            break
+        e += high.astype(np.intp) - low
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    exact &= ~(low | high) & (digits < 10 ** 17)
+    digits[v == 0.0] = 0
+    return digits, e, exact | (v == 0.0)
+
+
+def _g17_text(table: np.ndarray) -> str:
+    """A 2-D float table as CSV lines of ``"%.17g" % v``: each value fills a 32-byte
+    slot, NULs dropped at the end, with its digits (``_decimal17``, four 4-digit
+    lookups) and the ``_g17_tables`` rows its E, kept digits, sign and column
+    pick.  Zeros print as ``0``/``-0``; any other value outside ``_decimal17``'s
+    range (|v| < 1e-6 or >= 1e17, inf, NaN) is ``"%.17g" % v`` in its slot."""
+    n_rows, n_cols = table.shape
+    values = table.ravel()
+    digits, e, exact = _decimal17(values)
+    slots = np.zeros((values.size, 32), np.uint8)
+    high = (digits // 10 ** 8).astype(np.uint32)  # the first digit and the next 8
+    low = (digits - high * np.int64(10 ** 8)).astype(np.uint32)
+    slots[:, 7] = high // 10 ** 8 + 48
+    high %= 10 ** 8
+    quads = (high // 10 ** 4, high % 10 ** 4, low // 10 ** 4, low % 10 ** 4)
+    for j, quad in enumerate(quads):
+        slots.view(np.uint32)[:, 2 + j] = _QUADS[quad]
+    z0, z1, z2, z3 = (_QUAD_ZEROS[q] for q in quads)  # 4 for a zero quad
+    zeros = z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))  # trailing, of d1 .. d16
+    look = e * 72 + np.maximum(17 - zeros, e + 1) * 4 + 2 * np.signbit(values)  # d0 .. dE kept
+    look.reshape(n_rows, n_cols)[:, -1] += 1
+    del digits, e, high, low, quads  # before the blend, where a call peaks
+    shifted = np.empty_like(slots)  # each byte one cell right; cell 0 is never read
+    shifted.ravel()[1:] = slots.ravel()[:-1]
+    left, right = slots.view(np.uint64), shifted.view(np.uint64)
+    left &= _STAY[look >> 2].view(np.uint64).reshape(-1, 4)
+    right &= _MOVE[look >> 2].view(np.uint64).reshape(-1, 4)
+    left |= right
+    left |= _MARKS[look].view(np.uint64).reshape(-1, 4)
+    del look, shifted, left, right
+    for i in np.flatnonzero(~exact).tolist():
+        text = b"%.17g" % values[i] + (b"\n" if i % n_cols == n_cols - 1 else b",")
+        slots[i] = 0
+        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return str(slots[slots != 0].data, "ascii")
+
+
+def _write_g17_csv(path, header: str, n_rows: int, rows: Callable) -> None:
+    """``header`` and ``rows(start, stop)`` (2-D float arrays) for all ``n_rows``
+    rows, about ``_CSV_VALUES`` values at a time, as CSV (``_g17_text``)."""
+    chunk = max(1, _CSV_VALUES // (header.count(",") + 1))
+    with open(path, "w") as fh:  # text mode, as every platform wrote it before
+        fh.write(header + "\n")
+        for start in range(0, n_rows, chunk):
+            fh.write(_g17_text(rows(start, min(start + chunk, n_rows))))

@@ -32,3 +32,17 @@ def make_linear_gain_feedback(gain: float = -0.5) -> StaticNonlinearity:
     F = ScalarField(1, lambda y: 0.5 * gain * float(y[0] ** 2),
                     lambda y: gain * np.asarray(y, dtype=float))
     return StaticNonlinearity(1, lambda y: gain * np.asarray(y, dtype=float), potential=F)
+
+
+def g17_hard_values(rng) -> np.ndarray:
+    """Doubles of both signs that test a 17-digit writer's exact path: uniform
+    in every decade from 1e-8 to 1e18, 200 ulps either side of each 10**k for k
+    in [-8, 18], the ties 1 + (2j + 1) 2**-17 of the 17th digit, 1e-6 (whose
+    digits are 9.9999999999999995e-07), 1e16 - 2 and 1e17; then 5e-324, the
+    zeros, the infinities and NaN, in random order."""
+    decades = [rng.uniform(10.0 ** k, 10.0 ** (k + 1), 200) for k in range(-8, 18)]
+    near = [(np.float64(10.0 ** k).view(np.int64) + np.arange(-200, 201)).view(np.float64)
+            for k in range(-8, 19)]
+    ties = 1.0 + (2 * np.arange(2000) + 1) * 2.0 ** -17
+    finite = np.concatenate(decades + near + [ties, [1e-6, 1e16 - 2, 1e17, 5e-324, 0.0]])
+    return rng.permutation(np.concatenate([finite, -finite, [np.inf, -np.inf, np.nan]]))

@@ -15,6 +15,8 @@ from nishape import (PendulumParams, ScalarField, ShapingParams, StaticNonlinear
                      Trajectory)
 from nishape.cli import main
 
+from conftest import g17_hard_values
+
 
 # ---------------------------------------------------------------------------
 # Parameters
@@ -465,7 +467,13 @@ def test_surface_csv_matches_the_per_cell_writer_bytewise(pendulum, tmp_path):
         ((t1, t2) for t1 in axis.tolist() for t2 in axis.tolist()), patterns.tolist())}
     table[(0.0, 0.0)] = 0.0
     odd = ScalarField(2, lambda x: table.get((float(x[0]), float(x[1])), 0.0))
-    cases = [(V, 8.0, 81), (W, 8.0, 4), (nl.potential, 1e200, 5), (odd, 1.0 / 3.0, 21)]
+    # every value of g17_hard_values on a grid of 224 x 224 cells, 37 chunks of rows
+    hard, hard_axis = g17_hard_values(rng), np.linspace(-1.0 / 3.0, 1.0 / 3.0, 224).tolist()
+    hard_table = dict(zip(((t1, t2) for t1 in hard_axis for t2 in hard_axis),
+                          np.resize(hard, 224 * 224).tolist()))
+    hard_field = ScalarField(2, lambda x: hard_table.get((float(x[0]), float(x[1])), 0.0))
+    cases = [(V, 8.0, 81), (W, 8.0, 4), (nl.potential, 1e200, 5), (odd, 1.0 / 3.0, 21),
+             (hard_field, 1.0 / 3.0, 224)]
     for k, (field, half_range, points) in enumerate(cases):
         path = tmp_path / f"surface{k}.csv"
         with np.errstate(all="ignore"):

@@ -14,7 +14,7 @@ from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField
 from nishape import sim
 from nishape.sim import _CHUNK
 
-from conftest import make_rotation_hamiltonian
+from conftest import g17_hard_values, make_rotation_hamiltonian
 
 
 def _scalar_decay():
@@ -243,6 +243,21 @@ def test_square_wave_closure_matches_square_wave_value_bitwise():
         v += 100.0
         assert np.array_equal(signal.value(t), np.array(signal._floats(t)))
         assert signal.value(t) is not signal.value(t)
+
+
+def test_forced_run_reuses_each_step_end_value_where_the_grid_allows():
+    # on a grid of 2**-10 every (k - 1) * step + step is k * step, so each step but the
+    # first of a chunk takes its value at t from the step before: two closure calls per
+    # step, one more per chunk, one at the final knot and one in simulate's set-up
+    signal = InputSignal.square_wave(1, 0, 1.0, 0.25)
+    times, wave = [], signal._floats
+    object.__setattr__(signal, "_floats", lambda t: times.append(t) or wave(t))
+    n_steps = 2 * _CHUNK + 5
+    plant = NonlinearSystem.from_floats(1, 1, lambda x, u: (u[0] - x[0],), lambda x: (x[0],))
+    traj = simulate(plant, (0.0,), signal, IntegratorConfig(step=2.0 ** -10,
+                                                            t_end=n_steps * 2.0 ** -10))
+    assert len(times) == 2 * n_steps + 3 + 1 + 1
+    assert np.array_equal(traj.inputs[:, 0], [wave(t)[0] for t in traj.times.tolist()])
 
 
 def test_signals_rebuild_through_pickle_and_copy():
@@ -486,10 +501,28 @@ def _clock_until(knot):
         lambda x: (x[2],))
 
 
+def _switch_between_step_ends(step, p):
+    """A square wave on ``p`` channels and a knot k where ``(k - 1) * step + step``,
+    the time the step before k ends at, is not ``k * step`` bitwise, and the wave
+    takes different values at the two: a step must not reuse its end value there."""
+    for k in range(1, 10 ** 5):
+        t, t_end = k * step, (k - 1) * step + step
+        if t == t_end:
+            continue
+        period = 2.0 * max(t, t_end)  # sin(2 pi t / period) is about sin(pi) here
+        for _ in range(64):
+            wave = InputSignal.square_wave(p, 0, 2.0, period)
+            if wave._floats(t) != wave._floats(t_end):
+                return wave, k
+            period = math.nextafter(period, math.inf)
+    raise AssertionError(f"no such wave for step {step}")
+
+
 def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     plant, V = pendulum
     x0 = (1.0, 0.5, 0.0, 0.0)
     square = InputSignal.square_wave(2, 0, 2.0, 3.0)   # switches at 1.5 s and 3 s, on the grid
+    between, k_between = _switch_between_step_ends(7e-4, 2)
     constant = InputSignal.constant([0.3, -0.2])
     hamiltonian = make_rotation_hamiltonian(omega=2.0, r=0.5)
     listed = NonlinearSystem(2, 1, lambda x, u: [x[1], -x[0] - 0.5 * x[1] + u[0]],
@@ -499,6 +532,9 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         ("square, no monitor", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), None),
         # switches inside a step, where the stage inputs at t + step/2 and t + step differ
         ("square, off grid", plant, x0, square, IntegratorConfig(step=7e-4, t_end=4.0), V),
+        # a knot whose time is not the last step's end bitwise, and the wave switches between
+        ("square, switch between a step's end and the next knot", plant, x0, between,
+         IntegratorConfig(step=7e-4, t_end=(k_between + 3) * 7e-4), V),
         ("zero", plant, x0, InputSignal.zero(2), IntegratorConfig(step=1e-3, t_end=0.5), V),
         ("constant", plant, x0, constant, IntegratorConfig(step=1e-3, t_end=0.5), None),
         _closed_loop_cases("pendulum-stabilize", InputSignal.zero(2), 5.0),
@@ -570,6 +606,10 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         diagnostics.add(want.diagnostic and want.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}
+    # at that knot the record holds the wave's value at k * step, not at the last step's end
+    got = simulate(plant, x0, between, IntegratorConfig(step=7e-4, t_end=(k_between + 3) * 7e-4))
+    assert got.inputs[k_between, 0] == between._floats(k_between * 7e-4)[0]
+    assert got.inputs[k_between, 0] != between._floats((k_between - 1) * 7e-4 + 7e-4)[0]
     # the ring runs built one loop per shape and input kind; a second run reuses that object
     loop, built = sim._step_loop(16, 1, False, False), sim._step_loop.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
@@ -588,17 +628,40 @@ def test_trajectory_csv_matches_the_per_value_writer_bytewise(tmp_path):
     rng = np.random.default_rng(7)
     specials = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324,
                          1.7976931348623157e308, 0.1, -1e-300])
-    for n_rows in (1, 128, 129, 300):   # one row, and either side of the 128-row chunk
-        for with_storage in (False, True):
-            storage = _csv_block(rng, n_rows, 1, specials)[:, 0] if with_storage else None
-            traj = Trajectory(times=np.arange(n_rows) * 1e-3,
-                              states=_csv_block(rng, n_rows, 3, specials),
-                              inputs=_csv_block(rng, n_rows, 2, specials),
-                              outputs=_csv_block(rng, n_rows, 2, specials), storage=storage)
+    hard = g17_hard_values(rng)
+    for with_storage in (False, True):
+        width = 7 + with_storage  # the columns after t
+        chunk = sim._CSV_VALUES // (width + 1)  # rows written per chunk
+        # one row, either side of one and two chunks, and every hard value
+        for n_rows in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, -(-hard.size // width)):
+            lead = np.concatenate([specials, np.roll(hard, rng.integers(hard.size))])
+            table = _csv_block(rng, n_rows, width, lead)
+            traj = Trajectory(times=np.arange(n_rows) * 1e-3, states=table[:, :3],
+                              inputs=table[:, 3:5], outputs=table[:, 5:7],
+                              storage=table[:, 7] if with_storage else None)
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             write_trajectory_csv(traj, got)
             _write_csv_oracle(traj, want)
             assert got.read_bytes() == want.read_bytes(), (n_rows, with_storage)
+
+
+def test_csv_writer_peak_memory_stays_within_one_chunk(tmp_path):
+    # the writer formats a fixed number of values at a time, so its peak does not
+    # grow with the table: 30,001 rows of 10 columns peak as 3,001 rows do
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n_rows in (3_001, 30_001):
+        table = rng.standard_normal((n_rows, 9)) * 10.0 ** rng.integers(-5, 5, 9)
+        traj = Trajectory(times=np.arange(n_rows) * 1e-3, states=table[:, :4],
+                          inputs=table[:, 4:6], outputs=table[:, 6:8], storage=table[:, 8])
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 600_000, peaks  # about 120 B per value of one chunk
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
 def test_simulate_raises_on_an_output_or_rate_of_the_wrong_length():
