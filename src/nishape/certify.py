@@ -34,16 +34,6 @@ POLISH_ITERS = 50
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
-    scale = 1.0 / base
-    while index > 0:
-        inv += scale * (index % base)
-        index //= base
-        scale /= base
-    return inv
-
-
 def _as_box(box, dim: Optional[int] = None) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -63,16 +53,24 @@ def halton_box_samples(box, n_samples: int, seed: int) -> np.ndarray:
     set is a prefix of any longer set with the same seed.
     """
     box = _as_box(box)
-    dim = box.shape[0]
+    dim, n_samples, seed = box.shape[0], int(n_samples), int(seed)
     if dim > len(_HALTON_PRIMES):
         raise ValueError(f"sampling supports at most {len(_HALTON_PRIMES)} dimensions")
-    shift = np.random.default_rng(int(seed)).random(dim)
-    width = box[:, 1] - box[:, 0]
-    points = np.empty((int(n_samples), dim))
-    for i in range(int(n_samples)):
-        u = np.array([_radical_inverse(i + 1, b) for b in _HALTON_PRIMES[:dim]])
-        points[i] = box[:, 0] + np.mod(u + shift, 1.0) * width
-    return points
+    for label, value in (("n_samples", n_samples), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{label} must be nonnegative, got {value}")
+    shift = np.random.default_rng(seed).random(dim)
+    # radical inverses of 1..n for all samples at once, each by the scalar steps
+    # inv += scale * digit; scale /= base (a spent index only adds 0.0)
+    u = np.zeros((n_samples, dim))
+    for j, base in enumerate(_HALTON_PRIMES[:dim]):
+        index = np.arange(1, n_samples + 1)
+        scale = 1.0 / base
+        while index.any():
+            u[:, j] += scale * (index % base)
+            index //= base
+            scale /= base
+    return box[:, 0] + np.mod(u + shift, 1.0) * (box[:, 1] - box[:, 0])
 
 
 def _origin_shell(box: np.ndarray, radius_scale: float = 1e-3) -> np.ndarray:
@@ -275,7 +273,7 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
         raise ValueError("box must contain the origin strictly")
     points = np.vstack([halton_box_samples(box, n_samples, seed), _origin_shell(box)])
     points = points[np.linalg.norm(points, axis=1) > 0.0]
-    values = np.array([field.value(x) for x in points])
+    values = np.array(list(map(field.value_floats, points.tolist())), dtype=float)
     i_min = int(np.argmin(values))
     eigs = sym_eigenvalues(_origin_hessian(field))
     ok = values[i_min] > 0.0 and eigs[0] > TAU_PD
@@ -341,13 +339,18 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > r_excl]
-    u0 = np.zeros(sys_cl.n_io)
-    norms = np.array([float(np.linalg.norm(sys_cl.f(x, u0))) for x in points])
+    u0 = [0.0] * sys_cl.n_io
+
+    def f0(x):  # the Newton residual: f(x, 0) on the float form
+        return np.asarray(sys_cl.f_floats(x.tolist(), u0), dtype=float)
+
+    fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
+    norms = np.array([float(np.linalg.norm(fx)) for fx in fxs])
     i_min = int(np.argmin(norms))
     scale = 1.0 + float(np.max(norms))
     tol_root = 1e-9 * scale
 
-    root = _polished_root(lambda x: sys_cl.f(x, u0), sys_cl.n_states, points, norms, tol_root,
+    root = _polished_root(f0, sys_cl.n_states, points, norms, tol_root,
                           lambda x: float(np.linalg.norm(x)) > r_excl)
 
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"

@@ -26,6 +26,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.seed < 0:  # the sampler would name its own argument
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     x0 = None if args.x0 is None else [float(s) for s in args.x0.split(",")]
     result = run_scenario(args.scenario, step=args.step, t_end=args.t_end,
                           x0=x0, seed=args.seed, out_dir=args.out)
@@ -64,11 +66,11 @@ def _cmd_surface(args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     _, V, _, W = _build_parts(sc)
-    ok = True
-    for label, field in (("original", V), ("shaped", W)):
+    ok, grid = True, None
+    for label, field in (("original", V), ("shaped", W)):  # W's grid reads V's
         path = os.path.join(out, f"surface_{sc.name}_{label}.csv")
         grid = export_potential_surface(field, path, half_range=args.range,
-                                        points=args.points)
+                                        points=args.points, base=grid)
         print(f"{label}: {len(grid.minima)} local minima, "
               f"{grid.n_plateau} plateau cells -> {path}")
         ok = ok and not grid.degenerate

@@ -403,6 +403,7 @@ class SurfaceGrid:
     """A field's values on a square grid, ``values[i, j]`` at
     ``(axis[i], axis[j])``, and the grid's strict local minima."""
 
+    field: ScalarField
     axis: np.ndarray
     values: np.ndarray
     minima: tuple          # (theta1, theta2) grid locations of strict minima
@@ -412,7 +413,7 @@ class SurfaceGrid:
 
 
 def export_potential_surface(field: ScalarField, path=None, half_range: float = 8.0,
-                             points: int = 161) -> SurfaceGrid:
+                             points: int = 161, base: Optional[SurfaceGrid] = None) -> SurfaceGrid:
     """Evaluate the field's displacement restriction on a square grid and
     scan for strict local minima.
 
@@ -421,7 +422,9 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     8-neighbor comparison on interior cells; plateau cells (tied with their
     neighborhood minimum) are flagged but never counted, and an all-plateau
     interior marks the grid as degenerate.  When ``path`` is given the grid
-    is written as a (theta1, theta2, value) CSV.
+    is written as a (theta1, theta2, value) CSV.  A shaped ``field`` (``W = V - S``
+    of :func:`make_shaped_storage`) given ``base``, the grid of its V on the same
+    axis, takes ``base.values`` minus S's grid: W's own subtraction at every cell.
     """
     if not 3 <= points <= MAX_SURFACE_POINTS:
         raise ValueError(f"grid needs 3 to {MAX_SURFACE_POINTS} points per axis, got {points}")
@@ -432,10 +435,16 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     pad = (0.0,) * (field.dim - 2)
 
     axis = np.linspace(-half_range, half_range, points)
+    if base is not None and not (base.field is getattr(field, "storage", None)
+                                 and np.array_equal(base.axis, axis)):
+        raise ValueError("base must be the grid of the shaped field's storage on the same axis")
     ticks = axis.tolist()
+    value = field.value_floats if base is None else field.shaping.value_floats
     values = np.empty((points, points))
     for i, t1 in enumerate(ticks):
-        values[i] = [field.value_floats((t1, t2) + pad) for t2 in ticks]
+        values[i] = [value((t1, t2) + pad) for t2 in ticks]
+    if base is not None:
+        np.subtract(base.values, values, out=values)
 
     center = values[1:-1, 1:-1]
     neighborhood_min = np.stack([  # a temporary: the CSV below reuses its memory
@@ -454,7 +463,7 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
             r = np.arange(start, stop)
             return np.column_stack((axis[r // points], axis[r % points], values.ravel()[r]))
         _write_g17_csv(path, "theta1,theta2,value", points * points, cells)
-    return SurfaceGrid(axis, values, minima, n_plateau, degenerate,
+    return SurfaceGrid(field, axis, values, minima, n_plateau, degenerate,
                        None if path is None else str(path))
 
 

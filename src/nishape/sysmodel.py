@@ -396,6 +396,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     gradient is assembled by the chain rule only when the gradients of V and F
     and the output Jacobian are all analytic; any missing piece makes the whole
     field fall back to finite differences so truncation errors stay on a single scale.
+    ``W.storage`` is V and ``W.shaping`` S(x) = F(h(x)) (value only): W = V - S bit for bit.
     """
     n = int(n)
     if V.dim != n:
@@ -407,7 +408,10 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
         raise ValueError(f"h maps into R^{y0.size}, but F has dimension {F.dim}")
     v_value, f_value = V.value_floats, F.value_floats
 
-    def w_value(x):
+    def s_value(x):
+        return f_value(h_floats(x))
+
+    def w_value(x):  # v_value(x) - s_value(x), without the call
         return v_value(x) - f_value(h_floats(x))
 
     h_jacobian = _constant_jacobian(h_jacobian, F.dim, n)
@@ -429,6 +433,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
                                                F.gradients(ys)[:, :, None])[:, :, 0]
 
     W = ScalarField.from_floats(n, w_value, w_gradient, name=name)
+    W.storage, W.shaping = V, ScalarField.from_floats(n, s_value, name=f"{F.name} o h")
     if w_gradient is not None:
         W.gradients = w_gradients
     return W

@@ -14,6 +14,7 @@ from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, Li
                      hamiltonian_decay_identity, hidden_motion_from_rates,
                      make_closed_loop, make_shaped_storage, rate_table, report_line,
                      simulate, to_nonlinear, write_reports_csv, zero_field)
+from nishape import certify
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -55,6 +56,48 @@ def test_halton_samples_reproducible_and_in_box():
 def test_halton_rejects_degenerate_box():
     with pytest.raises(ValueError, match="degenerate"):
         halton_box_samples([(1.0, 1.0)], 8, seed=0)
+
+
+def _radical_inverse(index, base):
+    inv = 0.0
+    scale = 1.0 / base
+    while index > 0:
+        inv += scale * (index % base)
+        index //= base
+        scale /= base
+    return inv
+
+
+def _halton_per_sample(box, n_samples, seed):
+    """The sampler as one numpy row per sample from scalar radical inverses."""
+    box = np.asarray(box, dtype=float)
+    dim = box.shape[0]
+    shift = np.random.default_rng(seed).random(dim)
+    width = box[:, 1] - box[:, 0]
+    points = np.empty((n_samples, dim))
+    for i in range(n_samples):
+        u = np.array([_radical_inverse(i + 1, b) for b in (2, 3, 5, 7, 11, 13, 17, 19)[:dim]])
+        points[i] = box[:, 0] + np.mod(u + shift, 1.0) * width
+    return points
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_halton_matches_the_per_sample_loop_bitwise(dim):
+    box = [(-8.0 + j, 5.0 + 0.3 * j) for j in range(dim)]
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        longest = halton_box_samples(box, 4097, seed)
+        assert longest.tobytes() == _halton_per_sample(box, 4097, seed).tobytes()
+        for n in (0, 1, 2, 255, 256):  # every shorter set is a prefix, bit for bit
+            short = halton_box_samples(box, n, seed)
+            assert short.shape == (n, dim)
+            assert short.tobytes() == longest[:n].tobytes()
+
+
+def test_halton_rejects_a_negative_count_or_seed_by_name():
+    with pytest.raises(ValueError, match="n_samples must be nonnegative, got -1"):
+        halton_box_samples([(-1.0, 1.0)], -1, seed=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+        halton_box_samples([(-1.0, 1.0)], 8, seed=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +674,55 @@ def test_uniqueness_linear_hurwitz_loop_passes(linear_cases):
     closed = make_closed_loop(sc.build_plant(), sc.build_nonlinearity())
     report = check_equilibrium_uniqueness(closed, [(-5.0, 5.0)] * 2, n_samples=256, seed=0)
     assert report.verdict == "pass"
+
+
+def _positive_definite_per_point(field, box, n_samples, seed):
+    """check_positive_definite's sampled minimum through ``field.value`` per point."""
+    box = np.asarray(box, dtype=float)
+    points = np.vstack([halton_box_samples(box, n_samples, seed), certify._origin_shell(box)])
+    points = points[np.linalg.norm(points, axis=1) > 0.0]
+    values = np.array([field.value(x) for x in points])
+    i_min = int(np.argmin(values))
+    eigs = nishape.sym_eigenvalues(certify._origin_hessian(field))
+    ok = values[i_min] > 0.0 and eigs[0] > nishape.TAU_PD
+    return Check("pass" if ok else "fail", values[i_min], points[i_min], points.shape[0])
+
+
+def _uniqueness_per_point(sys_cl, box, n_samples, seed):
+    """check_equilibrium_uniqueness through the numpy ``sys_cl.f`` per point and per probe."""
+    box = np.asarray(box, dtype=float)
+    r_excl = certify.R_EXCL_SCALE * float(np.max(np.abs(box)))
+    points = halton_box_samples(box, n_samples, seed)
+    points = points[np.linalg.norm(points, axis=1) > r_excl]
+    u0 = np.zeros(sys_cl.n_io)
+    norms = np.array([float(np.linalg.norm(sys_cl.f(x, u0))) for x in points])
+    i_min = int(np.argmin(norms))
+    scale = 1.0 + float(np.max(norms))
+    root = certify._polished_root(lambda x: sys_cl.f(x, u0), sys_cl.n_states, points, norms,
+                                  1e-9 * scale, lambda x: float(np.linalg.norm(x)) > r_excl)
+    verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
+    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0])
+
+
+def _check_bits(check):
+    return (check.verdict, np.float64(check.worst_value).tobytes(),
+            np.array(check.witness).tobytes(), check.n_samples)
+
+
+@pytest.mark.parametrize("name", ["pendulum-stabilize", "linear-a", "pendulum-sync"])
+def test_float_form_box_checks_match_the_per_point_numpy_path(name):
+    sc = get_scenario(name)
+    plant, _, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    roots = 0
+    for seed in range(8):
+        pd = check_positive_definite(W, sc.box, n_samples=256, seed=seed)
+        assert _check_bits(pd) == _check_bits(_positive_definite_per_point(W, sc.box, 256, seed))
+        uniq = check_equilibrium_uniqueness(closed, sc.box, n_samples=512, seed=seed)
+        assert _check_bits(uniq) == _check_bits(_uniqueness_per_point(closed, sc.box, 512, seed))
+        roots += uniq.verdict == "fail" and not _is_sample(uniq.witness, sc.box, 512, seed)
+    # the synchronizing loop keeps the plant's distant wells: Newton polishes nonzero roots
+    assert roots == (7 if name == "pendulum-sync" else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,11 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys):
             assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys):
+    assert main(["run", "linear-a", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+
+
 def test_extreme_slopes_get_a_whole_report_and_their_verdict(tmp_path, capsys):
     # the margin matrix Y^-1 - C^T M C (mu = 1e300) or M^-1 - G(0) (mu = 1e-300)
     # holds about 1e300, whose norm overflows; the verdict is still decidable

@@ -482,6 +482,30 @@ def test_surface_csv_matches_the_per_cell_writer_bytewise(pendulum, tmp_path):
     assert np.isnan(report.values).any() and np.isinf(report.values).any()
 
 
+SHAPED_SURFACE_MINIMA = {  # (original, shaped) at 161 points on +-8 and at 41 on +-3
+    "linear-a": ((1, 1), (1, 1)), "linear-b": ((1, 1), (1, 1)),
+    "pendulum-stabilize": ((9, 1), (1, 1)), "pendulum-sync": ((9, 3), (1, 1))}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_SURFACE_MINIMA))
+def test_shaped_surface_from_the_storage_grid_matches_the_per_cell_field_bitwise(name):
+    _, V, _, W = scenarios._build_parts(get_scenario(name))
+    for (half_range, points), counts in zip(((8.0, 161), (3.0, 41)), SHAPED_SURFACE_MINIMA[name]):
+        original = export_potential_surface(V, half_range=half_range, points=points)
+        shaped = export_potential_surface(W, half_range=half_range, points=points, base=original)
+        ticks = original.axis.tolist()
+        pad = (0.0,) * (W.dim - 2)
+        per_cell = np.array([[W.value_floats((t1, t2) + pad) for t2 in ticks] for t1 in ticks])
+        assert np.array_equal(shaped.values.view(np.uint64), per_cell.view(np.uint64))
+        direct = export_potential_surface(W, half_range=half_range, points=points)
+        assert (shaped.minima, shaped.n_plateau) == (direct.minima, direct.n_plateau)
+        assert (len(original.minima), len(shaped.minima)) == counts
+    with pytest.raises(ValueError, match="base"):  # V's grid on another axis
+        export_potential_surface(W, half_range=3.0, points=43, base=original)
+    with pytest.raises(ValueError, match="base"):  # a grid of a field W is not shaped from
+        export_potential_surface(W, half_range=3.0, points=41, base=shaped)
+
+
 def test_surface_constant_field_is_degenerate():
     flat = ScalarField(2, lambda x: 0.0)
     report = export_potential_surface(flat, points=21, half_range=2.0)
