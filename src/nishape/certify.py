@@ -11,7 +11,9 @@ the stored samples, so modeling error is not confused with integrator error.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -76,61 +78,64 @@ def halton_box_samples(box, n_samples: int, seed: int) -> np.ndarray:
 def _origin_shell(box: np.ndarray, radius_scale: float = 1e-3) -> np.ndarray:
     """Deterministic probe points on a small shell around the origin."""
     dim = box.shape[0]
-    half = np.minimum(np.abs(box[:, 0]), np.abs(box[:, 1]))
-    r = radius_scale * float(np.min(half))
-    points = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = r
-        points.append(e.copy())
-        points.append(-e)
-    for corner in range(2 ** dim):
-        sign = np.array([1.0 if corner & (1 << i) else -1.0 for i in range(dim)])
-        points.append(r / math.sqrt(dim) * sign)
-    return np.array(points)
+    r = radius_scale * float(np.min(np.minimum(np.abs(box[:, 0]), np.abs(box[:, 1]))))
+    axes = [sign * r * e for e in np.eye(dim) for sign in (1.0, -1.0)]  # +-r e_i, -0.0 off it
+    # corner k has +1 on axis i where bit i of k is set: axis 0 varies fastest
+    corners = [r / math.sqrt(dim) * np.array(signs[::-1])
+               for signs in itertools.product((-1.0, 1.0), repeat=dim)]
+    return np.array(axes + corners)
 
 
 # ---------------------------------------------------------------------------
 # Damped Newton polish shared by the root-hunting checks
 
 
-def _newton_polish(func, jac, x0, tol, max_iter=POLISH_ITERS):
-    """Damped Newton toward a root of ``func``; returns (point, converged)."""
-    x = np.array(x0, dtype=float)
-    fx = np.asarray(func(x), dtype=float)
+def _newton_polish(func, x, tol, stats, max_iter=POLISH_ITERS):
+    """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
+    (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
+    by entry on floats; the norms, dots and solve stay numpy's (a BLAS dot uses FMA)."""
+    fx = np.array(func(x), dtype=float)
+    stats.update(polishes=1, model_calls=1)
     for _ in range(max_iter):
         if float(np.linalg.norm(fx)) <= tol:
-            return x, True
-        J = jac(x)
+            break
+        J = central_jacobian(func, x, len(x))
+        stats.update(newton_steps=1, model_calls=2 * len(x))
         try:
             d = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
             d = np.linalg.lstsq(J, -fx, rcond=None)[0]
         if not np.isfinite(d).all():
-            return x, False
-        base = float(fx @ fx)
-        alpha = 1.0
+            break
+        base, d, alpha = float(fx @ fx), d.tolist(), 1.0
         while alpha >= 1e-6:
-            x_new = x + alpha * d
-            f_new = np.asarray(func(x_new), dtype=float)
-            if np.isfinite(f_new).all() and float(f_new @ f_new) < base:
-                x, fx = x_new, f_new
-                break
+            x_new = [xi + alpha * di for xi, di in zip(x, d)]
+            f_new = func(x_new)
+            stats["model_calls"] += 1
+            if all(map(math.isfinite, f_new)):
+                f_new = np.array(f_new, dtype=float)
+                if float(f_new @ f_new) < base:
+                    x, fx = x_new, f_new
+                    break
             alpha *= 0.5
         else:
             break
-    return x, float(np.linalg.norm(fx)) <= tol
+    converged = float(np.linalg.norm(fx)) <= tol
+    stats["converged"] += converged
+    return x, converged
 
 
-def _polished_root(func, dim, points, norms, tol, accept):
-    """Newton-polish the N_POLISH samples of smallest ``norms`` toward a root of
-    ``func``; the first converged root that ``accept`` admits, or None."""
+def _polished_root(func, points, norms, tol, accept):
+    """Newton-polish the N_POLISH samples of smallest ``norms`` toward a root of the
+    float form ``func``: the first converged root that ``accept`` admits (or None), and
+    the counters ``polishes``, ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``)
+    and ``converged``."""
+    stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
     for idx in np.argsort(norms)[:N_POLISH]:
-        root, ok = _newton_polish(func, lambda x: central_jacobian(func, x, dim),
-                                  points[idx], tol)
-        if ok and accept(root):
-            return root
-    return None
+        x, ok = _newton_polish(func, points[idx].tolist(), tol, stats)
+        if ok and accept(x):
+            return x, dict(stats)
+    return None, dict(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +247,7 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
     """
     n = field.dim
     if field.has_analytic_gradient:
-        H = central_jacobian(field.gradient, np.zeros(n), n, 1e-6)
+        H = central_jacobian(field.gradient_floats, [0.0] * n, n, 1e-6)
     else:
         H = np.empty((n, n))
         h = 1e-4
@@ -296,8 +301,8 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     polish on the gradient runs from the worst samples; a polished critical
     point away from the origin (and inside the box) fails the check with
     that witness; otherwise the witness is the sampled minimizer.  The worst
-    value is the sampled minimum, and ``detail["note"]`` warns of a small
-    margin (empty when there is none).
+    value is the sampled minimum; ``detail`` holds the polish counters and a
+    ``note`` that warns of a small margin (empty when there is none).
     """
     box = _as_box(box, field.dim)
     points = halton_box_samples(box, n_samples, seed)
@@ -308,17 +313,17 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     slack = 0.05 * (box[:, 1] - box[:, 0])
     tol_root = 1e-10 * (1.0 + float(np.max(grad_norms)))
-    critical = _polished_root(field.gradient, field.dim, points, grad_norms, tol_root,
-                              lambda x: (float(np.linalg.norm(x)) > r_excl
-                                         and np.all(x >= box[:, 0] - slack)
-                                         and np.all(x <= box[:, 1] + slack)))
+    critical, stats = _polished_root(
+        field.gradient_floats, points, grad_norms, tol_root,
+        lambda x: (float(np.linalg.norm(x)) > r_excl
+                   and np.all((box[:, 0] - slack <= x) & (x <= box[:, 1] + slack))))
 
     note = ""
     if grad_norms[i_min] < 1e-3 * float(np.median(grad_norms)):
         note = "small margin: sampled gradient decays fast toward the origin"
     verdict = "fail" if (critical is not None or grad_norms[i_min] <= floor) else "pass"
     return Check(verdict, grad_norms[i_min], points[i_min] if critical is None else critical,
-                 points.shape[0], {"note": note})
+                 points.shape[0], {"note": note, **stats})
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +338,25 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     followed by a damped-Newton root polish (finite-difference Jacobian) from
     the worst samples.  Any converged nonzero root is a counterexample and
     the witness; otherwise the witness is the sampled minimizer.  The worst
-    value is the sampled minimum.
+    value is the sampled minimum; ``detail`` holds the polish counters.
     """
     box = _as_box(box, sys_cl.n_states)
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > r_excl]
     u0 = [0.0] * sys_cl.n_io
-
-    def f0(x):  # the Newton residual: f(x, 0) on the float form
-        return np.asarray(sys_cl.f_floats(x.tolist(), u0), dtype=float)
-
     fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
-    norms = np.array([float(np.linalg.norm(fx)) for fx in fxs])
+    norms = np.sqrt(_row_dots(fxs, fxs))  # each row's np.linalg.norm
     i_min = int(np.argmin(norms))
     scale = 1.0 + float(np.max(norms))
     tol_root = 1e-9 * scale
 
-    root = _polished_root(f0, sys_cl.n_states, points, norms, tol_root,
-                          lambda x: float(np.linalg.norm(x)) > r_excl)
+    root, stats = _polished_root(lambda x: sys_cl.f_floats(x, u0), points, norms, tol_root,
+                                 lambda x: float(np.linalg.norm(x)) > r_excl)
 
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
-    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0])
+    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0],
+                 stats)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +383,9 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
     W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states, h_jacobian=hs.h_jacobian)
-    w = np.empty(n_knots)
-    rhs = np.empty(n_knots)
-    for k, (x, g) in enumerate(zip(traj.states, W.gradients(traj.states))):
-        w[k] = W.value(x)
-        rhs[k] = -float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
+    w = np.array(list(map(W.value_floats, traj.states.tolist())), dtype=float)
+    rhs = np.array([-float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
+                    for x, g in zip(traj.states, W.gradients(traj.states))])
     lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * traj.step)
     discrepancy = np.abs(lhs - rhs[2:-2])
     i_max = int(np.argmax(discrepancy))

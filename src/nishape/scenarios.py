@@ -384,11 +384,9 @@ def scenario_config(name: str) -> dict:
     if sc.shaping is not None:
         payload["shaping"] = dataclasses.asdict(sc.shaping)
     if sc.linear_case is not None:
-        payload["linear_case"] = sc.linear_case
-        payload["A"] = sc.certificate.sys.A.tolist()
-        payload["B"] = sc.certificate.sys.B.tolist()
-        payload["C"] = sc.certificate.sys.C.tolist()
-        payload["Y"] = sc.certificate.Y.tolist()
+        ls = sc.certificate.sys
+        payload.update(linear_case=sc.linear_case, A=ls.A.tolist(), B=ls.B.tolist(),
+                       C=ls.C.tolist(), Y=sc.certificate.Y.tolist())
     return payload
 
 

@@ -65,10 +65,10 @@ _FLOAT64 = np.dtype(float)
 
 
 def _listed(result) -> list:
-    """A numpy callable's result (an array, or any sequence) as a list of floats."""
-    if type(result) is np.ndarray and result.dtype is _FLOAT64:
+    """A numpy callable's result (an array, a sequence or a bare number) as a list of floats."""
+    if type(result) is np.ndarray and result.dtype is _FLOAT64 and result.ndim:
         return result.tolist()
-    return np.asarray(result, dtype=float).tolist()
+    return np.atleast_1d(np.asarray(result, dtype=float)).tolist()
 
 
 def _stacked(rows: list, width: int) -> np.ndarray:
@@ -90,18 +90,21 @@ def fd_step(x) -> float:
 
 
 def central_gradient(func, x, step: Optional[float] = None) -> np.ndarray:
-    return central_jacobian(func, x, 1, step)[0]
+    """Central differences of the scalar float form ``func`` at the floats ``x``."""
+    return central_jacobian(lambda x: (float(func(x)),), x, 1, step)[0]
 
 
 def central_jacobian(func, x, n_out: int, step: Optional[float] = None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """Central differences of the float form ``func`` (``n_out`` floats out) at the
+    floats ``x``.  Each probe is numpy's ``x + e`` or ``x - e`` entry by entry: the
+    ``+`` side adds 0.0 to every other entry, which turns a -0.0 into 0.0."""
     h = fd_step(x) if step is None else float(step)
-    jac = np.empty((n_out, x.size))
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h
-        jac[:, j] = (np.asarray(func(x + e), dtype=float)
-                     - np.asarray(func(x - e), dtype=float)) / (2.0 * h)
+    two_h = 2.0 * h
+    jac = np.empty((n_out, len(x)))
+    for j, xj in enumerate(x):
+        plus, minus = [xi + 0.0 for xi in x], list(x)
+        plus[j], minus[j] = xj + h, xj - h
+        jac[:, j] = [(a - b) / two_h for a, b in zip(func(plus), func(minus))]
     return jac
 
 
@@ -130,7 +133,7 @@ class ScalarField:
         self.dim = dim
         self.value_floats = value
         self.has_analytic_gradient = gradient is not None
-        self.gradient_floats = gradient or (lambda x: central_gradient(self.value, x).tolist())
+        self.gradient_floats = gradient or (lambda x: central_gradient(value, x).tolist())
         self.name = name
         v0 = float(value([0.0] * dim))
         if not abs(v0) <= TAU_ZERO:
@@ -218,7 +221,7 @@ class NonlinearSystem:
         if self.h_jacobian is not None:
             # C order: a Fortran-ordered one takes another BLAS path than a stacked product
             return np.ascontiguousarray(self.h_jacobian(x), dtype=float)
-        return central_jacobian(self.h, x, self.n_io)
+        return central_jacobian(self.h_floats, x.tolist(), self.n_io)
 
 
 def _constant_jacobian(jac, n_out: int, n_in: int):
@@ -306,12 +309,7 @@ class HamiltonianSystem(NonlinearSystem):
         n = int(n)
         if H.dim != n:
             raise ValueError(f"Hamiltonian dimension {H.dim} != n = {n}")
-        probes = [np.zeros(n)]
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = self._PROBE_RADIUS
-            probes.append(e)
-        for x in probes:
+        for x in [np.zeros(n), *(self._PROBE_RADIUS * np.eye(n))]:  # the origin, axis points
             Jx = np.asarray(J(x), dtype=float)
             Rx = np.asarray(R(x), dtype=float)
             if Jx.shape != (n, n) or Rx.shape != (n, n):
@@ -386,16 +384,38 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
                                        name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
 
 
+@functools.cache  # one form per (n, selection), shared by every later storage
+def _projected_gradient_factory(n: int, rows: tuple):
+    """``factory(v_gradient, f_gradient, h)`` returns ``x -> grad V(x) - J^T grad F(h(x))``
+    for the J whose row k is the unit vector ``e_{rows[k]}``: entry i is ``a_i`` minus numpy's
+    ``(J.T @ g)_i``, ``0.0 + sum_k J[k, i] g_k`` with every zero term ``0.0 * g_k`` kept (a NaN
+    for a g_k that is not finite).  Results are unpacked: a wrong length raises ValueError."""
+    p = len(rows)
+    a, y, g, z, zeros = ("".join(template.format(k) + ", " for k in range(m)) for template, m in
+                         (("a{}", n), ("y{}", p), ("g{}", p), ("z{}", p), ("0.0 * g{}", p)))
+    entries = "".join(f"a{i} - (0.0" + "".join(f" + g{k}" if row == i else f" + z{k}"
+                                              for k, row in enumerate(rows)) + "), "
+                      for i in range(n))
+    namespace = {}
+    exec(compile(f"def factory(v_gradient, f_gradient, h):\n    def w_gradient(x):\n"
+                 f"        {a}= v_gradient(x)\n        {y}= h(x)\n        {g}= f_gradient(({y}))\n"
+                 f"        {z}= {zeros}\n        return ({entries})\n    return w_gradient\n",
+                 f"<projected gradient on {n} states>", "exec"), namespace)
+    return namespace["factory"]
+
+
 def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
                         h_jacobian=None, name: str = "W") -> ScalarField:
     """Storage shaped along the output: ``W(x) = V(x) - F(h(x))``.
 
     ``h`` is a numpy callable.  A system's bound ``h`` method contributes that
-    system's ``h_floats``; any other callable is adapted once.  ``h_jacobian``
-    is a numpy callable or a constant matrix, broadcast by ``W.gradients``.  The
-    gradient is assembled by the chain rule only when the gradients of V and F
-    and the output Jacobian are all analytic; any missing piece makes the whole
+    system's ``h_floats``; any other callable is adapted once.  The gradient is
+    assembled by the chain rule only when the gradients of V and F and the output
+    Jacobian ``h_jacobian`` are all analytic; any missing piece makes the whole
     field fall back to finite differences so truncation errors stay on a single scale.
+    A constant ``h_jacobian`` whose rows are distinct unit vectors (a projection) gets
+    a generated float form; any other constant matrix or numpy callable numpy's
+    product, which ``W.gradients`` stacks (a constant matrix broadcast).
     ``W.storage`` is V and ``W.shaping`` S(x) = F(h(x)) (value only): W = V - S bit for bit.
     """
     n = int(n)
@@ -416,8 +436,15 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
 
     h_jacobian = _constant_jacobian(h_jacobian, F.dim, n)
     constant = isinstance(h_jacobian, np.ndarray)
-    w_gradient = None
-    if V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None:
+    analytic = V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None
+    cols = h_jacobian.argmax(axis=1).tolist() if constant else []
+    w_gradient = w_gradients = None
+    if (analytic and constant and len(set(cols)) == F.dim
+            and np.array_equal(h_jacobian, np.eye(n)[cols])):
+        # rows of distinct unit vectors: a generated float form, stacked by ScalarField.gradients
+        w_gradient = _projected_gradient_factory(n, tuple(cols))(
+            V.gradient_floats, F.gradient_floats, h_floats)
+    elif analytic:
         def w_gradient(x):
             jac = (h_jacobian if constant else
                    np.ascontiguousarray(h_jacobian(np.array(x, dtype=float)), dtype=float))
@@ -434,7 +461,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
 
     W = ScalarField.from_floats(n, w_value, w_gradient, name=name)
     W.storage, W.shaping = V, ScalarField.from_floats(n, s_value, name=f"{F.name} o h")
-    if w_gradient is not None:
+    if w_gradients is not None:
         W.gradients = w_gradients
     return W
 
@@ -463,7 +490,7 @@ def gradient_check(field: ScalarField, points) -> Check:
         if pt.shape != (field.dim,):
             raise ValueError(f"probe point has shape {pt.shape}, field dimension is {field.dim}")
         g_an = field.gradient(pt)
-        g_fd = central_gradient(field.value, pt)
+        g_fd = central_gradient(field.value_floats, pt.tolist())
         dev = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), floor))
         count += 1
         if not dev <= worst and not math.isnan(worst):  # the first NaN stays the worst

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -629,6 +630,15 @@ def test_nonvanishing_quartic_passes_with_margin_note():
     assert "margin" in report.detail["note"]
 
 
+def test_box_checks_take_a_one_dimensional_gradient_returned_as_a_bare_number():
+    # the float-form probes and polish read it as one entry
+    field = ScalarField(1, lambda x: float(x[0] ** 2 + x[0] ** 4),
+                        lambda x: 2.0 * x[0] + 4.0 * x[0] ** 3)
+    assert field.gradient([0.5]).tolist() == [1.5]
+    assert check_positive_definite(field, [(-1.0, 1.0)], n_samples=64).verdict == "pass"
+    assert check_gradient_nonvanishing(field, [(-1.0, 1.0)], n_samples=64).verdict == "pass"
+
+
 def test_nonvanishing_double_well_fails_near_unit_points():
     field = ScalarField(1, lambda x: 0.25 * x[0] ** 4 - 0.5 * x[0] ** 2,
                         lambda x: np.array([x[0] ** 3 - x[0]]))
@@ -688,6 +698,60 @@ def _positive_definite_per_point(field, box, n_samples, seed):
     return Check("pass" if ok else "fail", values[i_min], points[i_min], points.shape[0])
 
 
+def _numpy_jacobian(func, x, n_out):
+    """Central differences of a numpy callable, probed at numpy's ``x + e`` and ``x - e``."""
+    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    jac = np.empty((n_out, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        jac[:, j] = (np.asarray(func(x + e), dtype=float)
+                     - np.asarray(func(x - e), dtype=float)) / (2.0 * h)
+    return jac
+
+
+def _numpy_polish(func, x0, tol, counts, max_iter=certify.POLISH_ITERS):
+    """Damped Newton on numpy arrays: the polish's own oracle, counting its Jacobians."""
+    x = np.array(x0, dtype=float)
+    fx = np.asarray(func(x), dtype=float)
+    for _ in range(max_iter):
+        if float(np.linalg.norm(fx)) <= tol:
+            return x, True
+        J = _numpy_jacobian(func, x, x.size)
+        counts["newton_steps"] += 1
+        try:
+            d = np.linalg.solve(J, -fx)
+        except np.linalg.LinAlgError:
+            d = np.linalg.lstsq(J, -fx, rcond=None)[0]
+        if not np.isfinite(d).all():
+            return x, False
+        base = float(fx @ fx)
+        alpha = 1.0
+        while alpha >= 1e-6:
+            x_new = x + alpha * d
+            f_new = np.asarray(func(x_new), dtype=float)
+            if np.isfinite(f_new).all() and float(f_new @ f_new) < base:
+                x, fx = x_new, f_new
+                break
+            alpha *= 0.5
+        else:
+            break
+    return x, float(np.linalg.norm(fx)) <= tol
+
+
+def _numpy_polished_root(func, points, norms, tol, accept):
+    """The first converged root that ``accept`` admits, polished on numpy arrays, or None;
+    and the counters ``polishes``, ``newton_steps`` and ``converged``."""
+    counts = {"polishes": 0, "newton_steps": 0, "converged": 0}
+    for idx in np.argsort(norms)[:certify.N_POLISH]:
+        root, ok = _numpy_polish(func, points[idx], tol, counts)
+        counts["polishes"] += 1
+        counts["converged"] += ok
+        if ok and accept(root):
+            return root, counts
+    return None, counts
+
+
 def _uniqueness_per_point(sys_cl, box, n_samples, seed):
     """check_equilibrium_uniqueness through the numpy ``sys_cl.f`` per point and per probe."""
     box = np.asarray(box, dtype=float)
@@ -698,10 +762,32 @@ def _uniqueness_per_point(sys_cl, box, n_samples, seed):
     norms = np.array([float(np.linalg.norm(sys_cl.f(x, u0))) for x in points])
     i_min = int(np.argmin(norms))
     scale = 1.0 + float(np.max(norms))
-    root = certify._polished_root(lambda x: sys_cl.f(x, u0), sys_cl.n_states, points, norms,
-                                  1e-9 * scale, lambda x: float(np.linalg.norm(x)) > r_excl)
+    root, counts = _numpy_polished_root(lambda x: sys_cl.f(x, u0), points, norms, 1e-9 * scale,
+                                        lambda x: float(np.linalg.norm(x)) > r_excl)
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
-    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0])
+    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0],
+                 counts)
+
+
+def _gradient_nonvanishing_per_point(gradient, box, n_samples, seed):
+    """check_gradient_nonvanishing through the numpy callable ``gradient`` per point and
+    per probe (its note left out)."""
+    box = np.asarray(box, dtype=float)
+    points = halton_box_samples(box, n_samples, seed)
+    points = points[np.linalg.norm(points, axis=1) > 0.0]
+    grad_norms = np.linalg.norm(np.array([gradient(x) for x in points]), axis=1)
+    i_min = int(np.argmin(grad_norms))
+    floor = nishape.TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
+    r_excl = certify.R_EXCL_SCALE * float(np.max(np.abs(box)))
+    slack = 0.05 * (box[:, 1] - box[:, 0])
+    tol_root = 1e-10 * (1.0 + float(np.max(grad_norms)))
+    critical, counts = _numpy_polished_root(
+        gradient, points, grad_norms, tol_root,
+        lambda x: (float(np.linalg.norm(x)) > r_excl and np.all(x >= box[:, 0] - slack)
+                   and np.all(x <= box[:, 1] + slack)))
+    verdict = "fail" if (critical is not None or grad_norms[i_min] <= floor) else "pass"
+    return Check(verdict, grad_norms[i_min], points[i_min] if critical is None else critical,
+                 points.shape[0], counts)
 
 
 def _check_bits(check):
@@ -709,20 +795,143 @@ def _check_bits(check):
             np.array(check.witness).tobytes(), check.n_samples)
 
 
-@pytest.mark.parametrize("name", ["pendulum-stabilize", "linear-a", "pendulum-sync"])
+def _counters(check):
+    return {k: check.detail[k] for k in ("polishes", "newton_steps", "converged")}
+
+
+@pytest.mark.parametrize("name", ["pendulum-stabilize", "linear-a", "linear-b", "pendulum-sync"])
 def test_float_form_box_checks_match_the_per_point_numpy_path(name):
     sc = get_scenario(name)
-    plant, _, nl, W = _build_parts(sc)
+    plant, V, nl, W = _build_parts(sc)
     closed = make_closed_loop(plant, nl)
+    J, F = plant.h_jacobian, nl.potential
+
+    def chain_rule(x):  # W's gradient by numpy's product, not W's generated form
+        return V.gradient(x) - J.T @ F.gradient(plant.h(x))
+
     roots = 0
-    for seed in range(8):
+    for seed in range(16):
         pd = check_positive_definite(W, sc.box, n_samples=256, seed=seed)
         assert _check_bits(pd) == _check_bits(_positive_definite_per_point(W, sc.box, 256, seed))
+        grad = check_gradient_nonvanishing(W, sc.box, n_samples=256, seed=seed)
+        want = _gradient_nonvanishing_per_point(chain_rule, sc.box, 256, seed)
+        assert _check_bits(grad) == _check_bits(want), seed
+        assert _counters(grad) == dict(want.detail), seed
         uniq = check_equilibrium_uniqueness(closed, sc.box, n_samples=512, seed=seed)
-        assert _check_bits(uniq) == _check_bits(_uniqueness_per_point(closed, sc.box, 512, seed))
+        want = _uniqueness_per_point(closed, sc.box, 512, seed)
+        assert _check_bits(uniq) == _check_bits(want), seed
+        assert _counters(uniq) == dict(want.detail), seed
         roots += uniq.verdict == "fail" and not _is_sample(uniq.witness, sc.box, 512, seed)
     # the synchronizing loop keeps the plant's distant wells: Newton polishes nonzero roots
-    assert roots == (7 if name == "pendulum-sync" else 0)
+    assert roots == (12 if name == "pendulum-sync" else 0)
+
+
+def test_stacked_row_norms_are_the_per_row_norm_bitwise():
+    rng = np.random.default_rng(17)
+    rows = [rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-8, 8, size=(2000, 1)),
+            np.full((3, 4), 1e200), rng.uniform(-1e200, 1e200, size=(50, 4)),  # overflow
+            rng.uniform(-1.0, 1.0, size=(50, 4)) * 5e-321,  # subnormal entries
+            rng.normal(size=(50, 4)) * 1e-160, np.full((2, 4), -0.0)]  # subnormal squares
+    special = rng.normal(size=(60, 4))
+    special[np.arange(60), rng.integers(0, 4, 60)] = rng.choice([math.inf, -math.inf, math.nan], 60)
+    fxs = np.vstack(rows + [special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.sqrt(certify._row_dots(fxs, fxs))
+        per_row = np.array([float(np.linalg.norm(fx)) for fx in fxs])
+    assert np.isinf(stacked[2000:2053]).all() and np.isnan(stacked[-60:]).any()
+    assert np.array_equal(stacked, per_row, equal_nan=True)
+
+
+def _polish_both(func, x0, tol=1e-12):
+    """The float-form polish of ``func`` and the numpy oracle's from ``x0``, with the
+    float form's calls counted."""
+    calls = []
+
+    def counted(x):
+        calls.append(list(x))
+        return func(x)
+
+    stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
+    x, ok = certify._newton_polish(counted, list(x0), tol, stats)
+    counts = Counter()
+    want = _numpy_polish(lambda x: func(x.tolist()), np.array(x0), tol, counts)
+    assert stats["model_calls"] == len(calls) and stats["polishes"] == 1
+    assert stats["newton_steps"] == counts["newton_steps"] and stats["converged"] == ok
+    return (np.array(x).tobytes(), ok), (want[0].tobytes(), want[1]), stats, calls
+
+
+def test_polish_takes_the_least_squares_step_on_a_singular_jacobian():
+    # the second column is exactly zero: solve raises and lstsq takes the step
+    got, want, stats, _ = _polish_both(
+        lambda x: (x[0] * x[0] - 2.0, 3.0 * x[0] * x[0] - 6.0), (1.0, 0.5))
+    assert got == want and got[1] and stats["newton_steps"] >= 3
+    assert abs(np.frombuffer(got[0])[0] - math.sqrt(2.0)) < 1e-12
+
+
+def test_polish_stops_at_a_newton_step_that_is_not_finite():
+    # a probe past x0 = 1 reads a NaN, so the Jacobian and the step are NaN
+    got, want, stats, _ = _polish_both(
+        lambda x: (math.nan if x[0] > 1.0 else x[0] - 2.0, x[1]), (1.0, 0.25))
+    assert got == want and not got[1]
+    assert stats["newton_steps"] == 1 and stats["model_calls"] == 1 + 4
+    assert np.frombuffer(got[0]).tolist() == [1.0, 0.25]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_polish_backtracks_past_a_form_that_is_not_finite(bad):
+    # the full Newton step from 0.1 lands near 20, where the form is not finite
+    def func(x):
+        return (x[0] * x[0] - 4.0 if abs(x[0]) < 10.0 else bad, x[1] - 0.5)
+
+    got, want, stats, calls = _polish_both(func, (0.1, 0.0))
+    assert got == want and got[1]
+    assert any(abs(x[0]) >= 10.0 for x in calls)  # the rejected trials
+    assert abs(np.frombuffer(got[0])[0] - 2.0) < 1e-12
+
+
+def test_polish_probes_a_signed_zero_as_numpy_does():
+    # the + probe of x0 turns x1 = -0.0 into 0.0 and flips the second entry
+    def func(x):
+        return (x[0] - 1.0, x[1] + math.copysign(1e-3, x[1]))
+
+    for x0 in ((0.5, -0.0), (-0.0, -0.0), (0.5, 0.0)):
+        got, want, _, _ = _polish_both(func, x0)
+        assert got == want, x0
+    jac = nishape.sysmodel.central_jacobian(func, [0.5, -0.0], 2)
+    assert np.array_equal(jac, _numpy_jacobian(lambda x: func(x.tolist()),
+                                                np.array([0.5, -0.0]), 2))
+    assert jac[1, 0] != 0.0  # the probes at x1 = 0.0 and -0.0 differ by 2e-3
+
+
+def test_polish_counters_count_a_counting_float_form():
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    calls = {"f": 0, "gradient": 0}
+
+    def f(x, u):
+        calls["f"] += 1
+        return closed.f_floats(x, u)
+
+    def gradient(x):
+        calls["gradient"] += 1
+        return W.gradient_floats(x)
+
+    counted = NonlinearSystem.from_floats(4, 2, f, closed.h_floats)
+    field = ScalarField.from_floats(4, W.value_floats, gradient)
+    totals = Counter()
+    for seed in range(1, 5):
+        calls.update(f=0, gradient=0)
+        uniq = check_equilibrium_uniqueness(counted, sc.box, n_samples=512, seed=seed)
+        grad = check_gradient_nonvanishing(field, sc.box, n_samples=256, seed=seed)
+        # beyond the polish: one f call per sample, one gradient call per stacked sample
+        assert uniq.detail["model_calls"] == calls["f"] - uniq.n_samples
+        assert grad.detail["model_calls"] == calls["gradient"] - grad.n_samples
+        for label, check in (("f", uniq), ("gradient", grad)):
+            assert check.detail["polishes"] == certify.N_POLISH  # no root is admitted
+            totals.update({label: check.detail["model_calls"],
+                           **{k: check.detail[k] for k in ("newton_steps", "converged")}})
+    assert totals == {"f": 8164, "gradient": 10304, "newton_steps": 1073, "converged": 11}
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,65 @@ def test_shaped_storage_is_the_numpy_composition_bitwise(name, bound_h):
             assert _bits(W.gradient(x)) == _bits(g), x
 
 
+def _assert_chain_rule_bitwise(W, V, F, h, J, states):
+    """W's gradient, per point and stacked, against numpy's ``grad V - J^T grad F(h)``."""
+    with np.errstate(all="ignore"):
+        stacked = W.gradients(states)
+        for x, g in zip(states, stacked):
+            jac = np.asarray(J(x) if callable(J) else J, dtype=float)
+            want = _bits(V.gradient(x) - jac.T @ F.gradient(h(x)))
+            assert _bits(W.gradient(x)) == want, x
+            assert _bits(W.gradient_floats(x.tolist())) == want, x
+            assert _bits(g) == want, x
+
+
+@pytest.mark.parametrize("name", ["linear-a", "linear-b", "pendulum-sync", "pendulum-stabilize"])
+def test_projected_storage_gradient_is_the_numpy_chain_rule_bitwise(name):
+    sc = get_scenario(name)
+    plant, V, F = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity().potential
+    W = make_shaped_storage(V, F, plant.h, plant.n_states, h_jacobian=plant.h_jacobian)
+    # C = I or the pendulum's [I 0]: the generated float form, stacked by ScalarField.gradients
+    assert type(W.gradient_floats([0.0] * plant.n_states)) is tuple
+    assert W.gradients.__func__ is ScalarField.gradients
+    states = _oracle_states(np.random.default_rng(14), plant.n_states)
+    _assert_chain_rule_bitwise(W, V, F, plant.h, plant.h_jacobian, states)
+
+
+def test_out_of_order_projection_gradient_keeps_signed_zeros_and_nans():
+    # rows e2, e0 on n = 3: y = (x2, x0); V and F give -0.0 entries at zeros
+    V = ScalarField.from_floats(3, lambda x: 0.0, lambda x: (-x[0], -0.0 * x[1], x[2] * x[2]))
+    F = ScalarField.from_floats(2, lambda y: 0.0, lambda y: (-y[0], 3.0 * y[1] * y[1]))
+    J = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+
+    def h(x):
+        return np.array([x[2], x[0]])
+
+    W = make_shaped_storage(V, F, h, 3, h_jacobian=J)
+    assert type(W.gradient_floats([0.0] * 3)) is tuple
+    states = _oracle_states(np.random.default_rng(15), 3)
+    # an infinite grad F turns every entry it does not select into NaN, as J.T @ g does
+    assert math.isnan(W.gradient_floats([math.inf, 1.0, 0.0])[1])
+    _assert_chain_rule_bitwise(W, V, F, h, np.array(J), states)
+    zero = W.gradient_floats([-0.0, -0.0, -0.0])
+    assert _bits(zero) == _bits(V.gradient([-0.0] * 3) - np.array(J).T @ F.gradient([-0.0] * 2))
+
+
+@pytest.mark.parametrize("jacobian", ["sum", "callable", "scaled"])
+def test_other_output_jacobians_keep_numpy_chain_rule_bitwise(jacobian):
+    V = ScalarField.from_floats(2, lambda x: 0.0, lambda x: (math.sin(x[0]), -0.0 * x[1]))
+    F = ScalarField.from_floats(1, lambda y: 0.0, lambda y: (y[0] * y[0] * y[0],))
+    J = {"sum": [[1.0, 1.0]], "scaled": [[2.0, 0.0]],
+         "callable": lambda x: np.array([[1.0, 0.0]])}[jacobian]
+
+    def h(x):
+        return np.array([x[0] + x[1]]) if jacobian == "sum" else np.array([x[0]])
+
+    W = make_shaped_storage(V, F, h, 2, h_jacobian=J)
+    assert type(W.gradient_floats([0.0, 0.0])) is np.ndarray  # numpy's product, not generated
+    states = _oracle_states(np.random.default_rng(16), 2)[:204]  # finite: sin raises at inf
+    _assert_chain_rule_bitwise(W, V, F, h, J, states)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_generated_closed_loop_is_the_mapped_sum_bitwise(p):
     received = []
