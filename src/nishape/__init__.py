@@ -4,7 +4,7 @@ absolute-stability certification, the linear certificate pipeline, and
 deterministic simulation of the built-in scenarios."""
 
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
-                       StaticNonlinearity, HamiltonianSystem, gradient_check,
+                       StaticNonlinearity, HamiltonianSystem, float_form, gradient_check,
                        make_closed_loop, make_shaped_storage, zero_field,
                        TAU_GRAD, TAU_PD, TAU_ZERO)
 from .sim import (InputSignal, IntegratorConfig, Trajectory, monitor_decay,

@@ -6,13 +6,14 @@ State ordering for the pendulum is fixed globally as
 ``(theta1, theta2, omega1, omega2)`` so the output map is the projection onto
 the first two coordinates.
 
-The models are float forms (``from_floats``): they unpack a sequence of
-Python floats and compute the same IEEE operations as numpy scalars would, at
-a fraction of the cost.  Where Python raises and numpy returns inf or nan, a
-square goes through :func:`_sq`, and a callable whose ``sin`` or ``cos``
-raised on an infinity retries with :func:`_nan_at_inf`: results stay bitwise
-numpy's.  No division can meet a zero divisor: ``delta * delta > 0`` keeps
-``sqrt(e * e + delta * delta)`` positive.
+The models are float forms written as source (:func:`nishape.sysmodel.float_form`),
+their parameters bound as float literals: they unpack a sequence of Python
+floats and compute the same IEEE operations as numpy scalars would, at a
+fraction of the cost, and the compositions and the step loop splice them.
+Where Python raises and numpy returns inf or nan, a square goes through
+``sq``, and a form whose ``sin`` or ``cos`` raised on an infinity runs again
+with numpy's nan there: results stay bitwise numpy's.  No division can meet
+a zero divisor: ``delta * delta > 0`` keeps ``sqrt(e * e + delta * delta)`` positive.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from math import cos, log1p, sin, sqrt, tanh
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonl
 from .sim import (InputSignal, IntegratorConfig, Trajectory, _write_g17_csv, monitor_decay,
                   simulate, write_trajectory_csv)
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
-                       StaticNonlinearity, gradient_check, make_closed_loop,
+                       StaticNonlinearity, float_form, gradient_check, make_closed_loop,
                        make_shaped_storage)
 
 
@@ -91,28 +91,6 @@ class ShapingParams:
             raise ValueError("delta * delta underflows to zero")
 
 
-def _sq(z: float) -> float:
-    # z ** 2 goes through pow() like numpy's scalar power (z * z differs from
-    # it in the last bit for some z); Python raises where numpy gives inf
-    try:
-        return z ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _nan_at_inf(trig):
-    return lambda z: math.nan if math.isinf(z) else trig(z)
-
-
-_LOG_2 = math.log(2.0)
-
-
-def _log_cosh(z: float) -> float:
-    # overflow-safe log(cosh(z))
-    az = abs(z)
-    return az - _LOG_2 + log1p(math.exp(-2.0 * az))
-
-
 # ---------------------------------------------------------------------------
 # Pendulum plant and shaping feedbacks
 
@@ -125,54 +103,40 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     spring energy plus each pendulum's spring, kinetic and gravity terms,
     with an analytic gradient.
     """
-    m1l1 = params.m1 * params.l1 ** 2
-    m2l2 = params.m2 * params.l2 ** 2
-    m1gl1 = params.m1 * params.g * params.l1
-    m2gl2 = params.m2 * params.g * params.l2
-    k1, k2, kc = params.k1, params.k2, params.kc
-    d1, d2, dc = params.d1, params.d2, params.dc
-    if m1l1 == 0.0 or m2l2 == 0.0:
+    constants = dict(vars(params), m1l1=params.m1 * params.l1 ** 2,
+                     m2l2=params.m2 * params.l2 ** 2, m1gl1=params.m1 * params.g * params.l1,
+                     m2gl2=params.m2 * params.g * params.l2)
+    if constants["m1l1"] == 0.0 or constants["m2l2"] == 0.0:
         raise ValueError("m * l**2 underflows to zero")
-
-    def f(x, u, sin=sin):
-        th1, th2, w1, w2 = x
-        u1, u2 = u
-        e = th1 - th2
-        de = w1 - w2
-        try:
-            return (
-                w1,
-                w2,
-                (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
-                (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2,
-            )
-        except ValueError:
-            return f(x, u, _nan_at_inf(sin))
-
-    def h(x):
-        return x[:2]
-
-    def v_value(x, cos=cos):
-        th1, th2, w1, w2 = x
-        try:
-            return (0.5 * kc * _sq(th1 - th2)
-                    + 0.5 * k1 * _sq(th1) + 0.5 * m1l1 * _sq(w1) + m1gl1 * (1.0 - cos(th1))
-                    + 0.5 * k2 * _sq(th2) + 0.5 * m2l2 * _sq(w2) + m2gl2 * (1.0 - cos(th2)))
-        except ValueError:
-            return v_value(x, _nan_at_inf(cos))
-
-    def v_gradient(x, sin=sin):
-        th1, th2, w1, w2 = x
-        e = th1 - th2
-        try:
-            return (
-                kc * e + k1 * th1 + m1gl1 * sin(th1),
-                -kc * e + k2 * th2 + m2gl2 * sin(th2),
-                m1l1 * w1,
-                m2l2 * w2,
-            )
-        except ValueError:
-            return v_gradient(x, _nan_at_inf(sin))
+    f = float_form("""
+        def f(x, u):
+            th1, th2, w1, w2 = x
+            u1, u2 = u
+            e = th1 - th2
+            de = w1 - w2
+            return (w1, w2,
+                    (-m1gl1 * sin(th1) - k1 * th1 - d1 * w1 - kc * e - dc * de + u1) / m1l1,
+                    (-m2gl2 * sin(th2) - k2 * th2 - d2 * w2 + kc * e + dc * de + u2) / m2l2)
+        """, **constants)
+    h = float_form("""
+        def h(x):
+            th1, th2, w1, w2 = x
+            return (th1, th2)
+        """)
+    v_value = float_form("""
+        def v_value(x):
+            th1, th2, w1, w2 = x
+            return (0.5 * kc * sq(th1 - th2)
+                    + 0.5 * k1 * sq(th1) + 0.5 * m1l1 * sq(w1) + m1gl1 * (1.0 - cos(th1))
+                    + 0.5 * k2 * sq(th2) + 0.5 * m2l2 * sq(w2) + m2gl2 * (1.0 - cos(th2)))
+        """, **constants)
+    v_gradient = float_form("""
+        def v_gradient(x):
+            th1, th2, w1, w2 = x
+            e = th1 - th2
+            return (kc * e + k1 * th1 + m1gl1 * sin(th1), -kc * e + k2 * th2 + m2gl2 * sin(th2),
+                    m1l1 * w1, m2l2 * w2)
+        """, **constants)
 
     system = NonlinearSystem.from_floats(4, 2, f, h, h_jacobian=np.eye(2, 4),
                                          name="two-pendulum plant")
@@ -184,19 +148,20 @@ def build_sync_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
     """Synchronizing feedback: gradient of a coupling potential in the
     relative displacement ``e = y1 - y2`` (quadratic plus a smoothed
     absolute-value term that stays steep near e = 0)."""
-    beta, kappa, delta = params.beta, params.kappa, params.delta
-
-    def potential_value(y):
-        y1, y2 = y
-        e = y1 - y2
-        return -beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
-
-    def potential_gradient(y):
-        y1, y2 = y
-        e = y1 - y2
-        g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
-        return (g, -g)
-
+    constants = vars(params)
+    potential_value = float_form("""
+        def potential_value(y):
+            y1, y2 = y
+            e = y1 - y2
+            return -beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
+        """, **constants)
+    potential_gradient = float_form("""
+        def potential_gradient(y):
+            y1, y2 = y
+            e = y1 - y2
+            g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
+            return (g, -g)
+        """, **constants)
     F = ScalarField.from_floats(2, potential_value, potential_gradient, name="coupling potential")
     return StaticNonlinearity.from_floats(2, potential_gradient, potential=F, name="sync coupling")
 
@@ -204,21 +169,21 @@ def build_sync_shaping(params: ShapingParams = ShapingParams()) -> StaticNonline
 def build_full_shaping(params: ShapingParams = ShapingParams()) -> StaticNonlinearity:
     """Synchronizing feedback plus per-output log-cosh terms that flatten the
     distant gravity wells, leaving a single minimum at the origin."""
-    beta, kappa, delta, a, b = params.beta, params.kappa, params.delta, params.a, params.b
-
-    def potential_value(y):
-        y1, y2 = y
-        e = y1 - y2
-        return (-beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
-                - a * _log_cosh(b * y1) - a * _log_cosh(b * y2))
-
-    def potential_gradient(y):
-        y1, y2 = y
-        e = y1 - y2
-        g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
-        return (g - a * b * tanh(b * y1),
-                -g - a * b * tanh(b * y2))
-
+    constants = vars(params)
+    potential_value = float_form("""
+        def potential_value(y):
+            y1, y2 = y
+            e = y1 - y2
+            return (-beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
+                    - a * log_cosh(b * y1) - a * log_cosh(b * y2))
+        """, **constants)
+    potential_gradient = float_form("""
+        def potential_gradient(y):
+            y1, y2 = y
+            e = y1 - y2
+            g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
+            return (g - a * b * tanh(b * y1), -g - a * b * tanh(b * y2))
+        """, **constants)
     F = ScalarField.from_floats(2, potential_value, potential_gradient,
                                 name="well-flattening potential")
     return StaticNonlinearity.from_floats(2, potential_gradient, potential=F,
@@ -269,13 +234,16 @@ def build_linear_example(case: str) -> Scenario:
 
     if case == "a":
         def nonlinearity():
-            def potential_value(y):
-                y1, y2 = y
-                return 0.1 * _sq(y1) - 0.25 * _sq(y2)
-
-            def potential_gradient(y):
-                y1, y2 = y
-                return (0.2 * y1, -0.5 * y2)
+            potential_value = float_form("""
+                def potential_value(y):
+                    y1, y2 = y
+                    return 0.1 * sq(y1) - 0.25 * sq(y2)
+                """)
+            potential_gradient = float_form("""
+                def potential_gradient(y):
+                    y1, y2 = y
+                    return (0.2 * y1, -0.5 * y2)
+                """)
 
             F = ScalarField.from_floats(2, potential_value, potential_gradient,
                                         name="sign-indefinite potential")
@@ -286,19 +254,16 @@ def build_linear_example(case: str) -> Scenario:
         t_end, description = 3.0, "diagonal feedback with sign-indefinite potential"
     else:
         def nonlinearity():
-            def potential_value(y, cos=cos):
-                y1, y2 = y
-                try:
+            potential_value = float_form("""
+                def potential_value(y):
+                    y1, y2 = y
                     return cos(y1 - y2) - 1.0
-                except ValueError:
-                    return potential_value(y, _nan_at_inf(cos))
-
-            def potential_gradient(y, sin=sin):
-                y1, y2 = y
-                try:
+                """)
+            potential_gradient = float_form("""
+                def potential_gradient(y):
+                    y1, y2 = y
                     return (sin(y2 - y1), sin(y1 - y2))
-                except ValueError:
-                    return potential_gradient(y, _nan_at_inf(sin))
+                """)
 
             F = ScalarField.from_floats(2, potential_value, potential_gradient,
                                         name="coupled potential")

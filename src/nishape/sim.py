@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import Check, NonlinearSystem, ScalarField
+from .sysmodel import ELEMENTARY, Check, NonlinearSystem, ScalarField, _argument, _names, _part
 
 
 @dataclass(frozen=True)
@@ -192,45 +192,74 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-@functools.cache  # one loop per shape and input kind, shared by every later run
-def _step_loop(n: int, p: int, forced: bool, monitored: bool):
+@functools.lru_cache(maxsize=64)  # one loop per shape, input kind, monitoring and sources
+def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f=None, h=None, w=None):
     """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
     ``loop(f, h, w, value, x, v, k, stop, final, step, rows)`` appends knots
     ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
     the state, the input, ``h(x)``, ``w(x)`` when ``monitored``, and the first
     stage.  It returns ``(x, None)``, or ``(x, stages)`` after the first step
-    whose new state is not finite.  ``h`` and the stages are unpacked into
-    locals, so one of the wrong length raises ``ValueError`` before a row shifts."""
-    def each(template, count=n):  # "e0, e1, ..., " with i = 0 .. count - 1
-        return "".join(template.format(i=i) + ", " for i in range(count))
+    whose new state is not finite.  The float forms ``f``, ``h`` and ``w`` are
+    called, or spliced where this function is given their source (``f`` into
+    every stage); a knot that raises in a spliced body is run again, from its
+    state, by the loop that calls them (``_step_loop``).  Each value is unpacked
+    into locals and a knot is written only once all of it is computed, so one of
+    the wrong length raises ``ValueError`` before a row shifts."""
+    xs, ys, fused = _names("x", n), _names("y", p), any((f, h, w))
 
-    v_half, v_full = ("v_half", "v_full") if forced else ("v", "v")
-    record = [f"x = ({each('x{i}')})", "xs += x", "vs += v",
-              f"{each('y{i}', p)}= y = h(x)", "ys += y",
-              *(["ws.append(w(x))"] if monitored else []),
-              f"{each('a{i}')}= a = f(x, v)", "ds += a"]
+    def assigned(names, texts):
+        return [f"{name} = {text}" for name, text in zip(names, texts) if name != text]
+
+    def rate(stage, x, v):  # the stage's f(x, v) into its locals: a0, a1, ... for stage a
+        lines, rates = _part(f, f"f({'x' if x == xs else _argument(x)}, {v})",
+                             [x, _names(v, p)], stage, n)
+        return lines + assigned(_names(stage, n), rates)
+
+    def knot():  # the knot's output, monitored value and first stage, then its record
+        h_lines, outputs = _part(h, "h(x)", [xs], "y", p)
+        lines = [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs)]
+        if monitored:
+            w_lines, value = _part(w, "w(x)", [xs], "w")
+            lines += [*w_lines, f"w_x = {value}"]
+        return lines + rate("a", xs, "v")
+
+    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}",
+              *(["ws.append(w_x)"] if monitored else []), f"ds += {_argument(_names('a', n))}"]
+    inputs = ("v", "v_half", "v_full") if forced else ("v",)
+    unpack = [f"{', '.join(_names(v, p))}, = {v}" for v in inputs] if f is not None else []
+    v_half, v_full = inputs[1:] if forced else ("v", "v")
     body = (["t = k * step",  # the last step's value at its t + step, when that is t bitwise
              "v = v_full if t == t_full else value(t)", "t_full = t + step",
-             "v_half, v_full = value(t + half), value(t_full)"] if forced else []) + record + [
-        f"{each('b{i}')}= b = f(({each('x{i} + half * a{i}')}), {v_half})",
-        f"{each('c{i}')}= c = f(({each('x{i} + half * b{i}')}), {v_half})",
-        f"{each('d{i}')}= d = f(({each('x{i} + step * c{i}')}), {v_full})",
+             "v_half, v_full = value(t + half), value(t_full)", *unpack] if forced else []) + [
+        *knot(),
+        *rate("b", [f"x{i} + half * a{i}" for i in range(n)], v_half),
+        *rate("c", [f"x{i} + half * b{i}" for i in range(n)], v_half),
+        *rate("d", [f"x{i} + step * c{i}" for i in range(n)], v_full), *record,
         # numpy's x + (step / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
         *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(n)),
         # exact: a non-finite stage reaches the new state (step / 6 > 0, 0 * inf is NaN),
         # and x * 0.0 is +-0.0 for a finite x, NaN otherwise, so the sum cannot overflow
         "if " + " + ".join(f"x{i} * 0.0" for i in range(n)) + " != 0.0:",
-        "    return x, (a, b, c, d)"]
-    last_knot = (["v = value(stop * step)"] if forced else []) + record
-    source = ("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
-              "    xs, vs, ys, ws, ds = rows\n    half, sixth = 0.5 * step, step / 6.0\n"
-              f"    t_full = -1.0\n    {each('x{i}')}= x\n    for k in range(k, stop):\n"
-              + "".join(f"        {line}\n" for line in body) + "    if final:\n"
-              + "".join(f"        {line}\n" for line in last_knot)
-              + f"    return ({each('x{i}')}), None\n")
-    namespace = {}
-    exec(compile(source, f"<RK4 loop on {n} states, {p} channels>", "exec"), namespace)
+        "    return x, " + _argument(_argument(_names(stage, n)) for stage in "abcd")]
+    last_knot = ["k = stop", *(["v = value(stop * step)", *unpack[:1]] if forced else []),
+                 *knot(), *record]
+    loop = (["for k in range(k, stop):", *("    " + line for line in body), "if final:",
+             *("    " + line for line in last_knot), f"return {_argument(xs)}, None"])
+    if fused:  # a raise leaves knot k unwritten: the loop of calls takes it from there
+        loop = ["try:", *("    " + line for line in loop), "except ValueError:", "    pass",
+                f"return composed(f, h, w, value, {_argument(xs)}, v, k, stop, final, step, rows)"]
+    head = ["xs, vs, ys, ws, ds = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
+            f"{', '.join(xs)}, = x", *(unpack if not forced else [])]
+    namespace = dict(ELEMENTARY, composed=_step_loop(n, p, forced, monitored) if fused else None)
+    exec(compile("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
+                 + "".join(f"    {line}\n" for line in head + loop),
+                 f"<RK4 loop on {n} states, {p} channels>", "exec"), namespace)
     return namespace["loop"]
+
+
+@functools.cache  # the loop that calls every float form, shared by every later run
+def _step_loop(n: int, p: int, forced: bool, monitored: bool):
+    return _rk4_loop(n, p, forced, monitored)
 
 
 def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig,
@@ -240,8 +269,11 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     The step loop runs on the float forms of the system and the monitor
     (sequences of Python floats), in numpy's operation order, so a run is
     bitwise the run of the same loop on numpy vectors.  It is straight-line
-    code on locals, generated once per state and channel count, input kind and
-    monitoring, and cached in the module; states reach ``f`` as tuples.  RK4
+    code on locals, generated once per state and channel count, input kind,
+    monitoring and the sources of ``f``, ``h`` and the monitor's value, and
+    cached in the module: a float form with a source is spliced into it (``f``
+    into all four stages, so a stage makes no call), one without is called with
+    each state as a tuple.  RK4
     holds the input at its stage-time values (a square wave is evaluated at t,
     t + step/2 and t + step, and the value at t + step serves the next knot
     when that knot's time equals it bitwise; a zero or constant input is
@@ -283,7 +315,9 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         return end
 
     f, w = sys.f_floats, None if monitor is None else monitor.value_floats
-    loop = _step_loop(sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None)
+    shape = (sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None)
+    sources = tuple(getattr(form, "source", None) for form in (f, sys.h_floats, w))
+    loop = _rk4_loop(*shape, *sources) if any(sources) else _step_loop(*shape)
     x, v = tuple(x0.tolist()), signal._floats(0.0)  # v is held for a zero or constant input
     k, stages = 0, None
     while stages is None and k <= n_steps:

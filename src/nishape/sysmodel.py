@@ -13,14 +13,18 @@ built with ``from_floats`` stores the float forms it is given; a model built
 from numpy callables adapts each of them once (``np.array`` in,
 ``.tolist()`` out).  The numpy-facing methods derive from the float form, the
 composition operations compose float forms, and :func:`nishape.sim.simulate`
-steps on them.
+steps on them.  A float form written as source (:func:`float_form`) keeps its
+text, and a composition of such forms is one body spliced from their texts.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
+import textwrap
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -106,6 +110,119 @@ def central_jacobian(func, x, n_out: int, step: Optional[float] = None) -> np.nd
         plus[j], minus[j] = xj + h, xj - h
         jac[:, j] = [(a - b) / two_h for a, b in zip(func(plus), func(minus))]
     return jac
+
+
+# ---------------------------------------------------------------------------
+# Float forms written as source
+
+
+def _sq(z: float) -> float:
+    # z ** 2 goes through pow() like numpy's scalar power (z * z differs from
+    # it in the last bit for some z); Python raises where numpy gives inf
+    try:
+        return z ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _log_cosh(z: float) -> float:
+    # overflow-safe log(cosh(z))
+    az = abs(z)
+    return az - _LOG_2 + math.log1p(math.exp(-2.0 * az))
+
+
+def _nan_at_inf(trig):
+    return lambda z: math.nan if math.isinf(z) else trig(z)
+
+
+_LOG_2 = math.log(2.0)
+# the names a source may call or read besides the builtins
+ELEMENTARY = MappingProxyType({
+    "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "tanh": math.tanh, "exp": math.exp,
+    "log1p": math.log1p, "sq": _sq, "log_cosh": _log_cosh, "inf": math.inf, "nan": math.nan})
+_AT_INF = {**ELEMENTARY, "sin": _nan_at_inf(math.sin), "cos": _nan_at_inf(math.cos)}
+
+
+def float_form(source: str, **constants):
+    """The float form written as ``source``: one ``def`` of straight-line code that
+    unpacks each parameter, a sequence of floats, into names (``a, b = x``), reads
+    no parameter otherwise, and ends in its one ``return`` of a float or a tuple.
+    It may read the builtins and ``ELEMENTARY``; each name in ``constants`` that it
+    does not assign is bound as a float literal.  The form keeps that text as
+    ``form.source``, which ``make_closed_loop``, ``make_shaped_storage`` and
+    :func:`nishape.sim.simulate` splice.  Where ``sin`` or ``cos`` raise at an
+    infinity, the form runs once more with numpy's ``nan`` there, so a finite call
+    pays nothing for it."""
+    return _compiled(source, tuple((name, repr(float(value))) for name, value in constants.items()))
+
+
+@functools.lru_cache(maxsize=256)  # one function per source and constants, shared by every model
+def _compiled(source: str, constants: tuple):
+    tree = ast.parse(textwrap.dedent(source))
+    nodes = list(ast.walk(tree))
+    local = ({node.arg for node in nodes if isinstance(node, ast.arg)}  # shadows a constant
+             | {node.id for node in nodes if isinstance(getattr(node, "ctx", None), ast.Store)
+                and isinstance(node, ast.Name)})
+    literals = {name: text for name, text in constants if name not in local}
+
+    class Bind(ast.NodeTransformer):
+        def visit_Name(self, node):
+            if node.id in literals:
+                return ast.parse(literals[node.id], mode="eval").body
+            return node
+
+    text = ast.unparse(Bind().visit(tree))
+    (fn,) = ast.parse(text).body
+    header, body = text.split("\n", 1)
+    retry, namespace = dict(_AT_INF), dict(ELEMENTARY)
+    exec(compile(text, "<float form>", "exec"), retry)
+    namespace["_retry"] = retry[fn.name]
+    exec(compile(f"{header}\n    try:\n{textwrap.indent(body, '    ')}\n    except ValueError:\n"
+                 f"        return _retry({', '.join(arg.arg for arg in fn.args.args)})\n",
+                 "<float form>", "exec"), namespace)
+    form = namespace[fn.name]
+    form.source = text
+    return form
+
+
+def _spliced(source: str, args, tag: str, width: Optional[int] = None):
+    """``(lines, result)``: the body of ``source`` as lines on the entry texts ``args``
+    (one sequence per parameter) with its locals suffixed by ``__tag``, and the text of
+    its float result (``width`` None) or the texts of its ``width`` entries.  An entry
+    given as a name is read under that name; any other is assigned its text once.
+    A source that reads a parameter other than by unpacking it, or returns other than
+    at its end, raises ``ValueError``."""
+    fn = ast.parse(source).body[0]
+    stores = Counter(node.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load))
+    names = {name: f"{name}__{tag}" for name in stores}
+    params = dict(zip((arg.arg for arg in fn.args.args), args, strict=True))
+    lines = []
+    for stmt in fn.body:
+        if (isinstance(stmt, ast.Assign) and getattr(stmt.value, "id", None) in params
+                and isinstance(stmt.targets[0], ast.Tuple)):
+            for target, entry in zip(stmt.targets[0].elts, params[stmt.value.id], strict=True):
+                if entry.isidentifier() and stores[target.id] == 1:
+                    names[target.id] = entry
+                else:
+                    lines.append(f"{names[target.id]} = {entry}")
+            continue
+        for node in ast.walk(stmt):
+            if getattr(node, "id", None) in params or isinstance(node, ast.Return) and (
+                    node is not fn.body[-1]):
+                raise ValueError(f"cannot splice this float form:\n{source}")
+            if isinstance(node, ast.Name):
+                node.id = names.get(node.id, node.id)
+        if isinstance(stmt, ast.Return):
+            break
+        lines.append(ast.unparse(stmt))
+    result = stmt.value
+    if width is None:
+        return lines, ast.unparse(result)
+    if isinstance(result, ast.Tuple) and len(result.elts) == width:
+        return lines, [ast.unparse(entry) for entry in result.elts]
+    entries = [f"r{i}__{tag}" for i in range(width)]  # unpacked, as a call's result is
+    return lines + [f"{', '.join(entries)}, = {ast.unparse(result)}"], entries
 
 
 class ScalarField:
@@ -358,50 +475,103 @@ class LinearSystem:
 # Composition operations
 
 
-@functools.cache  # one composition per channel count, shared by every later loop
-def _closed_loop_factory(p: int):
-    """``factory(f, h, phi)`` returns ``f_closed(x, v) = f(x, (u0 + v0, ...))`` on
-    ``p`` channels, with ``(u0, ...) = phi(h(x))`` and v unpacked into locals: numpy's
-    ``phi(h(x)) + v`` entry by entry, a zero v still added (-0.0 + 0.0 is 0.0)."""
-    us, vs, sums = ("".join(template.format(i=i) + ", " for i in range(p))
-                    for template in ("u{i}", "v{i}", "u{i} + v{i}"))
-    namespace = {}
-    exec(compile(f"def factory(f, h, phi):\n    def f_closed(x, v):\n        {us}= phi(h(x))\n"
-                 f"        {vs}= v\n        return f(x, ({sums}))\n    return f_closed\n",
-                 f"<closed loop on {p} channels>", "exec"), namespace)
+def _names(stem: str, count: int) -> list:
+    return [f"{stem}{i}" for i in range(count)]
+
+
+def _def(signature: str, lines, result: str) -> str:
+    return (f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+            + f"    return {result}\n")
+
+
+def _argument(entries) -> str:
+    """The text of a float form's argument: a call's text as it is, or entries as a tuple."""
+    return entries if isinstance(entries, str) else f"({', '.join(entries)},)"
+
+
+def _part(source: Optional[str], call: str, args, tag: str, width: Optional[int] = None):
+    """``(lines, result)`` of a float form on the entry texts ``args``: its ``source``
+    spliced (:func:`_spliced`), or without one the text ``call`` that calls it,
+    unpacked into the names ``tag0, tag1, ...`` when it has ``width`` entries."""
+    if source is not None:
+        return _spliced(source, args, tag, width)
+    if width is None:
+        return [], call
+    names = _names(tag, width)
+    return [f"{', '.join(names)}, = {call}"], names
+
+
+def _composed(text_of, names: str, *forms):
+    """The float form composed of ``forms``: one body spliced from their sources
+    when each has one (:func:`float_form`), else one that calls them by ``names``.
+    ``text_of(*sources)`` writes either, a source None for a part it calls."""
+    sources = tuple(getattr(form, "source", None) for form in forms)
+    if None not in sources:
+        return float_form(text_of(*sources))
+    return _factory(text_of(*(None for _ in forms)), names)(*forms)
+
+
+@functools.lru_cache(maxsize=64)  # one factory per text, shared by every later composition
+def _factory(text: str, names: str):
+    fn, namespace = ast.parse(text).body[0].name, {}
+    exec(compile(f"def factory({names}):\n{textwrap.indent(text, '    ')}    return {fn}\n",
+                 f"<{fn}>", "exec"), namespace)
     return namespace["factory"]
 
 
+@functools.lru_cache(maxsize=64)  # the same text for every closed loop of the same parts
+def _closed_loop_text(n: int, p: int, f: Optional[str], h: Optional[str], phi: Optional[str]):
+    """``f_closed(x, v) = f(x, (u0 + v0, ...))`` with ``(u0, ...) = phi(h(x))`` and v
+    unpacked into locals: numpy's ``phi(h(x)) + v`` entry by entry, a zero v still
+    added (-0.0 + 0.0 is 0.0), and u passed as a tuple."""
+    xs, vs = _names("x", n), _names("v", p)
+    h_lines, ys = _part(h, "h(x)", [xs], "y", h and p)  # a called h's result goes to phi as it is
+    phi_lines, us = _part(phi, f"phi({_argument(ys)})", [ys], "u", p)
+    sums = [f"({u}) + {v}" for u, v in zip(us, vs)]
+    f_lines, rates = _part(f, f"f(x, ({', '.join(sums)},))", [xs, sums], "f")
+    return _def("f_closed(x, v)", [*([f"{', '.join(xs)}, = x"] if f else []),
+                                   f"{', '.join(vs)}, = v", *h_lines, *phi_lines, *f_lines], rates)
+
+
 def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearSystem:
-    """Close ``u = phi(y) + v`` around the plant, passing u as a tuple; v is the new input."""
+    """Close ``u = phi(y) + v`` around the plant, passing u as a tuple; v is the new input.
+    The closed loop's ``f`` is one body spliced from the sources of the plant's ``f``
+    and ``h`` and of ``phi`` when each has one, else it calls them."""
     if sys.n_io != nl.p:
         raise ValueError(
             f"plant input/output dimension {sys.n_io} does not match "
             f"nonlinearity dimension {nl.p}")
-    f_closed = _closed_loop_factory(nl.p)(sys.f_floats, sys.h_floats, nl.phi_floats)
+    f_closed = _composed(functools.partial(_closed_loop_text, sys.n_states, nl.p), "f, h, phi",
+                         sys.f_floats, sys.h_floats, nl.phi_floats)
     return NonlinearSystem.from_floats(sys.n_states, sys.n_io, f_closed, sys.h_floats,
                                        h_jacobian=sys.h_jacobian,
                                        name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
 
 
-@functools.cache  # one form per (n, selection), shared by every later storage
-def _projected_gradient_factory(n: int, rows: tuple):
-    """``factory(v_gradient, f_gradient, h)`` returns ``x -> grad V(x) - J^T grad F(h(x))``
-    for the J whose row k is the unit vector ``e_{rows[k]}``: entry i is ``a_i`` minus numpy's
-    ``(J.T @ g)_i``, ``0.0 + sum_k J[k, i] g_k`` with every zero term ``0.0 * g_k`` kept (a NaN
-    for a g_k that is not finite).  Results are unpacked: a wrong length raises ValueError."""
-    p = len(rows)
-    a, y, g, z, zeros = ("".join(template.format(k) + ", " for k in range(m)) for template, m in
-                         (("a{}", n), ("y{}", p), ("g{}", p), ("z{}", p), ("0.0 * g{}", p)))
-    entries = "".join(f"a{i} - (0.0" + "".join(f" + g{k}" if row == i else f" + z{k}"
-                                              for k, row in enumerate(rows)) + "), "
-                      for i in range(n))
-    namespace = {}
-    exec(compile(f"def factory(v_gradient, f_gradient, h):\n    def w_gradient(x):\n"
-                 f"        {a}= v_gradient(x)\n        {y}= h(x)\n        {g}= f_gradient(({y}))\n"
-                 f"        {z}= {zeros}\n        return ({entries})\n    return w_gradient\n",
-                 f"<projected gradient on {n} states>", "exec"), namespace)
-    return namespace["factory"]
+@functools.lru_cache(maxsize=64)  # the same text for every storage of the same parts
+def _shaped_text(n: int, m: int, rows: Optional[tuple], f: Optional[str], h: Optional[str],
+                 *v: Optional[str]) -> str:
+    """``s(x) = f(h(x))``, or given ``v`` ``w(x) = v(x) - f(h(x))``; with ``rows``,
+    ``w_gradient(x) = v(x) - J^T f(h(x))`` for the J whose row k is the unit vector
+    ``e_{rows[k]}``: entry i is ``a_i`` minus numpy's ``(J.T @ g)_i``, ``0.0 + sum_k
+    J[k, i] g_k`` with every zero term ``0.0 * g_k`` kept (a NaN for a g_k that is not
+    finite).  Results are unpacked: one of the wrong length raises ValueError."""
+    xs = _names("x", n)
+    h_lines, ys = _part(h, "h(x)", [xs], "y", (h or rows) and m)
+    f_lines, g = _part(f, f"f({_argument(ys)})", [ys], "g", rows and m)
+    v_lines, a = _part(v[0], "v(x)", [xs], "a", rows and n) if v else ([], None)
+    lines = [*([f"{', '.join(xs)}, = x"] if h else []), *v_lines, *h_lines, *f_lines]
+    if rows is None:
+        name, result = ("w", f"({a}) - ({g})") if v else ("s", g)
+    else:
+        gs, zs = _names("g", m), _names("z", m)
+        lines += [*([f"{', '.join(gs)}, = {', '.join(g)},"] if g != gs else []),
+                  f"{', '.join(zs)}, = {', '.join(f'0.0 * {name}' for name in gs)},"]
+        name, result = "w_gradient", "(" + "".join(
+            f"({a_i}) - (0.0" + "".join(f" + {gs[k]}" if row == i else f" + {zs[k]}"
+                                        for k, row in enumerate(rows)) + "), "
+            for i, a_i in enumerate(a)) + ")"
+    return _def(f"{name}(x)", lines, result)
 
 
 def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
@@ -417,6 +587,8 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     a generated float form; any other constant matrix or numpy callable numpy's
     product, which ``W.gradients`` stacks (a constant matrix broadcast).
     ``W.storage`` is V and ``W.shaping`` S(x) = F(h(x)) (value only): W = V - S bit for bit.
+    W's value, S and the projection's gradient are each one float form spliced from
+    the sources of their parts when every part has one (:func:`float_form`).
     """
     n = int(n)
     if V.dim != n:
@@ -426,14 +598,9 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     y0 = np.asarray(h_floats([0.0] * n), dtype=float)
     if y0.shape != (F.dim,):
         raise ValueError(f"h maps into R^{y0.size}, but F has dimension {F.dim}")
-    v_value, f_value = V.value_floats, F.value_floats
-
-    def s_value(x):
-        return f_value(h_floats(x))
-
-    def w_value(x):  # v_value(x) - s_value(x), without the call
-        return v_value(x) - f_value(h_floats(x))
-
+    value = functools.partial(_shaped_text, n, F.dim, None)
+    s_value = _composed(value, "f, h", F.value_floats, h_floats)
+    w_value = _composed(value, "f, h, v", F.value_floats, h_floats, V.value_floats)
     h_jacobian = _constant_jacobian(h_jacobian, F.dim, n)
     constant = isinstance(h_jacobian, np.ndarray)
     analytic = V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None
@@ -442,8 +609,8 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     if (analytic and constant and len(set(cols)) == F.dim
             and np.array_equal(h_jacobian, np.eye(n)[cols])):
         # rows of distinct unit vectors: a generated float form, stacked by ScalarField.gradients
-        w_gradient = _projected_gradient_factory(n, tuple(cols))(
-            V.gradient_floats, F.gradient_floats, h_floats)
+        w_gradient = _composed(functools.partial(_shaped_text, n, F.dim, tuple(cols)), "f, h, v",
+                               F.gradient_floats, h_floats, V.gradient_floats)
     elif analytic:
         def w_gradient(x):
             jac = (h_jacobian if constant else

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from nishape import (HamiltonianSystem, ScalarField, StaticNonlinearity,
-                     build_linear_example, build_pendulum)
+from nishape import (HamiltonianSystem, NonlinearSystem, ScalarField, StaticNonlinearity,
+                     build_linear_example, build_pendulum, get_scenario, halton_box_samples,
+                     make_closed_loop, make_shaped_storage)
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +49,39 @@ def g17_hard_values(rng) -> np.ndarray:
     ties = 1.0 + (2 * np.arange(2000) + 1) * 2.0 ** -17
     finite = np.concatenate(decades + near + [ties, [1e-6, 1e16 - 2, 1e17, 5e-324, 0.0]])
     return rng.permutation(np.concatenate([finite, -finite, [np.inf, -np.inf, np.nan]]))
+
+
+def sourceless(form):
+    """The float form ``form`` without its source, so that a composition calls it."""
+    return lambda *args: form(*args)
+
+
+def fused_and_composed(name):
+    """``[fused, composed]``: a pendulum scenario's (plant, V, closed loop, W) as the
+    pipeline builds them, spliced from sources, and the same parts built from the
+    same float forms with no source, which every composition and run calls."""
+    sc = get_scenario(name)
+    plant, V, nl = sc.build_plant(), sc.build_storage(), sc.build_nonlinearity()
+    F = nl.potential
+    twins = (NonlinearSystem.from_floats(plant.n_states, plant.n_io, sourceless(plant.f_floats),
+                                         sourceless(plant.h_floats), h_jacobian=plant.h_jacobian),
+             ScalarField.from_floats(V.dim, *map(sourceless, (V.value_floats, V.gradient_floats))),
+             StaticNonlinearity.from_floats(nl.p, sourceless(nl.phi_floats), potential=(
+                 ScalarField.from_floats(F.dim, *map(sourceless, (F.value_floats,
+                                                                  F.gradient_floats))))))
+    return [(p, v, make_closed_loop(p, n), make_shaped_storage(v, n.potential, p.h, p.n_states,
+                                                               h_jacobian=p.h_jacobian))
+            for p, v, n in ((plant, V, nl), twins)]
+
+
+def probe_states(dim: int, seed: int) -> np.ndarray:
+    """Halton states in (-8, 8)^dim, every sign pattern of a zero state, and Halton
+    states with one entry set to inf, -inf, nan or +-1e308."""
+    box = [(-8.0, 8.0)] * dim
+    zeros = [[math.copysign(0.0, 1 - 2 * (k >> i & 1)) for i in range(dim)]
+             for k in range(2 ** dim)]
+    special = halton_box_samples(box, 80, seed + 1)
+    rng = np.random.default_rng(seed)
+    special[np.arange(80), rng.integers(0, dim, 80)] = rng.choice(
+        [math.inf, -math.inf, math.nan, 1e308, -1e308], 80)
+    return np.vstack([halton_box_samples(box, 200, seed), zeros, special])

@@ -15,7 +15,7 @@ from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, Li
                      hamiltonian_decay_identity, hidden_motion_from_rates,
                      make_closed_loop, make_shaped_storage, rate_table, report_line,
                      simulate, to_nonlinear, write_reports_csv, zero_field)
-from nishape import certify
+from nishape import certify, sim
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -451,7 +451,7 @@ class _Counted:
         return self.f(x, u)
 
 
-def test_one_f_call_per_stage_and_none_in_the_rate_table():
+def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
     sc = get_scenario("pendulum-sync")
     plant, V, nl, W = _build_parts(sc)
     closed = make_closed_loop(plant, nl)
@@ -485,6 +485,27 @@ def test_one_f_call_per_stage_and_none_in_the_rate_table():
                 twin.f_floats.calls = 0
                 rate_table(twin, field, traj)
                 assert twin.f_floats.calls == n and f.calls == n
+
+    # _Counted has no source, so the runs above take the loop of calls. The closed
+    # loop's own f is spliced into every stage of the fused loop: count the plant's
+    # sin(theta1) and sin(theta2) there instead, bound into a loop generated for it
+    calls = Counter()
+
+    def counted_sin(z):
+        calls["sin"] += 1
+        return math.sin(z)
+
+    cfg = IntegratorConfig(step=1e-3, t_end=1.5)
+    sim._rk4_loop.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "ELEMENTARY", {**sim.ELEMENTARY, "sin": counted_sin})
+            traj = simulate(closed, sc.x0, sc.signal, cfg, monitor=W)
+    finally:
+        sim._rk4_loop.cache_clear()  # no later run may take the counting loop
+    assert hasattr(closed.f_floats, "source") and traj.diagnostic is None
+    assert calls["sin"] == 2 * (4 * cfg.n_steps + 1)  # two per stage and at the final knot
+    assert traj.vector_field is closed.f_floats  # so the rate table reads the derivatives
 
 
 def test_rate_table_peak_memory_stays_within_one_chunk():

@@ -11,10 +11,11 @@ from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField
                      make_closed_loop, make_shaped_storage,
                      monitor_decay, refine_check, scenarios, simulate,
                      square_wave_value, write_trajectory_csv)
+import nishape
 from nishape import sim
 from nishape.sim import _CHUNK
 
-from conftest import g17_hard_values, make_rotation_hamiltonian
+from conftest import fused_and_composed, g17_hard_values, make_rotation_hamiltonian
 
 
 def _scalar_decay():
@@ -615,6 +616,44 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
     assert sim._step_loop.cache_info().misses == built
     assert sim._step_loop(16, 1, False, False) is loop
+
+
+def _run_bits(traj):
+    """Every array of a run as bit patterns, every NaN made one (see ``_bits`` in
+    test_sysmodel.py), and its diagnostic."""
+    arrays = [getattr(traj, label) for label in ("times", "states", "inputs", "outputs",
+                                                  "storage", "derivatives")]
+    bits = []
+    for a in arrays:
+        a = np.array(a, dtype=float)
+        a[np.isnan(a)] = math.nan
+        bits.append(a.view(np.uint64).tolist())
+    return bits, traj.diagnostic
+
+
+@pytest.mark.parametrize("name", ["pendulum-sync", "pendulum-stabilize"])
+def test_fused_runs_are_the_composed_runs_bitwise(name):
+    (plant, V, closed, W), (plant_ref, V_ref, closed_ref, W_ref) = fused_and_composed(name)
+    box = get_scenario(name).box
+    starts = [*nishape.halton_box_samples(box, 3, 21).tolist(),
+              (-0.0, 0.0, -0.0, -0.0),  # the equilibrium, signed zeros kept or not by each sum
+              (0.0, 0.0, 8e307, 0.0),    # finite stages whose sum overflows the state
+              (1e308, -1e308, 1e308, -1e308)]  # sin raises at the inf stage: the retry path
+    cfg = IntegratorConfig(step=1e-3, t_end=1.5)  # more than one chunk of steps
+    diagnostics = set()
+    for signal in (InputSignal.zero(2), InputSignal.square_wave(2, 0, 2.0, 1.0)):
+        for sys, monitor, sys_ref, monitor_ref in ((plant, V, plant_ref, V_ref),
+                                                   (closed, W, closed_ref, W_ref),
+                                                   (closed, None, closed_ref, None)):
+            for x0 in starts:
+                with np.errstate(all="ignore"):
+                    got = simulate(sys, x0, signal, cfg, monitor=monitor)
+                    want = simulate(sys_ref, x0, signal, cfg, monitor=monitor_ref)
+                assert _run_bits(got) == _run_bits(want), (sys.name, signal.kind, x0)
+                assert got.vector_field is sys.f_floats
+                diagnostics.add(got.diagnostic and got.diagnostic.split(" = ")[0])
+    assert diagnostics == {None, "non-finite stage derivative at t",
+                           "non-finite state after the step from t"}
 
 
 def _csv_block(rng, n_rows, width, specials):

@@ -12,7 +12,8 @@ from nishape import (Check, InputSignal, IntegratorConfig, LinearSystem, Nonline
                      make_shaped_storage, rate_table, run_scenario, scenario_names,
                      get_scenario, simulate, to_nonlinear, zero_field, TAU_ZERO)
 from nishape.scenarios import ScenarioResult
-from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
+from conftest import (fused_and_composed, make_linear_gain_feedback, make_rotation_hamiltonian,
+                      probe_states)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +366,53 @@ def test_generated_closed_loop_rejects_a_phi_of_the_wrong_length(extra):
     closed = make_closed_loop(plant, StaticNonlinearity.from_floats(2, phi))
     with pytest.raises(ValueError):
         closed.f_floats([1.0, 0.0], (0.0, 0.0))
+
+
+@pytest.mark.parametrize("name", ["pendulum-sync", "pendulum-stabilize"])
+def test_spliced_forms_are_the_composed_forms_bitwise(name):
+    (_, _, closed, W), (_, _, closed_ref, W_ref) = fused_and_composed(name)
+    pairs = [(closed.f_floats, closed_ref.f_floats), (W.value_floats, W_ref.value_floats),
+             (W.shaping.value_floats, W_ref.shaping.value_floats),
+             (W.gradient_floats, W_ref.gradient_floats)]
+    assert all(hasattr(form, "source") and not hasattr(ref, "source") for form, ref in pairs)
+    states = probe_states(4, 19)
+    inputs = nishape.halton_box_samples([(-2.0, 2.0)] * 2, len(states), 20)
+    inputs[200:208], inputs[208:216] = 0.0, -0.0  # at the zero states, a zero v of each sign
+    with np.errstate(all="ignore"):
+        for x, v in zip(states.tolist(), inputs.tolist()):
+            for form, ref in pairs:
+                args = (x, v) if form is closed.f_floats else (x,)
+                assert _bits(form(*args)) == _bits(ref(*args)), (form.__name__, x, v)
+        assert _bits(W.gradients(states)) == _bits(W_ref.gradients(states))
+    # sin raised at the infinite angle, and the one retry gave numpy's nan
+    assert math.isnan(closed.f_floats([math.inf, 0.0, 0.0, 0.0], [0.0, 0.0])[2])
+
+
+def test_float_form_binds_constants_as_literals_that_locals_shadow():
+    form = nishape.float_form("""
+        def f(x):
+            a, = x
+            g = 2.0 * a
+            return (g + k, c * a, c ** 2)
+        """, g=5.0, k=1.0, c=-0.0)
+    assert "1.0" in form.source and "5.0" not in form.source  # the local g shadows g = 5.0
+    assert _bits(form([1.0])) == _bits([3.0, -0.0, 0.0])  # (-0.0) ** 2, not -(0.0 ** 2)
+    assert math.isnan(nishape.float_form("def f(y):\n    a, = y\n    return sin(a)")([math.inf]))
+
+
+@pytest.mark.parametrize("body", [
+    "y = x\n    return y", "return x",
+    "a, b = x\n    if a > 0:\n        return (a, b)\n    return (b, a)"],
+    ids=["alias", "whole", "early-return"])
+def test_a_source_that_cannot_be_spliced_raises_where_it_is_spliced(body):
+    h = nishape.float_form(f"def h(x):\n    {body}")
+    f = nishape.float_form("def f(x, u):\n    a, b = x\n    c, d = u\n    return (c - a, d - b)")
+    plant = NonlinearSystem.from_floats(2, 2, f, h)
+    assert list(plant.h_floats([1.0, -2.0])) == [1.0, -2.0]  # as a float form it runs
+    nl = StaticNonlinearity.from_floats(2, nishape.float_form("def phi(y):\n    a, b = y\n"
+                                                              "    return (-a, -b)"))
+    with pytest.raises(ValueError, match="cannot splice"):
+        make_closed_loop(plant, nl)
 
 
 def test_a_constant_output_jacobian_is_stored_once_read_only_in_c_order():
