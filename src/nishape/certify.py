@@ -75,10 +75,10 @@ def halton_box_samples(box, n_samples: int, seed: int) -> np.ndarray:
     return box[:, 0] + np.mod(u + shift, 1.0) * (box[:, 1] - box[:, 0])
 
 
-def _origin_shell(box: np.ndarray, radius_scale: float = 1e-3) -> np.ndarray:
-    """Deterministic probe points on a small shell around the origin."""
+def _origin_shell(box: np.ndarray) -> np.ndarray:
+    """Deterministic probe points on a shell at 1e-3 of the box's nearest face."""
     dim = box.shape[0]
-    r = radius_scale * float(np.min(np.minimum(np.abs(box[:, 0]), np.abs(box[:, 1]))))
+    r = 1e-3 * float(np.min(np.minimum(np.abs(box[:, 0]), np.abs(box[:, 1]))))
     axes = [sign * r * e for e in np.eye(dim) for sign in (1.0, -1.0)]  # +-r e_i, -0.0 off it
     # corner k has +1 on axis i where bit i of k is set: axis 0 varies fastest
     corners = [r / math.sqrt(dim) * np.array(signs[::-1])
@@ -90,13 +90,13 @@ def _origin_shell(box: np.ndarray, radius_scale: float = 1e-3) -> np.ndarray:
 # Damped Newton polish shared by the root-hunting checks
 
 
-def _newton_polish(func, x, tol, stats, max_iter=POLISH_ITERS):
+def _newton_polish(func, x, tol, stats):
     """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
     (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
     by entry on floats; the norms, dots and solve stay numpy's (a BLAS dot uses FMA)."""
     fx = np.array(func(x), dtype=float)
     stats.update(polishes=1, model_calls=1)
-    for _ in range(max_iter):
+    for _ in range(POLISH_ITERS):
         if float(np.linalg.norm(fx)) <= tol:
             break
         J = central_jacobian(func, x, len(x))
@@ -302,11 +302,14 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     point away from the origin (and inside the box) fails the check with
     that witness; otherwise the witness is the sampled minimizer.  The worst
     value is the sampled minimum; ``detail`` holds the polish counters and a
-    ``note`` that warns of a small margin (empty when there is none).
+    ``note`` that warns of a small margin (empty when there is none).  An empty
+    sample set (``n_samples=0``) reports "nothing to check".
     """
     box = _as_box(box, field.dim)
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > 0.0]
+    if not len(points):
+        return Check("nothing to check", 0.0)
     grad_norms = np.linalg.norm(field.gradients(points), axis=1)
     i_min = int(np.argmin(grad_norms))
     floor = TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
@@ -338,12 +341,15 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     followed by a damped-Newton root polish (finite-difference Jacobian) from
     the worst samples.  Any converged nonzero root is a counterexample and
     the witness; otherwise the witness is the sampled minimizer.  The worst
-    value is the sampled minimum; ``detail`` holds the polish counters.
+    value is the sampled minimum; ``detail`` holds the polish counters.  An empty
+    sample set (``n_samples=0``) reports "nothing to check".
     """
     box = _as_box(box, sys_cl.n_states)
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     points = halton_box_samples(box, n_samples, seed)
     points = points[np.linalg.norm(points, axis=1) > r_excl]
+    if not len(points):
+        return Check("nothing to check", 0.0)
     u0 = [0.0] * sys_cl.n_io
     fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
     norms = np.sqrt(_row_dots(fxs, fxs))  # each row's np.linalg.norm

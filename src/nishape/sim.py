@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import ELEMENTARY, Check, NonlinearSystem, ScalarField, _argument, _names, _part
+from .sysmodel import Check, NonlinearSystem, ScalarField, _argument, _guarded, _names, _part
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=64)  # one loop per shape, input kind, monitoring and sources
-def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f=None, h=None, w=None):
+def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f, h, w):
     """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
     ``loop(f, h, w, value, x, v, k, stop, final, step, rows)`` appends knots
     ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
@@ -201,11 +201,11 @@ def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f=None, h=None, w=N
     stage.  It returns ``(x, None)``, or ``(x, stages)`` after the first step
     whose new state is not finite.  The float forms ``f``, ``h`` and ``w`` are
     called, or spliced where this function is given their source (``f`` into
-    every stage); a knot that raises in a spliced body is run again, from its
-    state, by the loop that calls them (``_step_loop``).  Each value is unpacked
-    into locals and a knot is written only once all of it is computed, so one of
-    the wrong length raises ``ValueError`` before a row shifts."""
-    xs, ys, fused = _names("x", n), _names("y", p), any((f, h, w))
+    every stage).  Each value is unpacked into locals and a knot is written only
+    once all of it is computed, so one of the wrong length raises ``ValueError``
+    before a row shifts, and a knot that raises leaves ``x``, ``v`` and ``k``
+    holding it, where ``_guarded``'s at-infinity copy resumes."""
+    xs, ys = _names("x", n), _names("y", p)
 
     def assigned(names, texts):
         return [f"{name} = {text}" for name, text in zip(names, texts) if name != text]
@@ -245,21 +245,11 @@ def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f=None, h=None, w=N
                  *knot(), *record]
     loop = (["for k in range(k, stop):", *("    " + line for line in body), "if final:",
              *("    " + line for line in last_knot), f"return {_argument(xs)}, None"])
-    if fused:  # a raise leaves knot k unwritten: the loop of calls takes it from there
-        loop = ["try:", *("    " + line for line in loop), "except ValueError:", "    pass",
-                f"return composed(f, h, w, value, {_argument(xs)}, v, k, stop, final, step, rows)"]
     head = ["xs, vs, ys, ws, ds = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
             f"{', '.join(xs)}, = x", *(unpack if not forced else [])]
-    namespace = dict(ELEMENTARY, composed=_step_loop(n, p, forced, monitored) if fused else None)
-    exec(compile("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
-                 + "".join(f"    {line}\n" for line in head + loop),
-                 f"<RK4 loop on {n} states, {p} channels>", "exec"), namespace)
-    return namespace["loop"]
-
-
-@functools.cache  # the loop that calls every float form, shared by every later run
-def _step_loop(n: int, p: int, forced: bool, monitored: bool):
-    return _rk4_loop(n, p, forced, monitored)
+    return _guarded("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
+                    + "".join(f"    {line}\n" for line in head + loop),
+                    f"<RK4 loop on {n} states, {p} channels>")
 
 
 def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig,
@@ -273,11 +263,11 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     monitoring and the sources of ``f``, ``h`` and the monitor's value, and
     cached in the module: a float form with a source is spliced into it (``f``
     into all four stages, so a stage makes no call), one without is called with
-    each state as a tuple.  RK4
-    holds the input at its stage-time values (a square wave is evaluated at t,
-    t + step/2 and t + step, and the value at t + step serves the next knot
-    when that knot's time equals it bitwise; a zero or constant input is
-    evaluated once).
+    each state as a tuple.  A knot where ``sin`` or ``cos`` raise at an infinity
+    runs again, and the loop goes on, with numpy's ``nan`` there.  RK4 holds the
+    input at its stage-time values (a square wave is evaluated at t, t + step/2
+    and t + step, and the value at t + step serves the next knot when that
+    knot's time equals it bitwise; a zero or constant input is evaluated once).
     ``monitor`` is sampled at the knots into the storage channel.  A non-finite
     stage derivative or state truncates the trajectory and attaches a
     diagnostic instead of propagating NaNs; one exact finiteness test on the
@@ -315,9 +305,8 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         return end
 
     f, w = sys.f_floats, None if monitor is None else monitor.value_floats
-    shape = (sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None)
-    sources = tuple(getattr(form, "source", None) for form in (f, sys.h_floats, w))
-    loop = _rk4_loop(*shape, *sources) if any(sources) else _step_loop(*shape)
+    loop = _rk4_loop(sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None,
+                     *(getattr(form, "source", None) for form in (f, sys.h_floats, w)))
     x, v = tuple(x0.tolist()), signal._floats(0.0)  # v is held for a zero or constant input
     k, stages = 0, None
     while stages is None and k <= n_steps:

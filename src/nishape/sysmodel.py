@@ -93,9 +93,9 @@ def fd_step(x) -> float:
     return 1e-6 * max(1.0, float(np.linalg.norm(x)))
 
 
-def central_gradient(func, x, step: Optional[float] = None) -> np.ndarray:
+def central_gradient(func, x) -> np.ndarray:
     """Central differences of the scalar float form ``func`` at the floats ``x``."""
-    return central_jacobian(lambda x: (float(func(x)),), x, 1, step)[0]
+    return central_jacobian(lambda x: (float(func(x)),), x, 1)[0]
 
 
 def central_jacobian(func, x, n_out: int, step: Optional[float] = None) -> np.ndarray:
@@ -140,7 +140,6 @@ _LOG_2 = math.log(2.0)
 ELEMENTARY = MappingProxyType({
     "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "tanh": math.tanh, "exp": math.exp,
     "log1p": math.log1p, "sq": _sq, "log_cosh": _log_cosh, "inf": math.inf, "nan": math.nan})
-_AT_INF = {**ELEMENTARY, "sin": _nan_at_inf(math.sin), "cos": _nan_at_inf(math.cos)}
 
 
 def float_form(source: str, **constants):
@@ -172,17 +171,23 @@ def _compiled(source: str, constants: tuple):
             return node
 
     text = ast.unparse(Bind().visit(tree))
-    (fn,) = ast.parse(text).body
-    header, body = text.split("\n", 1)
-    retry, namespace = dict(_AT_INF), dict(ELEMENTARY)
-    exec(compile(text, "<float form>", "exec"), retry)
-    namespace["_retry"] = retry[fn.name]
-    exec(compile(f"{header}\n    try:\n{textwrap.indent(body, '    ')}\n    except ValueError:\n"
-                 f"        return _retry({', '.join(arg.arg for arg in fn.args.args)})\n",
-                 "<float form>", "exec"), namespace)
-    form = namespace[fn.name]
+    form = _guarded(text, "<float form>")
     form.source = text
     return form
+
+
+def _guarded(text: str, label: str):
+    """The function of the one ``def`` in ``text``; on ``ValueError`` it hands its
+    parameters' current values to a copy whose ``sin`` and ``cos`` give nan at inf."""
+    (fn,) = ast.parse(text).body
+    header, body = text.split("\n", 1)
+    retry = {**ELEMENTARY, **{trig: _nan_at_inf(ELEMENTARY[trig]) for trig in ("sin", "cos")}}
+    exec(compile(text, label, "exec"), retry)
+    namespace = dict(ELEMENTARY, _retry=retry[fn.name])
+    exec(compile(f"{header}\n    try:\n{textwrap.indent(body, '    ')}\n    except ValueError:\n"
+                 f"        return _retry({', '.join(arg.arg for arg in fn.args.args)})\n",
+                 label, "exec"), namespace)
+    return namespace[fn.name]
 
 
 def _spliced(source: str, args, tag: str, width: Optional[int] = None):
@@ -585,7 +590,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     field fall back to finite differences so truncation errors stay on a single scale.
     A constant ``h_jacobian`` whose rows are distinct unit vectors (a projection) gets
     a generated float form; any other constant matrix or numpy callable numpy's
-    product, which ``W.gradients`` stacks (a constant matrix broadcast).
+    product at each point, which ``W.gradients`` stacks as it stacks any gradient.
     ``W.storage`` is V and ``W.shaping`` S(x) = F(h(x)) (value only): W = V - S bit for bit.
     W's value, S and the projection's gradient are each one float form spliced from
     the sources of their parts when every part has one (:func:`float_form`).
@@ -605,7 +610,7 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
     constant = isinstance(h_jacobian, np.ndarray)
     analytic = V.has_analytic_gradient and F.has_analytic_gradient and h_jacobian is not None
     cols = h_jacobian.argmax(axis=1).tolist() if constant else []
-    w_gradient = w_gradients = None
+    w_gradient = None
     if (analytic and constant and len(set(cols)) == F.dim
             and np.array_equal(h_jacobian, np.eye(n)[cols])):
         # rows of distinct unit vectors: a generated float form, stacked by ScalarField.gradients
@@ -618,18 +623,8 @@ def make_shaped_storage(V: ScalarField, F: ScalarField, h, n: int,
             return (np.asarray(V.gradient_floats(x), dtype=float)
                     - jac.T @ np.asarray(F.gradient_floats(h_floats(x)), dtype=float))
 
-        def w_gradients(xs):  # w_gradient's product stacked: the same kernel per item
-            xs = np.asarray(xs, dtype=float)
-            js = (h_jacobian if constant else  # C order, as in w_gradient
-                  np.array([h_jacobian(x) for x in xs], dtype=float).reshape(len(xs), F.dim, n))
-            ys = _stacked(list(map(h_floats, xs.tolist())), F.dim)
-            return V.gradients(xs) - np.matmul(js.swapaxes(-1, -2),
-                                               F.gradients(ys)[:, :, None])[:, :, 0]
-
     W = ScalarField.from_floats(n, w_value, w_gradient, name=name)
     W.storage, W.shaping = V, ScalarField.from_floats(n, s_value, name=f"{F.name} o h")
-    if w_gradients is not None:
-        W.gradients = w_gradients
     return W
 
 

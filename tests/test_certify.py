@@ -15,7 +15,7 @@ from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, Li
                      hamiltonian_decay_identity, hidden_motion_from_rates,
                      make_closed_loop, make_shaped_storage, rate_table, report_line,
                      simulate, to_nonlinear, write_reports_csv, zero_field)
-from nishape import certify, sim
+from nishape import certify, sim, sysmodel
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
@@ -486,9 +486,10 @@ def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
                 rate_table(twin, field, traj)
                 assert twin.f_floats.calls == n and f.calls == n
 
-    # _Counted has no source, so the runs above take the loop of calls. The closed
+    # _Counted has no source, so the runs above call it from each stage. The closed
     # loop's own f is spliced into every stage of the fused loop: count the plant's
     # sin(theta1) and sin(theta2) there instead, bound into a loop generated for it
+    # (sysmodel._guarded compiles every generated function against ELEMENTARY)
     calls = Counter()
 
     def counted_sin(z):
@@ -499,7 +500,7 @@ def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
     sim._rk4_loop.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "ELEMENTARY", {**sim.ELEMENTARY, "sin": counted_sin})
+            patch.setattr(sysmodel, "ELEMENTARY", {**sysmodel.ELEMENTARY, "sin": counted_sin})
             traj = simulate(closed, sc.x0, sc.signal, cfg, monitor=W)
     finally:
         sim._rk4_loop.cache_clear()  # no later run may take the counting loop
@@ -705,6 +706,19 @@ def test_uniqueness_linear_hurwitz_loop_passes(linear_cases):
     closed = make_closed_loop(sc.build_plant(), sc.build_nonlinearity())
     report = check_equilibrium_uniqueness(closed, [(-5.0, 5.0)] * 2, n_samples=256, seed=0)
     assert report.verdict == "pass"
+
+
+def test_box_checks_on_an_empty_sample_set():
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    for report in (check_gradient_nonvanishing(W, sc.box, n_samples=0),
+                   check_equilibrium_uniqueness(closed, sc.box, n_samples=0)):
+        assert (report.verdict, report.worst_value, report.witness) == ("nothing to check", 0.0, ())
+        assert report.n_samples == 0 and dict(report.detail) == {}  # no polish ran
+    # the definiteness check still samples its origin shell: 2 n axis points, 2^n corners
+    report = check_positive_definite(V, sc.box, n_samples=0)
+    assert report.verdict == "pass" and report.n_samples == 24
 
 
 def _positive_definite_per_point(field, box, n_samples, seed):

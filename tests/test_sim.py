@@ -15,7 +15,7 @@ import nishape
 from nishape import sim
 from nishape.sim import _CHUNK
 
-from conftest import fused_and_composed, g17_hard_values, make_rotation_hamiltonian
+from conftest import fused_and_composed, g17_hard_values, make_rotation_hamiltonian, sourceless
 
 
 def _scalar_decay():
@@ -612,10 +612,11 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     assert got.inputs[k_between, 0] == between._floats(k_between * 7e-4)[0]
     assert got.inputs[k_between, 0] != between._floats((k_between - 1) * 7e-4 + 7e-4)[0]
     # the ring runs built one loop per shape and input kind; a second run reuses that object
-    loop, built = sim._step_loop(16, 1, False, False), sim._step_loop.cache_info().misses
+    shape = (16, 1, False, False, None, None, None)  # no part of a ring has a source
+    loop, built = sim._rk4_loop(*shape), sim._rk4_loop.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
-    assert sim._step_loop.cache_info().misses == built
-    assert sim._step_loop(16, 1, False, False) is loop
+    assert sim._rk4_loop.cache_info().misses == built
+    assert sim._rk4_loop(*shape) is loop
 
 
 def _run_bits(traj):
@@ -654,6 +655,40 @@ def test_fused_runs_are_the_composed_runs_bitwise(name):
                 diagnostics.add(got.diagnostic and got.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}
+
+
+def _spliced_and_sourceless(f_source):
+    """A one-state system whose ``f`` and ``h`` are sources, and its twin that calls them."""
+    f = nishape.float_form(f_source)
+    h = nishape.float_form("def h(x):\n    a, = x\n    return (a,)")
+    return [NonlinearSystem.from_floats(1, 1, f, h),
+            NonlinearSystem.from_floats(1, 1, sourceless(f), sourceless(h))]
+
+
+def test_a_retry_resumes_at_its_knot_in_the_middle_of_a_chunk():
+    # x' = x^2 from 0.5 blows up at t = 2: a * a overflows, and sin first meets the
+    # infinity at stage b of knot 2002, in the middle of the second chunk. The retry
+    # goes on from that knot; one that restarts the chunk or the run records more knots
+    spliced, twin = _spliced_and_sourceless(
+        "def f(x, u):\n    a, = x\n    b, = u\n    return (a * a + 0.0 * sin(a) + b,)")
+    cfg = IntegratorConfig(step=1e-3, t_end=3.0)
+    with np.errstate(all="ignore"):
+        got, want = (simulate(sys, (0.5,), InputSignal.zero(1), cfg) for sys in (spliced, twin))
+    assert _CHUNK < 2002 < 2 * _CHUNK
+    assert got.n_samples == 2003
+    assert got.diagnostic == "non-finite stage derivative at t = 2.002"
+    assert _run_bits(got) == _run_bits(want)
+
+
+def test_an_error_that_is_not_an_infinity_raises_through_the_retry():
+    # sqrt(-1) raises ValueError in the loop and again in its at-infinity copy
+    messages = []
+    for sys in _spliced_and_sourceless(
+            "def f(x, u):\n    a, = x\n    b, = u\n    return (sqrt(1.0 + a) - 1.0 + b,)"):
+        with pytest.raises(ValueError) as raised:
+            simulate(sys, (-2.0,), InputSignal.zero(1), IntegratorConfig(step=1e-3, t_end=1.0))
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def _csv_block(rng, n_rows, width, specials):
