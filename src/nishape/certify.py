@@ -278,7 +278,7 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
         raise ValueError("box must contain the origin strictly")
     points = np.vstack([halton_box_samples(box, n_samples, seed), _origin_shell(box)])
     points = points[np.linalg.norm(points, axis=1) > 0.0]
-    values = np.array(list(map(field.value_floats, points.tolist())), dtype=float)
+    values = field.values(points)
     i_min = int(np.argmin(values))
     eigs = sym_eigenvalues(_origin_hessian(field))
     ok = values[i_min] > 0.0 and eigs[0] > TAU_PD
@@ -389,7 +389,7 @@ def hamiltonian_decay_identity(hs: HamiltonianSystem, nl: StaticNonlinearity,
     if n_knots < 5:
         raise ValueError("need at least five samples for the interior stencil")
     W = make_shaped_storage(hs.H, nl.potential, hs.h, hs.n_states, h_jacobian=hs.h_jacobian)
-    w = np.array(list(map(W.value_floats, traj.states.tolist())), dtype=float)
+    w = W.values(traj.states)
     rhs = np.array([-float(g @ (np.asarray(hs.R(x), dtype=float) @ g))
                     for x, g in zip(traj.states, W.gradients(traj.states))])
     lhs = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * traj.step)

@@ -61,6 +61,7 @@ def _cmd_certify_linear(args) -> int:
     return 0 if ok else 1
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a huge --range overflows
 def _cmd_surface(args) -> int:
     sc = get_scenario(args.scenario)
     out = args.out or "."

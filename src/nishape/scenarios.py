@@ -32,11 +32,11 @@ from .certify import (check_equilibrium_uniqueness, check_positive_definite,
                       fmt_g17, halton_box_samples, hidden_motion_from_rates, rate_table,
                       report_line, write_reports_csv)
 from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonlinear
-from .sim import (InputSignal, IntegratorConfig, Trajectory, _write_g17_csv, monitor_decay,
-                  simulate, write_trajectory_csv)
+from .sim import (_CSV_VALUES, InputSignal, IntegratorConfig, Trajectory, _write_g17_csv,
+                  monitor_decay, simulate, write_trajectory_csv)
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        StaticNonlinearity, float_form, gradient_check, make_closed_loop,
-                       make_shaped_storage)
+                       make_shaped_storage, on_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +401,11 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     if base is not None and not (base.field is getattr(field, "storage", None)
                                  and np.array_equal(base.axis, axis)):
         raise ValueError("base must be the grid of the shaped field's storage on the same axis")
-    ticks = axis.tolist()
     value = field.value_floats if base is None else field.shaping.value_floats
     values = np.empty((points, points))
-    for i, t1 in enumerate(ticks):
-        values[i] = [value((t1, t2) + pad) for t2 in ticks]
+    rows = max(1, _CSV_VALUES // points)  # a block of rows at a time, on columns
+    for i in range(0, points, rows):
+        values[i:i + rows] = on_columns(value, (axis[i:i + rows, None], axis[None, :]) + pad)
     if base is not None:
         np.subtract(base.values, values, out=values)
 

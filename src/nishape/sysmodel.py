@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import itertools
 import math
 import textwrap
 from collections import Counter
@@ -73,19 +72,6 @@ def _listed(result) -> list:
     if type(result) is np.ndarray and result.dtype is _FLOAT64 and result.ndim:
         return result.tolist()
     return np.atleast_1d(np.asarray(result, dtype=float)).tolist()
-
-
-def _stacked(rows: list, width: int) -> np.ndarray:
-    """Sequences of ``width`` floats as the rows of an array, through one flat
-    buffer; other rows take numpy's nested conversion, which raises on ragged ones."""
-    try:
-        uniform = not set(map(len, rows)) - {width}
-    except TypeError:  # a bare number, as a one-dimensional numpy gradient may give
-        uniform = False
-    if uniform:
-        flat = itertools.chain.from_iterable(rows)
-        return np.fromiter(flat, float, len(rows) * width).reshape(len(rows), width)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def fd_step(x) -> float:
@@ -177,17 +163,79 @@ def _compiled(source: str, constants: tuple):
 
 
 def _guarded(text: str, label: str):
-    """The function of the one ``def`` in ``text``; on ``ValueError`` it hands its
-    parameters' current values to a copy whose ``sin`` and ``cos`` give nan at inf."""
+    """The function of the one ``def`` in ``text``; on ``ValueError`` it hands its parameters'
+    current values to a copy, compiled at the first raise, whose sin and cos give nan at inf."""
     (fn,) = ast.parse(text).body
+    name, params = fn.name, ", ".join(arg.arg for arg in fn.args.args)
     header, body = text.split("\n", 1)
-    retry = {**ELEMENTARY, **{trig: _nan_at_inf(ELEMENTARY[trig]) for trig in ("sin", "cos")}}
-    exec(compile(text, label, "exec"), retry)
-    namespace = dict(ELEMENTARY, _retry=retry[fn.name])
+
+    def at_infinity(*args):  # at the first raise: compiles the copy, puts it in its place
+        retry = {**ELEMENTARY, **{trig: _nan_at_inf(ELEMENTARY[trig]) for trig in ("sin", "cos")}}
+        exec(compile(text, label, "exec"), retry)
+        namespace["_retry"] = retry[name]
+        return retry[name](*args)
+
+    namespace = dict(ELEMENTARY, _retry=at_infinity)
     exec(compile(f"{header}\n    try:\n{textwrap.indent(body, '    ')}\n    except ValueError:\n"
-                 f"        return _retry({', '.join(arg.arg for arg in fn.args.args)})\n",
-                 label, "exec"), namespace)
-    return namespace[fn.name]
+                 f"        return _retry({params})\n", label, "exec"), namespace)
+    return namespace[name]
+
+
+def _mapped(scalar):
+    """``scalar`` on a float, and on each entry of a numpy array."""
+    return lambda z: (np.fromiter(map(scalar, z.ravel().tolist()), float, z.size).reshape(z.shape)
+                      if isinstance(z, np.ndarray) else scalar(z))
+
+
+# ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf),
+# numpy's sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python does
+_COLUMNS = MappingProxyType({
+    **{name: _mapped(_nan_at_inf(fn) if name in ("sin", "cos") else fn) if callable(fn) else fn
+       for name, fn in ELEMENTARY.items()}, "abs": abs,
+    "sqrt": lambda z: np.sqrt(z) if isinstance(z, np.ndarray) else math.sqrt(z),
+    "_divisor": lambda z: z if np.all(z != 0.0) else 1.0 / 0.0})
+_COLUMN_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
+                 ast.Name, ast.Load, ast.Store, ast.Constant, ast.Tuple, ast.BinOp, ast.Add,
+                 ast.Sub, ast.Mult, ast.Div, ast.UnaryOp, ast.USub, ast.Call)
+
+
+@functools.lru_cache(maxsize=256)  # one function per source, compiled at its first use
+def _column_form(source: str):
+    """The float form ``source`` on ``_COLUMNS``, every divisor checked; None for a source
+    with a node other than ``+ - * /``, unary minus, a call of ``abs`` or ``ELEMENTARY``, a
+    name, a constant or a tuple (numpy's ``**`` squares where Python calls ``pow``)."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, _COLUMN_NODES) or isinstance(node, ast.Call) and (
+                node.keywords or getattr(node.func, "id", None) not in _COLUMNS):
+            return None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            node.right = ast.Call(ast.Name("_divisor", ast.Load()), [node.right], [])
+    namespace = dict(_COLUMNS)
+    exec(compile(ast.fix_missing_locations(tree), "<float form on columns>", "exec"), namespace)
+    return namespace[tree.body[0].name]
+
+
+def on_columns(form, columns, width: Optional[int] = None) -> np.ndarray:
+    """The float form ``form`` of one parameter, bit for bit, at the points whose entries are
+    ``columns`` (numpy arrays and floats that broadcast together), in their shape and with a
+    last axis of ``width`` for a form of ``width`` floats.  A source that runs on columns runs
+    once; any other form, or a run that meets a zero divisor, an invalid operation or a raise,
+    is called at each point."""
+    shape = np.broadcast(*columns).shape
+    run = _column_form(form.source) if hasattr(form, "source") else None
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            result = run and run(columns)
+        if width is None and isinstance(result, (float, np.ndarray)):
+            return np.array(np.broadcast_to(result, shape), dtype=float)
+        if isinstance(result, tuple) and len(result) == width:
+            return np.stack([np.broadcast_to(entry, shape) for entry in result], -1, dtype=float)
+    except (ArithmeticError, ValueError):
+        pass
+    points = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns)).tolist()
+    rows = list(map(form, points))
+    return np.array(rows, dtype=float).reshape(shape + ((width,) if width else ()))
 
 
 def _spliced(source: str, args, tag: str, width: Optional[int] = None):
@@ -268,10 +316,13 @@ class ScalarField:
     def gradient(self, x) -> np.ndarray:
         return np.asarray(self.gradient_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
+    def values(self, xs) -> np.ndarray:
+        """The values at the rows of ``xs`` (:func:`on_columns`), bit for bit :meth:`value`."""
+        return on_columns(self.value_floats, tuple(np.asarray(xs, dtype=float).T))
+
     def gradients(self, xs) -> np.ndarray:
-        """The gradients at the rows of ``xs``: bit for bit the stacked :meth:`gradient`."""
-        return _stacked(list(map(self.gradient_floats, np.asarray(xs, dtype=float).tolist())),
-                        self.dim)
+        """The gradients at the rows of ``xs``, bit for bit the stacked :meth:`gradient`."""
+        return on_columns(self.gradient_floats, tuple(np.asarray(xs, dtype=float).T), self.dim)
 
 
 def zero_field(dim: int) -> ScalarField:

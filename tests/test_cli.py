@@ -297,6 +297,16 @@ def test_surface_command(tmp_path, capsys):
     assert "0 local minima, 9 plateau cells" in capsys.readouterr().out
 
 
+def test_surface_at_a_huge_range_prints_no_warning(tmp_path, capsys):
+    # the grids' values, and the shaped grid's differences, overflow to inf
+    for argv in (["pendulum-sync", "--range", "1e154", "--points", "5"],
+                 ["linear-b", "--range", "1e300", "--points", "3"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surface", *argv, "--out", str(tmp_path)]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
 

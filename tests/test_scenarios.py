@@ -482,21 +482,24 @@ def test_surface_csv_matches_the_per_cell_writer_bytewise(pendulum, tmp_path):
     assert np.isnan(report.values).any() and np.isinf(report.values).any()
 
 
-SHAPED_SURFACE_MINIMA = {  # (original, shaped) at 161 points on +-8 and at 41 on +-3
-    "linear-a": ((1, 1), (1, 1)), "linear-b": ((1, 1), (1, 1)),
-    "pendulum-stabilize": ((9, 1), (1, 1)), "pendulum-sync": ((9, 3), (1, 1))}
+SHAPED_SURFACE_MINIMA = {  # (original, shaped) at 161 points on +-8, 41 on +-3 and 401 on +-8
+    "linear-a": ((1, 1), (1, 1), (1, 1)), "linear-b": ((1, 1), (1, 1), (1, 1)),
+    "pendulum-stabilize": ((9, 1), (1, 1), (9, 1)), "pendulum-sync": ((9, 3), (1, 1), (9, 3))}
 
 
 @pytest.mark.parametrize("name", sorted(SHAPED_SURFACE_MINIMA))
 def test_shaped_surface_from_the_storage_grid_matches_the_per_cell_field_bitwise(name):
     _, V, _, W = scenarios._build_parts(get_scenario(name))
-    for (half_range, points), counts in zip(((8.0, 161), (3.0, 41)), SHAPED_SURFACE_MINIMA[name]):
+    for (half_range, points), counts in zip(((8.0, 161), (3.0, 41), (8.0, 401)),
+                                            SHAPED_SURFACE_MINIMA[name]):
         original = export_potential_surface(V, half_range=half_range, points=points)
         shaped = export_potential_surface(W, half_range=half_range, points=points, base=original)
         ticks = original.axis.tolist()
         pad = (0.0,) * (W.dim - 2)
-        per_cell = np.array([[W.value_floats((t1, t2) + pad) for t2 in ticks] for t1 in ticks])
-        assert np.array_equal(shaped.values.view(np.uint64), per_cell.view(np.uint64))
+        for grid, field in ((original, V), (shaped, W)):  # both grids run on columns
+            per_cell = np.array([[field.value_floats((t1, t2) + pad) for t2 in ticks]
+                                 for t1 in ticks])
+            assert np.array_equal(grid.values.view(np.uint64), per_cell.view(np.uint64))
         direct = export_potential_surface(W, half_range=half_range, points=points)
         assert (shaped.minima, shaped.n_plateau) == (direct.minima, direct.n_plateau)
         assert (len(original.minima), len(shaped.minima)) == counts

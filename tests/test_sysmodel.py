@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nishape
+from nishape import sysmodel
 from nishape import (Check, InputSignal, IntegratorConfig, LinearSystem, NonlinearSystem,
                      ScalarField, SlopeBounds, SsniCertificate, StaticNonlinearity,
                      build_full_shaping, gradient_check, make_closed_loop,
@@ -386,6 +387,77 @@ def test_spliced_forms_are_the_composed_forms_bitwise(name):
         assert _bits(W.gradients(states)) == _bits(W_ref.gradients(states))
     # sin raised at the infinite angle, and the one retry gave numpy's nan
     assert math.isnan(closed.f_floats([math.inf, 0.0, 0.0, 0.0], [0.0, 0.0])[2])
+
+
+@pytest.mark.parametrize("name", ["pendulum-stabilize", "pendulum-sync"])
+def test_column_forms_are_the_per_point_forms_bitwise(name):
+    _, V, _, W = nishape.scenarios._build_parts(get_scenario(name))
+    probes = probe_states(4, 29)  # 200 Halton, 16 signed-zero, 80 with inf, nan or +-1e308
+    ok = np.all(np.abs(probes) < 1e300, axis=1)
+    halton = nishape.halton_box_samples([(-8.0, 8.0)] * 4, 5000, 31)
+    states, finite = np.vstack([probes, halton]), np.vstack([probes[ok], halton])
+    for field, width in ((V, None), (W, None), (W.shaping, None), (V, 4), (W, 4)):
+        form = field.value_floats if width is None else field.gradient_floats
+        run = sysmodel._column_form(form.source)
+        per_point = [form(x) for x in states.tolist()]
+        whole = field.values(states) if width is None else field.gradients(states)
+        assert _bits(whole) == _bits(per_point)
+        # at finite states, one run on the columns and no call at a point
+        calls = []
+        counted = lambda x, form=form: calls.append(x) or form(x)  # noqa: E731
+        counted.source = form.source
+        assert _bits(sysmodel.on_columns(counted, tuple(finite.T), width)) == _bits(
+            [form(x) for x in finite.tolist()])
+        assert not calls
+        # each probe on its own: only an infinity or an overflow may stop a column run,
+        # and a run that ends gives the per-point bits; sin(inf) gives nan, as the retry does
+        for x, finite_x, ref in zip(probes.tolist(), ok, per_point):
+            with np.errstate(divide="raise", invalid="raise", over="ignore"):
+                try:
+                    result = run(tuple(np.array([entry]) for entry in x))
+                except FloatingPointError:
+                    assert not finite_x, (form.__name__, x)
+                    continue
+            entries = [np.broadcast_to(entry, (1,))[0] for entry in (
+                result if width else (result,))]
+            assert _bits(entries) == _bits(ref), (form.__name__, x)
+    angle = (np.array([math.inf, -math.inf]), np.array([0.0, 1.0]), 0.0, 0.0)
+    assert np.isnan(sysmodel._column_form(V.value_floats.source)(angle)).all()
+
+
+def test_a_form_that_cannot_run_on_columns_runs_at_each_point():
+    def form(body):
+        return nishape.float_form(f"def f(x):\n    a, b = x\n    return {body}")
+
+    xs = (np.array([2.0, -3.0, 0.0]), np.array([0.5, 0.0, 1.0]))
+    points = np.column_stack(xs).tolist()
+    # a zero divisor or a negative square root: the per-point call raises today's error
+    for body, error, match in (("1.0 / a", ZeroDivisionError, "float division by zero"),
+                               ("sqrt(-1.0 + a)", ValueError, "math domain error")):
+        assert sysmodel._column_form(form(body).source) is not None
+        with pytest.raises(error, match=match):
+            sysmodel.on_columns(form(body), xs)
+    # Python raises at every zero divisor, numpy not for nan / 0 or inf / 0
+    for a in (math.nan, math.inf, 0.0):
+        with pytest.raises(ZeroDivisionError):
+            sysmodel.on_columns(form("a / b"), (np.array([1.0, a]), np.array([2.0, 0.0])))
+    # numpy squares where Python calls pow; min takes one branch for every point
+    for body in ("a ** 2 + b", "min(a, b)", "-a if a > b else b"):
+        assert sysmodel._column_form(form(body).source) is None
+        values = sysmodel.on_columns(form(body), xs)
+        assert _bits(values) == _bits([form(body)(x) for x in points])
+    values = sysmodel.on_columns(form("sqrt(b) * sin(a)"), xs)  # a run on columns
+    assert _bits(values) == _bits([math.sqrt(b) * math.sin(a) for a, b in points])
+
+
+def test_the_at_infinity_copy_is_compiled_at_the_first_raise():
+    form = nishape.float_form("def f(y):\n    a, = y\n    return cos(a) + 0.375")
+    assert form([0.0]) == 1.375
+    assert form.__globals__["_retry"].__name__ == "at_infinity"  # no copy yet
+    assert math.isnan(form([math.inf]))
+    retry = form.__globals__["_retry"]
+    assert retry.__name__ == "f"  # the copy, compiled once, in the placeholder's place
+    assert math.isnan(form([-math.inf])) and form.__globals__["_retry"] is retry
 
 
 def test_float_form_binds_constants_as_literals_that_locals_shadow():
