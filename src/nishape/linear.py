@@ -7,6 +7,7 @@ does not synthesize Y (no semidefinite programming involved).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Optional
@@ -21,13 +22,52 @@ from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
 # Dense symmetric eigenvalues by cyclic Jacobi rotations
 
 
+@functools.lru_cache(maxsize=8)  # one sweep per size; its table is O(n^3) ints, 8 MB at n = 100
+def _jacobi_sweep(n: int):
+    """``sweep(m, table)``, one cyclic Jacobi sweep on ``m``: the upper triangle of an n x n
+    matrix, row-major, then one 0.0.  Each row of ``table`` is one rotation (p, q), in cyclic
+    order: the indices in ``m`` of (p, p), (q, q), (p, q), then of (j, p), (j, q) for each j
+    outside {p, q}.  Also the triangle's indices, and the indices in ``m`` of the full
+    matrix, row-major, with the 0.0 on its diagonal, and of its diagonal."""
+    rows, cols = np.triu_indices(n)
+    at = np.zeros((n, n), dtype=int)
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    ix = at.tolist()
+    table = tuple((ix[p][p], ix[q][q], ix[p][q],
+                   *(k for j in range(n) if j not in (p, q) for k in (ix[j][p], ix[j][q])))
+                  for p in range(n - 1) for q in range(p + 1, n))
+    pairs = "".join(f"x{j}, y{j}, " for j in range(n - 2))
+    off_block = "".join(f"        a, b = m[x{j}], m[y{j}]\n"
+                        f"        m[x{j}], m[y{j}] = c * a - s * b, s * a + c * b\n"
+                        for j in range(n - 2))
+    namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
+    exec(compile(f"""def sweep(m, table):
+    for pp, qq, pq, {pairs}in table:
+        apq = m[pq]
+        if apq == 0.0:
+            continue
+        app, aqq = m[pp], m[qq]
+        tau = (aqq - app) / (2.0 * apq)
+        t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + hypot(1.0, tau))
+        c = 1.0 / sqrt(1.0 + t * t)
+        s = t * c
+{off_block}        m[pp] = c * (c * app - s * apq) - s * (c * apq - s * aqq)  # columns, then rows
+        m[qq] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+        m[pq] = 0.0
+""", f"<Jacobi sweep on {n} x {n}>", "exec"), namespace)
+    off = np.where(np.eye(n, dtype=bool), rows.size, at).ravel()
+    return namespace["sweep"], table, (rows, cols), off, at.diagonal()
+
+
 def sym_eigenvalues(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     Cyclic Jacobi rotations on Python floats, iterated until the off-diagonal
-    Frobenius norm drops below 1e-12 times the matrix norm.  Rejects inputs
-    whose norm is not finite or whose asymmetry exceeds TAU_ZERO relative to
-    their norm.
+    Frobenius norm drops below 1e-12 times the matrix norm.  A sweep is one
+    function per size, generated at first use: it rotates the upper triangle, each
+    entry once.  The matrix stays bitwise symmetric, so the column and the row
+    rotation of the full matrix round the same products there.  Rejects inputs
+    whose norm is not finite or whose asymmetry exceeds TAU_ZERO relative to it.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -39,43 +79,34 @@ def sym_eigenvalues(S) -> np.ndarray:
         if not math.isfinite(fro) or float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
             raise ValueError("matrix must be finite and symmetric within tolerance")
     n = S.shape[0]
-    if n == 1:
-        return np.array([S[0, 0]])
-    A = (0.5 * (S + S.T)).tolist()
+    if n <= 1:
+        return np.array(np.diag(S))
+    A = 0.5 * (S + S.T)
+    if not np.any(A - np.diag(np.diag(A))):  # diagonal, as the built-in Y = I: nothing to generate
+        return np.sort(np.diag(A))
+    sweep, table, upper, off, diagonal = _jacobi_sweep(n)
+    m = A[upper].tolist() + [0.0]
     target = 1e-12 * fro
     for _ in range(60):
-        # off-diagonal norm from the entries, by numpy: a Python sum would not keep
-        # BLAS's order, and full minus diagonal sums would cancel near zero
-        M = np.array(A)
-        off = float(np.linalg.norm(M - np.diag(np.diag(M))))
-        if off <= target:
+        # the off-diagonal norm as numpy's norm takes it of the full matrix, diagonal
+        # zeroed, row-major: a Python sum would not keep BLAS's order
+        v = np.array(m)
+        rest = v[off]
+        if math.sqrt(rest.dot(rest)) <= target:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                Ap, Aq = A[p], A[q]
-                apq = Ap[q]
-                if apq == 0.0:
-                    continue
-                tau = (Aq[q] - Ap[p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for row in A:  # columns p and q, then rows p and q, each rounded as numpy would
-                    a, b = row[p], row[q]
-                    row[p], row[q] = c * a - s * b, s * a + c * b
-                Ap[:], Aq[:] = ([c * a - s * b for a, b in zip(Ap, Aq)],
-                                [s * a + c * b for a, b in zip(Ap, Aq)])
-                Ap[q] = Aq[p] = 0.0
+        sweep(m, table)
     else:
         raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(M))
+    return np.sort(v[diagonal])
 
 
 def _min_eigenvalue(S) -> float:
     """Smallest eigenvalue of a symmetric ``S``, scaled by an exact power of two
     first where its norm overflows on finite entries (slopes near 1e300 or 1e-300)."""
     with np.errstate(over="ignore"):  # scaled back, an eigenvalue beyond 1.8e308 is an infinity
-        scale = 0 if math.isfinite(float(np.linalg.norm(S))) else math.frexp(np.max(np.abs(S)))[1]
+        if math.isfinite(float(np.linalg.norm(S))):  # unscaled: 2^0 would only copy S
+            return float(sym_eigenvalues(S)[0])
+        scale = math.frexp(np.max(np.abs(S)))[1]
         return float(np.ldexp(sym_eigenvalues(np.ldexp(S, -scale))[0], scale))
 
 

@@ -187,10 +187,22 @@ def _mapped(scalar):
                       if isinstance(z, np.ndarray) else scalar(z))
 
 
+def _mapped_trig(trig):
+    """``_mapped(trig)``, run once more with nan at inf where ``trig`` raises there."""
+    mapped, at_infinity = _mapped(trig), _mapped(_nan_at_inf(trig))
+
+    def run(z):
+        try:
+            return mapped(z)
+        except ValueError:
+            return at_infinity(z)
+    return run
+
+
 # ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf),
 # numpy's sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python does
 _COLUMNS = MappingProxyType({
-    **{name: _mapped(_nan_at_inf(fn) if name in ("sin", "cos") else fn) if callable(fn) else fn
+    **{name: (_mapped_trig if name in ("sin", "cos") else _mapped)(fn) if callable(fn) else fn
        for name, fn in ELEMENTARY.items()}, "abs": abs,
     "sqrt": lambda z: np.sqrt(z) if isinstance(z, np.ndarray) else math.sqrt(z),
     "_divisor": lambda z: z if np.all(z != 0.0) else 1.0 / 0.0})

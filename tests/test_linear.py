@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -140,14 +143,15 @@ def _numpy_rotation_jacobi(S):
 TAU_OVERFLOW = np.array([[1e150, 1e-300, 0.0], [1e-300, -1e150, 1e140], [0.0, 1e140, 0.0]])
 
 
-def _jacobi_test_matrices():
-    """2,000 seeded symmetric matrices, n = 1..8 at scales 1e-150..1e150, then
-    the tau overflow."""
-    rng = np.random.default_rng(20261018)
-    for i in range(2000):
-        n = 1 + i % 8
+def _symmetric_test_matrices(seed, count, sizes):
+    """``count`` seeded symmetric matrices, n cycling through ``sizes``, at scales
+    1e-150..1e150: random, with a zeroed off-diagonal row and column, diagonal, or
+    with repeated eigenvalues, in runs of ``len(sizes)``."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = sizes[i % len(sizes)]
         scale = 10.0 ** rng.uniform(-150.0, 150.0)
-        kind = (i // 8) % 4
+        kind = (i // len(sizes)) % 4
         if kind == 3:  # repeated eigenvalues: Q diag(d) Q^T with a repeated d
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             d = rng.choice([-1.0, 0.5, 2.0], size=n)
@@ -160,6 +164,12 @@ def _jacobi_test_matrices():
             elif kind == 2:  # a diagonal input
                 S = np.diag(np.diag(S))
         yield 0.5 * (S + S.T)
+
+
+def _jacobi_test_matrices():
+    """2,000 seeded symmetric matrices, n = 1..8 at scales 1e-150..1e150, then
+    the tau overflow."""
+    yield from _symmetric_test_matrices(20261018, 2000, range(1, 9))
     yield TAU_OVERFLOW
 
 
@@ -175,6 +185,42 @@ def test_sym_eigenvalues_match_the_numpy_rotations_bitwise():
             assert sym_eigenvalues(S).tobytes() == expected.tobytes(), S
         count += 1
     assert count > 2000
+
+
+def test_sym_eigenvalues_match_the_numpy_rotations_bitwise_past_n_8():
+    sizes = set()
+    for S in [*_symmetric_test_matrices(20261019, 96, range(9, 17)),
+              *_symmetric_test_matrices(20261020, 1, [40])]:
+        expected = _numpy_rotation_jacobi(S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sym_eigenvalues(S).tobytes() == expected.tobytes(), S
+        sizes.add(S.shape[0])
+    assert sizes == {*range(9, 17), 40}
+
+
+def test_sym_eigenvalues_of_an_empty_matrix_is_an_empty_vector():
+    empty = np.zeros((0, 0))
+    assert sym_eigenvalues(empty).shape == np.linalg.eigvalsh(empty).shape == (0,)
+    assert sym_eigenvalues([[-0.0]]).tobytes() == np.array([-0.0]).tobytes()
+
+
+def test_jacobi_sweep_is_compiled_once_per_size_and_not_at_import(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(linear, "compile", lambda *args: compiled.append(args[1]) or compile(*args),
+                        raising=False)
+    linear._jacobi_sweep.cache_clear()
+    rng = np.random.default_rng(5)
+    for n in (5, 6, 5, 6, 5):
+        S = rng.normal(size=(n, n))
+        sym_eigenvalues(S + S.T)
+    assert compiled == ["<Jacobi sweep on 5 x 5>", "<Jacobi sweep on 6 x 6>"]
+    # the CLI's import (the benchmark's setup time) generates no sweep
+    src = os.path.dirname(os.path.dirname(linear.__file__))
+    probe = "import nishape.cli, nishape.linear as l; print(l._jacobi_sweep.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
