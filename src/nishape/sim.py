@@ -192,19 +192,19 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-@functools.lru_cache(maxsize=64)  # one loop per shape, input kind, monitoring and sources
-def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f, h, w):
+@functools.lru_cache(maxsize=64)  # one loop per shape, input kind and the sources of f and h
+def _rk4_loop(n: int, p: int, forced: bool, f, h):
     """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
-    ``loop(f, h, w, value, x, v, k, stop, final, step, rows)`` appends knots
+    ``loop(f, h, value, x, v, k, stop, final, step, rows)`` appends knots
     ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
-    the state, the input, ``h(x)``, ``w(x)`` when ``monitored``, and the first
-    stage.  It returns ``(x, None)``, or ``(x, stages)`` after the first step
-    whose new state is not finite.  The float forms ``f``, ``h`` and ``w`` are
-    called, or spliced where this function is given their source (``f`` into
-    every stage).  Each value is unpacked into locals and a knot is written only
-    once all of it is computed, so one of the wrong length raises ``ValueError``
-    before a row shifts, and a knot that raises leaves ``x``, ``v`` and ``k``
-    holding it, where ``_guarded``'s at-infinity copy resumes."""
+    the state, the input, ``h(x)`` and the first stage.  It returns ``(x, None)``,
+    or ``(x, stages)`` after the first step whose new state is not finite.  The
+    float forms ``f`` and ``h`` are called, or spliced where this function is
+    given their source (``f`` into every stage).  Each value is unpacked into
+    locals and a knot is written only once all of it is computed, so one of the
+    wrong length raises ``ValueError`` before a row shifts, and a knot that
+    raises leaves ``x``, ``v`` and ``k`` holding it, where ``_guarded``'s
+    at-infinity copy resumes.  Every call records at least one knot."""
     xs, ys = _names("x", n), _names("y", p)
 
     def assigned(names, texts):
@@ -215,16 +215,11 @@ def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f, h, w):
                              [x, _names(v, p)], stage, n)
         return lines + assigned(_names(stage, n), rates)
 
-    def knot():  # the knot's output, monitored value and first stage, then its record
+    def knot():  # the knot's output and first stage, then its record
         h_lines, outputs = _part(h, "h(x)", [xs], "y", p)
-        lines = [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs)]
-        if monitored:
-            w_lines, value = _part(w, "w(x)", [xs], "w")
-            lines += [*w_lines, f"w_x = {value}"]
-        return lines + rate("a", xs, "v")
+        return [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs), *rate("a", xs, "v")]
 
-    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}",
-              *(["ws.append(w_x)"] if monitored else []), f"ds += {_argument(_names('a', n))}"]
+    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}", f"ds += {_argument(_names('a', n))}"]
     inputs = ("v", "v_half", "v_full") if forced else ("v",)
     unpack = [f"{', '.join(_names(v, p))}, = {v}" for v in inputs] if f is not None else []
     v_half, v_full = inputs[1:] if forced else ("v", "v")
@@ -245,9 +240,9 @@ def _rk4_loop(n: int, p: int, forced: bool, monitored: bool, f, h, w):
                  *knot(), *record]
     loop = (["for k in range(k, stop):", *("    " + line for line in body), "if final:",
              *("    " + line for line in last_knot), f"return {_argument(xs)}, None"])
-    head = ["xs, vs, ys, ws, ds = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
+    head = ["xs, vs, ys, ds = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
             f"{', '.join(xs)}, = x", *(unpack if not forced else [])]
-    return _guarded("def loop(f, h, w, value, x, v, k, stop, final, step, rows):\n"
+    return _guarded("def loop(f, h, value, x, v, k, stop, final, step, rows):\n"
                     + "".join(f"    {line}\n" for line in head + loop),
                     f"<RK4 loop on {n} states, {p} channels>")
 
@@ -256,26 +251,27 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
              monitor: Optional[ScalarField] = None) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
-    The step loop runs on the float forms of the system and the monitor
+    The step loop runs on the float forms ``f`` and ``h`` of the system
     (sequences of Python floats), in numpy's operation order, so a run is
-    bitwise the run of the same loop on numpy vectors.  It is straight-line
-    code on locals, generated once per state and channel count, input kind,
-    monitoring and the sources of ``f``, ``h`` and the monitor's value, and
-    cached in the module: a float form with a source is spliced into it (``f``
-    into all four stages, so a stage makes no call), one without is called with
-    each state as a tuple.  A knot where ``sin`` or ``cos`` raise at an infinity
-    runs again, and the loop goes on, with numpy's ``nan`` there.  RK4 holds the
-    input at its stage-time values (a square wave is evaluated at t, t + step/2
-    and t + step, and the value at t + step serves the next knot when that
-    knot's time equals it bitwise; a zero or constant input is evaluated once).
-    ``monitor`` is sampled at the knots into the storage channel.  A non-finite
-    stage derivative or state truncates the trajectory and attaches a
-    diagnostic instead of propagating NaNs; one exact finiteness test on the
-    new state per step detects both.  Each knot's derivative ``f(x, v)`` is
+    bitwise the run of the same loop on numpy vectors.  It is straight-line code
+    on locals, generated once per state and channel count, input kind and the
+    sources of ``f`` and ``h``, and cached in the module: a float form with a
+    source is spliced into it (``f`` into all four stages, so a stage makes no
+    call), one without is called with each state as a tuple.  A knot where
+    ``sin`` or ``cos`` raise at an infinity runs again, and the loop goes on,
+    with numpy's ``nan`` there.  RK4 holds the input at its stage-time values (a
+    square wave is evaluated at t, t + step/2 and t + step, and the value at t +
+    step serves the next knot when that knot's time equals it bitwise; a zero or
+    constant input is evaluated once).  ``monitor`` is sampled at the knots into
+    the storage channel, on the columns of each written chunk
+    (:meth:`ScalarField.values`, bit for bit its value at each knot).  A
+    non-finite stage derivative or state truncates the trajectory and attaches a
+    diagnostic instead of propagating NaNs; one exact finiteness test on the new
+    state per step detects both.  Each knot's derivative ``f(x, v)`` is
     recorded: the first stage of its step, or one more call at the final knot.
     An ``h`` or ``f`` value of the wrong length raises ``ValueError``.  Knots
     are written into the record every ``_CHUNK`` steps, so no whole-run list of
-    Python floats is built.
+    Python floats or temporary of the monitor is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -293,25 +289,26 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
     derivatives = np.empty((n_steps + 1, sys.n_states))
-    arrays = (states, inputs, outputs, storage, derivatives)
-    rows = ([], [], [], [], [])  # the entries of the knots not yet written, flat
+    arrays = (states, inputs, outputs, derivatives)
+    rows = ([], [], [], [])  # the entries of the knots not yet written, flat
 
     def flush(start):  # writes the buffered knots from ``start``, returns the next knot
         end = start + len(rows[0]) // sys.n_states
         for arr, buf in zip(arrays, rows):
-            if buf:
-                arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, *arr.shape[1:])
-                buf.clear()
+            arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, *arr.shape[1:])
+            buf.clear()
+        if storage is not None:  # the chunk's states on columns: no whole-run temporary
+            storage[start:end] = monitor.values(states[start:end])
         return end
 
-    f, w = sys.f_floats, None if monitor is None else monitor.value_floats
-    loop = _rk4_loop(sys.n_states, sys.n_io, signal.kind == "square_wave", w is not None,
-                     *(getattr(form, "source", None) for form in (f, sys.h_floats, w)))
+    f = sys.f_floats
+    loop = _rk4_loop(sys.n_states, sys.n_io, signal.kind == "square_wave",
+                     *(getattr(form, "source", None) for form in (f, sys.h_floats)))
     x, v = tuple(x0.tolist()), signal._floats(0.0)  # v is held for a zero or constant input
     k, stages = 0, None
     while stages is None and k <= n_steps:
         stop = min(k + _CHUNK, n_steps)
-        x, stages = loop(f, sys.h_floats, w, signal._floats, x, v, k, stop, stop == n_steps,
+        x, stages = loop(f, sys.h_floats, signal._floats, x, v, k, stop, stop == n_steps,
                          step, rows)
         k = flush(k)
     diagnostic = None
@@ -323,7 +320,7 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             diagnostic = f"non-finite stage derivative at t = {t:.6g}"
 
     if k == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
-        for arr in (times, *arrays):
+        for arr in (times, storage, *arrays):
             if arr is not None:
                 arr.setflags(write=False)
     return Trajectory(times=times[:k], states=states[:k], inputs=inputs[:k], outputs=outputs[:k],

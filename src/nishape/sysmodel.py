@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import math
 import textwrap
 from collections import Counter
@@ -181,29 +182,31 @@ def _guarded(text: str, label: str):
     return namespace[name]
 
 
-def _mapped(scalar):
-    """``scalar`` on a float, and on each entry of a numpy array."""
-    return lambda z: (np.fromiter(map(scalar, z.ravel().tolist()), float, z.size).reshape(z.shape)
-                      if isinstance(z, np.ndarray) else scalar(z))
+def _mapped(scalar, *rest):
+    """``scalar(z, *rest)`` on a float, and on each entry of a numpy array."""
+    return lambda z: (np.fromiter(map(scalar, z.ravel().tolist(), *map(itertools.repeat, rest)),
+                                  float, z.size).reshape(z.shape)
+                      if isinstance(z, np.ndarray) else scalar(z, *rest))
 
 
-def _mapped_trig(trig):
-    """``_mapped(trig)``, run once more with nan at inf where ``trig`` raises there."""
-    mapped, at_infinity = _mapped(trig), _mapped(_nan_at_inf(trig))
-
+def _retried(mapped, error, again):
+    """``mapped``, run once more as ``again`` where it raises ``error``."""
     def run(z):
         try:
             return mapped(z)
-        except ValueError:
-            return at_infinity(z)
+        except error:
+            return again(z)
     return run
 
 
-# ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf),
-# numpy's sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python does
+# ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf,
+# sq as pow(z, 2.0) with _sq's inf where it overflows), numpy's sqrt (rounded once, as
+# math.sqrt), and a divisor that raises at 0 as Python does
 _COLUMNS = MappingProxyType({
-    **{name: (_mapped_trig if name in ("sin", "cos") else _mapped)(fn) if callable(fn) else fn
-       for name, fn in ELEMENTARY.items()}, "abs": abs,
+    **{name: _mapped(fn) if callable(fn) else fn for name, fn in ELEMENTARY.items()},
+    **{trig: _retried(_mapped(ELEMENTARY[trig]), ValueError,
+                      _mapped(_nan_at_inf(ELEMENTARY[trig]))) for trig in ("sin", "cos")},
+    "sq": _retried(_mapped(pow, 2.0), OverflowError, _mapped(_sq)), "abs": abs,
     "sqrt": lambda z: np.sqrt(z) if isinstance(z, np.ndarray) else math.sqrt(z),
     "_divisor": lambda z: z if np.all(z != 0.0) else 1.0 / 0.0})
 _COLUMN_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,

@@ -612,24 +612,24 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     assert got.inputs[k_between, 0] == between._floats(k_between * 7e-4)[0]
     assert got.inputs[k_between, 0] != between._floats((k_between - 1) * 7e-4 + 7e-4)[0]
     # the ring runs built one loop per shape and input kind; a second run reuses that object
-    shape = (16, 1, False, False, None, None, None)  # no part of a ring has a source
+    shape = (16, 1, False, None, None)  # no part of a ring has a source
     loop, built = sim._rk4_loop(*shape), sim._rk4_loop.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
     assert sim._rk4_loop.cache_info().misses == built
     assert sim._rk4_loop(*shape) is loop
 
 
+def _canonical_bits(values):
+    """Float values as bit patterns, every NaN made one (see ``_bits`` in test_sysmodel.py)."""
+    a = np.array(values, dtype=float)
+    a[np.isnan(a)] = math.nan
+    return a.view(np.uint64).tolist()
+
+
 def _run_bits(traj):
-    """Every array of a run as bit patterns, every NaN made one (see ``_bits`` in
-    test_sysmodel.py), and its diagnostic."""
-    arrays = [getattr(traj, label) for label in ("times", "states", "inputs", "outputs",
-                                                  "storage", "derivatives")]
-    bits = []
-    for a in arrays:
-        a = np.array(a, dtype=float)
-        a[np.isnan(a)] = math.nan
-        bits.append(a.view(np.uint64).tolist())
-    return bits, traj.diagnostic
+    """Every array of a run as bit patterns (``_canonical_bits``), and its diagnostic."""
+    return [_canonical_bits(getattr(traj, label)) for label in (
+        "times", "states", "inputs", "outputs", "storage", "derivatives")], traj.diagnostic
 
 
 @pytest.mark.parametrize("name", ["pendulum-sync", "pendulum-stabilize"])
@@ -655,6 +655,46 @@ def test_fused_runs_are_the_composed_runs_bitwise(name):
                 diagnostics.add(got.diagnostic and got.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}
+
+
+@pytest.mark.parametrize("name", ["linear-a", "linear-b", "pendulum-stabilize", "pendulum-sync"])
+def test_storage_is_the_monitor_at_each_knot_bitwise(name):
+    sc = get_scenario(name)
+    plant, V, nl, W = scenarios._build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    cfg = IntegratorConfig(step=sc.config.step, t_end=1.5)
+    assert cfg.n_steps > _CHUNK  # the storage of more than one written chunk
+    starts = [sc.x0] + ([(1e308, -1e308, 1e308, -1e308)] if plant.n_states == 4 else [])
+    for x0 in starts:
+        for sys, signal, monitor in ((plant, sc.signal, V), (closed, sc.signal, W),
+                                     (closed, InputSignal.zero(plant.n_io), W)):
+            with np.errstate(all="ignore"):
+                traj = simulate(sys, x0, signal, cfg, monitor=monitor)
+                want = [monitor.value_floats(x) for x in traj.states.tolist()]
+            assert _canonical_bits(traj.storage) == _canonical_bits(want), (sys.name, x0)
+            if x0 == sc.x0:
+                assert traj.n_samples == cfg.n_steps + 1, sys.name
+            else:  # one knot, whose W reads inf through sq's retry at an overflow
+                assert traj.n_samples == 1 and traj.diagnostic is not None
+                if monitor is W:
+                    assert traj.storage.tolist() == [math.inf]
+
+
+def test_a_monitor_adds_no_loop_and_is_called_once_per_knot():
+    plant, V, nl, W = scenarios._build_parts(get_scenario("pendulum-sync"))
+    closed = make_closed_loop(plant, nl)
+    cfg = IntegratorConfig(step=1e-3, t_end=1.5)
+    sim._rk4_loop.cache_clear()
+    for monitor in (W, None):
+        simulate(closed, (0.5, -0.5, 0.0, 0.0), get_scenario("pendulum-sync").signal, cfg,
+                 monitor=monitor)
+    assert sim._rk4_loop.cache_info().misses == 1  # one loop, monitored or not
+    calls = []
+    counted = ScalarField.from_floats(4, lambda x: calls.append(list(x)) or 0.0)
+    calls.clear()  # the field's check at the origin
+    traj = simulate(plant, (0.5, -0.5, 0.0, 0.0), InputSignal.zero(2), cfg, monitor=counted)
+    assert len(calls) == traj.n_samples == cfg.n_steps + 1
+    assert calls == traj.states.tolist()
 
 
 def _spliced_and_sourceless(f_source):
