@@ -324,7 +324,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     note = ""
     if grad_norms[i_min] < 1e-3 * float(np.median(grad_norms)):
         note = "small margin: sampled gradient decays fast toward the origin"
-    verdict = "fail" if (critical is not None or grad_norms[i_min] <= floor) else "pass"
+    verdict = "pass" if critical is None and grad_norms[i_min] > floor else "fail"
     return Check(verdict, grad_norms[i_min], points[i_min] if critical is None else critical,
                  points.shape[0], {"note": note, **stats})
 

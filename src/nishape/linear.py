@@ -348,27 +348,26 @@ def _unit_scaled(block) -> np.ndarray:
     return np.ldexp(block, -math.frexp(float(np.max(np.abs(block), initial=0.0)))[1])
 
 
-def _rank(M) -> int:
-    """Singular values above 1e-9 times the largest."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > 1e-9 * s.max(initial=0.0)))
-
-
 def check_minimal(sys: LinearSystem) -> Check:
-    """Rank tests on the controllability and observability matrices.  A and each
-    Krylov block are scaled by powers of two, so no power of A overflows and the
-    ranks do not change under ``A -> cA``.  The witness is the two ranks,
-    controllability first, and the worst value the smaller of them."""
-    n, A = sys.n, _unit_scaled(sys.A)
-    ctrb_blocks = [_unit_scaled(sys.B)]
-    obsv_blocks = [_unit_scaled(sys.C)]
-    for _ in range(n - 1):
-        ctrb_blocks.append(_unit_scaled(A @ ctrb_blocks[-1]))
-        obsv_blocks.append(_unit_scaled(obsv_blocks[-1] @ A))
-    rank_c = _rank(np.hstack(ctrb_blocks))
-    rank_o = _rank(np.vstack(obsv_blocks))
-    verdict = "pass" if (rank_c == n and rank_o == n) else "fail"
-    return Check(verdict, min(rank_c, rank_o), (rank_c, rank_o))
+    """Controllable and observable dimensions by one orthogonal staircase, on (A, B)
+    and, by duality, on (A^T, C^T).  A step counts the r singular values above 1e-9
+    of the current B, whose SVD gives U; in U^T A U the rows past r give the next B
+    (first r columns) and A (the rest), until B is empty: r is 0 or no row is left.
+    A, B and C are scaled once, each by the power of two that puts its largest
+    entry in [0.5, 1), so no block overflows, no power of A is formed and the ranks
+    do not change under ``A -> cA``.  The witness is the two dimensions (the sums
+    of the ranks), controllability first; the worst value the smaller."""
+    dims = []
+    for A, B in ((sys.A, sys.B), (sys.A.T, sys.C.T)):
+        A, B, dim = _unit_scaled(A), _unit_scaled(B), 0
+        while B.size:
+            U, s, _ = np.linalg.svd(B)
+            r = int(np.count_nonzero(s > 1e-9))
+            T = U.T @ A @ U
+            dim, A, B = dim + r, T[r:, r:], T[r:, :r]
+        dims.append(dim)
+    verdict = "pass" if dims == [sys.n, sys.n] else "fail"
+    return Check(verdict, min(dims), tuple(dims))
 
 
 def to_nonlinear(sys: LinearSystem) -> NonlinearSystem:

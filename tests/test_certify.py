@@ -721,6 +721,22 @@ def test_box_checks_on_an_empty_sample_set():
     assert report.verdict == "pass" and report.n_samples == 24
 
 
+def test_box_checks_fail_a_model_that_is_nan_on_part_of_the_box():
+    # a NaN sampled minimum fails every comparison with its floor, so each verdict
+    # must be written as "pass only if the minimum clears the floor"
+    nan = math.nan
+    field = ScalarField.from_floats(
+        2, lambda x: x[0] * x[0] + x[1] * x[1] if x[0] <= 0.5 else nan,
+        lambda x: [2.0 * x[0], 2.0 * x[1]] if x[0] <= 0.5 else [nan, nan])
+    system = NonlinearSystem.from_floats(
+        2, 1, lambda x, u: [-x[0] + u[0], -x[1]] if x[0] <= 0.5 else [nan, nan],
+        lambda x: [x[0]])
+    box = [(-1.0, 1.0)] * 2
+    for report in (check_positive_definite(field, box), check_gradient_nonvanishing(field, box),
+                   check_equilibrium_uniqueness(system, box)):
+        assert report.verdict == "fail" and math.isnan(report.worst_value), report
+
+
 def _positive_definite_per_point(field, box, n_samples, seed):
     """check_positive_definite's sampled minimum through ``field.value`` per point."""
     box = np.asarray(box, dtype=float)

@@ -155,6 +155,24 @@ def test_minimality_verdict_does_not_depend_on_the_scale_of_A(tmp_path, capsys):
         assert captured.err == "", label
 
 
+def test_twelve_state_certificate_is_minimal_and_its_schur_margins_keep_their_bits(
+        tmp_path, capsys):
+    # A = -diag(1..12), B = (1..12)^T, C = 1^T: distinct eigenvalues and no zero entry
+    # in B or C, so minimal; the Schur dual I - 0.05 * ones is a 12 x 12 Jacobi run
+    n = 12
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps({"A": (-np.diag(np.arange(1.0, n + 1))).tolist(),
+                                "B": [[float(i + 1)] for i in range(n)], "C": [[1.0] * n],
+                                "Y": np.eye(n).tolist(), "mu": [0.05]}))
+    assert main(["certify-linear", str(path)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "minimal-realization: pass  worst=12  witness=(12, 12)" in lines
+    assert ("schur-complement agreement: pass  worst=0.40000000000000008  "
+            "witness=(8, 0.40000000000000008)") in lines
+    assert lines[-1] == "overall: pass" and captured.err == ""
+
+
 def test_certify_linear_never_raises_on_fuzzed_certificates(tmp_path_factory):
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st

@@ -566,8 +566,9 @@ def _integer_system(rng):
 
 
 def test_check_minimal_ranks_match_exact_rational_ranks_at_every_scale():
-    # Scaling A by 2^k scales the j-th Krylov block by 2^(jk), which leaves the
-    # exact rank alone; the blocks of 2^(-400) A or 2^400 A differ in size by
+    # The Krylov matrices here are the exact-rational oracle; check_minimal forms no
+    # power of A.  Scaling A by 2^k scales the j-th Krylov block by 2^(jk), which leaves
+    # the exact rank alone; the blocks of 2^(-400) A or 2^400 A differ in size by
     # up to 2^1200, far beyond a relative pivot threshold.
     rng = np.random.default_rng(20260)
     seen = set()
@@ -595,6 +596,64 @@ def test_check_minimal_does_not_depend_on_the_time_unit_of_A():
     A = 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]])
     report = check_minimal(LinearSystem(A, [[3.0], [3.0]], [[1.0, 0.0]]))
     assert report.witness == (2, 2)
+
+
+def test_check_minimal_passes_distinct_diagonal_systems_past_eight_states():
+    # A = -diag(1..n), B = (1..n)^T, C = 1^T: distinct eigenvalues and no zero entry in
+    # B or C.  Krylov matrices square the conditioning here and read 11/11 at n = 12
+    for n in (*range(9, 17), 20, 40):
+        A = -np.diag(np.arange(1.0, n + 1))
+        report = check_minimal(LinearSystem(A, np.arange(1.0, n + 1)[:, None], np.ones((1, n))))
+        assert (report.verdict, report.witness) == ("pass", (n, n)), n
+
+
+def test_check_minimal_reads_the_exact_dimensions_of_hidden_modes():
+    # a repeated eigenvalue with one input and one output hides one mode from each
+    ones = np.ones((4, 1))
+    report = check_minimal(LinearSystem(-np.diag([1.0, 2.0, 2.0, 3.0]), ones, ones.T))
+    assert (report.verdict, report.worst_value, report.witness) == ("fail", 3, (3, 3))
+    # three states that no output sees, rotated out of the coordinate axes
+    n = 10
+    Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, n)))
+    C = np.hstack([np.ones((1, 7)), np.zeros((1, 3))])
+    report = check_minimal(LinearSystem(Q @ -np.diag(np.arange(1.0, n + 1)) @ Q.T,
+                                        Q @ np.arange(1.0, n + 1)[:, None], C @ Q.T))
+    assert (report.verdict, report.worst_value, report.witness) == ("fail", 7, (10, 7))
+
+
+def _pbh_minimal(A, B, C) -> bool:
+    """The PBH test: at every eigenvalue lambda of A, [A - lambda I, B] and
+    [A^T - lambda I, C^T] have their smallest singular value above 1e-9 of the largest."""
+    n = A.shape[0]
+    for lam in np.linalg.eigvals(A):
+        for M, N in ((A, B), (A.T, C.T)):
+            s = np.linalg.svd(np.hstack([M - lam * np.eye(n), N]), compute_uv=False)
+            if not s[-1] > 1e-9 * s[0]:
+                return False
+    return True
+
+
+def test_check_minimal_agrees_with_the_pbh_test_on_rotated_systems():
+    # Gaussian systems at n = 9..16, minimal or with k modes hidden in a block
+    # triangle, then rotated by a random orthogonal similarity
+    rng = np.random.default_rng(20261)
+    for n in range(9, 17):
+        for kind in ("minimal", "uncontrollable", "unobservable"):
+            p, k = int(rng.integers(1, 4)), int(rng.integers(1, n - 1))
+            A, B, C = rng.normal(size=(n, n)), rng.normal(size=(n, p)), rng.normal(size=(p, n))
+            if kind == "uncontrollable":  # x2' = A22 x2: no input reaches the last k states
+                A[n - k:, :n - k] = 0.0
+                B[n - k:] = 0.0
+            elif kind == "unobservable":  # the last k states reach neither x1 nor y
+                A[:n - k, n - k:] = 0.0
+                C[:, n - k:] = 0.0
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A, B, C = Q @ A @ Q.T, Q @ B, C @ Q.T
+            report = check_minimal(LinearSystem(A, B, C))
+            expected = {"minimal": (n, n), "uncontrollable": (n - k, n),
+                        "unobservable": (n, n - k)}[kind]
+            assert report.witness == expected, (n, kind)
+            assert (report.verdict == "pass") == _pbh_minimal(A, B, C) == (kind == "minimal")
 
 
 # ---------------------------------------------------------------------------
