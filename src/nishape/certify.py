@@ -22,7 +22,7 @@ import numpy as np
 from .linear import sym_eigenvalues
 from .sim import _CHUNK, Trajectory
 from .sysmodel import (Check, NonlinearSystem, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, central_jacobian,
+                       HamiltonianSystem, TAU_PD, TAU_ZERO, _row_dots, central_jacobian,
                        make_shaped_storage)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
@@ -40,6 +40,8 @@ def _as_box(box, dim: Optional[int] = None) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError(f"box must be a (dim, 2) array of bounds, got shape {box.shape}")
+    if not all(math.isfinite(hi - lo) for lo, hi in box.tolist()):  # Python floats: no warning
+        raise ValueError(f"box bounds and widths must be finite, got {box.tolist()}")
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError("degenerate box: every lower bound must be below its upper bound")
     if dim is not None and box.shape[0] != dim:
@@ -125,17 +127,28 @@ def _newton_polish(func, x, tol, stats):
     return x, converged
 
 
-def _polished_root(func, points, norms, tol, accept):
-    """Newton-polish the N_POLISH samples of smallest ``norms`` toward a root of the
-    float form ``func``: the first converged root that ``accept`` admits (or None), and
-    the counters ``polishes``, ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``)
-    and ``converged``."""
-    stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
-    for idx in np.argsort(norms)[:N_POLISH]:
-        x, ok = _newton_polish(func, points[idx].tolist(), tol, stats)
-        if ok and accept(x):
-            return x, dict(stats)
-    return None, dict(stats)
+def _box_minimum(measure, box, n_samples, seed, r_min, extra=(), root=None):
+    """The one search under the box checks: the Halton points of ``box`` and the rows of
+    ``extra``, those with ``|x| > r_min`` kept, and ``measure`` on them in one call.  Returns
+    ``(points, values, i_min, found, stats)``, or None when no point is left; ``i_min`` is
+    ``np.argmin``'s, so the first NaN value where there is one.  With ``root = (func, rel_tol,
+    accept)``, the N_POLISH points of smallest value are Newton-polished toward a root of the
+    float form ``func`` to the tolerance ``rel_tol * (1 + max(values))``: ``found`` is the first
+    converged root that ``accept`` admits (else None) and ``stats`` counts ``polishes``,
+    ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``) and ``converged``."""
+    points = np.vstack([halton_box_samples(box, n_samples, seed), *extra])
+    points = points[np.linalg.norm(points, axis=1) > r_min]
+    if not len(points):
+        return None
+    values, found, stats = measure(points), None, {}
+    if root is not None:
+        func, rel_tol, accept = root
+        tol = rel_tol * (1.0 + float(np.max(values)))
+        stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
+        polished = (_newton_polish(func, points[i].tolist(), tol, stats)
+                    for i in np.argsort(values)[:N_POLISH])  # lazily: stops at the first found
+        found = next((x for x, ok in polished if ok and accept(x)), None)
+    return points, values, int(np.argmin(values)), found, dict(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +204,6 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
     return RateTable(traj, vdot, supply, ydot_sq, f_sq)
 
 
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A[k] @ B[k]`` for every row k, by numpy's 1-D ``@`` kernel."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def dissipation_from_rates(rates: RateTable, epsilon: float) -> Check:
     """Residuals ``r = Vdot - u . ydot + epsilon |ydot|^2`` at every knot.
 
@@ -243,22 +251,16 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
 
     With an analytic gradient: central differences of the gradient at step
     1e-6.  Without: second differences of the value at the wider step 1e-4
-    (truncation/round-off balance for second differences).
+    (truncation/round-off balance), in one ``field.values`` call on ``+-h e_i +-h e_j``, i <= j.
     """
     n = field.dim
     if field.has_analytic_gradient:
         H = central_jacobian(field.gradient_floats, [0.0] * n, n, 1e-6)
     else:
-        H = np.empty((n, n))
-        h = 1e-4
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                H[i, j] = H[j, i] = (field.value(ei + ej) - field.value(ei - ej)
-                                     - field.value(ej - ei) + field.value(-ei - ej)) / (4.0 * h * h)
+        H, h, (I, J) = np.empty((n, n)), 1e-4, np.triu_indices(n)
+        ei, ej = h * np.eye(n)[I], h * np.eye(n)[J]  # h e_i, h e_j for every i <= j
+        a, b, c, d = np.split(field.values(np.vstack([ei + ej, ei - ej, ej - ei, -ei - ej])), 4)
+        H[I, J] = H[J, I] = (a - b - c + d) / (4.0 * h * h)
     return 0.5 * (H + H.T)
 
 
@@ -276,10 +278,10 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
     box = _as_box(box, field.dim)
     if not np.all((box[:, 0] < 0.0) & (box[:, 1] > 0.0)):
         raise ValueError("box must contain the origin strictly")
-    points = np.vstack([halton_box_samples(box, n_samples, seed), _origin_shell(box)])
-    points = points[np.linalg.norm(points, axis=1) > 0.0]
-    values = field.values(points)
-    i_min = int(np.argmin(values))
+    search = _box_minimum(field.values, box, n_samples, seed, 0.0, extra=[_origin_shell(box)])
+    if search is None:
+        return Check("nothing to check", 0.0)
+    points, values, i_min, _, _ = search
     eigs = sym_eigenvalues(_origin_hessian(field))
     ok = values[i_min] > 0.0 and eigs[0] > TAU_PD
     caveat = ("box-local certificate: values sampled on the given box and the "
@@ -297,33 +299,28 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     """Sampled minimum of ``|grad W|`` over nonzero points of the box.
 
     The scale-aware pass floor is TAU_PD times the smallest sampled ``|x|``.
-    Sampling alone cannot see an interior critical point, so a damped-Newton
-    polish on the gradient runs from the worst samples; a polished critical
-    point away from the origin (and inside the box) fails the check with
-    that witness; otherwise the witness is the sampled minimizer.  The worst
-    value is the sampled minimum; ``detail`` holds the polish counters and a
-    ``note`` that warns of a small margin (empty when there is none).  An empty
-    sample set (``n_samples=0``) reports "nothing to check".
+    Sampling alone cannot see an interior critical point, so ``_box_minimum``
+    polishes the gradient from the worst samples; a critical point away from
+    the origin (and inside the box, with 5% slack) fails the check with that
+    witness; otherwise the witness is the sampled minimizer.  The worst value
+    is the sampled minimum; ``detail`` holds the polish counters and a ``note``
+    that warns of a small margin (empty when there is none).  An empty sample
+    set (``n_samples=0``) reports "nothing to check".
     """
     box = _as_box(box, field.dim)
-    points = halton_box_samples(box, n_samples, seed)
-    points = points[np.linalg.norm(points, axis=1) > 0.0]
-    if not len(points):
-        return Check("nothing to check", 0.0)
-    grad_norms = np.linalg.norm(field.gradients(points), axis=1)
-    i_min = int(np.argmin(grad_norms))
-    floor = TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     slack = 0.05 * (box[:, 1] - box[:, 0])
-    tol_root = 1e-10 * (1.0 + float(np.max(grad_norms)))
-    critical, stats = _polished_root(
-        field.gradient_floats, points, grad_norms, tol_root,
-        lambda x: (float(np.linalg.norm(x)) > r_excl
-                   and np.all((box[:, 0] - slack <= x) & (x <= box[:, 1] + slack))))
-
-    note = ""
-    if grad_norms[i_min] < 1e-3 * float(np.median(grad_norms)):
-        note = "small margin: sampled gradient decays fast toward the origin"
+    search = _box_minimum(
+        lambda points: np.linalg.norm(field.gradients(points), axis=1), box, n_samples, seed,
+        0.0, root=(field.gradient_floats, 1e-10, lambda x: (
+            float(np.linalg.norm(x)) > r_excl
+            and np.all((box[:, 0] - slack <= x) & (x <= box[:, 1] + slack)))))
+    if search is None:
+        return Check("nothing to check", 0.0)
+    points, grad_norms, i_min, critical, stats = search
+    floor = TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
+    small = grad_norms[i_min] < 1e-3 * float(np.median(grad_norms))
+    note = "small margin: sampled gradient decays fast toward the origin" if small else ""
     verdict = "pass" if critical is None and grad_norms[i_min] > floor else "fail"
     return Check(verdict, grad_norms[i_min], points[i_min] if critical is None else critical,
                  points.shape[0], {"note": note, **stats})
@@ -338,31 +335,28 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     """Hunt for nonzero equilibria of the autonomous closed loop.
 
     Sampled minimum of ``|f(x, 0)|`` outside an exclusion ball at the origin,
-    followed by a damped-Newton root polish (finite-difference Jacobian) from
-    the worst samples.  Any converged nonzero root is a counterexample and
-    the witness; otherwise the witness is the sampled minimizer.  The worst
-    value is the sampled minimum; ``detail`` holds the polish counters.  An empty
-    sample set (``n_samples=0``) reports "nothing to check".
+    from which ``_box_minimum`` polishes toward a root of ``f(x, 0)``.  Any
+    converged root outside the ball is a counterexample and the witness;
+    otherwise the witness is the sampled minimizer.  The worst value is the
+    sampled minimum; ``detail`` holds the polish counters.  An empty sample set
+    (``n_samples=0``) reports "nothing to check".
     """
     box = _as_box(box, sys_cl.n_states)
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
-    points = halton_box_samples(box, n_samples, seed)
-    points = points[np.linalg.norm(points, axis=1) > r_excl]
-    if not len(points):
-        return Check("nothing to check", 0.0)
     u0 = [0.0] * sys_cl.n_io
-    fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
-    norms = np.sqrt(_row_dots(fxs, fxs))  # each row's np.linalg.norm
-    i_min = int(np.argmin(norms))
-    scale = 1.0 + float(np.max(norms))
-    tol_root = 1e-9 * scale
 
-    root, stats = _polished_root(lambda x: sys_cl.f_floats(x, u0), points, norms, tol_root,
-                                 lambda x: float(np.linalg.norm(x)) > r_excl)
+    def residual_norms(points):  # each row's np.linalg.norm
+        fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
+        return np.sqrt(_row_dots(fxs, fxs))
 
-    verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
-    return Check(verdict, norms[i_min], points[i_min] if root is None else root, points.shape[0],
-                 stats)
+    search = _box_minimum(residual_norms, box, n_samples, seed, r_excl, root=(
+        lambda x: sys_cl.f_floats(x, u0), 1e-9, lambda x: float(np.linalg.norm(x)) > r_excl))
+    if search is None:
+        return Check("nothing to check", 0.0)
+    points, norms, i_min, root, stats = search
+    ok = root is None and norms[i_min] > TAU_ZERO * (1.0 + float(np.max(norms)))
+    return Check("pass" if ok else "fail", norms[i_min], points[i_min] if root is None else root,
+                 points.shape[0], stats)
 
 
 # ---------------------------------------------------------------------------

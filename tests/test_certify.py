@@ -719,6 +719,10 @@ def test_box_checks_on_an_empty_sample_set():
     # the definiteness check still samples its origin shell: 2 n axis points, 2^n corners
     report = check_positive_definite(V, sc.box, n_samples=0)
     assert report.verdict == "pass" and report.n_samples == 24
+    # on a box of the smallest subnormal, the shell's radius underflows to 0: no point is left
+    field = ScalarField.from_floats(1, lambda x: x[0] * x[0], lambda x: [2.0 * x[0]])
+    report = check_positive_definite(field, [(-5e-324, 5e-324)], n_samples=0)
+    assert (report.verdict, report.n_samples) == ("nothing to check", 0)
 
 
 def test_box_checks_fail_a_model_that_is_nan_on_part_of_the_box():
@@ -735,6 +739,56 @@ def test_box_checks_fail_a_model_that_is_nan_on_part_of_the_box():
     for report in (check_positive_definite(field, box), check_gradient_nonvanishing(field, box),
                    check_equilibrium_uniqueness(system, box)):
         assert report.verdict == "fail" and math.isnan(report.worst_value), report
+
+
+def test_box_checks_reject_a_box_that_is_not_finite():
+    # a NaN bound passes the ordering test, an infinite one gives inf or NaN samples,
+    # and (-1e308, 1e308) has finite bounds but a width that overflows
+    field = ScalarField.from_floats(2, lambda x: x[0] * x[0] + x[1] * x[1],
+                                    lambda x: [2.0 * x[0], 2.0 * x[1]])
+    system = NonlinearSystem.from_floats(2, 1, lambda x, u: [-x[0] + u[0], -x[1]],
+                                         lambda x: [x[0]])
+    for bounds in ((math.nan, 1.0), (-8.0, math.inf), (-math.inf, math.inf), (-1e308, 1e308)):
+        box = [bounds, (-1.0, 1.0)]
+        for call in (lambda: halton_box_samples(box, 8, 0),
+                     lambda: check_positive_definite(field, box),
+                     lambda: check_gradient_nonvanishing(field, box),
+                     lambda: check_equilibrium_uniqueness(system, box)):
+            with pytest.raises(ValueError, match="finite") as info:
+                call()
+            assert repr([list(bounds), [-1.0, 1.0]]) in str(info.value)
+
+
+def _origin_hessian_per_pair(field):
+    """_origin_hessian's second differences one (i, j) at a time, through ``field.value``."""
+    n, h = field.dim, 1e-4
+    H = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            H[i, j] = H[j, i] = (field.value(ei + ej) - field.value(ei - ej)
+                                 - field.value(ej - ei) + field.value(-ei - ej)) / (4.0 * h * h)
+    return 0.5 * (H + H.T)
+
+
+def test_stacked_second_differences_match_the_per_pair_loop_bitwise():
+    fields = []
+    for name in ("pendulum-stabilize", "linear-a", "linear-b", "pendulum-sync"):
+        _, V, _, W = _build_parts(get_scenario(name))
+        fields += [ScalarField.from_floats(f.dim, f.value_floats) for f in (V, W)]  # float forms
+    fields.append(ScalarField(W.dim, lambda x: W.value(x)))  # a numpy callable
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 8):
+        Q = rng.normal(size=(n, n))
+        fields.append(ScalarField(n, lambda x, Q=Q, n=n: float(
+            x @ (Q @ Q.T) @ x + np.sum(np.sin(x) * x[::-1]) + np.sum(np.cos(x)) - n)))
+    for field in fields:
+        assert not field.has_analytic_gradient
+        expected = _origin_hessian_per_pair(field)
+        assert certify._origin_hessian(field).tobytes() == expected.tobytes()
 
 
 def _positive_definite_per_point(field, box, n_samples, seed):

@@ -772,3 +772,67 @@ def test_gradient_check_of_no_points_has_nothing_to_check():
         report = gradient_check(F, points)
         assert report.verdict == "nothing to check" and not report.passed
         assert (report.worst_value, report.witness, report.n_samples) == (0.0, (), 0)
+
+
+def _gradient_check_per_point(field, points):
+    """gradient_check as a loop over the points, each analytic gradient taken on its own."""
+    floor = sysmodel.TAU_GRAD_FLOOR / sysmodel.TAU_GRAD
+    worst, count = -1.0, 0
+    for pt in points:
+        pt = np.asarray(pt, dtype=float)
+        g_an = field.gradient(pt)
+        g_fd = sysmodel.central_gradient(field.value_floats, pt.tolist())
+        dev = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), floor))
+        count += 1
+        if not dev <= worst and not math.isnan(worst):  # the first NaN stays the worst
+            worst, worst_pt = dev, pt
+    return Check("pass" if worst <= sysmodel.TAU_GRAD else "fail", worst, worst_pt, count)
+
+
+def _check_bits(check):
+    return check.verdict, _bits(check.worst_value), _bits(check.witness), check.n_samples
+
+
+@pytest.mark.parametrize("name", ["linear-a", "linear-b", "pendulum-stabilize", "pendulum-sync"])
+def test_gradient_check_matches_the_per_point_loop_bitwise(name):
+    from nishape.scenarios import _build_parts
+    sc = get_scenario(name)
+    plant, V, nl, W = _build_parts(sc)
+    phi_as_grad_F = ScalarField.from_floats(nl.p, nl.potential.value_floats, nl.phi_floats)
+    box = np.asarray(sc.box, dtype=float)
+    for seed in range(8):
+        probes_x = nishape.halton_box_samples(box, 100, seed + 1)
+        probes_y = nishape.halton_box_samples(box[:nl.p], 100, seed)
+        for field, probes in ((V, probes_x), (W, probes_x), (phi_as_grad_F, probes_y),
+                              (nl.potential, probes_y)):
+            assert field.has_analytic_gradient
+            assert _check_bits(gradient_check(field, probes)) == _check_bits(
+                _gradient_check_per_point(field, probes))
+
+
+def test_gradient_check_takes_a_generator_of_points():
+    F = ScalarField(2, lambda y: math.cos(y[0] - y[1]) - 1.0,
+                    lambda y: np.array([math.sin(y[1] - y[0]), math.sin(y[0] - y[1])]))
+    points = np.random.default_rng(12).uniform(-3.0, 3.0, size=(30, 2))
+    report = gradient_check(F, (tuple(pt) for pt in points.tolist()))
+    assert _check_bits(report) == _check_bits(gradient_check(F, points))
+    assert report.n_samples == 30
+
+
+def test_gradient_check_names_the_shape_of_a_point_of_the_wrong_size():
+    F = ScalarField(2, lambda y: float(y @ y), lambda y: 2.0 * np.asarray(y, dtype=float))
+    with pytest.raises(ValueError, match=r"shape \(3,\), field dimension is 2"):
+        gradient_check(F, np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"shape \(1,\), field dimension is 2"):
+        gradient_check(F, [[1.0, 2.0], [3.0], [4.0, 5.0]])
+
+
+def test_gradient_check_without_analytic_gradient_reads_no_point():
+    F = ScalarField(2, lambda y: float(y @ y))
+
+    def points():
+        raise AssertionError("a probe point was read")
+        yield
+
+    report = gradient_check(F, points())
+    assert (report.verdict, report.n_samples) == ("nothing to check", 0)
