@@ -103,6 +103,8 @@ def _newton_polish(func, x, tol, stats):
             break
         J = central_jacobian(func, x, len(x))
         stats.update(newton_steps=1, model_calls=2 * len(x))
+        if not np.isfinite(J).all():  # no step to take: lstsq would raise
+            break
         try:
             d = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -127,23 +129,33 @@ def _newton_polish(func, x, tol, stats):
     return x, converged
 
 
+def _row_norms(rows, norms=None):
+    """Each row's norm, ``norms`` or ``np.linalg.norm(rows, axis=1)``; one that overflowed, or
+    underflowed to 0 on a nonzero finite row, is taken again on the row over its largest entry."""
+    norms = np.linalg.norm(rows, axis=1) if norms is None else norms
+    redo = (np.isinf(norms) | (norms == 0.0)) & np.isfinite(rows).all(axis=1) & rows.any(axis=1)
+    big = np.max(np.abs(rows[redo]), axis=1, keepdims=True)
+    norms[redo] = big[:, 0] * np.linalg.norm(rows[redo] / big, axis=1)
+    return norms
+
+
 def _box_minimum(measure, box, n_samples, seed, r_min, extra=(), root=None):
     """The one search under the box checks: the Halton points of ``box`` and the rows of
     ``extra``, those with ``|x| > r_min`` kept, and ``measure`` on them in one call.  Returns
     ``(points, values, i_min, found, stats)``, or None when no point is left; ``i_min`` is
     ``np.argmin``'s, so the first NaN value where there is one.  With ``root = (func, rel_tol,
     accept)``, the N_POLISH points of smallest value are Newton-polished toward a root of the
-    float form ``func`` to the tolerance ``rel_tol * (1 + max(values))``: ``found`` is the first
+    float form ``func`` to the tolerance ``rel_tol * max(values)``: ``found`` is the first
     converged root that ``accept`` admits (else None) and ``stats`` counts ``polishes``,
     ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``) and ``converged``."""
     points = np.vstack([halton_box_samples(box, n_samples, seed), *extra])
-    points = points[np.linalg.norm(points, axis=1) > r_min]
+    points = points[_row_norms(points) > r_min]
     if not len(points):
         return None
     values, found, stats = measure(points), None, {}
     if root is not None:
         func, rel_tol, accept = root
-        tol = rel_tol * (1.0 + float(np.max(values)))
+        tol = rel_tol * float(np.max(values))
         stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
         polished = (_newton_polish(func, points[i].tolist(), tol, stats)
                     for i in np.argsort(values)[:N_POLISH])  # lazily: stops at the first found
@@ -255,7 +267,7 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
     """
     n = field.dim
     if field.has_analytic_gradient:
-        H = central_jacobian(field.gradient_floats, [0.0] * n, n, 1e-6)
+        H = central_jacobian(field.gradient_floats, [0.0] * n, n)
     else:
         H, h, (I, J) = np.empty((n, n)), 1e-4, np.triu_indices(n)
         ei, ej = h * np.eye(n)[I], h * np.eye(n)[J]  # h e_i, h e_j for every i <= j
@@ -264,6 +276,7 @@ def _origin_hessian(field: ScalarField) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a blow-up fails the check
 def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
                             seed: int = 0) -> Check:
     """Sampled positive definiteness on a box around the origin.
@@ -294,6 +307,7 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
 # Gradient nonvanishing away from the origin
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a blow-up fails the check
 def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
                                 seed: int = 0) -> Check:
     """Sampled minimum of ``|grad W|`` over nonzero points of the box.
@@ -311,14 +325,14 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     r_excl = R_EXCL_SCALE * float(np.max(np.abs(box)))
     slack = 0.05 * (box[:, 1] - box[:, 0])
     search = _box_minimum(
-        lambda points: np.linalg.norm(field.gradients(points), axis=1), box, n_samples, seed,
+        lambda points: _row_norms(field.gradients(points)), box, n_samples, seed,
         0.0, root=(field.gradient_floats, 1e-10, lambda x: (
             float(np.linalg.norm(x)) > r_excl
             and np.all((box[:, 0] - slack <= x) & (x <= box[:, 1] + slack)))))
     if search is None:
         return Check("nothing to check", 0.0)
     points, grad_norms, i_min, critical, stats = search
-    floor = TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
+    floor = TAU_PD * float(np.min(_row_norms(points)))
     small = grad_norms[i_min] < 1e-3 * float(np.median(grad_norms))
     note = "small margin: sampled gradient decays fast toward the origin" if small else ""
     verdict = "pass" if critical is None and grad_norms[i_min] > floor else "fail"
@@ -330,6 +344,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
 # Closed-loop equilibrium uniqueness
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a blow-up fails the check
 def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 512,
                                  seed: int = 0) -> Check:
     """Hunt for nonzero equilibria of the autonomous closed loop.
@@ -347,14 +362,14 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
 
     def residual_norms(points):  # each row's np.linalg.norm
         fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
-        return np.sqrt(_row_dots(fxs, fxs))
+        return _row_norms(fxs, np.sqrt(_row_dots(fxs, fxs)))
 
     search = _box_minimum(residual_norms, box, n_samples, seed, r_excl, root=(
         lambda x: sys_cl.f_floats(x, u0), 1e-9, lambda x: float(np.linalg.norm(x)) > r_excl))
     if search is None:
         return Check("nothing to check", 0.0)
     points, norms, i_min, root, stats = search
-    ok = root is None and norms[i_min] > TAU_ZERO * (1.0 + float(np.max(norms)))
+    ok = root is None and norms[i_min] > TAU_ZERO * float(np.max(norms))
     return Check("pass" if ok else "fail", norms[i_min], points[i_min] if root is None else root,
                  points.shape[0], stats)
 

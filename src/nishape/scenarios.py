@@ -144,50 +144,50 @@ def build_pendulum(params: PendulumParams = PendulumParams()):
     return system, V
 
 
+def _gradient_feedback(value: str, gradient: str, potential: str, name: str, channels=None,
+                       **constants) -> StaticNonlinearity:
+    """The feedback ``phi = grad F`` on two outputs, F the potential whose value and gradient
+    are the float-form sources ``value`` and ``gradient``: phi is F's gradient form itself."""
+    F = ScalarField.from_floats(2, float_form(value, **constants),
+                                float_form(gradient, **constants), name=potential)
+    return StaticNonlinearity.from_floats(2, F.gradient_floats, potential=F, channels=channels,
+                                          name=name)
+
+
 def build_sync_shaping(params: ShapingParams = ShapingParams()) -> StaticNonlinearity:
     """Synchronizing feedback: gradient of a coupling potential in the
     relative displacement ``e = y1 - y2`` (quadratic plus a smoothed
     absolute-value term that stays steep near e = 0)."""
-    constants = vars(params)
-    potential_value = float_form("""
+    return _gradient_feedback("""
         def potential_value(y):
             y1, y2 = y
             e = y1 - y2
             return -beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
-        """, **constants)
-    potential_gradient = float_form("""
+        """, """
         def potential_gradient(y):
             y1, y2 = y
             e = y1 - y2
             g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
             return (g, -g)
-        """, **constants)
-    F = ScalarField.from_floats(2, potential_value, potential_gradient, name="coupling potential")
-    return StaticNonlinearity.from_floats(2, potential_gradient, potential=F, name="sync coupling")
+        """, "coupling potential", "sync coupling", **vars(params))
 
 
 def build_full_shaping(params: ShapingParams = ShapingParams()) -> StaticNonlinearity:
     """Synchronizing feedback plus per-output log-cosh terms that flatten the
     distant gravity wells, leaving a single minimum at the origin."""
-    constants = vars(params)
-    potential_value = float_form("""
+    return _gradient_feedback("""
         def potential_value(y):
             y1, y2 = y
             e = y1 - y2
             return (-beta * e * e - kappa * (sqrt(e * e + delta * delta) - delta)
                     - a * log_cosh(b * y1) - a * log_cosh(b * y2))
-        """, **constants)
-    potential_gradient = float_form("""
+        """, """
         def potential_gradient(y):
             y1, y2 = y
             e = y1 - y2
             g = -2.0 * beta * e - kappa * e / sqrt(e * e + delta * delta)
             return (g - a * b * tanh(b * y1), -g - a * b * tanh(b * y2))
-        """, **constants)
-    F = ScalarField.from_floats(2, potential_value, potential_gradient,
-                                name="well-flattening potential")
-    return StaticNonlinearity.from_floats(2, potential_gradient, potential=F,
-                                          name="sync + well flattening")
+        """, "well-flattening potential", "sync + well flattening", **vars(params))
 
 
 # ---------------------------------------------------------------------------
@@ -234,41 +234,29 @@ def build_linear_example(case: str) -> Scenario:
 
     if case == "a":
         def nonlinearity():
-            potential_value = float_form("""
+            return _gradient_feedback("""
                 def potential_value(y):
                     y1, y2 = y
                     return 0.1 * sq(y1) - 0.25 * sq(y2)
-                """)
-            potential_gradient = float_form("""
+                """, """
                 def potential_gradient(y):
                     y1, y2 = y
                     return (0.2 * y1, -0.5 * y2)
-                """)
-
-            F = ScalarField.from_floats(2, potential_value, potential_gradient,
-                                        name="sign-indefinite potential")
-            return StaticNonlinearity.from_floats(
-                2, potential_gradient, potential=F,
-                channels=(lambda s: 0.2 * s, lambda s: -0.5 * s), name="diagonal gains")
+                """, "sign-indefinite potential", "diagonal gains",
+                channels=(lambda s: 0.2 * s, lambda s: -0.5 * s))
 
         t_end, description = 3.0, "diagonal feedback with sign-indefinite potential"
     else:
         def nonlinearity():
-            potential_value = float_form("""
+            return _gradient_feedback("""
                 def potential_value(y):
                     y1, y2 = y
                     return cos(y1 - y2) - 1.0
-                """)
-            potential_gradient = float_form("""
+                """, """
                 def potential_gradient(y):
                     y1, y2 = y
                     return (sin(y2 - y1), sin(y1 - y2))
-                """)
-
-            F = ScalarField.from_floats(2, potential_value, potential_gradient,
-                                        name="coupled potential")
-            return StaticNonlinearity.from_floats(2, potential_gradient, potential=F,
-                                                  name="coupled sine feedback")
+                """, "coupled potential", "coupled sine feedback")
 
         t_end, description = 10.0, "cross-coupled feedback"
 

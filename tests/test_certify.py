@@ -741,6 +741,37 @@ def test_box_checks_fail_a_model_that_is_nan_on_part_of_the_box():
         assert report.verdict == "fail" and math.isnan(report.worst_value), report
 
 
+def test_root_checks_are_scale_free(capfd):
+    # q = |x|^2 and xdot = -x pass at every scale: each tolerance is relative to the largest
+    # sampled value, and a norm that over- or underflows is taken on its scaled row.  Below
+    # about 1e-154 q's own value underflows to 0, where definiteness is right to fail
+    q = ScalarField(2, lambda x: float(x @ x), lambda x: 2.0 * x, name="q")
+    closed = to_nonlinear(LinearSystem(-np.eye(2), np.eye(2), np.eye(2)))
+    for k in [*range(-500, 501, 10), 1000, 1015]:  # 2^1015 * 8: q's values overflow to inf
+        box = [(-8.0 * 2.0 ** k, 8.0 * 2.0 ** k)] * 2
+        for report in (check_positive_definite(q, box, n_samples=64),
+                       check_gradient_nonvanishing(q, box, n_samples=64),
+                       check_equilibrium_uniqueness(closed, box, n_samples=64)):
+            assert report.verdict == "pass", (k, report)
+    # the boxes on which the tolerances read every sample as a root, 1 + max(values) below 1
+    assert check_equilibrium_uniqueness(closed, [(-1e-8, 1e-8)] * 2, n_samples=512).passed
+    assert check_gradient_nonvanishing(q, [(-1e-10, 1e-10)] * 2, n_samples=256).passed
+    assert capfd.readouterr() == ("", "")
+
+
+def test_box_checks_on_a_huge_box_return_quietly(capfd):
+    # on +-1e200 the samples' norms overflow and every Jacobian of the polish is inf or NaN:
+    # no numpy warning (an error in this suite), no LinAlgError and no LAPACK line on stderr
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    box = [(-1e200, 1e200)] * 4
+    reports = (check_positive_definite(W, box, n_samples=64),
+               check_gradient_nonvanishing(W, box, n_samples=64),
+               check_equilibrium_uniqueness(make_closed_loop(plant, nl), box, n_samples=64))
+    assert all(isinstance(report, Check) and report.n_samples for report in reports)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_box_checks_reject_a_box_that_is_not_finite():
     # a NaN bound passes the ordering test, an infinite one gives inf or NaN samples,
     # and (-1e308, 1e308) has finite bounds but a width that overflows
@@ -866,7 +897,7 @@ def _uniqueness_per_point(sys_cl, box, n_samples, seed):
     u0 = np.zeros(sys_cl.n_io)
     norms = np.array([float(np.linalg.norm(sys_cl.f(x, u0))) for x in points])
     i_min = int(np.argmin(norms))
-    scale = 1.0 + float(np.max(norms))
+    scale = float(np.max(norms))
     root, counts = _numpy_polished_root(lambda x: sys_cl.f(x, u0), points, norms, 1e-9 * scale,
                                         lambda x: float(np.linalg.norm(x)) > r_excl)
     verdict = "pass" if (root is None and norms[i_min] > TAU_ZERO * scale) else "fail"
@@ -885,7 +916,7 @@ def _gradient_nonvanishing_per_point(gradient, box, n_samples, seed):
     floor = nishape.TAU_PD * float(np.min(np.linalg.norm(points, axis=1)))
     r_excl = certify.R_EXCL_SCALE * float(np.max(np.abs(box)))
     slack = 0.05 * (box[:, 1] - box[:, 0])
-    tol_root = 1e-10 * (1.0 + float(np.max(grad_norms)))
+    tol_root = 1e-10 * float(np.max(grad_norms))
     critical, counts = _numpy_polished_root(
         gradient, points, grad_norms, tol_root,
         lambda x: (float(np.linalg.norm(x)) > r_excl and np.all(x >= box[:, 0] - slack)
@@ -945,6 +976,18 @@ def test_stacked_row_norms_are_the_per_row_norm_bitwise():
         per_row = np.array([float(np.linalg.norm(fx)) for fx in fxs])
     assert np.isinf(stacked[2000:2053]).all() and np.isnan(stacked[-60:]).any()
     assert np.array_equal(stacked, per_row, equal_nan=True)
+
+
+def test_row_norms_retake_only_an_overflowed_or_underflowed_norm():
+    rng = np.random.default_rng(29)
+    plain = rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-100, 100, size=(200, 1))
+    rows = np.vstack([plain, [[3e200, 4e200, 0.0], [3e-200, -4e-200, 0.0], [0.0, -0.0, 0.0],
+                              [math.inf, 1.0, 0.0], [math.nan, 1.0, 0.0], [1.7e308, 1.7e308, 0.0]]])
+    with np.errstate(over="ignore", under="ignore"):
+        norms = certify._row_norms(rows)
+        assert norms[:200].tobytes() == np.linalg.norm(plain, axis=1).tobytes()
+    assert norms[200:204].tolist() == pytest.approx([5e200, 5e-200, 0.0, math.inf], rel=1e-15)
+    assert math.isnan(norms[204]) and norms[205] == math.inf  # the true norm is not finite
 
 
 def _polish_both(func, x0, tol=1e-12):

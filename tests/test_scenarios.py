@@ -130,6 +130,27 @@ def test_full_shaping_gradient_consistency():
     assert report.worst_value <= 1e-6
 
 
+@pytest.mark.parametrize("build", [build_sync_shaping, build_full_shaping,
+                                   lambda: build_linear_example("a").build_nonlinearity(),
+                                   lambda: build_linear_example("b").build_nonlinearity()])
+def test_each_feedback_is_the_gradient_form_of_its_potential(build):
+    nl, again = build(), build()
+    assert nl.phi_floats is nl.potential.gradient_floats
+    assert nl.potential.value_floats.source and nl.phi_floats.source
+    # the same source texts and constants: the second build reuses the compiled forms
+    assert again.phi_floats is nl.phi_floats
+    assert again.potential.value_floats is nl.potential.value_floats
+
+
+def test_linear_example_case_a_keeps_its_channels_and_names():
+    nl = build_linear_example("a").build_nonlinearity()
+    assert (nl.name, nl.potential.name) == ("diagonal gains", "sign-indefinite potential")
+    assert [channel(2.0) for channel in nl.channels] == [0.4, -1.0]
+    nl = build_linear_example("b").build_nonlinearity()
+    assert (nl.name, nl.potential.name, nl.channels) == (
+        "coupled sine feedback", "coupled potential", None)
+
+
 # ---------------------------------------------------------------------------
 # Model callables against the numpy-scalar formulas (bitwise)
 
