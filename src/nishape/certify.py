@@ -22,8 +22,8 @@ import numpy as np
 from .linear import sym_eigenvalues
 from .sim import _CHUNK, Trajectory
 from .sysmodel import (Check, NonlinearSystem, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, _row_dots, central_jacobian,
-                       make_shaped_storage)
+                       HamiltonianSystem, TAU_PD, TAU_ZERO, _row_dots, _row_norms,
+                       central_jacobian, make_shaped_storage, on_columns)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -129,16 +129,6 @@ def _newton_polish(func, x, tol, stats):
     return x, converged
 
 
-def _row_norms(rows, norms=None):
-    """Each row's norm, ``norms`` or ``np.linalg.norm(rows, axis=1)``; one that overflowed, or
-    underflowed to 0 on a nonzero finite row, is taken again on the row over its largest entry."""
-    norms = np.linalg.norm(rows, axis=1) if norms is None else norms
-    redo = (np.isinf(norms) | (norms == 0.0)) & np.isfinite(rows).all(axis=1) & rows.any(axis=1)
-    big = np.max(np.abs(rows[redo]), axis=1, keepdims=True)
-    norms[redo] = big[:, 0] * np.linalg.norm(rows[redo] / big, axis=1)
-    return norms
-
-
 def _box_minimum(measure, box, n_samples, seed, r_min, extra=(), root=None):
     """The one search under the box checks: the Halton points of ``box`` and the rows of
     ``extra``, those with ``|x| > r_min`` kept, and ``measure`` on them in one call.  Returns
@@ -186,26 +176,22 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
 
     Rates are computed through the vector field at every knot, never by
     differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
-    time: ``fx = f(x, u)`` and the output Jacobian per knot (a constant one is
-    broadcast), one ``V.gradients`` call, then every product as one stacked ``np.matmul``,
-    which runs numpy's kernel of a single ``@`` on each item, so every rate is
-    bit for bit the per-knot ``@`` product.  ``fx`` is read from
-    ``traj.derivatives`` when ``simulate`` recorded them with this system's
-    float form (``traj.vector_field is sys.f_floats``), the same bits; any
-    other trajectory calls ``sys.f_floats`` per knot.
+    time: ``fx = f(x, u)`` in one :func:`on_columns` call on the states and
+    inputs, the output Jacobian per knot (a constant one is broadcast), one
+    ``V.gradients`` call, then every product as one stacked ``np.matmul``, which
+    runs numpy's kernel of a single ``@`` on each item, so every rate is bit for
+    bit the per-knot ``@`` product.
     """
     if V.dim != sys.n_states:
         raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
     if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
         raise ValueError("trajectory dimensions do not match the system")
     n = traj.n_samples
-    recorded = traj.vector_field is sys.f_floats
     vdot, supply, ydot_sq, f_sq = np.empty((4, n))
     for a in range(0, n, _CHUNK):
         xs, us = traj.states[a:a + _CHUNK], traj.inputs[a:a + _CHUNK]
         b = a + len(xs)
-        fx = (traj.derivatives[a:b] if recorded else
-              np.array([sys.f_floats(x, u) for x, u in zip(xs.tolist(), us.tolist())], float))
+        fx = on_columns(sys.f_floats, tuple(xs.T), tuple(us.T), width=sys.n_states)
         js = (sys.h_jacobian if isinstance(sys.h_jacobian, np.ndarray)
               else np.array([sys.output_jacobian(x) for x in xs]))
         ydot = np.matmul(js, fx[:, :, None])[:, :, 0]
@@ -282,10 +268,10 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
     """Sampled positive definiteness on a box around the origin.
 
     Quasi-random nonzero points plus a deterministic shell near the origin
-    must all give strictly positive values, and the finite-difference Hessian
-    at the origin must have its smallest eigenvalue above TAU_PD.  This is a
-    box-local certificate only, as ``detail["caveat"]`` says.  The worst value
-    is the smallest sampled value, witnessed by its point;
+    must all give strictly positive finite values, and the finite-difference
+    Hessian at the origin must have its smallest eigenvalue above TAU_PD.  This
+    is a box-local certificate only, as ``detail["caveat"]`` says.  The worst
+    value is the smallest sampled value, witnessed by its point;
     ``detail["min_hessian_eig_origin"]`` is the Hessian's smallest eigenvalue.
     """
     box = _as_box(box, field.dim)
@@ -296,7 +282,7 @@ def check_positive_definite(field: ScalarField, box, n_samples: int = 256,
         return Check("nothing to check", 0.0)
     points, values, i_min, _, _ = search
     eigs = sym_eigenvalues(_origin_hessian(field))
-    ok = values[i_min] > 0.0 and eigs[0] > TAU_PD
+    ok = 0.0 < values[i_min] < math.inf and eigs[0] > TAU_PD
     caveat = ("box-local certificate: values sampled on the given box and the "
               "Hessian checked at the origin; no global or radial-unboundedness claim")
     return Check("pass" if ok else "fail", values[i_min], points[i_min], points.shape[0],
@@ -361,7 +347,7 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
     u0 = [0.0] * sys_cl.n_io
 
     def residual_norms(points):  # each row's np.linalg.norm
-        fxs = np.array([sys_cl.f_floats(x, u0) for x in points.tolist()], dtype=float)
+        fxs = on_columns(sys_cl.f_floats, tuple(points.T), tuple(u0), width=sys_cl.n_states)
         return _row_norms(fxs, np.sqrt(_row_dots(fxs, fxs)))
 
     search = _box_minimum(residual_norms, box, n_samples, seed, r_excl, root=(

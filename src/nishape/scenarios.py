@@ -524,12 +524,8 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
 
     trajs = {"trajectory": traj_free}
     if not sc.signal.is_zero:  # a forced scenario: compare against the unshaped plant
-        # no rate table reads these two runs, so their derivatives go at once
-        unrated = {"derivatives": None, "vector_field": None}
-        traj_forced = dataclasses.replace(simulate(closed, start, sc.signal, cfg, monitor=W),
-                                          **unrated)
-        traj_original = dataclasses.replace(simulate(plant, start, sc.signal, cfg, monitor=V),
-                                            **unrated)
+        traj_forced = simulate(closed, start, sc.signal, cfg, monitor=W)
+        traj_original = simulate(plant, start, sc.signal, cfg, monitor=V)
         trajs = {"trajectory": traj_forced, "trajectory_unforced": traj_free,
                  "trajectory_original": traj_original}
         window = (min(SYNC_WINDOW[0], 2.0 * cfg.t_end / 3.0), cfg.t_end)

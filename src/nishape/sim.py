@@ -138,8 +138,7 @@ class Trajectory:
 
     ``inputs`` holds the exogenous signal v at each knot.  ``storage`` is the
     optional monitored field, ``diagnostic`` is set when the integration was
-    truncated by a non-finite value.  ``derivatives`` holds ``f(x, v)`` at each
-    knot for the float form ``vector_field`` that gave it; the two come together.
+    truncated by a non-finite value.
     """
 
     times: np.ndarray
@@ -148,14 +147,11 @@ class Trajectory:
     outputs: np.ndarray
     storage: Optional[np.ndarray] = None
     diagnostic: Optional[str] = None
-    derivatives: Optional[np.ndarray] = None
-    vector_field: Optional[Callable] = None
 
     def __post_init__(self):
         times, states, inputs, outputs = (_read_only(a) for a in (
             self.times, self.states, self.inputs, self.outputs))
-        storage, derivatives = (None if a is None else _read_only(a)
-                                for a in (self.storage, self.derivatives))
+        storage = None if self.storage is None else _read_only(self.storage)
         n_knots = times.size
         if n_knots < 1:
             raise ValueError("trajectory needs at least one sample")
@@ -164,10 +160,6 @@ class Trajectory:
                 raise ValueError(f"{label} must have one row per knot")
         if storage is not None and storage.shape != (n_knots,):
             raise ValueError("storage must have one value per knot")
-        if (derivatives is None) != (self.vector_field is None):
-            raise ValueError("derivatives and vector_field come together")
-        if derivatives is not None and derivatives.shape != states.shape:
-            raise ValueError("derivatives must have one row per knot and one column per state")
         if n_knots >= 2:
             dt = times[1] - times[0]
             if dt <= 0.0:
@@ -181,7 +173,6 @@ class Trajectory:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "storage", storage)
-        object.__setattr__(self, "derivatives", derivatives)
 
     @property
     def n_samples(self) -> int:
@@ -197,14 +188,15 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
     """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
     ``loop(f, h, value, x, v, k, stop, final, step, rows)`` appends knots
     ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
-    the state, the input, ``h(x)`` and the first stage.  It returns ``(x, None)``,
-    or ``(x, stages)`` after the first step whose new state is not finite.  The
-    float forms ``f`` and ``h`` are called, or spliced where this function is
-    given their source (``f`` into every stage).  Each value is unpacked into
-    locals and a knot is written only once all of it is computed, so one of the
-    wrong length raises ``ValueError`` before a row shifts, and a knot that
-    raises leaves ``x``, ``v`` and ``k`` holding it, where ``_guarded``'s
-    at-infinity copy resumes.  Every call records at least one knot."""
+    the state, the input and ``h(x)``.  It returns ``(x, None)``, or ``(x,
+    stages)`` after the first step whose new state is not finite.  The float
+    forms ``f`` and ``h`` are called, or spliced where this function is given
+    their source (``f`` into the four stages of each step; the final knot runs
+    only ``h``).  Each value is unpacked into locals and a knot is written only
+    once all of it is computed, so one of the wrong length raises ``ValueError``
+    before a row shifts, and a knot that raises leaves ``x``, ``v`` and ``k``
+    holding it, where ``_guarded``'s at-infinity copy resumes.  Every call
+    records at least one knot."""
     xs, ys = _names("x", n), _names("y", p)
 
     def assigned(names, texts):
@@ -215,18 +207,18 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
                              [x, _names(v, p)], stage, n)
         return lines + assigned(_names(stage, n), rates)
 
-    def knot():  # the knot's output and first stage, then its record
+    def knot():  # the knot's state and output, as its record takes them
         h_lines, outputs = _part(h, "h(x)", [xs], "y", p)
-        return [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs), *rate("a", xs, "v")]
+        return [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs)]
 
-    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}", f"ds += {_argument(_names('a', n))}"]
+    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}"]
     inputs = ("v", "v_half", "v_full") if forced else ("v",)
     unpack = [f"{', '.join(_names(v, p))}, = {v}" for v in inputs] if f is not None else []
     v_half, v_full = inputs[1:] if forced else ("v", "v")
     body = (["t = k * step",  # the last step's value at its t + step, when that is t bitwise
              "v = v_full if t == t_full else value(t)", "t_full = t + step",
              "v_half, v_full = value(t + half), value(t_full)", *unpack] if forced else []) + [
-        *knot(),
+        *knot(), *rate("a", xs, "v"),
         *rate("b", [f"x{i} + half * a{i}" for i in range(n)], v_half),
         *rate("c", [f"x{i} + half * b{i}" for i in range(n)], v_half),
         *rate("d", [f"x{i} + step * c{i}" for i in range(n)], v_full), *record,
@@ -236,11 +228,10 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
         # and x * 0.0 is +-0.0 for a finite x, NaN otherwise, so the sum cannot overflow
         "if " + " + ".join(f"x{i} * 0.0" for i in range(n)) + " != 0.0:",
         "    return x, " + _argument(_argument(_names(stage, n)) for stage in "abcd")]
-    last_knot = ["k = stop", *(["v = value(stop * step)", *unpack[:1]] if forced else []),
-                 *knot(), *record]
+    last_knot = ["k = stop", *(["v = value(stop * step)"] if forced else []), *knot(), *record]
     loop = (["for k in range(k, stop):", *("    " + line for line in body), "if final:",
              *("    " + line for line in last_knot), f"return {_argument(xs)}, None"])
-    head = ["xs, vs, ys, ds = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
+    head = ["xs, vs, ys = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
             f"{', '.join(xs)}, = x", *(unpack if not forced else [])]
     return _guarded("def loop(f, h, value, x, v, k, stop, final, step, rows):\n"
                     + "".join(f"    {line}\n" for line in head + loop),
@@ -267,11 +258,11 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     (:meth:`ScalarField.values`, bit for bit its value at each knot).  A
     non-finite stage derivative or state truncates the trajectory and attaches a
     diagnostic instead of propagating NaNs; one exact finiteness test on the new
-    state per step detects both.  Each knot's derivative ``f(x, v)`` is
-    recorded: the first stage of its step, or one more call at the final knot.
-    An ``h`` or ``f`` value of the wrong length raises ``ValueError``.  Knots
-    are written into the record every ``_CHUNK`` steps, so no whole-run list of
-    Python floats or temporary of the monitor is built.
+    state per step detects both.  A complete run evaluates ``f`` four times per
+    step and records no derivative.  An ``h`` or ``f`` value of the wrong length
+    raises ``ValueError``.  Knots are written into the record every ``_CHUNK``
+    steps, so no whole-run list of Python floats or temporary of the monitor is
+    built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -288,9 +279,8 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
-    derivatives = np.empty((n_steps + 1, sys.n_states))
-    arrays = (states, inputs, outputs, derivatives)
-    rows = ([], [], [], [])  # the entries of the knots not yet written, flat
+    arrays = (states, inputs, outputs)
+    rows = ([], [], [])  # the entries of the knots not yet written, flat
 
     def flush(start):  # writes the buffered knots from ``start``, returns the next knot
         end = start + len(rows[0]) // sys.n_states
@@ -324,12 +314,12 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             if arr is not None:
                 arr.setflags(write=False)
     return Trajectory(times=times[:k], states=states[:k], inputs=inputs[:k], outputs=outputs[:k],
-                      storage=None if storage is None else storage[:k], diagnostic=diagnostic,
-                      derivatives=derivatives[:k], vector_field=f)
+                      storage=None if storage is None else storage[:k], diagnostic=diagnostic)
 
 
 def monitor_decay(traj: Trajectory) -> Check:
-    """Largest forward difference of the storage channel, the worst value.
+    """Largest forward difference of the storage channel, the worst value, against
+    a tolerance scaled by the largest finite storage value.
 
     Only meaningful on unforced segments, so a trajectory with any nonzero
     input is reported as skipped rather than judged, with a NaN worst value.
@@ -339,7 +329,7 @@ def monitor_decay(traj: Trajectory) -> Check:
     if np.any(traj.inputs != 0.0):
         return Check("skipped", math.nan)
     w = traj.storage
-    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(w))))
+    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(w), where=np.isfinite(w), initial=0.0)))
     if w.size < 2:
         return Check("pass", 0.0)
     max_increase = float(np.max(np.diff(w)))

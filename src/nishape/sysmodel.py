@@ -76,13 +76,28 @@ def _listed(result) -> list:
 
 
 def fd_step(x) -> float:
-    """Central-difference step, 1e-6 scaled by the probe point's size."""
-    return 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    """Central-difference step, 1e-6 scaled by the probe point's size, its norm
+    retaken by ``_row_norms`` where it overflowed."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == math.inf:
+        norm = float(_row_norms(np.array([x], dtype=float), np.array([norm]))[0])
+    return 1e-6 * max(1.0, norm)
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A[k] @ B[k]`` for every row k, by numpy's 1-D ``@`` kernel."""
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows, norms=None):
+    """Each row's norm, ``norms`` or ``np.linalg.norm(rows, axis=1)``; one that overflowed, or
+    underflowed to 0 on a nonzero finite row, is taken again on the row over its largest entry."""
+    norms = np.linalg.norm(rows, axis=1) if norms is None else norms
+    redo = (np.isinf(norms) | (norms == 0.0)) & np.isfinite(rows).all(axis=1) & rows.any(axis=1)
+    big = np.max(np.abs(rows[redo]), axis=1, keepdims=True)
+    norms[redo] = big[:, 0] * np.linalg.norm(rows[redo] / big, axis=1)
+    return norms
 
 
 def central_gradient(func, x) -> np.ndarray:
@@ -236,25 +251,25 @@ def _column_form(source: str):
     return namespace[tree.body[0].name]
 
 
-def on_columns(form, columns, width: Optional[int] = None) -> np.ndarray:
-    """The float form ``form`` of one parameter, bit for bit, at the points whose entries are
-    ``columns`` (numpy arrays and floats that broadcast together), in their shape and with a
-    last axis of ``width`` for a form of ``width`` floats.  A source that runs on columns runs
-    once; any other form, or a run that meets a zero divisor, an invalid operation or a raise,
-    is called at each point."""
-    shape = np.broadcast(*columns).shape
+def on_columns(form, *parameters, width: Optional[int] = None) -> np.ndarray:
+    """The float form ``form``, bit for bit, at the points whose entries are ``parameters``
+    (a tuple of columns per parameter, numpy arrays and floats that all broadcast together),
+    in their shape and with a last axis of ``width`` for a form of ``width`` floats.  A source
+    that runs on columns runs once; any other form, or a run that meets a zero divisor, an
+    invalid operation or a raise, is called at each point on the parameters' points zipped."""
+    shape = np.broadcast(*itertools.chain(*parameters)).shape
     run = _column_form(form.source) if hasattr(form, "source") else None
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            result = run and run(columns)
+            result = run and run(*parameters)
         if width is None and isinstance(result, (float, np.ndarray)):
             return np.array(np.broadcast_to(result, shape), dtype=float)
         if isinstance(result, tuple) and len(result) == width:
             return np.stack([np.broadcast_to(entry, shape) for entry in result], -1, dtype=float)
     except (ArithmeticError, ValueError):
         pass
-    points = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns)).tolist()
-    rows = list(map(form, points))
+    rows = list(map(form, *(np.stack([np.broadcast_to(column, shape) for column in parameter], -1)
+                            .reshape(-1, len(parameter)).tolist() for parameter in parameters)))
     return np.array(rows, dtype=float).reshape(shape + ((width,) if width else ()))
 
 
@@ -342,7 +357,7 @@ class ScalarField:
 
     def gradients(self, xs) -> np.ndarray:
         """The gradients at the rows of ``xs``, bit for bit the stacked :meth:`gradient`."""
-        return on_columns(self.gradient_floats, tuple(np.asarray(xs, dtype=float).T), self.dim)
+        return on_columns(self.gradient_floats, tuple(np.asarray(xs, float).T), width=self.dim)
 
 
 def zero_field(dim: int) -> ScalarField:

@@ -276,11 +276,10 @@ def _rate_bits(rates):
     return [a.tobytes() for a in (rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq)]
 
 
-def _assert_recorded_rates_bitwise(sys, V, traj, other=None):
-    """``rate_table`` on a run of ``sys`` reads the derivatives the run recorded:
-    the bits of the per-knot loop and of the same knots rebuilt without them.
-    Under ``other``, a system of another ``f``, it calls that ``f`` per knot."""
-    assert traj.vector_field is sys.f_floats and traj.derivatives.shape == traj.states.shape
+def _assert_run_rates_bitwise(sys, V, traj, other=None):
+    """``rate_table`` on a run of ``sys``: the bits of the per-knot loop and of the
+    same knots rebuilt by hand.  Under ``other``, a system of another ``f``, the
+    bits of that system's per-knot loop."""
     rates = _assert_rates_bitwise(sys, V, traj)
     bare = Trajectory(traj.times, traj.states, traj.inputs, traj.outputs)
     assert _rate_bits(rates) == _rate_bits(rate_table(sys, V, bare))
@@ -323,9 +322,9 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_every_scenario(name):
     closed = make_closed_loop(plant, nl)
     cfg = IntegratorConfig(step=1e-3, t_end=1.5)  # 1501 knots: a full chunk and a partial one
     # pendulum-sync's runs are forced by its square wave; the others are unforced
-    _assert_recorded_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg), other=closed)
+    _assert_run_rates_bitwise(plant, V, simulate(plant, sc.x0, sc.signal, cfg), other=closed)
     traj = simulate(closed, sc.x0, sc.signal, cfg)
-    _assert_recorded_rates_bitwise(closed, W, traj, other=plant)
+    _assert_run_rates_bitwise(closed, W, traj, other=plant)
 
 
 def test_rate_table_matches_the_per_knot_loop_bitwise_on_numpy_built_systems():
@@ -431,9 +430,7 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
                 (growth, quartic, (1e300, -1e300), InputSignal.square_wave(1, 0, 1.0, 0.5))):
             traj = simulate(sys, x0, signal, IntegratorConfig(step=1e-3, t_end=3.0))
             assert traj.diagnostic is not None
-            # the attempted step's first stage, recorded at the last knot
-            assert np.isfinite(traj.derivatives[-1]).all() == (x0 is not huge)
-            rates = _assert_recorded_rates_bitwise(sys, field, traj)
+            rates = _assert_run_rates_bitwise(sys, field, traj)
             if sys is not closed:  # the closed loop's one knot has only nan
                 values = np.concatenate([rates.vdot, rates.supply, rates.ydot_sq, rates.f_sq])
                 assert np.isinf(values).any() and np.isnan(values).any()
@@ -451,7 +448,7 @@ class _Counted:
         return self.f(x, u)
 
 
-def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
+def test_four_f_calls_per_step_and_one_per_knot_in_a_sourceless_rate_table(monkeypatch):
     sc = get_scenario("pendulum-sync")
     plant, V, nl, W = _build_parts(sc)
     closed = make_closed_loop(plant, nl)
@@ -459,32 +456,37 @@ def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
     def counted(f, n, p, h, h_jacobian=None):
         return NonlinearSystem.from_floats(n, p, _Counted(f), h, h_jacobian=h_jacobian)
 
-    sys, twin = (counted(closed.f_floats, 4, 2, closed.h_floats, closed.h_jacobian)
-                 for _ in range(2))  # the same f, and another float form of it
-    squared = counted(lambda x, u: (x[0] * x[0] + u[0],), 1, 1, lambda x: (x[0],))
-    runs = [(sys, twin, W, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=1.5)),
+    runs = [(counted(closed.f_floats, 4, 2, closed.h_floats, closed.h_jacobian), W, sc.x0,
+             sc.signal, IntegratorConfig(step=1e-3, t_end=1.5)),
             # blows up near t = 1: truncated after about a thousand knots
-            (squared, None, zero_field(1), (1.0,), InputSignal.zero(1),
-             IntegratorConfig(step=1e-3, t_end=2.0))]
-    for sys, twin, field, x0, signal, cfg in runs:
+            (counted(lambda x, u: (x[0] * x[0] + u[0],), 1, 1, lambda x: (x[0],)),
+             zero_field(1), (1.0,), InputSignal.zero(1), IntegratorConfig(step=1e-3, t_end=2.0))]
+    for sys, field, x0, signal, cfg in runs:
         f = sys.f_floats
         f.calls = 0  # from the construction's probes
         with np.errstate(over="ignore", invalid="ignore"):
             traj = simulate(sys, x0, signal, cfg)
             n = traj.n_samples
-            if traj.diagnostic is None:  # four stages per step and the final knot's f
-                assert n == cfg.n_steps + 1 and f.calls == 4 * cfg.n_steps + 1
+            if traj.diagnostic is None:  # four stages per step, none at the final knot
+                assert n == cfg.n_steps + 1 and f.calls == 4 * cfg.n_steps
             else:  # four stages per recorded knot: the last one's step was attempted
                 assert 2 < n < cfg.n_steps and f.calls == 4 * n
-            f.calls = 0
-            rate_table(sys, field, traj)
-            assert f.calls == 0
-            rate_table(sys, field, Trajectory(traj.times, traj.states, traj.inputs, traj.outputs))
-            assert f.calls == n
-            if twin is not None:
-                twin.f_floats.calls = 0
-                rate_table(twin, field, traj)
-                assert twin.f_floats.calls == n and f.calls == n
+            # _Counted has no source: one call per knot, on a run and on its knots by hand
+            for knots in (traj, Trajectory(traj.times, traj.states, traj.inputs, traj.outputs)):
+                f.calls = 0
+                rate_table(sys, field, knots)
+                assert f.calls == n
+
+    # a float form with a source runs on the columns of each chunk: no call at a knot
+    calls = []
+    form = closed.f_floats
+    counted_f = lambda x, u: calls.append(x) or form(x, u)  # noqa: E731
+    counted_f.source = form.source
+    sourced = NonlinearSystem.from_floats(4, 2, counted_f, closed.h_floats, closed.h_jacobian)
+    traj = simulate(closed, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=1.5))
+    calls.clear()  # from the construction's probes
+    assert _rate_bits(rate_table(sourced, W, traj)) == _rate_bits(rate_table(closed, W, traj))
+    assert not calls
 
     # _Counted has no source, so the runs above call it from each stage. The closed
     # loop's own f is spliced into every stage of the fused loop: count the plant's
@@ -505,8 +507,7 @@ def test_one_f_call_per_stage_and_none_in_the_rate_table(monkeypatch):
     finally:
         sim._rk4_loop.cache_clear()  # no later run may take the counting loop
     assert hasattr(closed.f_floats, "source") and traj.diagnostic is None
-    assert calls["sin"] == 2 * (4 * cfg.n_steps + 1)  # two per stage and at the final knot
-    assert traj.vector_field is closed.f_floats  # so the rate table reads the derivatives
+    assert calls["sin"] == 2 * 4 * cfg.n_steps  # two per stage, none at the final knot
 
 
 def test_rate_table_peak_memory_stays_within_one_chunk():
@@ -747,10 +748,14 @@ def test_root_checks_are_scale_free(capfd):
     # about 1e-154 q's own value underflows to 0, where definiteness is right to fail
     q = ScalarField(2, lambda x: float(x @ x), lambda x: 2.0 * x, name="q")
     closed = to_nonlinear(LinearSystem(-np.eye(2), np.eye(2), np.eye(2)))
-    for k in [*range(-500, 501, 10), 1000, 1015]:  # 2^1015 * 8: q's values overflow to inf
+    for k in [*range(-500, 501, 10), 1000, 1015]:
         box = [(-8.0 * 2.0 ** k, 8.0 * 2.0 ** k)] * 2
-        for report in (check_positive_definite(q, box, n_samples=64),
-                       check_gradient_nonvanishing(q, box, n_samples=64),
+        definite = check_positive_definite(q, box, n_samples=64)
+        if k < 1000:
+            assert definite.verdict == "pass", (k, definite)
+        else:  # q's values all overflow to inf: no finite value certifies definiteness
+            assert definite.verdict == "fail" and definite.worst_value == math.inf, (k, definite)
+        for report in (check_gradient_nonvanishing(q, box, n_samples=64),
                        check_equilibrium_uniqueness(closed, box, n_samples=64)):
             assert report.verdict == "pass", (k, report)
     # the boxes on which the tolerances read every sample as a root, 1 + max(values) below 1
@@ -760,8 +765,8 @@ def test_root_checks_are_scale_free(capfd):
 
 
 def test_box_checks_on_a_huge_box_return_quietly(capfd):
-    # on +-1e200 the samples' norms overflow and every Jacobian of the polish is inf or NaN:
-    # no numpy warning (an error in this suite), no LinAlgError and no LAPACK line on stderr
+    # on +-1e200 the samples' norms overflow and W is inf at every sample: no numpy warning
+    # (an error in this suite), no LinAlgError and no LAPACK line on stderr
     sc = get_scenario("pendulum-stabilize")
     plant, V, nl, W = _build_parts(sc)
     box = [(-1e200, 1e200)] * 4
@@ -770,6 +775,13 @@ def test_box_checks_on_a_huge_box_return_quietly(capfd):
                check_equilibrium_uniqueness(make_closed_loop(plant, nl), box, n_samples=64))
     assert all(isinstance(report, Check) and report.n_samples for report in reports)
     assert capfd.readouterr() == ("", "")
+    assert reports[0].verdict == "fail" and reports[0].worst_value == math.inf
+    # fd_step retakes the overflowed norm, so each polish's first Jacobian is finite and
+    # its Newton step reaches the line search: more calls than the start and the Jacobian
+    for report in reports[1:]:
+        stats = report.detail
+        assert stats["newton_steps"] == stats["polishes"] == certify.N_POLISH
+        assert stats["model_calls"] > stats["polishes"] * (1 + 2 * 4), stats
 
 
 def test_box_checks_reject_a_box_that_is_not_finite():
@@ -984,7 +996,7 @@ def test_row_norms_retake_only_an_overflowed_or_underflowed_norm():
     rows = np.vstack([plain, [[3e200, 4e200, 0.0], [3e-200, -4e-200, 0.0], [0.0, -0.0, 0.0],
                               [math.inf, 1.0, 0.0], [math.nan, 1.0, 0.0], [1.7e308, 1.7e308, 0.0]]])
     with np.errstate(over="ignore", under="ignore"):
-        norms = certify._row_norms(rows)
+        norms = sysmodel._row_norms(rows)
         assert norms[:200].tobytes() == np.linalg.norm(plain, axis=1).tobytes()
     assert norms[200:204].tolist() == pytest.approx([5e200, 5e-200, 0.0, math.inf], rel=1e-15)
     assert math.isnan(norms[204]) and norms[205] == math.inf  # the true norm is not finite

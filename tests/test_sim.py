@@ -110,23 +110,6 @@ def test_trajectory_copies_writeable_input_and_keeps_read_only_input():
     assert traj.inputs[0, 0] == 0.0
 
 
-def test_trajectory_validates_its_derivatives():
-    times, zeros = np.arange(3) * 0.5, np.zeros((3, 2))
-    derivatives = np.ones((3, 2))
-    traj = Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=derivatives,
-                      vector_field=lambda x, u: (0.0, 0.0))
-    derivatives[0, 0] = 7.0  # taken through _read_only like the other arrays
-    assert traj.derivatives[0, 0] == 1.0 and not traj.derivatives.flags.writeable
-    for bad in (np.ones((2, 2)), np.ones((3, 1)), np.ones((3, 3)), np.ones(6), np.ones((3, 2, 1))):
-        with pytest.raises(ValueError, match="one row per knot and one column per state"):
-            Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=bad,
-                       vector_field=lambda x, u: (0.0, 0.0))
-    with pytest.raises(ValueError, match="come together"):
-        Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], derivatives=np.ones((3, 2)))
-    with pytest.raises(ValueError, match="come together"):
-        Trajectory(times, zeros, zeros[:, :1], zeros[:, :1], vector_field=lambda x, u: (0.0, 0.0))
-
-
 def test_simulate_peak_memory_stays_close_to_the_record():
     # a float-form 2-state system: a record of 25k steps at little cost per f call
     # (tracemalloc is slow)
@@ -141,11 +124,11 @@ def test_simulate_peak_memory_stays_close_to_the_record():
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for a in (traj.times, traj.states, traj.inputs, traj.outputs,
-                                  traj.storage, traj.derivatives))
+                                  traj.storage))
     assert traj.n_samples == 25_001
     # the record, the grid check's np.diff temporary (8 B per knot) and one chunk
     # of knots buffered as Python floats (well under 512 B per knot); a copy of
-    # the record (80 B per knot here) would not fit
+    # the record (64 B per knot here) would not fit
     assert peak <= held + 8 * traj.n_samples + 512 * _CHUNK, (peak, held)
 
 
@@ -313,6 +296,14 @@ def test_monitor_decay_detects_increase():
     assert monitor_decay(traj).verdict == "fail"
 
 
+def test_monitor_decay_fails_a_storage_that_rises_to_inf():
+    # the tolerance scales with the finite values alone, so one inf leaves it finite
+    t, z = np.arange(3) * 0.1, np.zeros((3, 1))
+    report = monitor_decay(Trajectory(t, z, z, z, storage=[1.0, 2.0, math.inf]))
+    assert report.verdict == "fail" and report.worst_value == math.inf
+    assert monitor_decay(Trajectory(t, z, z, z, storage=[math.inf, 2.0, 1.0])).passed
+
+
 def test_linear_coupled_case_converges_and_decays(linear_cases):
     # the coarse run must agree with a 10x finer reference on the endpoint norm
     sc = linear_cases["b"]
@@ -396,7 +387,6 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
     storage = np.empty(n_steps + 1) if monitor is not None else None
-    derivatives = np.empty((n_steps + 1, sys.n_states))
     f, h = sys.f, sys.h
     x = np.array(x0, dtype=float)
     diagnostic = None
@@ -409,9 +399,9 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
         outputs[k] = h(x)
         if storage is not None:
             storage[k] = monitor.value(x)
-        derivatives[k] = k1 = np.asarray(f(x, v), dtype=float)
         if k == n_steps:
             break
+        k1 = np.asarray(f(x, v), dtype=float)
         v_half = signal.value(t + 0.5 * step)
         v_full = signal.value(t + step)
         k2 = np.asarray(f(x + (0.5 * step) * k1, v_half), dtype=float)
@@ -431,8 +421,7 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
     return Trajectory(times=times[keep], states=states[keep], inputs=inputs[keep],
                       outputs=outputs[keep],
                       storage=None if storage is None else storage[keep],
-                      diagnostic=diagnostic, derivatives=derivatives[keep],
-                      vector_field=sys.f_floats)
+                      diagnostic=diagnostic)
 
 
 def _write_csv_oracle(traj, path):
@@ -591,9 +580,8 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
         with np.errstate(over="ignore", invalid="ignore"):
             got = simulate(sys, start, signal, cfg, monitor=monitor)
             want = _simulate_oracle(oracle_sys, start, signal, cfg, monitor=oracle_monitor)
-        for field in ("times", "states", "inputs", "outputs", "derivatives"):
+        for field in ("times", "states", "inputs", "outputs"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (label, field)
-        assert got.vector_field is sys.f_floats, label
         assert (got.storage is None) == (want.storage is None), label
         if want.storage is not None:
             assert np.array_equal(got.storage, want.storage), label
@@ -629,7 +617,7 @@ def _canonical_bits(values):
 def _run_bits(traj):
     """Every array of a run as bit patterns (``_canonical_bits``), and its diagnostic."""
     return [_canonical_bits(getattr(traj, label)) for label in (
-        "times", "states", "inputs", "outputs", "storage", "derivatives")], traj.diagnostic
+        "times", "states", "inputs", "outputs", "storage")], traj.diagnostic
 
 
 @pytest.mark.parametrize("name", ["pendulum-sync", "pendulum-stabilize"])
@@ -651,7 +639,6 @@ def test_fused_runs_are_the_composed_runs_bitwise(name):
                     got = simulate(sys, x0, signal, cfg, monitor=monitor)
                     want = simulate(sys_ref, x0, signal, cfg, monitor=monitor_ref)
                 assert _run_bits(got) == _run_bits(want), (sys.name, signal.kind, x0)
-                assert got.vector_field is sys.f_floats
                 diagnostics.add(got.diagnostic and got.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
                            "non-finite state after the step from t"}

@@ -391,7 +391,7 @@ def test_spliced_forms_are_the_composed_forms_bitwise(name):
 
 @pytest.mark.parametrize("name", ["pendulum-stabilize", "pendulum-sync"])
 def test_column_forms_are_the_per_point_forms_bitwise(name):
-    _, V, _, W = nishape.scenarios._build_parts(get_scenario(name))
+    plant, V, nl, W = nishape.scenarios._build_parts(get_scenario(name))
     probes = probe_states(4, 29)  # 200 Halton, 16 signed-zero, 80 with inf, nan or +-1e308
     ok = np.all(np.abs(probes) < 1e300, axis=1)
     halton = nishape.halton_box_samples([(-8.0, 8.0)] * 4, 5000, 31)
@@ -406,7 +406,7 @@ def test_column_forms_are_the_per_point_forms_bitwise(name):
         calls = []
         counted = lambda x, form=form: calls.append(x) or form(x)  # noqa: E731
         counted.source = form.source
-        assert _bits(sysmodel.on_columns(counted, tuple(finite.T), width)) == _bits(
+        assert _bits(sysmodel.on_columns(counted, tuple(finite.T), width=width)) == _bits(
             [form(x) for x in finite.tolist()])
         assert not calls
         # each probe on its own: only an infinity or an overflow may stop a column run,
@@ -421,8 +421,38 @@ def test_column_forms_are_the_per_point_forms_bitwise(name):
             entries = [np.broadcast_to(entry, (1,))[0] for entry in (
                 result if width else (result,))]
             assert _bits(entries) == _bits(ref), (form.__name__, x)
+    # f(x, u) of the plant and of the closed loop, a form of two parameters: every state
+    # against a zero input (as floats, broadcast), a square wave and the probe inputs
+    n = len(states)
+    square = np.column_stack([np.where(np.arange(n) % 3, 2.0, -2.0), np.zeros(n)])
+    probe_inputs = probe_states(2, 37)
+    probe_inputs = probe_inputs[np.arange(n) % len(probe_inputs)]
+    for form in (plant.f_floats, make_closed_loop(plant, nl).f_floats):
+        for inputs in (np.zeros((n, 2)), square, probe_inputs):
+            per_point = np.array([form(x, u) for x, u in zip(states.tolist(), inputs.tolist())])
+            held = tuple(inputs.T) if inputs.any() else (0.0, 0.0)
+            whole = sysmodel.on_columns(form, tuple(states.T), held, width=4)
+            assert whole.shape == (n, 4) and _bits(whole) == _bits(per_point)
+            # at finite states and inputs, one run on the columns and no call at a point
+            calls = []
+            counted = lambda x, u, form=form: calls.append(x) or form(x, u)  # noqa: E731
+            counted.source = form.source
+            keep = np.all(np.abs(np.hstack([states, inputs])) < 1e300, axis=1)
+            assert _bits(sysmodel.on_columns(counted, tuple(states[keep].T),
+                                             tuple(inputs[keep].T), width=4)) == \
+                _bits(per_point[keep])
+            assert not calls
     angle = (np.array([math.inf, -math.inf]), np.array([0.0, 1.0]), 0.0, 0.0)
     assert np.isnan(sysmodel._column_form(V.value_floats.source)(angle)).all()
+
+
+def test_fd_step_retakes_a_norm_that_overflowed_on_the_scaled_point():
+    # below the overflow, np.linalg.norm's bits; above it, the norm of the point over its
+    # largest entry, and no numpy warning (an error in this suite)
+    for x in ([3.0, 4.0], [0.1, -0.2, 0.3], [1e150, -1e150], [5e-324, 0.0], [0.0]):
+        assert sysmodel.fd_step(x) == 1e-6 * max(1.0, float(np.linalg.norm(x))), x
+    assert sysmodel.fd_step([1e200, -1e200]) == 1e-6 * (1e200 * float(np.linalg.norm([1.0, 1.0])))
+    assert sysmodel.fd_step([1e200, math.inf]) == math.inf
 
 
 def test_a_form_that_cannot_run_on_columns_runs_at_each_point():
