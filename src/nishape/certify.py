@@ -22,8 +22,8 @@ import numpy as np
 from .linear import sym_eigenvalues
 from .sim import _CHUNK, Trajectory
 from .sysmodel import (Check, NonlinearSystem, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, _row_dots, _row_norms,
-                       central_jacobian, make_shaped_storage, on_columns)
+                       HamiltonianSystem, TAU_PD, TAU_ZERO, _joined_text, _norm, _row_dots,
+                       _row_norms, central_jacobian, float_form, make_shaped_storage, on_columns)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -95,11 +95,12 @@ def _origin_shell(box: np.ndarray) -> np.ndarray:
 def _newton_polish(func, x, tol, stats):
     """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
     (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
-    by entry on floats; the norms, dots and solve stay numpy's (a BLAS dot uses FMA)."""
+    by entry on floats; the dots and solve stay numpy's (a BLAS dot uses FMA), the norms are
+    ``_norm``'s, and a descent test whose dot overflowed compares the norms."""
     fx = np.array(func(x), dtype=float)
     stats.update(polishes=1, model_calls=1)
     for _ in range(POLISH_ITERS):
-        if float(np.linalg.norm(fx)) <= tol:
+        if _norm(fx) <= tol:
             break
         J = central_jacobian(func, x, len(x))
         stats.update(newton_steps=1, model_calls=2 * len(x))
@@ -118,13 +119,14 @@ def _newton_polish(func, x, tol, stats):
             stats["model_calls"] += 1
             if all(map(math.isfinite, f_new)):
                 f_new = np.array(f_new, dtype=float)
-                if float(f_new @ f_new) < base:
+                new = float(f_new @ f_new)
+                if new < base if max(new, base) < math.inf else _norm(f_new) < _norm(fx):
                     x, fx = x_new, f_new
                     break
             alpha *= 0.5
         else:
             break
-    converged = float(np.linalg.norm(fx)) <= tol
+    converged = _norm(fx) <= tol
     stats["converged"] += converged
     return x, converged
 
@@ -176,30 +178,31 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
 
     Rates are computed through the vector field at every knot, never by
     differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
-    time: ``fx = f(x, u)`` in one :func:`on_columns` call on the states and
-    inputs, the output Jacobian per knot (a constant one is broadcast), one
-    ``V.gradients`` call, then every product as one stacked ``np.matmul``, which
-    runs numpy's kernel of a single ``@`` on each item, so every rate is bit for
-    bit the per-knot ``@`` product.
+    time: ``fx = f(x, u)`` and ``grad V(x)`` in one :func:`on_columns` call of the
+    form joined from their sources (``_joined_text``; else ``f`` and ``V.gradients``),
+    the output Jacobian per knot (a constant one is broadcast), then every product as
+    one stacked ``np.matmul``, which runs numpy's kernel of a single ``@`` on each
+    item, so every rate is bit for bit the per-knot ``@`` product.
     """
     if V.dim != sys.n_states:
         raise ValueError(f"storage dimension {V.dim} != state dimension {sys.n_states}")
     if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
         raise ValueError("trajectory dimensions do not match the system")
-    n = traj.n_samples
-    vdot, supply, ydot_sq, f_sq = np.empty((4, n))
+    n, dim = traj.n_samples, sys.n_states
+    sources = [getattr(form, "source", None) for form in (sys.f_floats, V.gradient_floats)]
+    joined = None if None in sources else float_form(_joined_text(dim, sys.n_io, *sources))
+    rates = np.empty((4, n))  # vdot, supply, ydot_sq and f_sq
     for a in range(0, n, _CHUNK):
         xs, us = traj.states[a:a + _CHUNK], traj.inputs[a:a + _CHUNK]
-        b = a + len(xs)
-        fx = on_columns(sys.f_floats, tuple(xs.T), tuple(us.T), width=sys.n_states)
+        cols = tuple(xs.T), tuple(us.T)
+        fx, grads = (np.split(on_columns(joined, *cols, width=2 * dim), 2, 1) if joined else
+                     (on_columns(sys.f_floats, *cols, width=dim), V.gradients(xs)))
         js = (sys.h_jacobian if isinstance(sys.h_jacobian, np.ndarray)
               else np.array([sys.output_jacobian(x) for x in xs]))
         ydot = np.matmul(js, fx[:, :, None])[:, :, 0]
-        vdot[a:b] = _row_dots(V.gradients(xs), fx)
-        supply[a:b] = _row_dots(us, ydot)
-        ydot_sq[a:b] = _row_dots(ydot, ydot)
-        f_sq[a:b] = _row_dots(fx, fx)
-    return RateTable(traj, vdot, supply, ydot_sq, f_sq)
+        rates[:, a:a + _CHUNK] = [_row_dots(grads, fx), _row_dots(us, ydot),
+                                  _row_dots(ydot, ydot), _row_dots(fx, fx)]
+    return RateTable(traj, *rates)
 
 
 def dissipation_from_rates(rates: RateTable, epsilon: float) -> Check:
@@ -313,7 +316,7 @@ def check_gradient_nonvanishing(field: ScalarField, box, n_samples: int = 256,
     search = _box_minimum(
         lambda points: _row_norms(field.gradients(points)), box, n_samples, seed,
         0.0, root=(field.gradient_floats, 1e-10, lambda x: (
-            float(np.linalg.norm(x)) > r_excl
+            _norm(x) > r_excl
             and np.all((box[:, 0] - slack <= x) & (x <= box[:, 1] + slack)))))
     if search is None:
         return Check("nothing to check", 0.0)
@@ -351,7 +354,7 @@ def check_equilibrium_uniqueness(sys_cl: NonlinearSystem, box, n_samples: int = 
         return _row_norms(fxs, np.sqrt(_row_dots(fxs, fxs)))
 
     search = _box_minimum(residual_norms, box, n_samples, seed, r_excl, root=(
-        lambda x: sys_cl.f_floats(x, u0), 1e-9, lambda x: float(np.linalg.norm(x)) > r_excl))
+        lambda x: sys_cl.f_floats(x, u0), 1e-9, lambda x: _norm(x) > r_excl))
     if search is None:
         return Check("nothing to check", 0.0)
     points, norms, i_min, root, stats = search

@@ -501,9 +501,9 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         gain = dc_gain(sc.certificate.sys, sc.certificate)  # raises on mismatch
         extras["dc_gain_max_abs"] = float(np.max(np.abs(gain)))
 
-    # one rate table per (system, storage, trajectory), dropped once its checks exist;
-    # the plant's run is never exported, so it goes with its table
-    traj_plant = simulate(plant, start, sc.signal, cfg, monitor=V)
+    # one rate table per (system, storage, trajectory), dropped once its checks exist; the
+    # plant's run goes with its table, its V monitored only as traj_original's forced twin
+    traj_plant = simulate(plant, start, sc.signal, cfg, monitor=None if sc.signal.is_zero else V)
     rates = rate_table(plant, V, traj_plant)
     checks.append(("plant NI residuals", dissipation_from_rates(rates, 0.0)))
     eps_hat = epsilon_from_rates([rates])

@@ -23,6 +23,7 @@ import ast
 import functools
 import itertools
 import math
+import re
 import textwrap
 from collections import Counter
 from dataclasses import dataclass, field
@@ -75,14 +76,18 @@ def _listed(result) -> list:
     return np.atleast_1d(np.asarray(result, dtype=float)).tolist()
 
 
-def fd_step(x) -> float:
-    """Central-difference step, 1e-6 scaled by the probe point's size, its norm
-    retaken by ``_row_norms`` where it overflowed."""
+def _norm(x) -> float:
+    """``np.linalg.norm(x)``, retaken by ``_row_norms`` where it overflowed."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
     if norm == math.inf:
         norm = float(_row_norms(np.array([x], dtype=float), np.array([norm]))[0])
-    return 1e-6 * max(1.0, norm)
+    return norm
+
+
+def fd_step(x) -> float:
+    """Central-difference step, 1e-6 scaled by the probe point's size (``_norm``)."""
+    return 1e-6 * max(1.0, _norm(x))
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -132,10 +137,10 @@ def _sq(z: float) -> float:
         return math.inf
 
 
-def _log_cosh(z: float) -> float:
+def _log_cosh(z: float, exp=math.exp, log1p=math.log1p) -> float:
     # overflow-safe log(cosh(z))
     az = abs(z)
-    return az - _LOG_2 + math.log1p(math.exp(-2.0 * az))
+    return az - _LOG_2 + log1p(exp(-2.0 * az))
 
 
 def _nan_at_inf(trig):
@@ -220,13 +225,14 @@ def _retried(mapped, error, again):
 
 
 # ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf,
-# sq as pow(z, 2.0) with _sq's inf where it overflows), numpy's sqrt (rounded once, as
-# math.sqrt), and a divisor that raises at 0 as Python does
+# sq as pow(z, 2.0) with _sq's inf where it overflows, log_cosh's exp and log1p), numpy's
+# sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python does
 _COLUMNS = MappingProxyType({
     **{name: _mapped(fn) if callable(fn) else fn for name, fn in ELEMENTARY.items()},
     **{trig: _retried(_mapped(ELEMENTARY[trig]), ValueError,
                       _mapped(_nan_at_inf(ELEMENTARY[trig]))) for trig in ("sin", "cos")},
     "sq": _retried(_mapped(pow, 2.0), OverflowError, _mapped(_sq)), "abs": abs,
+    "log_cosh": functools.partial(_log_cosh, exp=_mapped(math.exp), log1p=_mapped(math.log1p)),
     "sqrt": lambda z: np.sqrt(z) if isinstance(z, np.ndarray) else math.sqrt(z),
     "_divisor": lambda z: z if np.all(z != 0.0) else 1.0 / 0.0})
 _COLUMN_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
@@ -637,6 +643,27 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
     return NonlinearSystem.from_floats(sys.n_states, sys.n_io, f_closed, sys.h_floats,
                                        h_jacobian=sys.h_jacobian,
                                        name=f"{sys.name or 'plant'} / {nl.name or 'feedback'}")
+
+
+@functools.lru_cache(maxsize=64)  # one text per pair of sources
+def _joined_text(n: int, p: int, f: str, gradient: str) -> str:
+    """``knot(x, u)``: ``f(x, u)``'s n entries, then ``gradient(x)``'s, spliced on the entries
+    ``x0, ...`` and ``u0, ...``.  Where ``_column_form`` takes every node, each ``ELEMENTARY``
+    call repeated (by its text) on those entries alone is made once, into a local: same bits."""
+    xs, us = _names("x", n), _names("u", p)
+    f_lines, rates = _spliced(f, [xs, us], "f", n)
+    g_lines, grads = _spliced(gradient, [xs], "g", n)
+    body, result = "\n".join([*f_lines, *g_lines]), _argument([*rates, *grads])
+    nodes = list(ast.walk(ast.parse(f"{body}\nreturn {result}")))
+    calls = Counter(ast.unparse(node) for node in nodes if isinstance(node, ast.Call) and getattr(
+        node.func, "id", None) in ELEMENTARY and {*xs, *us} >= {
+            name.id for arg in node.args for name in ast.walk(arg) if hasattr(name, "id")})
+    shared = [call for call, count in calls.items() if count > 1
+              and all(isinstance(node, _COLUMN_NODES) for node in nodes)]
+    for i, call in enumerate(shared):  # a call's text is its node's, unparsed in any context
+        body, result = (re.sub(rf"\b{re.escape(call)}", f"c{i}__shared", t) for t in (body, result))
+    return _def("knot(x, u)", [f"{', '.join(xs)}, = x", f"{', '.join(us)}, = u", *(
+        f"c{i}__shared = {call}" for i, call in enumerate(shared)), *body.split("\n")], result)
 
 
 @functools.lru_cache(maxsize=64)  # the same text for every storage of the same parts

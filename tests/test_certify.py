@@ -18,7 +18,8 @@ from nishape import (Check, HamiltonianSystem, InputSignal, IntegratorConfig, Li
 from nishape import certify, sim, sysmodel
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
-from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
+from nishape.sysmodel import on_columns
+from conftest import make_linear_gain_feedback, make_rotation_hamiltonian, probe_states
 
 
 def _pendulum_square_wave_run(t_end=10.0):
@@ -529,6 +530,106 @@ def test_rate_table_peak_memory_stays_within_one_chunk():
     assert peak <= held + 1024 * _CHUNK, (peak, held)
 
 
+def _joined_form(sys, field):
+    return sysmodel.float_form(sysmodel._joined_text(
+        sys.n_states, sys.n_io, sys.f_floats.source, field.gradient_floats.source))
+
+
+def _bits(values):
+    """The bytes of ``values``, each NaN as numpy's nan: once a function is warm, CPython's
+    specialized float operations (3.11) may give an invalid operation's NaN the other sign."""
+    values = np.array(values, dtype=float)
+    values[np.isnan(values)] = np.nan
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("name", nishape.scenario_names())
+def test_the_joined_form_is_the_separate_forms_bitwise(name):
+    sc = get_scenario(name)
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    cfg = IntegratorConfig(step=1e-3, t_end=1.5)
+    for sys, field, signal in ((plant, V, sc.signal), (closed, W, InputSignal.zero(plant.n_io))):
+        traj = simulate(sys, sc.x0, signal, cfg)
+        rates = _assert_rates_bitwise(sys, field, traj)  # both tables, against the per-knot loop
+        if not hasattr(sys.f_floats, "source"):  # a linear plant: f and V.gradients, two calls
+            assert not hasattr(field.gradient_floats, "source")
+            continue
+        n, p = sys.n_states, sys.n_io
+        # the run's knots, then signed zeros, infinities, nan and +-1e308 in the states and
+        # the inputs, which a column run meets as an invalid operation or a raise
+        probes = probe_states(n, 41)
+        inputs = probe_states(p, 43)
+        inputs = inputs[np.arange(len(probes)) % len(inputs)]
+        states, inputs = np.vstack([traj.states, probes]), np.vstack([traj.inputs, inputs])
+        joined = _joined_form(sys, field)
+        with np.errstate(all="ignore"):
+            separate = np.hstack([on_columns(sys.f_floats, tuple(states.T), tuple(inputs.T),
+                                             width=n), field.gradients(states)])
+            assert _bits(on_columns(joined, tuple(states.T), tuple(inputs.T),
+                                    width=2 * n)) == _bits(separate)
+            # the per-point fallback: the joined float form at each point, its one retry
+            # after a sin that raised at an infinity included
+            per_point = [joined(x, u) for x, u in zip(states.tolist(), inputs.tolist())]
+            assert _bits(per_point) == _bits(separate)
+        assert _rate_bits(rates) == _rate_bits(rate_table(sys, field, Trajectory(
+            traj.times, traj.states, traj.inputs, traj.outputs)))
+
+
+def _counting(calls, name):
+    mapped = sysmodel._COLUMNS[name]
+    return lambda z: calls.update({name: np.size(z)}) or mapped(z)
+
+
+def test_the_joined_form_makes_each_repeated_call_once_per_knot(monkeypatch):
+    # the closed loop's f and W's gradient each call sin(x0), sin(x1), tanh(3.0 * x0) and
+    # tanh(3.0 * x1); the plant's f and V's gradient each call sin(x0) and sin(x1).  Counting
+    # column maps see each distinct call text once per knot in a rate table, and twice
+    # through f on columns and the gradients called apart
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    traj = simulate(closed, sc.x0, InputSignal.zero(2), IntegratorConfig(step=1e-3, t_end=1.5))
+    n, calls, seen = traj.n_samples, Counter(), []
+    sysmodel._column_form.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sysmodel, "_COLUMNS", {**sysmodel._COLUMNS, **{
+                name: _counting(calls, name) for name in ("sin", "tanh")}})
+            for sys, field in ((closed, W), (plant, V)):
+                rate_table(sys, field, traj)
+                seen.append(dict(calls))
+                calls.clear()
+            on_columns(closed.f_floats, tuple(traj.states.T), (0.0, 0.0), width=4)
+            W.gradients(traj.states)
+    finally:
+        sysmodel._column_form.cache_clear()  # no later form may take the counting maps
+    assert seen == [{"sin": 2 * n, "tanh": 2 * n}, {"sin": 2 * n}]
+    assert calls == {"sin": 4 * n, "tanh": 4 * n}
+    text = sysmodel._joined_text(4, 2, closed.f_floats.source, W.gradient_floats.source)
+    assert [line.strip() for line in text.splitlines() if "__shared =" in line] == [
+        "c0__shared = tanh(3.0 * x0)", "c1__shared = tanh(3.0 * x1)",
+        "c2__shared = sin(x0)", "c3__shared = sin(x1)"]
+
+
+def test_the_joined_form_shares_no_call_where_a_column_run_cannot_take_its_nodes():
+    # a conditional may skip a call that would raise: no call is hoisted out of it
+    f = sysmodel.float_form("""
+        def f(x, u):
+            a, = x
+            v, = u
+            return (sqrt(a) if a > 0.0 else 0.0 + v,)
+        """)
+    gradient = sysmodel.float_form("""
+        def g(x):
+            a, = x
+            return (sqrt(a) if a > 0.0 else 1.0,)
+        """)
+    text = sysmodel._joined_text(1, 1, f.source, gradient.source)
+    assert "__shared" not in text
+    assert sysmodel.float_form(text)([-1.0], [2.0]) == (2.0, 1.0)
+
+
 def test_osni_rejects_negative_epsilon():
     plant, V, traj = _pendulum_square_wave_run(t_end=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -782,6 +883,21 @@ def test_box_checks_on_a_huge_box_return_quietly(capfd):
         stats = report.detail
         assert stats["newton_steps"] == stats["polishes"] == certify.N_POLISH
         assert stats["model_calls"] > stats["polishes"] * (1 + 2 * 4), stats
+
+
+def test_polish_on_a_huge_box_compares_norms_where_its_dots_overflow():
+    # on +-1e200 |f| is far above 1.3e154, where f @ f and np.linalg.norm overflow to inf.
+    # The descent and stop tests compare _norm's norms there, so trials are accepted and
+    # polishes converge; their roots lie well inside the exclusion ball, whose test takes
+    # _norm's norm too, so the verdicts stay pass
+    sc = get_scenario("pendulum-stabilize")
+    plant, V, nl, W = _build_parts(sc)
+    box = [(-1e200, 1e200)] * 4
+    for report in (check_gradient_nonvanishing(W, box, n_samples=64),
+                   check_equilibrium_uniqueness(make_closed_loop(plant, nl), box, n_samples=64)):
+        stats = report.detail
+        assert stats["newton_steps"] > stats["polishes"] or stats["converged"], stats
+        assert report.verdict == "pass", report
 
 
 def test_box_checks_reject_a_box_that_is_not_finite():

@@ -620,6 +620,23 @@ def test_run_scenario_simulation_count(monkeypatch, name, n_runs):
     assert len(calls) == n_runs
 
 
+@pytest.mark.parametrize("name, monitors", [
+    ("linear-a", [None, "W"]),
+    ("pendulum-stabilize", [None, "W"]),  # nothing reads the plant's V: not monitored
+    ("pendulum-sync", ["pendulum storage", "W", "W", "pendulum storage"]),  # identical twins
+])
+def test_run_scenario_monitors_only_the_runs_it_reads(monkeypatch, name, monitors):
+    seen = []
+
+    def recording_simulate(*args, monitor=None, **kwargs):
+        seen.append(None if monitor is None else monitor.name)
+        return simulate(*args, monitor=monitor, **kwargs)
+
+    monkeypatch.setattr(scenarios, "simulate", recording_simulate)
+    run_scenario(name, t_end=0.05)
+    assert seen == monitors
+
+
 _BOX_CHECKS = ["gradient-consistency F", "gradient-consistency V",
                "shaped-storage positive-definite"]
 _PLANT_AND_LOOP = ["plant NI residuals", "plant OSNI residuals", "closed-loop storage decay",

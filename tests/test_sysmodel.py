@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 from operator import add
@@ -444,6 +445,52 @@ def test_column_forms_are_the_per_point_forms_bitwise(name):
             assert not calls
     angle = (np.array([math.inf, -math.inf]), np.array([0.0, 1.0]), 0.0, 0.0)
     assert np.isnan(sysmodel._column_form(V.value_floats.source)(angle)).all()
+
+
+def test_column_log_cosh_is_the_float_log_cosh_bitwise():
+    # numpy's abs, * and + around libm maps of exp and log1p: the bits of the Python
+    # _log_cosh on random values of every scale, signed zeros, infinities, nan, +-1e308
+    # (where -2.0 * |z| overflows to -inf) and the smallest subnormal, and on a bare float,
+    # with no numpy warning (an error in this suite) under on_columns' errstate
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.normal(0.0, 1.0, 50001) * 10.0 ** rng.integers(-12, 4, 50001),
+                             [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]])
+    column = sysmodel._COLUMNS["log_cosh"]
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        got = column(values)
+        bare = [column(z) for z in values[-8:].tolist()]
+    want = np.array([sysmodel._log_cosh(z) for z in values.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert all(type(z) is float for z in bare) and np.array(bare).tobytes() == want[-8:].tobytes()
+    # a form that calls it runs once on the columns, with no call at a point
+    calls = []
+    form = nishape.float_form("def f(x):\n    a, = x\n    return 5.0 * log_cosh(3.0 * a)")
+    counted = lambda x: calls.append(x) or form(x)  # noqa: E731
+    counted.source = form.source
+    assert _bits(sysmodel.on_columns(counted, (values,))) == _bits(
+        [form([z]) for z in values.tolist()])
+    assert not calls
+
+
+# every source of the four scenarios' models and compositions (plant f and h, V and its
+# gradient, phi, F, the closed loop's f, W, W's gradient and S): the texts that the step
+# loop and float_form's cache are keyed on, as they read before the rate table's joined form
+_SOURCES_SHA256 = "1969b8c85c0efe57fccbbf4fbbaaf52f7a6c65eb3c37ec67f46924aaed8e0c4a"
+
+
+def test_every_built_in_float_form_keeps_its_source():
+    digest, count = hashlib.sha256(), 0
+    for name in scenario_names():
+        plant, V, nl, W = nishape.scenarios._build_parts(get_scenario(name))
+        closed = make_closed_loop(plant, nl)
+        for form in (plant.f_floats, plant.h_floats, V.value_floats, V.gradient_floats,
+                     nl.phi_floats, nl.potential.value_floats, closed.f_floats, W.value_floats,
+                     W.gradient_floats, W.shaping.value_floats):
+            if hasattr(form, "source"):
+                assert "__shared" not in form.source
+                digest.update(form.source.encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (24, _SOURCES_SHA256)
 
 
 def test_fd_step_retakes_a_norm_that_overflowed_on_the_scaled_point():
