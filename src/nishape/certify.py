@@ -20,8 +20,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .linear import sym_eigenvalues
-from .sim import _CHUNK, Trajectory
-from .sysmodel import (Check, NonlinearSystem, ScalarField, StaticNonlinearity,
+from .sim import Trajectory
+from .sysmodel import (_CHUNK, Check, NonlinearSystem, ScalarField, StaticNonlinearity,
                        HamiltonianSystem, TAU_PD, TAU_ZERO, _joined_text, _norm, _row_dots,
                        _row_norms, central_jacobian, float_form, make_shaped_storage, on_columns)
 

@@ -502,8 +502,9 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
         extras["dc_gain_max_abs"] = float(np.max(np.abs(gain)))
 
     # one rate table per (system, storage, trajectory), dropped once its checks exist; the
-    # plant's run goes with its table, its V monitored only as traj_original's forced twin
-    traj_plant = simulate(plant, start, sc.signal, cfg, monitor=None if sc.signal.is_zero else V)
+    # plant's run goes with its table, and a storage channel goes only on a run that is read
+    stored = lambda traj, field: dataclasses.replace(traj, storage=field.values(traj.states))
+    traj_plant = simulate(plant, start, sc.signal, cfg)
     rates = rate_table(plant, V, traj_plant)
     checks.append(("plant NI residuals", dissipation_from_rates(rates, 0.0)))
     eps_hat = epsilon_from_rates([rates])
@@ -513,7 +514,7 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
     del rates, traj_plant
 
     closed = make_closed_loop(plant, nl)
-    traj_free = simulate(closed, start, InputSignal.zero(plant.n_io), cfg, monitor=W)
+    traj_free = stored(simulate(closed, start, InputSignal.zero(plant.n_io), cfg), W)
     checks.append(("closed-loop storage decay", monitor_decay(traj_free)))
     rates = rate_table(closed, W, traj_free)
     checks.append(("closed-loop NI residuals (shaped storage)",
@@ -524,8 +525,8 @@ def run_scenario(name: str, step: Optional[float] = None, t_end: Optional[float]
 
     trajs = {"trajectory": traj_free}
     if not sc.signal.is_zero:  # a forced scenario: compare against the unshaped plant
-        traj_forced = simulate(closed, start, sc.signal, cfg, monitor=W)
-        traj_original = simulate(plant, start, sc.signal, cfg, monitor=V)
+        traj_forced = stored(simulate(closed, start, sc.signal, cfg), W)
+        traj_original = stored(simulate(plant, start, sc.signal, cfg), V)
         trajs = {"trajectory": traj_forced, "trajectory_unforced": traj_free,
                  "trajectory_original": traj_original}
         window = (min(SYNC_WINDOW[0], 2.0 * cfg.t_end / 3.0), cfg.t_end)

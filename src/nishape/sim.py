@@ -1,5 +1,5 @@
 """Deterministic fixed-step ODE simulation with signal generators,
-trajectory recording, and storage monitoring.
+trajectory recording, and the storage-decay check.
 
 The integrator is classical RK4 at a fixed step.  No adaptivity and no event
 location: trajectories are bitwise reproducible for identical arguments, and
@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import Check, NonlinearSystem, ScalarField, _argument, _guarded, _names, _part
+from .sysmodel import _CHUNK, Check, NonlinearSystem, _argument, _guarded, _names, _part
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class IntegratorConfig:
     step: float
     t_end: float
     method: ClassVar[str] = "RK4"  # the one integrator
-    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 1.1 GB, held by its Trajectory
+    MAX_STEPS: ClassVar[int] = 10 ** 7  # a pendulum run: 0.72 GB, held by its Trajectory
 
     def __post_init__(self):
         if not (0.0 < self.step < math.inf):
@@ -43,9 +43,6 @@ class IntegratorConfig:
         if abs(n_steps * self.step - self.t_end) > 1e-9 * max(1.0, self.t_end):
             n_steps = int(math.floor(self.t_end / self.step))
         return n_steps
-
-
-_CHUNK = 1024  # steps per call of the generated loop, buffered as Python floats
 
 
 def _square_wave(amplitude: float, period: float, high, low):
@@ -136,9 +133,9 @@ def _read_only(a) -> np.ndarray:
 class Trajectory:
     """Uniformly sampled simulation record; arrays are read-only.
 
-    ``inputs`` holds the exogenous signal v at each knot.  ``storage`` is the
-    optional monitored field, ``diagnostic`` is set when the integration was
-    truncated by a non-finite value.
+    ``inputs`` holds the exogenous signal v at each knot.  ``storage`` is a channel
+    the caller attaches (``dataclasses.replace(traj, storage=field.values(traj.states))``),
+    ``diagnostic`` is set when the integration was truncated by a non-finite value.
     """
 
     times: np.ndarray
@@ -238,8 +235,7 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
                     f"<RK4 loop on {n} states, {p} channels>")
 
 
-def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig,
-             monitor: Optional[ScalarField] = None) -> Trajectory:
+def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
     The step loop runs on the float forms ``f`` and ``h`` of the system
@@ -253,24 +249,20 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     with numpy's ``nan`` there.  RK4 holds the input at its stage-time values (a
     square wave is evaluated at t, t + step/2 and t + step, and the value at t +
     step serves the next knot when that knot's time equals it bitwise; a zero or
-    constant input is evaluated once).  ``monitor`` is sampled at the knots into
-    the storage channel, on the columns of each written chunk
-    (:meth:`ScalarField.values`, bit for bit its value at each knot).  A
-    non-finite stage derivative or state truncates the trajectory and attaches a
-    diagnostic instead of propagating NaNs; one exact finiteness test on the new
-    state per step detects both.  A complete run evaluates ``f`` four times per
-    step and records no derivative.  An ``h`` or ``f`` value of the wrong length
-    raises ``ValueError``.  Knots are written into the record every ``_CHUNK``
-    steps, so no whole-run list of Python floats or temporary of the monitor is
-    built.
+    constant input is evaluated once).  A run records times, states, inputs and
+    outputs; a storage channel is the caller's to attach.  A non-finite stage
+    derivative or state truncates the trajectory and attaches a diagnostic
+    instead of propagating NaNs; one exact finiteness test on the new state per
+    step detects both.  A complete run evaluates ``f`` four times per step and
+    records no derivative.  An ``h`` or ``f`` value of the wrong length raises
+    ``ValueError``.  Knots are written into the record every ``_CHUNK`` steps, so
+    no whole-run list of Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
         raise ValueError(f"x0 must be a finite vector of length {sys.n_states}, got {x0}")
     if signal.p != sys.n_io:
         raise ValueError(f"signal dimension {signal.p} != system input dimension {sys.n_io}")
-    if monitor is not None and monitor.dim != sys.n_states:
-        raise ValueError(f"monitor dimension {monitor.dim} != state dimension {sys.n_states}")
 
     step, n_steps = cfg.step, cfg.n_steps
     times = np.arange(n_steps + 1, dtype=float)
@@ -278,7 +270,6 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     states = np.empty((n_steps + 1, sys.n_states))
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
-    storage = np.empty(n_steps + 1) if monitor is not None else None
     arrays = (states, inputs, outputs)
     rows = ([], [], [])  # the entries of the knots not yet written, flat
 
@@ -287,8 +278,6 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         for arr, buf in zip(arrays, rows):
             arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, *arr.shape[1:])
             buf.clear()
-        if storage is not None:  # the chunk's states on columns: no whole-run temporary
-            storage[start:end] = monitor.values(states[start:end])
         return end
 
     f = sys.f_floats
@@ -310,11 +299,10 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
             diagnostic = f"non-finite stage derivative at t = {t:.6g}"
 
     if k == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
-        for arr in (times, storage, *arrays):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (times, *arrays):
+            arr.setflags(write=False)
     return Trajectory(times=times[:k], states=states[:k], inputs=inputs[:k], outputs=outputs[:k],
-                      storage=None if storage is None else storage[:k], diagnostic=diagnostic)
+                      diagnostic=diagnostic)
 
 
 def monitor_decay(traj: Trajectory) -> Check:

@@ -37,6 +37,7 @@ TAU_ZERO = 1e-9        # absolute "is zero" tolerance
 TAU_GRAD = 1e-5        # relative gradient-agreement tolerance
 TAU_GRAD_FLOOR = 1e-8  # absolute floor under TAU_GRAD
 TAU_PD = 1e-9          # strict positive-definiteness margin
+_CHUNK = 1024  # knots per block of a whole-record pass: step loop, rate table, storage
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +78,8 @@ def _listed(result) -> list:
 
 
 def _norm(x) -> float:
-    """``np.linalg.norm(x)``, retaken by ``_row_norms`` where it overflowed."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
+    """``np.linalg.norm(x)``, retaken by ``_row_norms`` on overflow, its warning the caller's."""
+    norm = float(np.linalg.norm(x))
     if norm == math.inf:
         norm = float(_row_norms(np.array([x], dtype=float), np.array([norm]))[0])
     return norm
@@ -87,7 +87,8 @@ def _norm(x) -> float:
 
 def fd_step(x) -> float:
     """Central-difference step, 1e-6 scaled by the probe point's size (``_norm``)."""
-    return 1e-6 * max(1.0, _norm(x))
+    with np.errstate(over="ignore"):
+        return 1e-6 * max(1.0, _norm(x))
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -358,12 +359,21 @@ class ScalarField:
         return np.asarray(self.gradient_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def values(self, xs) -> np.ndarray:
-        """The values at the rows of ``xs`` (:func:`on_columns`), bit for bit :meth:`value`."""
-        return on_columns(self.value_floats, tuple(np.asarray(xs, dtype=float).T))
+        """The values at the rows of ``xs``, bit for bit :meth:`value`: :func:`on_columns` on
+        ``_CHUNK`` rows a call into one array, so a whole record keeps one chunk's temporaries."""
+        return self._on_rows(xs, None)
 
     def gradients(self, xs) -> np.ndarray:
         """The gradients at the rows of ``xs``, bit for bit the stacked :meth:`gradient`."""
-        return on_columns(self.gradient_floats, tuple(np.asarray(xs, float).T), width=self.dim)
+        return self._on_rows(xs, self.dim)
+
+    def _on_rows(self, xs, width):
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)  # a lone point is one row
+        form = self.gradient_floats if width else self.value_floats
+        out = np.empty((len(xs), width) if width else len(xs))
+        for a in range(0, len(xs), _CHUNK):
+            out[a:a + _CHUNK] = on_columns(form, tuple(xs[a:a + _CHUNK].T), width=width)
+        return out
 
 
 def zero_field(dim: int) -> ScalarField:

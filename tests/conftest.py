@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,12 @@ def g17_hard_values(rng) -> np.ndarray:
     ties = 1.0 + (2 * np.arange(2000) + 1) * 2.0 ** -17
     finite = np.concatenate(decades + near + [ties, [1e-6, 1e16 - 2, 1e17, 5e-324, 0.0]])
     return rng.permutation(np.concatenate([finite, -finite, [np.inf, -np.inf, np.nan]]))
+
+
+def with_storage(traj, field):
+    """``traj`` with the storage channel ``field.values(traj.states)``, as
+    ``run_scenario`` attaches it."""
+    return dataclasses.replace(traj, storage=field.values(traj.states))
 
 
 def sourceless(form):

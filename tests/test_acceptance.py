@@ -17,7 +17,7 @@ from nishape import (InputSignal, IntegratorConfig, LinearSystem, SlopeBounds,
                      hamiltonian_decay_identity, is_hurwitz, make_closed_loop,
                      make_shaped_storage, monitor_decay, rate_table,
                      schur_equivalence, simulate, synchronization_statistic)
-from conftest import make_linear_gain_feedback, make_rotation_hamiltonian
+from conftest import make_linear_gain_feedback, make_rotation_hamiltonian, with_storage
 
 
 def _criterion(number, label, ok, detail=""):
@@ -72,8 +72,8 @@ def test_03_coupled_case_decay_and_convergence():
     _, plant, nl, V, W = _case_b_pieces()
     closed = make_closed_loop(plant, nl)
     t0 = time.perf_counter()
-    traj = simulate(closed, (1.0, -2.0), InputSignal.zero(2),
-                    IntegratorConfig(step=1e-3, t_end=10.0), monitor=W)
+    traj = with_storage(simulate(closed, (1.0, -2.0), InputSignal.zero(2),
+                                 IntegratorConfig(step=1e-3, t_end=10.0)), W)
     elapsed = time.perf_counter() - t0
     decay = monitor_decay(traj)
     end_norm = float(np.linalg.norm(traj.states[-1]))
@@ -168,8 +168,8 @@ def test_08_pendulum_stabilization():
     nl = build_full_shaping()
     closed = make_closed_loop(plant, nl)
     W2 = make_shaped_storage(V, nl.potential, plant.h, 4, h_jacobian=plant.h_jacobian)
-    traj = simulate(closed, (6.0, 4.5, 0.0, 0.0), InputSignal.zero(2),
-                    IntegratorConfig(step=1e-3, t_end=50.0), monitor=W2)
+    traj = with_storage(simulate(closed, (6.0, 4.5, 0.0, 0.0), InputSignal.zero(2),
+                                 IntegratorConfig(step=1e-3, t_end=50.0)), W2)
     final_max = float(np.max(np.abs(traj.states[-1])))
     decay = monitor_decay(traj)
     uniqueness = check_equilibrium_uniqueness(closed, [(-8.0, 8.0)] * 4,

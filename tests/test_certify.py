@@ -19,7 +19,8 @@ from nishape import certify, sim, sysmodel
 from nishape.scenarios import _build_parts
 from nishape.sim import _CHUNK
 from nishape.sysmodel import on_columns
-from conftest import make_linear_gain_feedback, make_rotation_hamiltonian, probe_states
+from conftest import (make_linear_gain_feedback, make_rotation_hamiltonian, probe_states,
+                      with_storage)
 
 
 def _pendulum_square_wave_run(t_end=10.0):
@@ -504,7 +505,7 @@ def test_four_f_calls_per_step_and_one_per_knot_in_a_sourceless_rate_table(monke
     try:
         with monkeypatch.context() as patch:
             patch.setattr(sysmodel, "ELEMENTARY", {**sysmodel.ELEMENTARY, "sin": counted_sin})
-            traj = simulate(closed, sc.x0, sc.signal, cfg, monitor=W)
+            traj = with_storage(simulate(closed, sc.x0, sc.signal, cfg), W)
     finally:
         sim._rk4_loop.cache_clear()  # no later run may take the counting loop
     assert hasattr(closed.f_floats, "source") and traj.diagnostic is None
@@ -1306,8 +1307,8 @@ def test_hamiltonian_system_matches_its_numpy_realization_bitwise(which, forced)
         return [a.tobytes() for a in arrays]
 
     for sys, ref in ((hs, oracle), (make_closed_loop(hs, nl), make_closed_loop(oracle, nl))):
-        traj = simulate(sys, (0.9, -0.6), signal, cfg, monitor=hs.H)
-        want = simulate(ref, (0.9, -0.6), signal, cfg, monitor=hs.H)
+        traj, want = (with_storage(simulate(s, (0.9, -0.6), signal, cfg), hs.H)
+                      for s in (sys, ref))
         assert bits(traj.states, traj.outputs, traj.storage) == \
             bits(want.states, want.outputs, want.storage)
         got, exp = rate_table(sys, hs.H, traj), rate_table(ref, hs.H, traj)

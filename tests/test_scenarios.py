@@ -2,12 +2,13 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nishape import scenarios, simulate
-from nishape import (PendulumParams, ScalarField, ShapingParams, StaticNonlinearity,
+from nishape import (IntegratorConfig, PendulumParams, ScalarField, ShapingParams, StaticNonlinearity,
                      build_full_shaping, build_linear_example,
                      build_sync_shaping, export_potential_surface, get_scenario,
                      gradient_check, make_closed_loop, make_shaped_storage, run_scenario,
@@ -620,21 +621,28 @@ def test_run_scenario_simulation_count(monkeypatch, name, n_runs):
     assert len(calls) == n_runs
 
 
-@pytest.mark.parametrize("name, monitors", [
-    ("linear-a", [None, "W"]),
-    ("pendulum-stabilize", [None, "W"]),  # nothing reads the plant's V: not monitored
-    ("pendulum-sync", ["pendulum storage", "W", "W", "pendulum storage"]),  # identical twins
+@pytest.mark.parametrize("name, passes", [
+    ("linear-a", {"W": 1}),
+    ("linear-b", {"W": 1}),
+    ("pendulum-stabilize", {"W": 1}),  # the unforced closed loop's decay check and CSV
+    # and the forced closed loop and the original plant for their CSVs; the rated plant
+    # run is never read, so no V
+    ("pendulum-sync", {"pendulum storage": 1, "W": 2}),
 ])
-def test_run_scenario_monitors_only_the_runs_it_reads(monkeypatch, name, monitors):
-    seen = []
+def test_run_scenario_storage_passes_per_read_run(monkeypatch, name, passes):
+    # a pass over a whole record: field.values on as many rows as a run has knots
+    cfg = IntegratorConfig(step=1e-3, t_end=0.057)
+    seen = Counter()
+    values = ScalarField.values
 
-    def recording_simulate(*args, monitor=None, **kwargs):
-        seen.append(None if monitor is None else monitor.name)
-        return simulate(*args, monitor=monitor, **kwargs)
+    def counted(field, xs):
+        if len(xs) == cfg.n_steps + 1:
+            seen[field.name] += 1
+        return values(field, xs)
 
-    monkeypatch.setattr(scenarios, "simulate", recording_simulate)
-    run_scenario(name, t_end=0.05)
-    assert seen == monitors
+    monkeypatch.setattr(ScalarField, "values", counted)
+    run_scenario(name, t_end=cfg.t_end)
+    assert seen == passes
 
 
 _BOX_CHECKS = ["gradient-consistency F", "gradient-consistency V",

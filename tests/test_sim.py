@@ -13,9 +13,10 @@ from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField
                      square_wave_value, write_trajectory_csv)
 import nishape
 from nishape import sim
-from nishape.sim import _CHUNK
+from nishape.sysmodel import _CHUNK
 
-from conftest import fused_and_composed, g17_hard_values, make_rotation_hamiltonian, sourceless
+from conftest import (fused_and_composed, g17_hard_values, make_rotation_hamiltonian, sourceless,
+                      with_storage)
 
 
 def _scalar_decay():
@@ -49,7 +50,7 @@ def test_parallel_simulations_match_serial(pendulum):
     starts = [np.array([0.5 * k, -0.2 * k, 0.0, 0.1 * k]) for k in range(4)]
 
     def run(x0):
-        return simulate(plant, x0, InputSignal.zero(2), cfg, monitor=V)
+        return with_storage(simulate(plant, x0, InputSignal.zero(2), cfg), V)
 
     serial = [run(x0) for x0 in starts]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -73,8 +74,7 @@ def test_simulate_is_bitwise_deterministic(pendulum):
     plant, V = pendulum
     sig = InputSignal.square_wave(2, 0, 2.0, 3.0)
     cfg = IntegratorConfig(step=1e-3, t_end=2.0)
-    a = simulate(plant, (1.0, 0.5, 0.0, 0.0), sig, cfg, monitor=V)
-    b = simulate(plant, (1.0, 0.5, 0.0, 0.0), sig, cfg, monitor=V)
+    a, b = (with_storage(simulate(plant, (1.0, 0.5, 0.0, 0.0), sig, cfg), V) for _ in "ab")
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.outputs, b.outputs)
     assert np.array_equal(a.storage, b.storage)
@@ -119,7 +119,7 @@ def test_simulate_peak_memory_stays_close_to_the_record():
     cfg = IntegratorConfig(step=1e-4, t_end=2.5)
     tracemalloc.start()
     try:
-        traj = simulate(plant, (1.0, -2.0), InputSignal.zero(2), cfg, monitor=V)
+        traj = with_storage(simulate(plant, (1.0, -2.0), InputSignal.zero(2), cfg), V)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,7 +260,7 @@ def test_constant_signal():
 
 
 # ---------------------------------------------------------------------------
-# Storage monitoring
+# The storage channel and its decay check
 
 
 def test_monitor_decay_constant_trajectory_passes():
@@ -275,8 +275,8 @@ def test_monitor_decay_constant_trajectory_passes():
 def test_monitor_decay_skips_forced_segment(pendulum):
     plant, V = pendulum
     sig = InputSignal.square_wave(2, 0, 2.0, 3.0)
-    traj = simulate(plant, (1.0, 0.0, 0.0, 0.0), sig,
-                    IntegratorConfig(step=1e-3, t_end=1.0), monitor=V)
+    traj = with_storage(simulate(plant, (1.0, 0.0, 0.0, 0.0), sig,
+                                 IntegratorConfig(step=1e-3, t_end=1.0)), V)
     report = monitor_decay(traj)
     assert report.verdict == "skipped" and math.isnan(report.worst_value)
 
@@ -312,8 +312,8 @@ def test_linear_coupled_case_converges_and_decays(linear_cases):
     V = sc.build_storage()
     W = make_shaped_storage(V, nl.potential, plant.h, 2, h_jacobian=plant.h_jacobian)
     closed = make_closed_loop(plant, nl)
-    traj = simulate(closed, (1.0, -2.0), InputSignal.zero(2),
-                    IntegratorConfig(step=1e-3, t_end=10.0), monitor=W)
+    traj = with_storage(simulate(closed, (1.0, -2.0), InputSignal.zero(2),
+                                 IntegratorConfig(step=1e-3, t_end=10.0)), W)
     assert monitor_decay(traj).verdict == "pass"
     assert np.linalg.norm(traj.states[-1]) < 1e-3
     fine = simulate(closed, (1.0, -2.0), InputSignal.zero(2),
@@ -359,8 +359,8 @@ def test_refine_check_zero_dynamics():
 
 def test_trajectory_csv_header_and_digits(tmp_path, pendulum):
     plant, V = pendulum
-    traj = simulate(plant, (1.0, 0.5, 0.0, 0.0), InputSignal.zero(2),
-                    IntegratorConfig(step=0.25, t_end=1.0), monitor=V)
+    traj = with_storage(simulate(plant, (1.0, 0.5, 0.0, 0.0), InputSignal.zero(2),
+                                 IntegratorConfig(step=0.25, t_end=1.0)), V)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     lines = path.read_text().splitlines()
@@ -377,7 +377,7 @@ def test_trajectory_csv_header_and_digits(tmp_path, pendulum):
 # finiteness check per stage and one format() call per value.
 
 
-def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
+def _simulate_oracle(sys, x0, signal, cfg, field=None):
     step = cfg.step
     n_steps = int(round(cfg.t_end / step))
     if abs(n_steps * step - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
@@ -386,7 +386,7 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
     states = np.empty((n_steps + 1, sys.n_states))
     inputs = np.empty((n_steps + 1, sys.n_io))
     outputs = np.empty((n_steps + 1, sys.n_io))
-    storage = np.empty(n_steps + 1) if monitor is not None else None
+    storage = np.empty(n_steps + 1) if field is not None else None
     f, h = sys.f, sys.h
     x = np.array(x0, dtype=float)
     diagnostic = None
@@ -398,7 +398,7 @@ def _simulate_oracle(sys, x0, signal, cfg, monitor=None):
         inputs[k] = v
         outputs[k] = h(x)
         if storage is not None:
-            storage[k] = monitor.value(x)
+            storage[k] = field.value(x)
         if k == n_steps:
             break
         k1 = np.asarray(f(x, v), dtype=float)
@@ -517,9 +517,9 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     hamiltonian = make_rotation_hamiltonian(omega=2.0, r=0.5)
     listed = NonlinearSystem(2, 1, lambda x, u: [x[1], -x[0] - 0.5 * x[1] + u[0]],
                              lambda x: x[:1].copy())
-    cases = [  # (label, system, x0, signal, config, monitor[, oracle system and monitor])
+    cases = [  # (label, system, x0, signal, config, storage[, oracle system and storage])
         ("square", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), V),
-        ("square, no monitor", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), None),
+        ("square, no storage", plant, x0, square, IntegratorConfig(step=1e-3, t_end=4.0), None),
         # switches inside a step, where the stage inputs at t + step/2 and t + step differ
         ("square, off grid", plant, x0, square, IntegratorConfig(step=7e-4, t_end=4.0), V),
         # a knot whose time is not the last step's end bitwise, and the wave switches between
@@ -560,26 +560,27 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     for n_steps in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
         chunk_cfg = IntegratorConfig(step=2.0 ** -10, t_end=n_steps * 2.0 ** -10)
         for signal in (square, InputSignal.zero(2)):
-            for monitor in (V, None):
-                label = f"{n_steps} steps, {signal.kind}, monitor {monitor is not None}"
+            for field in (V, None):
+                label = f"{n_steps} steps, {signal.kind}, storage {field is not None}"
                 knots[label] = n_steps + 1
-                cases.append((label, plant, x0, signal, chunk_cfg, monitor))
+                cases.append((label, plant, x0, signal, chunk_cfg, field))
     # truncations at the first and the last knot of the first, second and final chunk
     for knot in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1):
-        for signal, monitor in ((InputSignal.zero(1), None),
+        for signal, field in ((InputSignal.zero(1), None),
                                 (InputSignal.square_wave(1, 0, 1.0, 0.5), ScalarField(
                                     3, lambda x: float(x[2] * x[2]), name="x3^2"))):
             label = f"truncated at knot {knot}, {signal.kind}"
             knots[label] = knot + 1
             cases.append((label, _clock_until(knot), (0.0, 1.0, 0.5), signal,
                           IntegratorConfig(step=2.0 ** -10, t_end=2 * _CHUNK * 2.0 ** -10),
-                          monitor))
+                          field))
     diagnostics = set()
-    for label, sys, start, signal, cfg, monitor, *oracle in cases:
-        oracle_sys, oracle_monitor = oracle[0] if oracle else (sys, monitor)
+    for label, sys, start, signal, cfg, field, *oracle in cases:
+        oracle_sys, oracle_field = oracle[0] if oracle else (sys, field)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = simulate(sys, start, signal, cfg, monitor=monitor)
-            want = _simulate_oracle(oracle_sys, start, signal, cfg, monitor=oracle_monitor)
+            got = simulate(sys, start, signal, cfg)
+            got = got if field is None else with_storage(got, field)
+            want = _simulate_oracle(oracle_sys, start, signal, cfg, field=oracle_field)
         for field in ("times", "states", "inputs", "outputs"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (label, field)
         assert (got.storage is None) == (want.storage is None), label
@@ -631,13 +632,14 @@ def test_fused_runs_are_the_composed_runs_bitwise(name):
     cfg = IntegratorConfig(step=1e-3, t_end=1.5)  # more than one chunk of steps
     diagnostics = set()
     for signal in (InputSignal.zero(2), InputSignal.square_wave(2, 0, 2.0, 1.0)):
-        for sys, monitor, sys_ref, monitor_ref in ((plant, V, plant_ref, V_ref),
-                                                   (closed, W, closed_ref, W_ref),
-                                                   (closed, None, closed_ref, None)):
+        for sys, field, sys_ref, field_ref in ((plant, V, plant_ref, V_ref),
+                                               (closed, W, closed_ref, W_ref),
+                                               (closed, None, closed_ref, None)):
             for x0 in starts:
                 with np.errstate(all="ignore"):
-                    got = simulate(sys, x0, signal, cfg, monitor=monitor)
-                    want = simulate(sys_ref, x0, signal, cfg, monitor=monitor_ref)
+                    got, want = simulate(sys, x0, signal, cfg), simulate(sys_ref, x0, signal, cfg)
+                    if field is not None:
+                        got, want = with_storage(got, field), with_storage(want, field_ref)
                 assert _run_bits(got) == _run_bits(want), (sys.name, signal.kind, x0)
                 diagnostics.add(got.diagnostic and got.diagnostic.split(" = ")[0])
     assert diagnostics == {None, "non-finite stage derivative at t",
@@ -645,42 +647,43 @@ def test_fused_runs_are_the_composed_runs_bitwise(name):
 
 
 @pytest.mark.parametrize("name", ["linear-a", "linear-b", "pendulum-stabilize", "pendulum-sync"])
-def test_storage_is_the_monitor_at_each_knot_bitwise(name):
+def test_values_on_a_record_are_the_field_at_each_knot_bitwise(name):
     sc = get_scenario(name)
     plant, V, nl, W = scenarios._build_parts(sc)
     closed = make_closed_loop(plant, nl)
-    cfg = IntegratorConfig(step=sc.config.step, t_end=1.5)
-    assert cfg.n_steps > _CHUNK  # the storage of more than one written chunk
+    cfg = IntegratorConfig(step=sc.config.step, t_end=2 * _CHUNK * sc.config.step)
     starts = [sc.x0] + ([(1e308, -1e308, 1e308, -1e308)] if plant.n_states == 4 else [])
     for x0 in starts:
-        for sys, signal, monitor in ((plant, sc.signal, V), (closed, sc.signal, W),
-                                     (closed, InputSignal.zero(plant.n_io), W)):
+        for sys, signal, field in ((plant, sc.signal, V), (closed, sc.signal, W),
+                                   (closed, InputSignal.zero(plant.n_io), W)):
             with np.errstate(all="ignore"):
-                traj = simulate(sys, x0, signal, cfg, monitor=monitor)
-                want = [monitor.value_floats(x) for x in traj.states.tolist()]
-            assert _canonical_bits(traj.storage) == _canonical_bits(want), (sys.name, x0)
+                traj = simulate(sys, x0, signal, cfg)
+                stored = with_storage(traj, field)
+                want = _canonical_bits([field.value_floats(x) for x in traj.states.tolist()])
+                # records of one chunk and of one knot past it (the run: two chunks and a knot)
+                heads = [field.values(traj.states[:n]) for n in (_CHUNK, _CHUNK + 1)]
+                last = field.values(traj.states[-1])  # a lone point is one row
+            assert _canonical_bits(stored.storage) == want, sys.name
+            assert _canonical_bits(last) == want[-1:], sys.name
+            assert [_canonical_bits(head) for head in heads] == [want[:_CHUNK], want[:_CHUNK + 1]]
             if x0 == sc.x0:
-                assert traj.n_samples == cfg.n_steps + 1, sys.name
+                assert traj.n_samples == 2 * _CHUNK + 1, sys.name
             else:  # one knot, whose W reads inf through sq's retry at an overflow
                 assert traj.n_samples == 1 and traj.diagnostic is not None
-                if monitor is W:
-                    assert traj.storage.tolist() == [math.inf]
+                if field is W:
+                    assert stored.storage.tolist() == [math.inf]
 
 
-def test_a_monitor_adds_no_loop_and_is_called_once_per_knot():
-    plant, V, nl, W = scenarios._build_parts(get_scenario("pendulum-sync"))
-    closed = make_closed_loop(plant, nl)
+def test_values_call_a_sourceless_field_once_per_row():
+    plant, _ = scenarios.build_pendulum()
     cfg = IntegratorConfig(step=1e-3, t_end=1.5)
-    sim._rk4_loop.cache_clear()
-    for monitor in (W, None):
-        simulate(closed, (0.5, -0.5, 0.0, 0.0), get_scenario("pendulum-sync").signal, cfg,
-                 monitor=monitor)
-    assert sim._rk4_loop.cache_info().misses == 1  # one loop, monitored or not
+    traj = simulate(plant, (0.5, -0.5, 0.0, 0.0), InputSignal.zero(2), cfg)
+    assert traj.n_samples == cfg.n_steps + 1 > _CHUNK  # rows of more than one chunk
     calls = []
     counted = ScalarField.from_floats(4, lambda x: calls.append(list(x)) or 0.0)
     calls.clear()  # the field's check at the origin
-    traj = simulate(plant, (0.5, -0.5, 0.0, 0.0), InputSignal.zero(2), cfg, monitor=counted)
-    assert len(calls) == traj.n_samples == cfg.n_steps + 1
+    storage = with_storage(traj, counted).storage
+    assert len(calls) == traj.n_samples and storage.tolist() == [0.0] * traj.n_samples
     assert calls == traj.states.tolist()
 
 

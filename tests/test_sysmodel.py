@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import warnings
 from operator import add
 
 import numpy as np
@@ -15,7 +16,7 @@ from nishape import (Check, InputSignal, IntegratorConfig, LinearSystem, Nonline
                      get_scenario, simulate, to_nonlinear, zero_field, TAU_ZERO)
 from nishape.scenarios import ScenarioResult
 from conftest import (fused_and_composed, make_linear_gain_feedback, make_rotation_hamiltonian,
-                      probe_states)
+                      probe_states, with_storage)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +503,16 @@ def test_fd_step_retakes_a_norm_that_overflowed_on_the_scaled_point():
     assert sysmodel.fd_step([1e200, math.inf]) == math.inf
 
 
+def test_fd_step_holds_the_overflow_warning_that_norm_leaves_to_its_caller():
+    # _norm enters no errstate of its own; fd_step holds the warning, as the box checks'
+    # errstate does for their other calls of _norm
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert sysmodel.fd_step([1e200, -1e200]) == 1e-6 * (1e200 * math.sqrt(2.0))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            sysmodel._norm([1e200, -1e200])
+
+
 def test_a_form_that_cannot_run_on_columns_runs_at_each_point():
     def form(body):
         return nishape.float_form(f"def f(x):\n    a, b = x\n    return {body}")
@@ -632,13 +643,13 @@ def _checks_of_every_check_function():
     zero = InputSignal.zero(1)
     square = ScalarField(1, lambda x: float(x @ x), lambda x: 2.0 * x)
 
-    def run(f, monitor=None, signal=zero):
+    def run(f, signal=zero):
         sys = NonlinearSystem(1, 1, f, lambda x: x.copy(), h_jacobian=lambda x: np.eye(1))
-        return sys, simulate(sys, [1.0], signal, cfg, monitor=monitor)
+        return sys, with_storage(simulate(sys, [1.0], signal, cfg), square)
 
-    stable, decay = run(lambda x, u: -x + u, monitor=square)
-    unstable, growth = run(lambda x, u: x + u, monitor=square)
-    _, forced = run(lambda x, u: -x + u, monitor=square, signal=InputSignal.constant([1.0]))
+    stable, decay = run(lambda x, u: -x + u)
+    unstable, growth = run(lambda x, u: x + u)
+    _, forced = run(lambda x, u: -x + u, signal=InputSignal.constant([1.0]))
     hidden = NonlinearSystem(2, 1, lambda x, u: np.array([0.0, -x[1]]), lambda x: x[:1].copy(),
                              h_jacobian=lambda x: np.array([[1.0, 0.0]]))
     hidden_run = simulate(hidden, [0.0, 1.0], zero, cfg)
@@ -781,8 +792,8 @@ def test_hamiltonian_dynamics_damped_rotation():
 def test_lossless_hamiltonian_conserves_energy():
     from nishape import simulate, InputSignal, IntegratorConfig
     hs = make_rotation_hamiltonian(omega=1.0, r=0.0)
-    traj = simulate(hs, [1.0, 0.0], InputSignal.zero(1),
-                    IntegratorConfig(step=1e-3, t_end=10.0), monitor=hs.H)
+    traj = with_storage(simulate(hs, [1.0, 0.0], InputSignal.zero(1),
+                                 IntegratorConfig(step=1e-3, t_end=10.0)), hs.H)
     assert np.max(traj.storage) - np.min(traj.storage) <= 1e-8
 
 
