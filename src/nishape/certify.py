@@ -11,6 +11,7 @@ the stored samples, so modeling error is not confused with integrator error.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from collections import Counter
@@ -22,8 +23,8 @@ import numpy as np
 from .linear import sym_eigenvalues
 from .sim import Trajectory
 from .sysmodel import (_CHUNK, Check, NonlinearSystem, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, _joined_text, _norm, _row_dots,
-                       _row_norms, central_jacobian, float_form, make_shaped_storage, on_columns)
+                       HamiltonianSystem, TAU_PD, TAU_ZERO, _composed, _joined_text, _norm,
+                       _row_dots, _row_norms, central_jacobian, make_shaped_storage, on_columns)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -179,7 +180,7 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
     Rates are computed through the vector field at every knot, never by
     differencing the stored samples.  The sweep runs ``_CHUNK`` knots at a
     time: ``fx = f(x, u)`` and ``grad V(x)`` in one :func:`on_columns` call of the
-    form joined from their sources (``_joined_text``; else ``f`` and ``V.gradients``),
+    form composed of both (``_joined_text``, called at each knot where a part has no source),
     the output Jacobian per knot (a constant one is broadcast), then every product as
     one stacked ``np.matmul``, which runs numpy's kernel of a single ``@`` on each
     item, so every rate is bit for bit the per-knot ``@`` product.
@@ -189,14 +190,12 @@ def rate_table(sys: NonlinearSystem, V: ScalarField, traj: Trajectory) -> RateTa
     if traj.states.shape[1] != sys.n_states or traj.inputs.shape[1] != sys.n_io:
         raise ValueError("trajectory dimensions do not match the system")
     n, dim = traj.n_samples, sys.n_states
-    sources = [getattr(form, "source", None) for form in (sys.f_floats, V.gradient_floats)]
-    joined = None if None in sources else float_form(_joined_text(dim, sys.n_io, *sources))
+    knot = _composed(functools.partial(_joined_text, dim, sys.n_io), "f, gradient",
+                     sys.f_floats, V.gradient_floats)
     rates = np.empty((4, n))  # vdot, supply, ydot_sq and f_sq
     for a in range(0, n, _CHUNK):
         xs, us = traj.states[a:a + _CHUNK], traj.inputs[a:a + _CHUNK]
-        cols = tuple(xs.T), tuple(us.T)
-        fx, grads = (np.split(on_columns(joined, *cols, width=2 * dim), 2, 1) if joined else
-                     (on_columns(sys.f_floats, *cols, width=dim), V.gradients(xs)))
+        fx, grads = np.split(on_columns(knot, tuple(xs.T), tuple(us.T), width=2 * dim), 2, 1)
         js = (sys.h_jacobian if isinstance(sys.h_jacobian, np.ndarray)
               else np.array([sys.output_jacobian(x) for x in xs]))
         ydot = np.matmul(js, fx[:, :, None])[:, :, 0]

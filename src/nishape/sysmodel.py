@@ -215,24 +215,12 @@ def _mapped(scalar, *rest):
                       if isinstance(z, np.ndarray) else scalar(z, *rest))
 
 
-def _retried(mapped, error, again):
-    """``mapped``, run once more as ``again`` where it raises ``error``."""
-    def run(z):
-        try:
-            return mapped(z)
-        except error:
-            return again(z)
-    return run
-
-
-# ELEMENTARY on numpy columns: libm on each entry (sin and cos with the retry's nan at inf,
-# sq as pow(z, 2.0) with _sq's inf where it overflows, log_cosh's exp and log1p), numpy's
-# sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python does
+# ELEMENTARY on numpy columns: libm on each entry (sq as pow(z, 2.0), log_cosh's exp and
+# log1p), numpy's sqrt (rounded once, as math.sqrt), and a divisor that raises at 0 as Python
+# does; sin or cos at an infinity and pow past the overflow raise, and end the column run
 _COLUMNS = MappingProxyType({
     **{name: _mapped(fn) if callable(fn) else fn for name, fn in ELEMENTARY.items()},
-    **{trig: _retried(_mapped(ELEMENTARY[trig]), ValueError,
-                      _mapped(_nan_at_inf(ELEMENTARY[trig]))) for trig in ("sin", "cos")},
-    "sq": _retried(_mapped(pow, 2.0), OverflowError, _mapped(_sq)), "abs": abs,
+    "sq": _mapped(pow, 2.0), "abs": abs,
     "log_cosh": functools.partial(_log_cosh, exp=_mapped(math.exp), log1p=_mapped(math.log1p)),
     "sqrt": lambda z: np.sqrt(z) if isinstance(z, np.ndarray) else math.sqrt(z),
     "_divisor": lambda z: z if np.all(z != 0.0) else 1.0 / 0.0})
@@ -263,7 +251,9 @@ def on_columns(form, *parameters, width: Optional[int] = None) -> np.ndarray:
     (a tuple of columns per parameter, numpy arrays and floats that all broadcast together),
     in their shape and with a last axis of ``width`` for a form of ``width`` floats.  A source
     that runs on columns runs once; any other form, or a run that meets a zero divisor, an
-    invalid operation or a raise, is called at each point on the parameters' points zipped."""
+    invalid operation or a raise (sin or cos at an infinity, sq past the overflow), is called
+    at each point on the parameters' points zipped: the one fallback, where the form's own
+    retry gives nan at an infinity and ``_sq`` inf."""
     shape = np.broadcast(*itertools.chain(*parameters)).shape
     run = _column_form(form.source) if hasattr(form, "source") else None
     try:
@@ -656,13 +646,14 @@ def make_closed_loop(sys: NonlinearSystem, nl: StaticNonlinearity) -> NonlinearS
 
 
 @functools.lru_cache(maxsize=64)  # one text per pair of sources
-def _joined_text(n: int, p: int, f: str, gradient: str) -> str:
+def _joined_text(n: int, p: int, f: Optional[str], gradient: Optional[str]) -> str:
     """``knot(x, u)``: ``f(x, u)``'s n entries, then ``gradient(x)``'s, spliced on the entries
-    ``x0, ...`` and ``u0, ...``.  Where ``_column_form`` takes every node, each ``ELEMENTARY``
-    call repeated (by its text) on those entries alone is made once, into a local: same bits."""
+    ``x0, ...`` and ``u0, ...`` (a part without a source is called).  Where ``_column_form``
+    takes every node, each ``ELEMENTARY`` call repeated (by its text) on those entries alone
+    is made once, into a local: same bits."""
     xs, us = _names("x", n), _names("u", p)
-    f_lines, rates = _spliced(f, [xs, us], "f", n)
-    g_lines, grads = _spliced(gradient, [xs], "g", n)
+    f_lines, rates = _part(f, "f(x, u)", [xs, us], "f", n)
+    g_lines, grads = _part(gradient, "gradient(x)", [xs], "g", n)
     body, result = "\n".join([*f_lines, *g_lines]), _argument([*rates, *grads])
     nodes = list(ast.walk(ast.parse(f"{body}\nreturn {result}")))
     calls = Counter(ast.unparse(node) for node in nodes if isinstance(node, ast.Call) and getattr(

@@ -414,6 +414,29 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_at_chunk_boundaries():
         _assert_rates_bitwise(closed, W, prefix)
 
 
+@pytest.mark.parametrize("sourceless", ["gradient", "f"])
+def test_rate_table_matches_the_per_knot_loop_bitwise_with_one_part_sourceless(sourceless):
+    # a sourced f with a sourceless gradient, and the reverse: the knot form calls both
+    # parts at each knot, the sourceless one once per knot, with the sourced table's bits
+    sc = get_scenario("pendulum-sync")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    traj = simulate(closed, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=1.5))
+    calls = []
+    if sourceless == "f":
+        f = lambda x, u: calls.append(x) or closed.f_floats(x, u)  # noqa: E731
+        sys, field = NonlinearSystem.from_floats(4, 2, f, closed.h_floats,
+                                                 h_jacobian=closed.h_jacobian), W
+    else:
+        gradient = lambda x: calls.append(x) or W.gradient_floats(x)  # noqa: E731
+        sys, field = closed, ScalarField.from_floats(4, W.value_floats, gradient)
+    calls.clear()
+    rates = rate_table(sys, field, traj)
+    assert calls == traj.states.tolist()
+    assert _rate_bits(rates) == _rate_bits(rate_table(closed, W, traj))
+    _assert_rates_bitwise(sys, field, traj)
+
+
 def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
     sc = get_scenario("pendulum-stabilize")
     plant, V, nl, W = _build_parts(sc)
@@ -553,7 +576,7 @@ def test_the_joined_form_is_the_separate_forms_bitwise(name):
     for sys, field, signal in ((plant, V, sc.signal), (closed, W, InputSignal.zero(plant.n_io))):
         traj = simulate(sys, sc.x0, signal, cfg)
         rates = _assert_rates_bitwise(sys, field, traj)  # both tables, against the per-knot loop
-        if not hasattr(sys.f_floats, "source"):  # a linear plant: f and V.gradients, two calls
+        if not hasattr(sys.f_floats, "source"):  # a linear plant: the knot calls f and the gradient
             assert not hasattr(field.gradient_floats, "source")
             continue
         n, p = sys.n_states, sys.n_io

@@ -411,13 +411,14 @@ def test_column_forms_are_the_per_point_forms_bitwise(name):
         assert _bits(sysmodel.on_columns(counted, tuple(finite.T), width=width)) == _bits(
             [form(x) for x in finite.tolist()])
         assert not calls
-        # each probe on its own: only an infinity or an overflow may stop a column run,
-        # and a run that ends gives the per-point bits; sin(inf) gives nan, as the retry does
+        # each probe on its own: only an infinity, a nan or an overflow may stop a column
+        # run (sin(inf) and pow past the overflow raise), and a run that ends gives the
+        # per-point bits
         for x, finite_x, ref in zip(probes.tolist(), ok, per_point):
             with np.errstate(divide="raise", invalid="raise", over="ignore"):
                 try:
                     result = run(tuple(np.array([entry]) for entry in x))
-                except FloatingPointError:
+                except (FloatingPointError, ValueError, OverflowError):
                     assert not finite_x, (form.__name__, x)
                     continue
             entries = [np.broadcast_to(entry, (1,))[0] for entry in (
@@ -444,8 +445,35 @@ def test_column_forms_are_the_per_point_forms_bitwise(name):
                                              tuple(inputs[keep].T), width=4)) == \
                 _bits(per_point[keep])
             assert not calls
+    # sin raises at an infinite angle and ends the column run; on_columns then calls V at
+    # each point, whose one retry gives numpy's nan
     angle = (np.array([math.inf, -math.inf]), np.array([0.0, 1.0]), 0.0, 0.0)
-    assert np.isnan(sysmodel._column_form(V.value_floats.source)(angle)).all()
+    with pytest.raises(ValueError), np.errstate(divide="raise", invalid="raise", over="ignore"):
+        sysmodel._column_form(V.value_floats.source)(angle)
+    whole = sysmodel.on_columns(V.value_floats, angle)
+    assert np.isnan(whole).all() and _bits(whole) == _bits(
+        [V.value_floats([a, b, 0.0, 0.0]) for a, b in ((math.inf, 0.0), (-math.inf, 1.0))])
+
+
+@pytest.mark.parametrize("width, column, entry", [
+    (4, 0, math.inf), (4, 1, -math.inf),  # sin raises at the infinite angle: V's gradient
+    (None, 2, 1e200), (None, 3, -1e200)])  # sq's pow overflows at the huge velocity: V's value
+def test_a_column_map_that_raises_sends_the_block_to_the_call_per_point(pendulum, width, column,
+                                                                       entry):
+    # one such entry in a block of 1,024 finite states: the column run raises, and on_columns
+    # calls the form once at each row, in order, which gives nan or inf there as the form does
+    _, V = pendulum
+    form = V.value_floats if width is None else V.gradient_floats
+    states = nishape.halton_box_samples([(-8.0, 8.0)] * 4, 1024, 3)
+    states[517, column] = entry
+    calls = []
+    counted = lambda x: calls.append(x) or form(x)  # noqa: E731
+    counted.source = form.source
+    whole = sysmodel.on_columns(counted, tuple(states.T), width=width)
+    per_point = [form(x) for x in states.tolist()]
+    assert calls == states.tolist()
+    assert _bits(whole) == _bits(per_point)
+    assert not np.isfinite(whole[517]).all() and np.isfinite(np.delete(whole, 517, 0)).all()
 
 
 def test_column_log_cosh_is_the_float_log_cosh_bitwise():
