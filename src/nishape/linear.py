@@ -236,11 +236,12 @@ def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> Check:
 # ---------------------------------------------------------------------------
 # Quadrature-built shaped storage for diagonal slope-restricted feedback
 
+_SIMPSON_TOL, _SIMPSON_INTERVALS = 1e-10, 10 ** 6  # adaptive_simpson's tolerance and budget
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_intervals: int = 10 ** 6) -> float:
+
+def adaptive_simpson(f, a: float, b: float) -> float:
     """Adaptive Simpson quadrature of ``f`` on [a, b] to absolute tolerance
-    ``tol``, with a hard cap on interval subdivisions."""
+    1e-10; more than 10**6 interval subdivisions raise ``RuntimeError``."""
     if a == b:
         return 0.0
     sign = 1.0
@@ -251,7 +252,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
     mid = 0.5 * (a + b)
     fm = float(f(mid))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol)]
+    stack = [(a, b, fa, fm, fb, whole, _SIMPSON_TOL)]
     total = 0.0
     used = 0
     while stack:
@@ -268,7 +269,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
             total += left + right + delta / 15.0
         else:
             used += 2
-            if used > max_intervals:
+            if used > _SIMPSON_INTERVALS:
                 raise RuntimeError("adaptive Simpson exceeded its subdivision budget")
             half = 0.5 * tol0
             stack.append((a0, m, fa0, flm, fm0, left, half))

@@ -17,7 +17,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .sysmodel import _CHUNK, Check, NonlinearSystem, _argument, _guarded, _names, _part
+from .sysmodel import (_CHUNK, Check, NonlinearSystem, _argument, _guarded, _names, _on_rows,
+                       _part)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,8 @@ def _read_only(a) -> np.ndarray:
 class Trajectory:
     """Uniformly sampled simulation record; arrays are read-only.
 
-    ``inputs`` holds the exogenous signal v at each knot.  ``storage`` is a channel
+    ``inputs`` holds the exogenous signal v at each knot and ``outputs`` y = h(x) at each
+    state (``simulate`` takes them in one pass after its step loop).  ``storage`` is a channel
     the caller attaches (``dataclasses.replace(traj, storage=field.values(traj.states))``),
     ``diagnostic`` is set when the integration was truncated by a non-finite value.
     """
@@ -180,42 +182,35 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-@functools.lru_cache(maxsize=64)  # one loop per shape, input kind and the sources of f and h
-def _rk4_loop(n: int, p: int, forced: bool, f, h):
+@functools.lru_cache(maxsize=64)  # one loop per shape, input kind and the source of f
+def _rk4_loop(n: int, p: int, forced: bool, f):
     """RK4 on ``n`` states and ``p`` channels as straight-line code on locals.
-    ``loop(f, h, value, x, v, k, stop, final, step, rows)`` appends knots
-    ``k .. stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``:
-    the state, the input and ``h(x)``.  It returns ``(x, None)``, or ``(x,
-    stages)`` after the first step whose new state is not finite.  The float
-    forms ``f`` and ``h`` are called, or spliced where this function is given
-    their source (``f`` into the four stages of each step; the final knot runs
-    only ``h``).  Each value is unpacked into locals and a knot is written only
-    once all of it is computed, so one of the wrong length raises ``ValueError``
+    ``loop(f, value, x, v, k, stop, final, step, rows)`` appends knots ``k ..
+    stop - 1``, and ``stop`` when ``final``, to the flat lists ``rows``: the state
+    and the input.  It returns ``(x, None)``, or ``(x, stages)`` after the first
+    step whose new state is not finite.  The float form ``f`` is called, or
+    spliced into the four stages of each step where this function is given its
+    source.  Each stage is unpacked into locals and a knot is written only once
+    its step is computed, so a rate of the wrong length raises ``ValueError``
     before a row shifts, and a knot that raises leaves ``x``, ``v`` and ``k``
     holding it, where ``_guarded``'s at-infinity copy resumes.  Every call
     records at least one knot."""
-    xs, ys = _names("x", n), _names("y", p)
-
-    def assigned(names, texts):
-        return [f"{name} = {text}" for name, text in zip(names, texts) if name != text]
+    xs = _names("x", n)
 
     def rate(stage, x, v):  # the stage's f(x, v) into its locals: a0, a1, ... for stage a
         lines, rates = _part(f, f"f({'x' if x == xs else _argument(x)}, {v})",
                              [x, _names(v, p)], stage, n)
-        return lines + assigned(_names(stage, n), rates)
+        return lines + [f"{name} = {text}" for name, text in zip(_names(stage, n), rates)
+                        if name != text]
 
-    def knot():  # the knot's state and output, as its record takes them
-        h_lines, outputs = _part(h, "h(x)", [xs], "y", p)
-        return [f"x = {_argument(xs)}", *h_lines, *assigned(ys, outputs)]
-
-    record = ["xs += x", "vs += v", f"ys += {_argument(ys)}"]
+    knot, record = f"x = {_argument(xs)}", ["xs += x", "vs += v"]  # its state as a tuple; its row
     inputs = ("v", "v_half", "v_full") if forced else ("v",)
     unpack = [f"{', '.join(_names(v, p))}, = {v}" for v in inputs] if f is not None else []
     v_half, v_full = inputs[1:] if forced else ("v", "v")
     body = (["t = k * step",  # the last step's value at its t + step, when that is t bitwise
              "v = v_full if t == t_full else value(t)", "t_full = t + step",
              "v_half, v_full = value(t + half), value(t_full)", *unpack] if forced else []) + [
-        *knot(), *rate("a", xs, "v"),
+        knot, *rate("a", xs, "v"),
         *rate("b", [f"x{i} + half * a{i}" for i in range(n)], v_half),
         *rate("c", [f"x{i} + half * b{i}" for i in range(n)], v_half),
         *rate("d", [f"x{i} + step * c{i}" for i in range(n)], v_full), *record,
@@ -225,12 +220,12 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
         # and x * 0.0 is +-0.0 for a finite x, NaN otherwise, so the sum cannot overflow
         "if " + " + ".join(f"x{i} * 0.0" for i in range(n)) + " != 0.0:",
         "    return x, " + _argument(_argument(_names(stage, n)) for stage in "abcd")]
-    last_knot = ["k = stop", *(["v = value(stop * step)"] if forced else []), *knot(), *record]
+    last_knot = ["k = stop", *(["v = value(stop * step)"] if forced else []), knot, *record]
     loop = (["for k in range(k, stop):", *("    " + line for line in body), "if final:",
              *("    " + line for line in last_knot), f"return {_argument(xs)}, None"])
-    head = ["xs, vs, ys = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
+    head = ["xs, vs = rows", "half, sixth = 0.5 * step, step / 6.0", "t_full = -1.0",
             f"{', '.join(xs)}, = x", *(unpack if not forced else [])]
-    return _guarded("def loop(f, h, value, x, v, k, stop, final, step, rows):\n"
+    return _guarded("def loop(f, value, x, v, k, stop, final, step, rows):\n"
                     + "".join(f"    {line}\n" for line in head + loop),
                     f"<RK4 loop on {n} states, {p} channels>")
 
@@ -238,25 +233,26 @@ def _rk4_loop(n: int, p: int, forced: bool, f, h):
 def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfig) -> Trajectory:
     """Integrate ``sys`` from ``x0`` under ``signal``.
 
-    The step loop runs on the float forms ``f`` and ``h`` of the system
-    (sequences of Python floats), in numpy's operation order, so a run is
-    bitwise the run of the same loop on numpy vectors.  It is straight-line code
-    on locals, generated once per state and channel count, input kind and the
-    sources of ``f`` and ``h``, and cached in the module: a float form with a
-    source is spliced into it (``f`` into all four stages, so a stage makes no
-    call), one without is called with each state as a tuple.  A knot where
-    ``sin`` or ``cos`` raise at an infinity runs again, and the loop goes on,
-    with numpy's ``nan`` there.  RK4 holds the input at its stage-time values (a
-    square wave is evaluated at t, t + step/2 and t + step, and the value at t +
-    step serves the next knot when that knot's time equals it bitwise; a zero or
-    constant input is evaluated once).  A run records times, states, inputs and
-    outputs; a storage channel is the caller's to attach.  A non-finite stage
-    derivative or state truncates the trajectory and attaches a diagnostic
-    instead of propagating NaNs; one exact finiteness test on the new state per
-    step detects both.  A complete run evaluates ``f`` four times per step and
-    records no derivative.  An ``h`` or ``f`` value of the wrong length raises
-    ``ValueError``.  Knots are written into the record every ``_CHUNK`` steps, so
-    no whole-run list of Python floats is built.
+    The step loop runs on the float form ``f`` of the system (sequences of
+    Python floats), in numpy's operation order, so a run is bitwise the run of
+    the same loop on numpy vectors.  It is straight-line code on locals,
+    generated once per state and channel count, input kind and the source of
+    ``f``, and cached in the module: an ``f`` with a source is spliced into all
+    four stages, so a stage makes no call; one without is called with each state
+    as a tuple.  A knot where ``sin`` or ``cos`` raise at an infinity runs again,
+    and the loop goes on, with numpy's ``nan`` there.  RK4 holds the input at its
+    stage-time values (a square wave is evaluated at t, t + step/2 and t + step,
+    and the value at t + step serves the next knot when that knot's time equals
+    it bitwise; a zero or constant input is evaluated once).  The loop records
+    times, states and inputs; the outputs are one ``_on_rows`` pass of ``h``
+    over the recorded states, as ``ScalarField.values`` is, and a storage
+    channel is the caller's to attach.  A non-finite stage derivative or state
+    truncates the trajectory and attaches a diagnostic instead of propagating
+    NaNs; one exact finiteness test on the new state per step detects both.  A
+    complete run evaluates ``f`` four times per step and records no
+    derivative.  An ``h`` or ``f`` value of the wrong length raises
+    ``ValueError``.  Knots are written into the record every ``_CHUNK`` steps,
+    so no whole-run list of Python floats is built.
     """
     x0 = np.array(x0, dtype=float)
     if x0.shape != (sys.n_states,) or not np.isfinite(x0).all():
@@ -267,28 +263,24 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
     step, n_steps = cfg.step, cfg.n_steps
     times = np.arange(n_steps + 1, dtype=float)
     times *= step  # bitwise k * step
-    states = np.empty((n_steps + 1, sys.n_states))
-    inputs = np.empty((n_steps + 1, sys.n_io))
-    outputs = np.empty((n_steps + 1, sys.n_io))
-    arrays = (states, inputs, outputs)
-    rows = ([], [], [])  # the entries of the knots not yet written, flat
+    arrays = (np.empty((n_steps + 1, sys.n_states)), np.empty((n_steps + 1, sys.n_io)))
+    rows = ([], [])  # the entries of the knots not yet written, flat
 
     def flush(start):  # writes the buffered knots from ``start``, returns the next knot
         end = start + len(rows[0]) // sys.n_states
         for arr, buf in zip(arrays, rows):
-            arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, *arr.shape[1:])
+            arr[start:end] = np.fromiter(buf, float, len(buf)).reshape(-1, arr.shape[1])
             buf.clear()
         return end
 
     f = sys.f_floats
     loop = _rk4_loop(sys.n_states, sys.n_io, signal.kind == "square_wave",
-                     *(getattr(form, "source", None) for form in (f, sys.h_floats)))
+                     getattr(f, "source", None))
     x, v = tuple(x0.tolist()), signal._floats(0.0)  # v is held for a zero or constant input
     k, stages = 0, None
     while stages is None and k <= n_steps:
         stop = min(k + _CHUNK, n_steps)
-        x, stages = loop(f, sys.h_floats, signal._floats, x, v, k, stop, stop == n_steps,
-                         step, rows)
+        x, stages = loop(f, signal._floats, x, v, k, stop, stop == n_steps, step, rows)
         k = flush(k)
     diagnostic = None
     if stages is not None:  # the stages are read only to word the diagnostic
@@ -298,11 +290,11 @@ def simulate(sys: NonlinearSystem, x0, signal: InputSignal, cfg: IntegratorConfi
         else:
             diagnostic = f"non-finite stage derivative at t = {t:.6g}"
 
-    if k == n_steps + 1:  # the Trajectory takes a whole run's arrays without a copy
-        for arr in (times, *arrays):
-            arr.setflags(write=False)
-    return Trajectory(times=times[:k], states=states[:k], inputs=inputs[:k], outputs=outputs[:k],
-                      diagnostic=diagnostic)
+    outputs = _on_rows(sys.h_floats, arrays[0][:k], sys.n_io)  # h's one pass over the states
+    # the Trajectory takes the outputs, and a whole run's arrays, without a copy
+    for arr in (outputs, *((times, *arrays) if k == n_steps + 1 else ())):
+        arr.setflags(write=False)
+    return Trajectory(times[:k], *(arr[:k] for arr in arrays), outputs, diagnostic=diagnostic)
 
 
 def monitor_decay(traj: Trajectory) -> Check:

@@ -37,7 +37,7 @@ TAU_ZERO = 1e-9        # absolute "is zero" tolerance
 TAU_GRAD = 1e-5        # relative gradient-agreement tolerance
 TAU_GRAD_FLOOR = 1e-8  # absolute floor under TAU_GRAD
 TAU_PD = 1e-9          # strict positive-definiteness margin
-_CHUNK = 1024  # knots per block of a whole-record pass: step loop, rate table, storage
+_CHUNK = 1024  # knots per block of a whole-record pass: step loop, rate table, _on_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,6 +310,15 @@ def _spliced(source: str, args, tag: str, width: Optional[int] = None):
     return lines + [f"{', '.join(entries)}, = {ast.unparse(result)}"], entries
 
 
+def _on_rows(form, xs: np.ndarray, width: Optional[int] = None) -> np.ndarray:
+    """The float form ``form`` at the rows of the 2-D ``xs``, bit for bit: :func:`on_columns`
+    on ``_CHUNK`` rows a call into one array, so a whole record keeps one chunk's temporaries."""
+    out = np.empty((len(xs), width) if width else len(xs))
+    for a in range(0, len(xs), _CHUNK):
+        out[a:a + _CHUNK] = on_columns(form, tuple(xs[a:a + _CHUNK].T), width=width)
+    return out
+
+
 class ScalarField:
     """A differentiable scalar function on R^dim vanishing at the origin.
 
@@ -349,21 +358,14 @@ class ScalarField:
         return np.asarray(self.gradient_floats(np.asarray(x, dtype=float).tolist()), dtype=float)
 
     def values(self, xs) -> np.ndarray:
-        """The values at the rows of ``xs``, bit for bit :meth:`value`: :func:`on_columns` on
-        ``_CHUNK`` rows a call into one array, so a whole record keeps one chunk's temporaries."""
-        return self._on_rows(xs, None)
+        """The values at the rows of ``xs`` (a lone point is one row), bit for bit
+        :meth:`value`: one :func:`_on_rows` pass."""
+        return _on_rows(self.value_floats, np.asarray(xs, dtype=float).reshape(-1, self.dim))
 
     def gradients(self, xs) -> np.ndarray:
         """The gradients at the rows of ``xs``, bit for bit the stacked :meth:`gradient`."""
-        return self._on_rows(xs, self.dim)
-
-    def _on_rows(self, xs, width):
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)  # a lone point is one row
-        form = self.gradient_floats if width else self.value_floats
-        out = np.empty((len(xs), width) if width else len(xs))
-        for a in range(0, len(xs), _CHUNK):
-            out[a:a + _CHUNK] = on_columns(form, tuple(xs[a:a + _CHUNK].T), width=width)
-        return out
+        return _on_rows(self.gradient_floats, np.asarray(xs, dtype=float).reshape(-1, self.dim),
+                        self.dim)
 
 
 def zero_field(dim: int) -> ScalarField:

@@ -437,6 +437,26 @@ def test_rate_table_matches_the_per_knot_loop_bitwise_with_one_part_sourceless(s
     _assert_rates_bitwise(sys, field, traj)
 
 
+def test_an_output_returned_by_name_is_spliced_unpacked_as_a_call_result():
+    # h ends in ``return r``, not in a tuple literal: the closed loop's source unpacks r
+    sc = get_scenario("pendulum-sync")
+    plant, V, nl, _ = _build_parts(sc)
+    h = nishape.float_form("def h(x):\n    th1, th2, w1, w2 = x\n    r = (th1, th2)\n    return r")
+    named, called = (NonlinearSystem.from_floats(4, 2, plant.f_floats, form,
+                                                 h_jacobian=plant.h_jacobian)
+                     for form in (h, lambda x: h(x)))  # spliced, and called
+    closed, closed_ref = (make_closed_loop(sys, nl) for sys in (named, called))
+    assert "r0__y, r1__y = r__y" in closed.f_floats.source
+    assert not hasattr(closed_ref.f_floats, "source")
+    states = halton_box_samples([(-8.0, 8.0)] * 4, 200, 3).tolist()
+    inputs = halton_box_samples([(-2.0, 2.0)] * 2, 200, 4).tolist()
+    assert ([np.array(closed.f_floats(x, v)).tobytes() for x, v in zip(states, inputs)]
+            == [np.array(closed_ref.f_floats(x, v)).tobytes() for x, v in zip(states, inputs)])
+    W = make_shaped_storage(V, nl.potential, named.h, 4, h_jacobian=plant.h_jacobian)
+    traj = simulate(closed, sc.x0, sc.signal, IntegratorConfig(step=1e-3, t_end=1.5))
+    _assert_rates_bitwise(closed, W, traj)
+
+
 def test_rate_table_matches_the_per_knot_loop_bitwise_on_blown_up_runs():
     sc = get_scenario("pendulum-stabilize")
     plant, V, nl, W = _build_parts(sc)

@@ -353,6 +353,17 @@ def test_refine_check_zero_dynamics():
     assert report.witness == (0.0, 0.0)
 
 
+def test_refine_check_of_a_truncated_run_has_no_order():
+    # x' = x^2 + u from 1 blows up at t = 1, before t_end, at every step of the three
+    blow_up = NonlinearSystem.from_floats(1, 1, lambda x, u: (x[0] * x[0] + u[0],),
+                                          lambda x: (x[0],))
+    report = refine_check(blow_up, [1.0], InputSignal.zero(1),
+                          IntegratorConfig(step=0.01, t_end=2.0))
+    assert report.verdict == "info" and math.isnan(report.worst_value)
+    assert all(map(math.isnan, report.witness)) and len(report.witness) == 2
+    assert report.detail["flags"] == ("truncated",)
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 
@@ -601,7 +612,7 @@ def test_simulate_matches_the_per_stage_check_loop_bitwise(pendulum):
     assert got.inputs[k_between, 0] == between._floats(k_between * 7e-4)[0]
     assert got.inputs[k_between, 0] != between._floats((k_between - 1) * 7e-4 + 7e-4)[0]
     # the ring runs built one loop per shape and input kind; a second run reuses that object
-    shape = (16, 1, False, None, None)  # no part of a ring has a source
+    shape = (16, 1, False, None)  # no part of a ring has a source
     loop, built = sim._rk4_loop(*shape), sim._rk4_loop.cache_info().misses
     simulate(_float_ring(16), [0.1] * 16, InputSignal.zero(1), IntegratorConfig(1e-3, 0.01))
     assert sim._rk4_loop.cache_info().misses == built
@@ -710,6 +721,26 @@ def test_a_retry_resumes_at_its_knot_in_the_middle_of_a_chunk():
     assert _run_bits(got) == _run_bits(want)
 
 
+def test_h_runs_once_per_knot_after_the_integration():
+    # the step loop integrates f alone; the outputs are one pass of h over the record
+    calls = []
+    plant = NonlinearSystem.from_floats(
+        1, 1, lambda x, u: calls.append("f") or (x[0] * x[0] + u[0],),
+        lambda x: calls.append(tuple(x)) or (x[0],))
+    # x' = x^2: from 0.1 a whole run, from 0.5 a blow-up at t = 2; both past one chunk
+    for x0, t_end, n_knots in ((0.1, 1.5, 1501), (0.5, 3.0, 2003)):
+        calls.clear()  # the constructor's probes at the origin
+        with np.errstate(all="ignore"):
+            traj = simulate(plant, (x0,), InputSignal.zero(1), IntegratorConfig(1e-3, t_end))
+        assert traj.n_samples == n_knots > _CHUNK
+        assert (traj.diagnostic is None) == (n_knots == 1501)
+        f_calls = [i for i, call in enumerate(calls) if call == "f"]
+        h_calls = calls[f_calls[-1] + 1:]
+        assert len(f_calls) + len(h_calls) == len(calls)  # every h call after the last f call
+        assert h_calls == [tuple(x) for x in traj.states.tolist()]
+        assert traj.outputs.tolist() == traj.states.tolist()
+
+
 def test_an_error_that_is_not_an_infinity_raises_through_the_retry():
     # sqrt(-1) raises ValueError in the loop and again in its at-infinity copy
     messages = []
@@ -786,9 +817,14 @@ def test_simulate_raises_on_an_output_or_rate_of_the_wrong_length():
     cfg = IntegratorConfig(step=1e-2, t_end=1.0)  # x1 = exp(-t) passes 0.9 and 0.8
     for label, sys in cases.items():
         for signal in (InputSignal.zero(1), InputSignal.square_wave(1, 0, 1.0, 0.5)):
-            with pytest.raises(ValueError, match="values to unpack"):
+            # f's rates are unpacked in the step loop; h's rows are stacked by numpy after it
+            with pytest.raises(ValueError, match="values to unpack" if label == "f" else None):
                 simulate(sys, (1.0, 0.0), signal, cfg)
             simulate(sys, (1.0, 0.0), signal, IntegratorConfig(step=1e-2, t_end=0.1))
+    # an h one entry too long at every point but the origin: its rows are all of one length
+    long_h = NonlinearSystem.from_floats(2, 1, decay, lambda x: (x[1],) + (0.0,) * any(x))
+    with pytest.raises(ValueError):
+        simulate(long_h, (1.0, 0.0), InputSignal.zero(1), IntegratorConfig(step=1e-2, t_end=0.1))
     # the stacked gradients and the shaped storage's stacked outputs raise too
     field = ScalarField.from_floats(2, lambda x: 0.0, lambda x: ragged((0.0, 0.0), x))
     points = np.array([[1.0, 0.0], [0.85, 0.0], [0.6, 0.0]])
