@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -93,41 +94,65 @@ def _origin_shell(box: np.ndarray) -> np.ndarray:
 # Damped Newton polish shared by the root-hunting checks
 
 
+# The polish's float filter (Shewchuk, Discrete Comput. Geom. 1997).  A sum of n <= 8 squares, on
+# floats or by a BLAS dot (FMA, any order), is within n*u/(1 - n*u) <= 1e-15 (u = 2**-53) of the
+# exact sum, and underflow moves one of at least _SQ_FLOOR by under 1e-32 of it: sums apart by over
+# _SQ_GAP of their sum are ordered alike by all such evaluations, their norms, and against tol**2.
+_SQ_GAP, _SQ_FLOOR = 1e-12, 1e-290
+
+
+def _sq_below(a: float, b: float):
+    """``a < b`` for two sums of squares on Python floats, as numpy's dots or norms decide it,
+    where ``_SQ_GAP`` proves it; else None (inside the gap, under the floor, inf or NaN)."""
+    if _SQ_FLOOR <= a < math.inf and _SQ_FLOOR <= b < math.inf and abs(a - b) > _SQ_GAP * (a + b):
+        return a < b
+    return None
+
+
 def _newton_polish(func, x, tol, stats):
     """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
     (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
-    by entry on floats; the dots and solve stay numpy's (a BLAS dot uses FMA), the norms are
-    ``_norm``'s, and a descent test whose dot overflowed compares the norms."""
-    fx = np.array(func(x), dtype=float)
+    by entry on floats; the solve is numpy's.  The stop test ``_norm(fx) <= tol`` and descent
+    test ``f_new @ f_new < fx @ fx`` are ``_sq_below``'s, or numpy's where it cannot tell."""
+    fx = func(x)
+    sq, tol_sq = sum(map(operator.mul, fx, fx)), math.copysign(tol * tol, tol)
     stats.update(polishes=1, model_calls=1)
+
+    def within():
+        below = _sq_below(sq, tol_sq)
+        return _norm(fx) <= tol if below is None else below
+
     for _ in range(POLISH_ITERS):
-        if _norm(fx) <= tol:
+        if within():
             break
         J = central_jacobian(func, x, len(x))
         stats.update(newton_steps=1, model_calls=2 * len(x))
         if not np.isfinite(J).all():  # no step to take: lstsq would raise
             break
         try:
-            d = np.linalg.solve(J, -fx)
+            d = np.linalg.solve(J, np.negative(fx))
         except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(J, -fx, rcond=None)[0]
+            d = np.linalg.lstsq(J, np.negative(fx), rcond=None)[0]
         if not np.isfinite(d).all():
             break
-        base, d, alpha = float(fx @ fx), d.tolist(), 1.0
+        d, alpha = d.tolist(), 1.0
         while alpha >= 1e-6:
             x_new = [xi + alpha * di for xi, di in zip(x, d)]
             f_new = func(x_new)
             stats["model_calls"] += 1
             if all(map(math.isfinite, f_new)):
-                f_new = np.array(f_new, dtype=float)
-                new = float(f_new @ f_new)
-                if new < base if max(new, base) < math.inf else _norm(f_new) < _norm(fx):
-                    x, fx = x_new, f_new
+                new = sum(map(operator.mul, f_new, f_new))
+                below = _sq_below(new, sq)
+                if below is None:  # numpy's dots, or _norm's norms where one overflowed
+                    dot, base = float(np.dot(f_new, f_new)), float(np.dot(fx, fx))
+                    below = dot < base if max(dot, base) < math.inf else _norm(f_new) < _norm(fx)
+                if below:
+                    x, fx, sq = x_new, f_new, new
                     break
             alpha *= 0.5
         else:
             break
-    converged = _norm(fx) <= tol
+    converged = within()
     stats["converged"] += converged
     return x, converged
 

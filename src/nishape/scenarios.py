@@ -33,7 +33,7 @@ from .certify import (check_equilibrium_uniqueness, check_positive_definite,
                       report_line, write_reports_csv)
 from .linear import SsniCertificate, check_minimal, check_ssni, dc_gain, to_nonlinear
 from .sim import (_CSV_VALUES, InputSignal, IntegratorConfig, Trajectory, _write_g17_csv,
-                  monitor_decay, simulate, write_trajectory_csv)
+                  _g17_slots, monitor_decay, simulate, write_trajectory_csv)
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        StaticNonlinearity, float_form, gradient_check, make_closed_loop,
                        make_shaped_storage, on_columns)
@@ -410,9 +410,12 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     degenerate = n_plateau == (points - 2) ** 2
 
     if path is not None:
+        axis_slots = _g17_slots(axis[:, None], newline=False)  # each axis value once
+
         def cells(start, stop):  # grid cell r is (axis[r // points], axis[r % points])
             r = np.arange(start, stop)
-            return np.column_stack((axis[r // points], axis[r % points], values.ravel()[r]))
+            return np.stack((axis_slots[r // points], axis_slots[r % points],
+                             _g17_slots(values.ravel()[start:stop, None])), axis=1)
         _write_g17_csv(path, "theta1,theta2,value", points * points, cells)
     return SurfaceGrid(field, axis, values, minima, n_plateau, degenerate,
                        None if path is None else str(path))

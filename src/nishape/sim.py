@@ -347,7 +347,7 @@ def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header ``t,x1..xn,v1..vp,y1..yp[,W]``, each value exactly as
-    ``"%.17g" % v`` writes it (17 significant digits; see ``_g17_text``)."""
+    ``"%.17g" % v`` writes it (17 significant digits; see ``_g17_slots``)."""
     n = traj.states.shape[1]
     p = traj.inputs.shape[1]
     columns = (["t"]
@@ -359,7 +359,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         columns.append("W")
         blocks.append(traj.storage[:, None])
     _write_g17_csv(path, ",".join(columns), traj.n_samples,
-                   lambda start, stop: np.hstack([b[start:stop] for b in blocks]))
+                   lambda start, stop: _g17_slots(np.hstack([b[start:stop] for b in blocks])))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +437,12 @@ def _decimal17(v: np.ndarray):
     return digits, e, exact | (v == 0.0)
 
 
-def _g17_text(table: np.ndarray) -> str:
-    """A 2-D float table as CSV lines of ``"%.17g" % v``: each value fills a 32-byte
-    slot, NULs dropped at the end, with its digits (``_decimal17``, four 4-digit
-    lookups) and the ``_g17_tables`` rows its E, kept digits, sign and column
-    pick.  Zeros print as ``0``/``-0``; any other value outside ``_decimal17``'s
-    range (|v| < 1e-6 or >= 1e17, inf, NaN) is ``"%.17g" % v`` in its slot."""
+def _g17_slots(table: np.ndarray, newline: bool = True) -> np.ndarray:
+    """A 2-D float table's ``"%.17g" % v`` texts, each with its separator (a last
+    column's is '\\n' where ``newline``) in a NUL-padded 32-byte slot: its digits
+    (``_decimal17``, four 4-digit lookups) and the ``_g17_tables`` rows its E, kept
+    digits, sign and column pick.  Zeros print as ``0``/``-0``; any other value outside
+    ``_decimal17``'s range (|v| < 1e-6 or >= 1e17, inf, NaN) is ``"%.17g" % v``."""
     n_rows, n_cols = table.shape
     values = table.ravel()
     digits, e, exact = _decimal17(values)
@@ -457,7 +457,7 @@ def _g17_text(table: np.ndarray) -> str:
     z0, z1, z2, z3 = (_QUAD_ZEROS[q] for q in quads)  # 4 for a zero quad
     zeros = z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))  # trailing, of d1 .. d16
     look = e * 72 + np.maximum(17 - zeros, e + 1) * 4 + 2 * np.signbit(values)  # d0 .. dE kept
-    look.reshape(n_rows, n_cols)[:, -1] += 1
+    look.reshape(n_rows, n_cols)[:, -1] += newline
     del digits, e, high, low, quads  # before the blend, where a call peaks
     shifted = np.empty_like(slots)  # each byte one cell right; cell 0 is never read
     shifted.ravel()[1:] = slots.ravel()[:-1]
@@ -468,17 +468,19 @@ def _g17_text(table: np.ndarray) -> str:
     left |= _MARKS[look].view(np.uint64).reshape(-1, 4)
     del look, shifted, left, right
     for i in np.flatnonzero(~exact).tolist():
-        text = b"%.17g" % values[i] + (b"\n" if i % n_cols == n_cols - 1 else b",")
+        text = b"%.17g" % values[i] + (b"\n" if newline and i % n_cols == n_cols - 1 else b",")
         slots[i] = 0
         slots[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return str(slots[slots != 0].data, "ascii")
+    return slots
 
 
 def _write_g17_csv(path, header: str, n_rows: int, rows: Callable) -> None:
-    """``header`` and ``rows(start, stop)`` (2-D float arrays) for all ``n_rows``
-    rows, about ``_CSV_VALUES`` values at a time, as CSV (``_g17_text``)."""
+    """``header`` and ``rows(start, stop)``, the rows' ``_g17_slots`` in order, for all
+    ``n_rows`` rows, about ``_CSV_VALUES`` values at a time, as CSV with no NULs."""
     chunk = max(1, _CSV_VALUES // (header.count(",") + 1))
     with open(path, "w") as fh:  # text mode, as every platform wrote it before
         fh.write(header + "\n")
         for start in range(0, n_rows, chunk):
-            fh.write(_g17_text(rows(start, min(start + chunk, n_rows))))
+            slots = rows(start, min(start + chunk, n_rows))
+            fh.write(str(slots[slots != 0].data, "ascii"))
+            del slots  # not held while the next chunk's are made

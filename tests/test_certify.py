@@ -1,4 +1,5 @@
 import math
+import operator
 import tracemalloc
 from collections import Counter
 
@@ -1252,6 +1253,75 @@ def test_polish_counters_count_a_counting_float_form():
             totals.update({label: check.detail["model_calls"],
                            **{k: check.detail[k] for k in ("newton_steps", "converged")}})
     assert totals == {"f": 8164, "gradient": 10304, "newton_steps": 1073, "converged": 11}
+
+
+def _sum_sq(v):
+    """The polish's sum of squares on Python floats."""
+    return sum(map(operator.mul, v, v))
+
+
+def test_polish_filter_decides_as_numpy_does():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    assert certify._sq_below(1.0, 2.0) is True and certify._sq_below(2.0, 1.0) is False
+    for a, b in ((1.0, 1.0 + 1e-13), (1.0, 1.0), (1e-300, 1.0), (1.0, math.inf),
+                 (math.nan, 1.0), (1.0, -2.0)):  # inside the gap, under the floor, not finite
+        assert certify._sq_below(a, b) is None and certify._sq_below(b, a) is None, (a, b)
+
+    entries = st.one_of(  # 1e-300 to 1e300 in size, signed zeros, subnormals and inf
+        st.builds(lambda m, k: m * 10.0 ** k, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.3e154, math.inf, -math.inf]))
+
+    @st.composite
+    def pairs(draw):  # b free, a's entries permuted, or one of them one ulp away: near ties
+        a = draw(st.lists(entries, min_size=1, max_size=8))
+        kind = draw(st.sampled_from(["free", "permuted", "ulp"]))
+        if kind == "free":
+            return a, draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+        if kind == "permuted":
+            return a, draw(st.permutations(a))
+        b, i = list(a), draw(st.integers(0, len(a) - 1))
+        b[i] = math.nextafter(b[i], draw(st.sampled_from([math.inf, -math.inf])))
+        return a, b
+
+    # a tol of 1e-160 or less has a square that underflows
+    tols = st.one_of(st.floats(0.0, 1e300), st.sampled_from([1e-160, 1e-200, 5e-324, math.inf]))
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(pairs(), tols)
+    def check(pair, tol):
+        a, b = (np.array(v) for v in pair)
+        below = certify._sq_below(_sum_sq(pair[0]), _sum_sq(pair[1]))
+        if below is not None:
+            assert below == (float(a @ a) < float(b @ b)), pair
+        within = certify._sq_below(_sum_sq(pair[0]), math.copysign(tol * tol, tol))
+        if within is not None:
+            assert within == (np.linalg.norm(a) <= tol), (pair, tol)
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        check()
+
+
+def test_polish_filter_falls_back_where_a_bare_float_sum_disagrees_with_numpy():
+    # near ties, b as a's entries in another order or with one entry one ulp away: where a
+    # bare float sum (no margin) orders them unlike numpy's dot, the filter takes numpy's
+    rng = np.random.default_rng(41)
+    disagreements = 0
+    for _ in range(4000):
+        n = int(rng.integers(2, 9))
+        a = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)).tolist()
+        if rng.random() < 0.5:
+            b = [a[i] for i in rng.permutation(n).tolist()]
+        else:
+            b, i = list(a), int(rng.integers(n))
+            b[i] = math.nextafter(b[i], math.inf)
+        a_dot, b_dot = (float(np.dot(v, v)) for v in (a, b))
+        if (_sum_sq(a) < _sum_sq(b)) != (a_dot < b_dot):
+            disagreements += 1
+            assert certify._sq_below(_sum_sq(a), _sum_sq(b)) is None, (a, b)
+    if not disagreements:
+        pytest.skip("no near tie where a bare float sum and numpy's dot disagree")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nishape import scenarios, simulate
+from nishape import scenarios, sim, simulate
 from nishape import (IntegratorConfig, PendulumParams, ScalarField, ShapingParams, StaticNonlinearity,
                      build_full_shaping, build_linear_example,
                      build_sync_shaping, export_potential_surface, get_scenario,
@@ -502,6 +502,33 @@ def test_surface_csv_matches_the_per_cell_writer_bytewise(pendulum, tmp_path):
             report = export_potential_surface(field, path, half_range=half_range, points=points)
         assert path.read_text() == _per_cell_surface_csv(report), k
     assert np.isnan(report.values).any() and np.isinf(report.values).any()
+
+
+def test_surface_csv_formats_its_axis_once(pendulum, tmp_path, monkeypatch, capsys):
+    # the theta1 and theta2 columns are gathered from one set of axis slots, so an
+    # 81-point grid formats its 81 axis values and its 81 * 81 cell values, no more
+    _, V = pendulum
+    formatted, slots = [], sim._g17_slots
+
+    def counted(table, *args, **kwargs):
+        formatted.append(table.size)
+        return slots(table, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_g17_slots", counted)
+    monkeypatch.setattr(scenarios, "_g17_slots", counted)
+    export_potential_surface(V, tmp_path / "v.csv", points=81)
+    assert sum(formatted) == 81 + 81 * 81
+    assert formatted[0] == 81  # the axis, before any chunk
+    monkeypatch.undo()
+    # both CSVs of a surface command carry the same axis text, each tick as "%.17g"
+    out = tmp_path / "out"
+    assert main(["surface", "pendulum-sync", "--points", "41", "--out", str(out)]) == 0
+    capsys.readouterr()
+    ticks = [b"%.17g" % t for t in np.linspace(-8.0, 8.0, 41).tolist()]
+    want = [b"theta1,theta2"] + [t1 + b"," + t2 for t1 in ticks for t2 in ticks]
+    for label in ("original", "shaped"):
+        lines = (out / f"surface_pendulum-sync_{label}.csv").read_bytes().splitlines()
+        assert [line.rsplit(b",", 1)[0] for line in lines] == want, label
 
 
 SHAPED_SURFACE_MINIMA = {  # (original, shaped) at 161 points on +-8, 41 on +-3 and 401 on +-8
