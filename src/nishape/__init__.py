@@ -8,8 +8,7 @@ from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
                        make_closed_loop, make_shaped_storage, zero_field,
                        TAU_GRAD, TAU_PD, TAU_ZERO)
 from .sim import (InputSignal, IntegratorConfig, Trajectory, monitor_decay,
-                  refine_check, simulate, square_wave_value,
-                  write_trajectory_csv)
+                  simulate, square_wave_value, write_trajectory_csv)
 from .certify import (RateTable, check_equilibrium_uniqueness,
                       check_gradient_nonvanishing, check_positive_definite,
                       dissipation_from_rates, epsilon_from_rates, halton_box_samples,

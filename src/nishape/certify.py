@@ -238,8 +238,8 @@ def dissipation_from_rates(rates: RateTable, epsilon: float) -> Check:
     state; ``detail`` holds the ``residuals``, the ``tolerance`` and
     ``n_violations``, the number of residuals above it.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     residuals = rates.vdot - rates.supply + epsilon * rates.ydot_sq
     tolerance = 1e-6 * (1.0 + float(np.fmax.reduce(np.abs(rates.supply), initial=0.0)))
     worst = int(np.argmax(residuals))
@@ -253,7 +253,9 @@ def dissipation_from_rates(rates: RateTable, epsilon: float) -> Check:
 
 def epsilon_from_rates(tables: Iterable[RateTable]) -> float:
     """Empirical infimum of ``(u . ydot - Vdot) / |ydot|^2`` over all knots of
-    the rate tables with ``|ydot|`` above TAU_ZERO, floored at zero."""
+    the rate tables with ``|ydot|`` above TAU_ZERO, floored at zero: over these knots
+    alone, so an upper bound on the plant's OSNI constant (linear-a and linear-b
+    read 0.5294117647058824, where the constant is 0.5)."""
     tables = list(tables)  # an empty generator is no estimate either
     if not tables:
         raise ValueError("at least one rate table is required")

@@ -316,35 +316,6 @@ def monitor_decay(traj: Trajectory) -> Check:
     return Check("pass" if max_increase <= tolerance else "fail", max_increase)
 
 
-def refine_check(sys: NonlinearSystem, x0, signal: InputSignal,
-                 cfg: IntegratorConfig) -> Check:
-    """Empirical integrator order from runs at step, step/2 and step/4.
-
-    The verdict is "info".  The worst value is the observed order
-    ``log2(e_h / e_{h/2})``, NaN when either difference is zero or a run was
-    truncated, and the witness the end-state Richardson differences
-    ``(e_h, e_{h/2})``.  ``detail["flags"]`` names a square-wave input, since
-    the discontinuity degrades the observed order, and a truncated run.
-    """
-    flags = []
-    if signal.kind == "square_wave":
-        flags.append("discontinuous input")
-    trajectories = []
-    for divisor in (1, 2, 4):
-        sub_cfg = IntegratorConfig(step=cfg.step / divisor, t_end=cfg.t_end)
-        trajectories.append(simulate(sys, x0, signal, sub_cfg))
-    if any(t.diagnostic is not None for t in trajectories):
-        flags.append("truncated")
-        return Check("info", math.nan, (math.nan, math.nan), detail={"flags": tuple(flags)})
-    end_h, end_h2, end_h4 = (t.states[-1] for t in trajectories)
-    err_coarse = float(np.linalg.norm(end_h - end_h2))
-    err_fine = float(np.linalg.norm(end_h2 - end_h4))
-    order = math.nan
-    if err_coarse > 0.0 and err_fine > 0.0:
-        order = math.log2(err_coarse / err_fine)
-    return Check("info", order, (err_coarse, err_fine), detail={"flags": tuple(flags)})
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with header ``t,x1..xn,v1..vp,y1..yp[,W]``, each value exactly as
     ``"%.17g" % v`` writes it (17 significant digits; see ``_g17_slots``)."""

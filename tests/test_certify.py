@@ -677,8 +677,11 @@ def test_the_joined_form_shares_no_call_where_a_column_run_cannot_take_its_nodes
 
 def test_osni_rejects_negative_epsilon():
     plant, V, traj = _pendulum_square_wave_run(t_end=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        dissipation_from_rates(rate_table(plant, V, traj), -0.1)
+    rates = rate_table(plant, V, traj)
+    # NaN and inf would turn every residual into NaN (inf * 0 warns on the way)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"nonnegative, got {bad}"):
+            dissipation_from_rates(rates, bad)
 
 
 # ---------------------------------------------------------------------------

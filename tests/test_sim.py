@@ -9,7 +9,7 @@ import pytest
 from nishape import (InputSignal, IntegratorConfig, NonlinearSystem, ScalarField,
                      Trajectory, closed_loop_matrix, get_scenario,
                      make_closed_loop, make_shaped_storage,
-                     monitor_decay, refine_check, scenarios, simulate,
+                     monitor_decay, scenarios, simulate,
                      square_wave_value, write_trajectory_csv)
 import nishape
 from nishape import sim
@@ -320,48 +320,6 @@ def test_linear_coupled_case_converges_and_decays(linear_cases):
                     IntegratorConfig(step=1e-4, t_end=10.0))
     assert np.linalg.norm(fine.states[-1]) < 1e-3
     assert np.linalg.norm(traj.states[-1] - fine.states[-1]) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Step-refinement order checks
-
-
-def test_refine_check_smooth_rk4_order():
-    report = refine_check(_scalar_decay(), [1.0], InputSignal.zero(1),
-                          IntegratorConfig(step=0.05, t_end=1.0))
-    # worst: the observed order; witness: the end-state differences (e_h, e_h/2)
-    err_coarse, err_fine = report.witness
-    assert report.worst_value == math.log2(err_coarse / err_fine)
-    assert report.worst_value >= 3.5
-
-
-def test_refine_check_square_wave_degrades_order(pendulum):
-    plant, _ = pendulum
-    report = refine_check(plant, (1.0, 0.5, 0.0, 0.0),
-                          InputSignal.square_wave(2, 0, 2.0, 3.0),
-                          IntegratorConfig(step=0.01, t_end=6.0))
-    assert "discontinuous input" in report.detail["flags"]
-    assert 0.3 < report.worst_value < 2.0
-
-
-def test_refine_check_zero_dynamics():
-    frozen = NonlinearSystem(1, 1, lambda x, u: np.zeros(1), lambda x: x.copy())
-    report = refine_check(frozen, [0.0], InputSignal.zero(1),
-                          IntegratorConfig(step=0.1, t_end=1.0))
-    # a zero difference has no order: the worst value is NaN
-    assert math.isnan(report.worst_value)
-    assert report.witness == (0.0, 0.0)
-
-
-def test_refine_check_of_a_truncated_run_has_no_order():
-    # x' = x^2 + u from 1 blows up at t = 1, before t_end, at every step of the three
-    blow_up = NonlinearSystem.from_floats(1, 1, lambda x, u: (x[0] * x[0] + u[0],),
-                                          lambda x: (x[0],))
-    report = refine_check(blow_up, [1.0], InputSignal.zero(1),
-                          IntegratorConfig(step=0.01, t_end=2.0))
-    assert report.verdict == "info" and math.isnan(report.worst_value)
-    assert all(map(math.isnan, report.witness)) and len(report.witness) == 2
-    assert report.detail["flags"] == ("truncated",)
 
 
 # ---------------------------------------------------------------------------

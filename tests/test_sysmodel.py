@@ -719,7 +719,6 @@ def _checks_of_every_check_function():
         nishape.check_minimal: [nishape.check_minimal(sys) for sys in (
             lin, LinearSystem([[-1.0]], [[0.0]], [[1.0]]))],
         nishape.monitor_decay: [nishape.monitor_decay(traj) for traj in (decay, growth, forced)],
-        nishape.refine_check: [nishape.refine_check(stable, [1.0], zero, cfg)],
         nishape.run_scenario: scenario_checks,
     }
 
