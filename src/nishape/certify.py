@@ -99,6 +99,9 @@ def _origin_shell(box: np.ndarray) -> np.ndarray:
 # exact sum, and underflow moves one of at least _SQ_FLOOR by under 1e-32 of it: sums apart by over
 # _SQ_GAP of their sum are ordered alike by all such evaluations, their norms, and against tol**2.
 _SQ_GAP, _SQ_FLOOR = 1e-12, 1e-290
+# The stall rule: Newton's model is |F(x + a d)|**2 = (1 - a)**2 |F|**2, so a sum kept above 0.9 of
+# the old one is a step cut to a <= 0.05: two in a row head for a singular J, not a root (Deuflhard)
+_STALL_RATIO, _STALL_STEPS = 0.9, 2
 
 
 def _sq_below(a: float, b: float):
@@ -112,10 +115,12 @@ def _sq_below(a: float, b: float):
 def _newton_polish(func, x, tol, stats):
     """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
     (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
-    by entry on floats; the solve is numpy's.  The stop test ``_norm(fx) <= tol`` and descent
-    test ``f_new @ f_new < fx @ fx`` are ``_sq_below``'s, or numpy's where it cannot tell."""
+    by entry on floats; the solve is numpy's.  The stop test ``_norm(fx) <= tol``, descent
+    test ``f_new @ f_new < fx @ fx`` and stall test ``f_new @ f_new > _STALL_RATIO * fx @ fx``
+    are ``_sq_below``'s, or numpy's where it cannot tell.  After ``_STALL_STEPS`` stalled
+    steps in a row the polish ends, counted ``stalled`` unless it converged."""
     fx = func(x)
-    sq, tol_sq = sum(map(operator.mul, fx, fx)), math.copysign(tol * tol, tol)
+    sq, tol_sq, stalls = sum(map(operator.mul, fx, fx)), math.copysign(tol * tol, tol), 0
     stats.update(polishes=1, model_calls=1)
 
     def within():
@@ -123,7 +128,7 @@ def _newton_polish(func, x, tol, stats):
         return _norm(fx) <= tol if below is None else below
 
     for _ in range(POLISH_ITERS):
-        if within():
+        if within() or stalls == _STALL_STEPS:
             break
         J = central_jacobian(func, x, len(x))
         stats.update(newton_steps=1, model_calls=2 * len(x))
@@ -147,13 +152,16 @@ def _newton_polish(func, x, tol, stats):
                     dot, base = float(np.dot(f_new, f_new)), float(np.dot(fx, fx))
                     below = dot < base if max(dot, base) < math.inf else _norm(f_new) < _norm(fx)
                 if below:
-                    x, fx, sq = x_new, f_new, new
+                    stall = _sq_below(_STALL_RATIO * sq, new)
+                    if stall is None:  # numpy's dots (no stall where both overflow)
+                        stall = float(np.dot(f_new, f_new)) > _STALL_RATIO * float(np.dot(fx, fx))
+                    x, fx, sq, stalls = x_new, f_new, new, (stalls + 1 if stall else 0)
                     break
             alpha *= 0.5
         else:
             break
     converged = within()
-    stats["converged"] += converged
+    stats.update(converged=converged, stalled=stalls == _STALL_STEPS and not converged)
     return x, converged
 
 
@@ -165,7 +173,7 @@ def _box_minimum(measure, box, n_samples, seed, r_min, extra=(), root=None):
     accept)``, the N_POLISH points of smallest value are Newton-polished toward a root of the
     float form ``func`` to the tolerance ``rel_tol * max(values)``: ``found`` is the first
     converged root that ``accept`` admits (else None) and ``stats`` counts ``polishes``,
-    ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``) and ``converged``."""
+    ``newton_steps`` (Jacobians), ``model_calls`` (of ``func``), ``converged`` and ``stalled``."""
     points = np.vstack([halton_box_samples(box, n_samples, seed), *extra])
     points = points[_row_norms(points) > r_min]
     if not len(points):
@@ -174,7 +182,7 @@ def _box_minimum(measure, box, n_samples, seed, r_min, extra=(), root=None):
     if root is not None:
         func, rel_tol, accept = root
         tol = rel_tol * float(np.max(values))
-        stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0)
+        stats = Counter(polishes=0, newton_steps=0, model_calls=0, converged=0, stalled=0)
         polished = (_newton_polish(func, points[i].tolist(), tol, stats)
                     for i in np.argsort(values)[:N_POLISH])  # lazily: stops at the first found
         found = next((x for x, ok in polished if ok and accept(x)), None)

@@ -159,6 +159,8 @@ class Trajectory:
                 raise ValueError(f"{label} must have one row per knot")
         if storage is not None and storage.shape != (n_knots,):
             raise ValueError("storage must have one value per knot")
+        if not np.isfinite(times).all():  # before the spacing check, which a NaN passes
+            raise ValueError("times must be finite")
         if n_knots >= 2:
             dt = times[1] - times[0]
             if dt <= 0.0:

@@ -1022,13 +1022,17 @@ def _numpy_jacobian(func, x, n_out):
     return jac
 
 
-def _numpy_polish(func, x0, tol, counts, max_iter=certify.POLISH_ITERS):
-    """Damped Newton on numpy arrays: the polish's own oracle, counting its Jacobians."""
+def _numpy_polish(func, x0, tol, counts):
+    """Damped Newton on numpy arrays: the polish's own oracle, counting its Jacobians and the
+    polishes that the stall rule ends (``certify``'s constants, read at the call)."""
     x = np.array(x0, dtype=float)
     fx = np.asarray(func(x), dtype=float)
-    for _ in range(max_iter):
+    stalls = 0
+    for _ in range(certify.POLISH_ITERS):
         if float(np.linalg.norm(fx)) <= tol:
             return x, True
+        if stalls == certify._STALL_STEPS:
+            break
         J = _numpy_jacobian(func, x, x.size)
         counts["newton_steps"] += 1
         try:
@@ -1043,18 +1047,21 @@ def _numpy_polish(func, x0, tol, counts, max_iter=certify.POLISH_ITERS):
             x_new = x + alpha * d
             f_new = np.asarray(func(x_new), dtype=float)
             if np.isfinite(f_new).all() and float(f_new @ f_new) < base:
+                stalls = stalls + 1 if float(f_new @ f_new) > certify._STALL_RATIO * base else 0
                 x, fx = x_new, f_new
                 break
             alpha *= 0.5
         else:
             break
-    return x, float(np.linalg.norm(fx)) <= tol
+    ok = float(np.linalg.norm(fx)) <= tol
+    counts["stalled"] += stalls == certify._STALL_STEPS and not ok
+    return x, ok
 
 
 def _numpy_polished_root(func, points, norms, tol, accept):
     """The first converged root that ``accept`` admits, polished on numpy arrays, or None;
-    and the counters ``polishes``, ``newton_steps`` and ``converged``."""
-    counts = {"polishes": 0, "newton_steps": 0, "converged": 0}
+    and the counters ``polishes``, ``newton_steps``, ``converged`` and ``stalled``."""
+    counts = {"polishes": 0, "newton_steps": 0, "converged": 0, "stalled": 0}
     for idx in np.argsort(norms)[:certify.N_POLISH]:
         root, ok = _numpy_polish(func, points[idx], tol, counts)
         counts["polishes"] += 1
@@ -1108,7 +1115,7 @@ def _check_bits(check):
 
 
 def _counters(check):
-    return {k: check.detail[k] for k in ("polishes", "newton_steps", "converged")}
+    return {k: check.detail[k] for k in ("polishes", "newton_steps", "converged", "stalled")}
 
 
 @pytest.mark.parametrize("name", ["pendulum-stabilize", "linear-a", "linear-b", "pendulum-sync"])
@@ -1254,8 +1261,75 @@ def test_polish_counters_count_a_counting_float_form():
         for label, check in (("f", uniq), ("gradient", grad)):
             assert check.detail["polishes"] == certify.N_POLISH  # no root is admitted
             totals.update({label: check.detail["model_calls"],
-                           **{k: check.detail[k] for k in ("newton_steps", "converged")}})
-    assert totals == {"f": 8164, "gradient": 10304, "newton_steps": 1073, "converged": 11}
+                           **{k: check.detail[k] for k in ("newton_steps", "converged",
+                                                           "stalled")}})
+    assert totals == {"f": 2035, "gradient": 2468, "newton_steps": 355, "converged": 2,
+                      "stalled": 78}
+
+
+def _root_check_lines(name, seeds):
+    """The gradient and uniqueness report lines of a scenario's W and closed loop at each seed,
+    the count of polished roots (a failing uniqueness witness that is not a sample) and the
+    count of polishes that the stall rule ended."""
+    sc = get_scenario(name)
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    lines, roots, stalled = [], 0, 0
+    for seed in seeds:
+        grad = check_gradient_nonvanishing(W, sc.box, n_samples=256, seed=seed)
+        uniq = check_equilibrium_uniqueness(closed, sc.box, n_samples=512, seed=seed)
+        lines += [report_line("gradient", grad), report_line("uniqueness", uniq)]
+        roots += uniq.verdict == "fail" and not _is_sample(uniq.witness, sc.box, 512, seed)
+        stalled += grad.detail["stalled"] + uniq.detail["stalled"]
+    return lines, roots, stalled
+
+
+@pytest.mark.parametrize("name", ["pendulum-stabilize", "pendulum-sync"])
+def test_stall_rule_keeps_every_root_check_line_of_the_full_hunt(name, monkeypatch):
+    lines, roots, stalled = _root_check_lines(name, range(16))
+    assert stalled > 0  # the rule ends polishes here
+    monkeypatch.setattr(certify, "_STALL_STEPS", certify.POLISH_ITERS + 1)  # never reached
+    full = _root_check_lines(name, range(16))
+    assert full == (lines, roots, 0)
+
+
+def test_a_polish_cut_short_loses_sync_roots_the_full_hunt_finds(monkeypatch):
+    # the comparison above has teeth: a polish of one Newton step loses polished roots
+    assert _root_check_lines("pendulum-sync", range(16))[1] == 12
+    monkeypatch.setattr(certify, "POLISH_ITERS", 1)
+    assert _root_check_lines("pendulum-sync", range(16))[1] < 12
+
+
+# The synchronizing loop's distant in-phase wells, up to sign: the nonzero equilibria its
+# uniqueness check polishes to on its box
+_SYNC_WELLS = ((5.744502022899757, 5.772211261064723, 0.0, 0.0),
+               (3.437942023858352, 3.459972833106449, 0.0, 0.0))
+
+
+def test_sync_loop_fails_uniqueness_at_a_polished_well():
+    # negative control: the sync loop has nonzero equilibria in its box, and the root check
+    # must name one, a root of f(x, 0) to the polish tolerance, wherever its hunt reaches one.
+    # At seeds 5, 8, 9 and 14 no polish from the ten smallest samples reaches a well, and the
+    # sampled check passes
+    sc = get_scenario("pendulum-sync")
+    plant, V, nl, W = _build_parts(sc)
+    closed = make_closed_loop(plant, nl)
+    wells = [sign * np.array(well) for well in _SYNC_WELLS for sign in (1.0, -1.0)]
+    r_excl = certify.R_EXCL_SCALE * float(np.max(np.abs(np.asarray(sc.box))))
+    u0 = np.zeros(closed.n_io)
+    failed = []
+    for seed in range(16):
+        uniq = check_equilibrium_uniqueness(closed, sc.box, n_samples=512, seed=seed)
+        if uniq.verdict == "pass":
+            continue
+        failed.append(seed)
+        witness = np.array(uniq.witness)
+        assert min(float(np.linalg.norm(witness - well)) for well in wells) <= 1e-6, seed
+        points = halton_box_samples(sc.box, 512, seed)
+        scale = max(float(np.linalg.norm(closed.f(x, u0))) for x in points
+                    if float(np.linalg.norm(x)) > r_excl)
+        assert float(np.linalg.norm(closed.f(witness, u0))) <= 1e-9 * scale, seed
+    assert failed == [seed for seed in range(16) if seed not in (5, 8, 9, 14)]
 
 
 def _sum_sq(v):

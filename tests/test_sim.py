@@ -132,6 +132,16 @@ def test_simulate_peak_memory_stays_close_to_the_record():
     assert peak <= held + 8 * traj.n_samples + 512 * _CHUNK, (peak, held)
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [math.nan, 1.0, 2.0],
+                                   [0.0, 1.0, math.nan], [0.0, math.inf]])
+def test_trajectory_rejects_a_time_that_is_not_finite(times):
+    # a NaN passed the spacing check, and an inf warned in its subtraction
+    n = len(times)
+    with pytest.raises(ValueError, match="times must be finite"):
+        Trajectory(times=times, states=np.zeros((n, 1)), inputs=np.zeros((n, 1)),
+                   outputs=np.zeros((n, 1)))
+
+
 def test_trajectory_rejects_nonuniform_grid():
     with pytest.raises(ValueError, match="uniform"):
         Trajectory(times=[0.0, 0.1, 0.3], states=np.zeros((3, 1)),
