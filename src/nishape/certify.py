@@ -23,9 +23,9 @@ import numpy as np
 
 from .linear import sym_eigenvalues
 from .sim import Trajectory
-from .sysmodel import (_CHUNK, Check, NonlinearSystem, ScalarField, StaticNonlinearity,
-                       HamiltonianSystem, TAU_PD, TAU_ZERO, _composed, _joined_text, _norm,
-                       _row_dots, _row_norms, central_jacobian, make_shaped_storage, on_columns)
+from .sysmodel import (_CHUNK, Check, NonlinearSystem, ScalarField, StaticNonlinearity, TAU_PD,
+                       HamiltonianSystem, TAU_ZERO, _composed, _joined_text, _norm, _row_dots,
+                       _row_norms, _sq_below, central_jacobian, make_shaped_storage, on_columns)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -94,22 +94,9 @@ def _origin_shell(box: np.ndarray) -> np.ndarray:
 # Damped Newton polish shared by the root-hunting checks
 
 
-# The polish's float filter (Shewchuk, Discrete Comput. Geom. 1997).  A sum of n <= 8 squares, on
-# floats or by a BLAS dot (FMA, any order), is within n*u/(1 - n*u) <= 1e-15 (u = 2**-53) of the
-# exact sum, and underflow moves one of at least _SQ_FLOOR by under 1e-32 of it: sums apart by over
-# _SQ_GAP of their sum are ordered alike by all such evaluations, their norms, and against tol**2.
-_SQ_GAP, _SQ_FLOOR = 1e-12, 1e-290
 # The stall rule: Newton's model is |F(x + a d)|**2 = (1 - a)**2 |F|**2, so a sum kept above 0.9 of
 # the old one is a step cut to a <= 0.05: two in a row head for a singular J, not a root (Deuflhard)
 _STALL_RATIO, _STALL_STEPS = 0.9, 2
-
-
-def _sq_below(a: float, b: float):
-    """``a < b`` for two sums of squares on Python floats, as numpy's dots or norms decide it,
-    where ``_SQ_GAP`` proves it; else None (inside the gap, under the floor, inf or NaN)."""
-    if _SQ_FLOOR <= a < math.inf and _SQ_FLOOR <= b < math.inf and abs(a - b) > _SQ_GAP * (a + b):
-        return a < b
-    return None
 
 
 def _newton_polish(func, x, tol, stats):

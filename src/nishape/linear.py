@@ -10,12 +10,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from typing import Optional
 
 import numpy as np
 
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
-                       StaticNonlinearity, TAU_PD, TAU_ZERO, make_shaped_storage)
+                       StaticNonlinearity, TAU_PD, TAU_ZERO, _sq_below, make_shaped_storage)
 
 
 # ---------------------------------------------------------------------------
@@ -24,14 +25,14 @@ from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
 
 @functools.lru_cache(maxsize=8)  # one sweep per size; its table is O(n^3) ints, 8 MB at n = 100
 def _jacobi_sweep(n: int):
-    """``sweep(m, table)``, one cyclic Jacobi sweep on ``m``: the upper triangle of an n x n
-    matrix, row-major, then one 0.0.  Each row of ``table`` is one rotation (p, q), in cyclic
-    order: the indices in ``m`` of (p, p), (q, q), (p, q), then of (j, p), (j, q) for each j
-    outside {p, q}.  Also the triangle's indices, and the indices in ``m`` of the full
-    matrix, row-major, with the 0.0 on its diagonal, and of its diagonal."""
-    rows, cols = np.triu_indices(n)
-    at = np.zeros((n, n), dtype=int)
-    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    """``sweep(m, table)``, one cyclic Jacobi sweep on ``m``: an n x n symmetric matrix as its
+    diagonal, then its upper off-diagonal entries row-major.  Each row of ``table`` is one
+    rotation (p, q), in cyclic order: the indices in ``m`` of (p, p), (q, q), (p, q), then of
+    (j, p), (j, q) for each j outside {p, q}.  Also the indices in ``m + [0.0]`` of the full
+    matrix, row-major, with the 0.0 on its diagonal."""
+    rows, cols = np.triu_indices(n, 1)
+    at = np.diag(np.arange(n))
+    at[rows, cols] = at[cols, rows] = np.arange(n, n + rows.size)
     ix = at.tolist()
     table = tuple((ix[p][p], ix[q][q], ix[p][q],
                    *(k for j in range(n) if j not in (p, q) for k in (ix[j][p], ix[j][q])))
@@ -55,8 +56,7 @@ def _jacobi_sweep(n: int):
         m[qq] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
         m[pq] = 0.0
 """, f"<Jacobi sweep on {n} x {n}>", "exec"), namespace)
-    off = np.where(np.eye(n, dtype=bool), rows.size, at).ravel()
-    return namespace["sweep"], table, (rows, cols), off, at.diagonal()
+    return namespace["sweep"], table, np.where(np.eye(n, dtype=bool), n + rows.size, at).ravel()
 
 
 def sym_eigenvalues(S) -> np.ndarray:
@@ -72,37 +72,46 @@ def sym_eigenvalues(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"need a square matrix, got shape {S.shape}")
+    mirrored = S.tobytes() == S.T.tobytes()  # bits, not ==: 0.5 * (-0.0 + 0.0) is 0.0
     with np.errstate(over="ignore"):  # the norm of entries beyond ~1e154 overflows
         fro = float(np.linalg.norm(S))
         if not math.isfinite(fro) and np.isfinite(S).all():
             raise ValueError("matrix entries are finite but too large for a finite norm")
-        if not math.isfinite(fro) or float(np.linalg.norm(S - S.T)) > TAU_ZERO * fro:
+        if not math.isfinite(fro) or not mirrored and np.linalg.norm(S - S.T) > TAU_ZERO * fro:
             raise ValueError("matrix must be finite and symmetric within tolerance")
     n = S.shape[0]
-    if n <= 1:
-        return np.array(np.diag(S))
-    A = 0.5 * (S + S.T)
-    if not np.any(A - np.diag(np.diag(A))):  # diagonal, as the built-in Y = I: nothing to generate
-        return np.sort(np.diag(A))
-    sweep, table, upper, off, diagonal = _jacobi_sweep(n)
-    m = A[upper].tolist() + [0.0]
+    rows = (S if mirrored else 0.5 * (S + S.T)).tolist()  # a finite S is 0.5 * (S + S) exactly
+    m = [r[i] for i, r in enumerate(rows)] + [v for i, r in enumerate(rows) for v in r[i + 1:]]
+    if not any(m[n:]):  # diagonal, as the built-in Y = I, or n <= 1: nothing to generate
+        return np.sort(m[:n])
+    sweep, table, off = _jacobi_sweep(n)
     target = 1e-12 * fro
     for _ in range(60):
-        # the off-diagonal norm as numpy's norm takes it of the full matrix, diagonal
-        # zeroed, row-major: a Python sum would not keep BLAS's order
-        v = np.array(m)
-        rest = v[off]
-        if math.sqrt(rest.dot(rest)) <= target:
+        # the off-diagonal norm as numpy's dot takes it of the full matrix, diagonal zeroed,
+        # decided up to n = 64 by _sq_below on twice (exact) the upper part's float sum
+        below = _sq_below(2.0 * sum(map(operator.mul, m[n:], m[n:])), target * target)
+        if below is None or n > 64:
+            rest = np.array(m + [0.0])[off]
+            below = math.sqrt(rest.dot(rest)) <= target
+        if below:
             break
         sweep(m, table)
     else:
         raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(v[diagonal])
+    return np.sort(m[:n])
 
 
-def _min_eigenvalue(S) -> float:
-    """Smallest eigenvalue of a symmetric ``S``, scaled by an exact power of two
+def _symmetric_part(X) -> np.ndarray:
+    """``0.5 * (X + X.T)``, or ``0.5 * X + 0.5 * X.T`` where that sum overflows on finite X."""
+    with np.errstate(over="ignore"):
+        S = 0.5 * (X + X.T)
+    return S if np.isfinite(S).all() or not np.isfinite(X).all() else 0.5 * X + 0.5 * X.T
+
+
+def _min_eigenvalue(X) -> float:
+    """Smallest eigenvalue of the symmetric part of ``X``, scaled by an exact power of two
     first where its norm overflows on finite entries (slopes near 1e300 or 1e-300)."""
+    S = _symmetric_part(X)
     with np.errstate(over="ignore"):  # scaled back, an eigenvalue beyond 1.8e308 is an infinity
         if math.isfinite(float(np.linalg.norm(S))):  # unscaled: 2^0 would only copy S
             return float(sym_eigenvalues(S)[0])
@@ -112,6 +121,26 @@ def _min_eigenvalue(S) -> float:
 
 # ---------------------------------------------------------------------------
 # Certificates and slope bounds
+
+
+def _cholesky_proves_pd(S) -> bool:
+    """Whether Cholesky proves Jacobi's lambda_min of a bitwise symmetric ``S`` above TAU_PD: a
+    factor R of T = fl(S - sigma I), sigma = TAU_PD + c |S|_F, c = 1e-8, has R^T R = T + E >= 0,
+    |E|_2 <= n g |T|_2 < 4.7e-13 |T|_2 for n <= 64, g = (n+1)u/(1 - (n+1)u), u = 2**-53 (Demmel
+    1989; Higham 2002, Thm 10.7).  With sigma's and T's rounding, lambda_min(S) > TAU_PD + (c -
+    2e-12) |S|_F (the TAU_PD terms fit in |S|_F >= lambda_min(S)).  Jacobi's diagonal lies within
+    its stop target 1e-12 |S|_F plus its rotations' rounding, under 60 sweeps x 2016 rotations x
+    20u |S|_F < 2.7e-10 |S|_F, of S's eigenvalues.  False (Jacobi decides) where the factorization
+    fails, |S|_F is not finite or n > 64."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(S))
+    try:
+        if fro < math.inf and len(S) <= 64:
+            np.linalg.cholesky(S - (TAU_PD + 1e-8 * fro) * np.eye(len(S)))
+            return True
+    except np.linalg.LinAlgError:
+        pass
+    return False
 
 
 class SsniCertificate:
@@ -126,7 +155,8 @@ class SsniCertificate:
             raise ValueError("Y contains non-finite entries")
         if np.max(np.abs(Y - Y.T)) > TAU_ZERO * (1.0 + np.max(np.abs(Y))):
             raise ValueError("Y must be symmetric")
-        if sym_eigenvalues(0.5 * (Y + Y.T))[0] <= TAU_PD:
+        S = _symmetric_part(Y)
+        if not _cholesky_proves_pd(S) and sym_eigenvalues(S)[0] <= TAU_PD:
             raise ValueError("Y must be positive definite")
         Y.setflags(write=False)
         self.sys = sys
@@ -169,8 +199,7 @@ def check_ssni(cert: SsniCertificate) -> Check:
     residual ``max |B + A Y C^T|``.
     """
     A, B, C, Y = cert.sys.A, cert.sys.B, cert.sys.C, cert.Y
-    L = A @ Y + Y @ A.T
-    max_eig = float(sym_eigenvalues(0.5 * (L + L.T))[-1])
+    max_eig = float(sym_eigenvalues(_symmetric_part(A @ Y + Y @ A.T))[-1])
     residual = float(np.max(np.abs(B + A @ Y @ C.T)))
     ok = max_eig < -TAU_PD and residual <= TAU_ZERO * (1.0 + np.max(np.abs(B)))
     return Check("pass" if ok else "fail", max_eig, (residual,))
@@ -190,7 +219,7 @@ def dc_gain(sys: LinearSystem, cert: Optional[SsniCertificate] = None) -> np.nda
     if cert is not None:
         G_cert = sys.C @ cert.Y @ sys.C.T
         err = float(np.max(np.abs(G0 - G_cert)))
-        if err > 1e-9 * (1.0 + np.max(np.abs(G_cert))):
+        if not err <= 1e-9 * (1.0 + np.max(np.abs(G_cert))):  # a NaN gain fails too
             raise ArithmeticError(
                 f"DC-gain cross-check failed: |(-C A^-1 B) - C Y C^T|_max = {err:.3e}")
     return G0
@@ -200,13 +229,13 @@ def dey_condition(sys: LinearSystem, cert: Optional[SsniCertificate],
                   m: SlopeBounds) -> Check:
     """Slope-bound stability condition: ``M^-1 - G(0) > 0``.
 
-    G(0) is symmetrized before the eigenvalue test.  The worst value is the
+    G(0) is symmetrized in the eigenvalue test.  The worst value is the
     margin ``min eig(M^-1 - G(0))``; there is no witness.
     """
     if m.p != sys.p:
         raise ValueError(f"slope bounds have {m.p} channels, system has {sys.p}")
     G0 = dc_gain(sys, cert)
-    margin = _min_eigenvalue(m.M_inv() - 0.5 * (G0 + G0.T))
+    margin = _min_eigenvalue(m.M_inv() - G0)
     return Check("pass" if margin > TAU_PD else "fail", margin)
 
 
@@ -224,11 +253,8 @@ def schur_equivalence(cert: SsniCertificate, m: SlopeBounds) -> Check:
         Yinv = np.linalg.solve(Y, np.eye(Y.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise ValueError("Y is singular") from exc
-    Yinv = 0.5 * (Yinv + Yinv.T)
-    P1 = m.M_inv() - C @ Y @ C.T
-    P2 = Yinv - C.T @ m.M() @ C
-    margin1 = _min_eigenvalue(0.5 * (P1 + P1.T))
-    margin2 = _min_eigenvalue(0.5 * (P2 + P2.T))
+    margin1 = _min_eigenvalue(m.M_inv() - C @ Y @ C.T)
+    margin2 = _min_eigenvalue(_symmetric_part(Yinv) - C.T @ m.M() @ C)
     verdict = "pass" if (margin1 > 0.0) == (margin2 > 0.0) else "fail"
     return Check(verdict, min(margin1, margin2), (margin1, margin2))
 
@@ -290,8 +316,7 @@ def dey_shaped_storage(cert: SsniCertificate, phi: StaticNonlinearity) -> Scalar
     if phi.p != cert.sys.p:
         raise ValueError(f"nonlinearity has {phi.p} channels, system has {cert.sys.p}")
     C = cert.sys.C
-    Yinv = np.linalg.solve(cert.Y, np.eye(cert.Y.shape[0]))
-    Yinv = 0.5 * (Yinv + Yinv.T)
+    Yinv = _symmetric_part(np.linalg.solve(cert.Y, np.eye(cert.Y.shape[0])))
     V_Y = ScalarField(cert.sys.n, lambda x: 0.5 * float(x @ Yinv @ x), lambda x: Yinv @ x)
     def f_value(y):
         total = 0.0  # a left fold: builtin sum() of floats is compensated from Python 3.12 on
@@ -339,7 +364,7 @@ def is_hurwitz(Acl) -> Check:
     scale = 1.0 + float(np.max(np.abs(P)))
     if residual > 1e-8 * scale or np.max(np.abs(P - P.T)) > 1e-8 * scale:
         return Check("indeterminate", math.nan)
-    min_eig = float(sym_eigenvalues(0.5 * (P + P.T))[0])
+    min_eig = float(sym_eigenvalues(_symmetric_part(P))[0])
     return Check("pass" if min_eig > TAU_PD else "fail", min_eig)
 
 

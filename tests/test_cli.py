@@ -53,6 +53,19 @@ def test_certify_linear_pass_and_fail(tmp_path, capsys):
                        "Y": np.eye(4).tolist(), "mu": [[0.5, 0.5], [0.5, 0.5]]}, 2,
          "error: mu must be a flat list of per-channel slopes, got shape (2, 2)"),
     ]
+    # A^-1 B overflows to -inf in its first entry, C's 0 * -inf makes the gain NaN: a failed
+    # cross-check, with or without a slope bound, never a NaN gain or a usage error
+    nan_gain = {"A": [[-1e-300, 0.0], [0.0, -1.0]], "B": [[1e10], [1.0]], "C": [[0.0, 1.0]]}
+    for label, mu in (("nan-gain", None), ("nan-gain-mu", [0.5])):
+        cases.append((label, nan_gain | {"mu": mu}, 1,
+                      "dc-gain cross-check: fail (DC-gain cross-check failed: "
+                      "|(-C A^-1 B) - C Y C^T|_max = nan)"))
+    # Y^-1 - C^T M C = -1e308, whose symmetric part 0.5 * (X + X^T) would overflow: halved first,
+    # it takes the margins' power-of-two scaled path, so the Schur record reads its margins
+    cases.append(("huge-mu", {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Y": [[1.0]],
+                              "mu": [1e308]}, 1,
+                  "slope-bound condition: fail  worst=-1  witness=-\n"
+                  "schur-complement agreement: pass  worst=-1e+308  witness=(-1, -1e+308)\n"))
     for label, changes, code, text in cases:
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps(good | changes))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nishape import linear
+from nishape import linear, sysmodel
 from nishape import (InputSignal, IntegratorConfig, LinearSystem,
                      SlopeBounds, SsniCertificate, StaticNonlinearity,
                      adaptive_simpson, check_minimal, check_positive_definite,
@@ -199,6 +199,24 @@ def test_sym_eigenvalues_match_the_numpy_rotations_bitwise_past_n_8():
     assert sizes == {*range(9, 17), 40}
 
 
+def test_jacobi_stop_test_keeps_its_bits_with_every_decision_on_numpy(monkeypatch):
+    # the float filter decides most stop tests (not those under its floor: an off-diagonal part
+    # that is exactly zero, or a matrix under about 1e-133, whose target squared underflows);
+    # with its gap out of reach it decides none, and numpy's dot takes each one as before:
+    # the same bits on the 2,000 oracle matrices
+    seen = []
+    monkeypatch.setattr(linear, "_sq_below", lambda a, b: seen.append(sysmodel._sq_below(a, b))
+                        or seen[-1])
+    with np.errstate(over="ignore"):
+        filtered = [sym_eigenvalues(S).tobytes() for S in _jacobi_test_matrices()]
+    assert seen.count(None) < 0.1 * len(seen)
+    seen.clear()
+    monkeypatch.setattr(sysmodel, "_SQ_GAP", math.inf)
+    with np.errstate(over="ignore"):
+        assert [sym_eigenvalues(S).tobytes() for S in _jacobi_test_matrices()] == filtered
+    assert seen and set(seen) == {None}
+
+
 def test_sym_eigenvalues_of_an_empty_matrix_is_an_empty_vector():
     empty = np.zeros((0, 0))
     assert sym_eigenvalues(empty).shape == np.linalg.eigvalsh(empty).shape == (0,)
@@ -258,6 +276,88 @@ def test_certificate_rejects_bad_Y():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             SsniCertificate(sys, np.array([[1.0, 0.0], [0.0, bad]]))
+    # 0.5 * (Y + Y^T) overflows at 1e308: Y is finite, and the error says its norm is the trouble
+    one = LinearSystem([[-1.0]], [[1.0]], [[1.0]])
+    for huge in (1e308, 1e300):
+        with pytest.raises(ValueError, match="finite but too large"):
+            SsniCertificate(one, [[huge]])
+
+
+def _counted_eigensolves(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linear, "sym_eigenvalues", lambda S: calls.append(1) or sym_eigenvalues(S))
+    return calls
+
+
+def test_positive_definite_gate_decides_as_jacobi_does(monkeypatch):
+    # Y's Cholesky gate against Jacobi's verdict sym_eigenvalues(Y)[0] > TAU_PD: lambda_min
+    # at TAU_PD (1 + delta) under a spectrum at a power-of-two scale, and random definite and
+    # indefinite Y, n = 1..12; the gate must decide or leave the verdict to Jacobi, not change it
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from nishape.sysmodel import TAU_PD
+
+    calls = _counted_eigensolves(monkeypatch)
+    outcomes = set()
+
+    @st.composite
+    def spectra(draw):
+        n, kind = draw(st.integers(1, 12)), draw(st.sampled_from(["boundary", "spd", "indefinite"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        scale = 2.0 ** draw(st.integers(-40, 40))
+        if kind == "boundary":
+            delta = draw(st.sampled_from([0.0, 1e-3, -1e-3, 1e-9, -1e-9, 1e-13, -1e-13]))
+            d = [TAU_PD * (1.0 + delta), *(TAU_PD + scale * rng.uniform(0.0, 1.0, n - 1))]
+        elif kind == "spd":
+            d = scale * rng.uniform(0.01, 1.0, n)
+        else:
+            d = scale * rng.uniform(-1.0, 1.0, n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Y = q @ np.diag(d) @ q.T
+        return 0.5 * (Y + Y.T)
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(spectra())
+    def check(Y):
+        n = Y.shape[0]
+        expected = sym_eigenvalues(Y)[0] > TAU_PD
+        before = len(calls)
+        try:
+            SsniCertificate(LinearSystem(-np.eye(n), np.ones((n, 1)), np.ones((1, n))), Y)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "Y must be positive definite", Y
+            accepted = False
+        assert accepted == expected, Y
+        outcomes.add((accepted, len(calls) - before))
+
+    check()
+    # accepted by the gate, accepted and rejected by Jacobi: all three were reached
+    assert outcomes == {(True, 0), (True, 1), (False, 1)}
+
+
+def test_a_clearly_definite_Y_takes_no_eigensolve(monkeypatch):
+    calls = _counted_eigensolves(monkeypatch)
+    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(5, 5)))
+    system = LinearSystem(-np.eye(5), np.ones((5, 1)), np.ones((1, 5)))
+    for d, count in (([0.5, 1.0, 1.5, 2.0, 3.0], 0), ([2e-9, 1.0, 1.5, 2.0, 3.0], 1)):
+        Y = q @ np.diag(d) @ q.T
+        SsniCertificate(system, 0.5 * (Y + Y.T))  # both definite; the second near TAU_PD = 1e-9
+        assert len(calls) == count, d
+        calls.clear()
+
+
+def test_symmetric_part_halves_first_only_where_the_sum_overflows():
+    rng = np.random.default_rng(17)
+    for _ in range(50):  # no overflow: numpy's 0.5 * (X + X^T), bit for bit
+        X = rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-300, 300)
+        assert linear._symmetric_part(X).tobytes() == (0.5 * (X + X.T)).tobytes()
+    X = np.array([[-1e308, 1e308], [1e308, 3.0]])
+    assert linear._symmetric_part(X).tolist() == [[-1e308, 1e308], [1e308, 3.0]]
+    assert linear._min_eigenvalue(X) == pytest.approx(-1e308 * ((1 + 5 ** 0.5) / 2), rel=1e-12)
+    with np.errstate(invalid="ignore"):  # a non-finite X keeps its non-finite symmetric part
+        S = linear._symmetric_part(np.array([[math.inf, -math.inf], [math.inf, 0.0]]))
+    assert math.isnan(S[0, 1]) and S[0, 0] == math.inf
 
 
 # ---------------------------------------------------------------------------
