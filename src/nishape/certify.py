@@ -14,7 +14,6 @@ import csv
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -25,7 +24,7 @@ from .linear import sym_eigenvalues
 from .sim import Trajectory
 from .sysmodel import (_CHUNK, Check, NonlinearSystem, ScalarField, StaticNonlinearity, TAU_PD,
                        HamiltonianSystem, TAU_ZERO, _composed, _joined_text, _norm, _row_dots,
-                       _row_norms, _sq_below, central_jacobian, make_shaped_storage, on_columns)
+                       _row_norms, central_jacobian, make_shaped_storage, on_columns)
 
 R_EXCL_SCALE = 1e-3   # exclusion-ball radius as a fraction of the box radius
 N_POLISH = 10         # worst samples polished by damped Newton
@@ -102,20 +101,16 @@ _STALL_RATIO, _STALL_STEPS = 0.9, 2
 def _newton_polish(func, x, tol, stats):
     """Damped Newton from the floats ``x`` toward a root of the float form ``func``:
     (point, converged), counted into ``stats``.  Probes and trial points are numpy's, entry
-    by entry on floats; the solve is numpy's.  The stop test ``_norm(fx) <= tol``, descent
-    test ``f_new @ f_new < fx @ fx`` and stall test ``f_new @ f_new > _STALL_RATIO * fx @ fx``
-    are ``_sq_below``'s, or numpy's where it cannot tell.  After ``_STALL_STEPS`` stalled
-    steps in a row the polish ends, counted ``stalled`` unless it converged."""
+    by entry on floats; the solve is numpy's.  Each residual has one norm, ``math.hypot``'s
+    (NaN where an entry is NaN, as numpy's norm is): the stop test is ``norm <= tol``, the
+    descent test ``new < norm`` and the stall test ``new**2 > _STALL_RATIO * norm**2``.  After
+    ``_STALL_STEPS`` stalled steps in a row the polish ends, counted ``stalled`` unless it
+    converged."""
     fx = func(x)
-    sq, tol_sq, stalls = sum(map(operator.mul, fx, fx)), math.copysign(tol * tol, tol), 0
+    norm, stalls = math.nan if any(map(math.isnan, fx)) else math.hypot(*fx), 0
     stats.update(polishes=1, model_calls=1)
-
-    def within():
-        below = _sq_below(sq, tol_sq)
-        return _norm(fx) <= tol if below is None else below
-
     for _ in range(POLISH_ITERS):
-        if within() or stalls == _STALL_STEPS:
+        if norm <= tol or stalls == _STALL_STEPS:
             break
         J = central_jacobian(func, x, len(x))
         stats.update(newton_steps=1, model_calls=2 * len(x))
@@ -133,21 +128,15 @@ def _newton_polish(func, x, tol, stats):
             f_new = func(x_new)
             stats["model_calls"] += 1
             if all(map(math.isfinite, f_new)):
-                new = sum(map(operator.mul, f_new, f_new))
-                below = _sq_below(new, sq)
-                if below is None:  # numpy's dots, or _norm's norms where one overflowed
-                    dot, base = float(np.dot(f_new, f_new)), float(np.dot(fx, fx))
-                    below = dot < base if max(dot, base) < math.inf else _norm(f_new) < _norm(fx)
-                if below:
-                    stall = _sq_below(_STALL_RATIO * sq, new)
-                    if stall is None:  # numpy's dots (no stall where both overflow)
-                        stall = float(np.dot(f_new, f_new)) > _STALL_RATIO * float(np.dot(fx, fx))
-                    x, fx, sq, stalls = x_new, f_new, new, (stalls + 1 if stall else 0)
+                new = math.hypot(*f_new)
+                if new < norm:
+                    stall = new * new > _STALL_RATIO * (norm * norm)  # none where both overflow
+                    x, fx, norm, stalls = x_new, f_new, new, (stalls + 1 if stall else 0)
                     break
             alpha *= 0.5
         else:
             break
-    converged = within()
+    converged = norm <= tol
     stats.update(converged=converged, stalled=stalls == _STALL_STEPS and not converged)
     return x, converged
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from typing import Optional
 
 import numpy as np
 
 from .sysmodel import (Check, LinearSystem, NonlinearSystem, ScalarField,
-                       StaticNonlinearity, TAU_PD, TAU_ZERO, _sq_below, make_shaped_storage)
+                       StaticNonlinearity, TAU_PD, TAU_ZERO, make_shaped_storage)
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +27,7 @@ def _jacobi_sweep(n: int):
     """``sweep(m, table)``, one cyclic Jacobi sweep on ``m``: an n x n symmetric matrix as its
     diagonal, then its upper off-diagonal entries row-major.  Each row of ``table`` is one
     rotation (p, q), in cyclic order: the indices in ``m`` of (p, p), (q, q), (p, q), then of
-    (j, p), (j, q) for each j outside {p, q}.  Also the indices in ``m + [0.0]`` of the full
-    matrix, row-major, with the 0.0 on its diagonal."""
+    (j, p), (j, q) for each j outside {p, q}."""
     rows, cols = np.triu_indices(n, 1)
     at = np.diag(np.arange(n))
     at[rows, cols] = at[cols, rows] = np.arange(n, n + rows.size)
@@ -56,14 +54,14 @@ def _jacobi_sweep(n: int):
         m[qq] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
         m[pq] = 0.0
 """, f"<Jacobi sweep on {n} x {n}>", "exec"), namespace)
-    return namespace["sweep"], table, np.where(np.eye(n, dtype=bool), n + rows.size, at).ravel()
+    return namespace["sweep"], table
 
 
 def sym_eigenvalues(S) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
-    Cyclic Jacobi rotations on Python floats, iterated until the off-diagonal
-    Frobenius norm drops below 1e-12 times the matrix norm.  A sweep is one
+    Cyclic Jacobi rotations on Python floats, iterated until the off-diagonal Frobenius
+    norm (``math.hypot``'s) is at most 1e-12 times the matrix norm.  A sweep is one
     function per size, generated at first use: it rotates the upper triangle, each
     entry once.  The matrix stays bitwise symmetric, so the column and the row
     rotation of the full matrix round the same products there.  Rejects inputs
@@ -82,18 +80,12 @@ def sym_eigenvalues(S) -> np.ndarray:
     n = S.shape[0]
     rows = (S if mirrored else 0.5 * (S + S.T)).tolist()  # a finite S is 0.5 * (S + S) exactly
     m = [r[i] for i, r in enumerate(rows)] + [v for i, r in enumerate(rows) for v in r[i + 1:]]
-    if not any(m[n:]):  # diagonal, as the built-in Y = I, or n <= 1: nothing to generate
+    if not any(m[n:]):  # diagonal, or n <= 1: nothing to generate
         return np.sort(m[:n])
-    sweep, table, off = _jacobi_sweep(n)
+    sweep, table = _jacobi_sweep(n)
     target = 1e-12 * fro
     for _ in range(60):
-        # the off-diagonal norm as numpy's dot takes it of the full matrix, diagonal zeroed,
-        # decided up to n = 64 by _sq_below on twice (exact) the upper part's float sum
-        below = _sq_below(2.0 * sum(map(operator.mul, m[n:], m[n:])), target * target)
-        if below is None or n > 64:
-            rest = np.array(m + [0.0])[off]
-            below = math.sqrt(rest.dot(rest)) <= target
-        if below:
+        if math.hypot(*m[n:], *m[n:]) <= target:  # the full matrix's off-diagonal norm
             break
         sweep(m, table)
     else:

@@ -410,7 +410,8 @@ def export_potential_surface(field: ScalarField, path=None, half_range: float = 
     degenerate = n_plateau == (points - 2) ** 2
 
     if path is not None:
-        axis_slots = _g17_slots(axis[:, None], newline=False)  # each axis value once
+        axis_slots = _g17_slots(axis[:, None])  # each axis value once, its '\n' made a ','
+        axis_slots[axis_slots == ord("\n")] = ord(",")
 
         def cells(start, stop):  # grid cell r is (axis[r // points], axis[r % points])
             r = np.arange(start, stop)

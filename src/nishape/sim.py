@@ -410,9 +410,9 @@ def _decimal17(v: np.ndarray):
     return digits, e, exact | (v == 0.0)
 
 
-def _g17_slots(table: np.ndarray, newline: bool = True) -> np.ndarray:
+def _g17_slots(table: np.ndarray) -> np.ndarray:
     """A 2-D float table's ``"%.17g" % v`` texts, each with its separator (a last
-    column's is '\\n' where ``newline``) in a NUL-padded 32-byte slot: its digits
+    column's is '\\n') in a NUL-padded 32-byte slot: its digits
     (``_decimal17``, four 4-digit lookups) and the ``_g17_tables`` rows its E, kept
     digits, sign and column pick.  Zeros print as ``0``/``-0``; any other value outside
     ``_decimal17``'s range (|v| < 1e-6 or >= 1e17, inf, NaN) is ``"%.17g" % v``."""
@@ -430,7 +430,7 @@ def _g17_slots(table: np.ndarray, newline: bool = True) -> np.ndarray:
     z0, z1, z2, z3 = (_QUAD_ZEROS[q] for q in quads)  # 4 for a zero quad
     zeros = z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))  # trailing, of d1 .. d16
     look = e * 72 + np.maximum(17 - zeros, e + 1) * 4 + 2 * np.signbit(values)  # d0 .. dE kept
-    look.reshape(n_rows, n_cols)[:, -1] += newline
+    look.reshape(n_rows, n_cols)[:, -1] += 1
     del digits, e, high, low, quads  # before the blend, where a call peaks
     shifted = np.empty_like(slots)  # each byte one cell right; cell 0 is never read
     shifted.ravel()[1:] = slots.ravel()[:-1]
@@ -441,7 +441,7 @@ def _g17_slots(table: np.ndarray, newline: bool = True) -> np.ndarray:
     left |= _MARKS[look].view(np.uint64).reshape(-1, 4)
     del look, shifted, left, right
     for i in np.flatnonzero(~exact).tolist():
-        text = b"%.17g" % values[i] + (b"\n" if newline and i % n_cols == n_cols - 1 else b",")
+        text = b"%.17g" % values[i] + (b"\n" if i % n_cols == n_cols - 1 else b",")
         slots[i] = 0
         slots[i, :len(text)] = np.frombuffer(text, np.uint8)
     return slots

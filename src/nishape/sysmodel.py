@@ -38,19 +38,6 @@ TAU_GRAD = 1e-5        # relative gradient-agreement tolerance
 TAU_GRAD_FLOOR = 1e-8  # absolute floor under TAU_GRAD
 TAU_PD = 1e-9          # strict positive-definiteness margin
 _CHUNK = 1024  # knots per block of a whole-record pass: step loop, rate table, _on_rows
-# Float filter of the Newton polish and Jacobi's stop test (Shewchuk, Discrete Comput. Geom. 1997):
-# a sum of k <= 4096 squares, on floats or by a BLAS dot (FMA, any order), is within k*u/(1 - k*u)
-# < 4.6e-13 < _SQ_GAP/2 (u = 2**-53) of the exact sum; underflow moves one over _SQ_FLOOR by under
-# 1e-29 of it: sums apart by over _SQ_GAP of their sum order alike in all these, norms and tol**2.
-_SQ_GAP, _SQ_FLOOR = 1e-12, 1e-290
-
-
-def _sq_below(a: float, b: float):
-    """``a < b`` for two sums of squares on Python floats, as numpy's dots or norms decide it,
-    where ``_SQ_GAP`` proves it; else None (inside the gap, under the floor, inf or NaN)."""
-    if _SQ_FLOOR <= a < math.inf and _SQ_FLOOR <= b < math.inf and abs(a - b) > _SQ_GAP * (a + b):
-        return a < b
-    return None
 
 
 @dataclass(frozen=True, eq=False)
